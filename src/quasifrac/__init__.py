@@ -1,8 +1,6 @@
 """Adaptive finite-element simulation of quasi-static brittle fracture on
 triangular meshes, with sharp crack-curve extraction via void modification."""
 
-from ._kernels import HAS_NUMBA
-
-__all__ = ["HAS_NUMBA", "__version__"]
+__all__ = ["__version__"]
 
 __version__ = "0.1.0"

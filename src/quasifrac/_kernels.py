@@ -1,55 +1,17 @@
-"""Hot numeric kernels.
+"""Hot numeric kernels in numpy.
 
-Array-oriented kernels ship in two variants: a numba @njit build and a
-vectorized pure-numpy fallback.  When numba is importable and the
-environment variable FRACTURE_NO_NUMBA is unset, the compiled variants are
-bound at import; otherwise the numpy ones are.  `HAS_NUMBA` reports which
-path is active.  Scalar geometry helpers are written once and simply run
-uncompiled on the fallback path.  Both paths agree to roundoff; see
-benchmarks/benchmark_numba.py for the speed comparison.
+Array kernels take whole triangle or dof arrays; the scalar geometry
+helpers work on single points, segments and triangles.
 """
 
-import os
-
 import numpy as np
-
-HAS_NUMBA = False
-if os.environ.get("FRACTURE_NO_NUMBA", "") not in ("1", "true", "yes"):
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
-
-if not HAS_NUMBA:
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
 
 
 # ---------------------------------------------------------------------------
 # triangle geometry
 
 
-@njit(cache=True)
 def tri_signed_areas(nodes, tris):
-    m = tris.shape[0]
-    out = np.empty(m)
-    for i in range(m):
-        ax, ay = nodes[tris[i, 0], 0], nodes[tris[i, 0], 1]
-        bx, by = nodes[tris[i, 1], 0], nodes[tris[i, 1], 1]
-        cx, cy = nodes[tris[i, 2], 0], nodes[tris[i, 2], 1]
-        out[i] = 0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
-    return out
-
-
-def _tri_signed_areas_np(nodes, tris):
     a = nodes[tris[:, 0]]
     b = nodes[tris[:, 1]]
     c = nodes[tris[:, 2]]
@@ -57,43 +19,14 @@ def _tri_signed_areas_np(nodes, tris):
                   - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
 
 
-@njit(cache=True)
 def strain_b_matrices(nodes, tris):
     """Per-triangle 3x6 matrices mapping nodal dofs to Mandel strain.
 
     Strain vector convention (Mandel): [e11, e22, sqrt(2)*e12], so the
     Euclidean norm of the vector equals the Frobenius norm of the tensor.
-    Dof order per triangle: (u0x, u0y, u1x, u1y, u2x, u2y).
+    Dof order per triangle: (u0x, u0y, u1x, u1y, u2x, u2y).  Returns
+    (bmats, signed areas); degenerate triangles get zero matrices.
     """
-    m = tris.shape[0]
-    bmats = np.zeros((m, 3, 6))
-    areas = np.empty(m)
-    s2 = np.sqrt(2.0) / 2.0
-    for i in range(m):
-        ax, ay = nodes[tris[i, 0], 0], nodes[tris[i, 0], 1]
-        bx, by = nodes[tris[i, 1], 0], nodes[tris[i, 1], 1]
-        cx, cy = nodes[tris[i, 2], 0], nodes[tris[i, 2], 1]
-        det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-        areas[i] = 0.5 * det
-        if det == 0.0:
-            continue
-        g0x = (by - cy) / det
-        g0y = (cx - bx) / det
-        g1x = (cy - ay) / det
-        g1y = (ax - cx) / det
-        g2x = (ay - by) / det
-        g2y = (bx - ax) / det
-        gx = (g0x, g1x, g2x)
-        gy = (g0y, g1y, g2y)
-        for j in range(3):
-            bmats[i, 0, 2 * j] = gx[j]
-            bmats[i, 1, 2 * j + 1] = gy[j]
-            bmats[i, 2, 2 * j] = s2 * gy[j]
-            bmats[i, 2, 2 * j + 1] = s2 * gx[j]
-    return bmats, areas
-
-
-def _strain_b_matrices_np(nodes, tris):
     a = nodes[tris[:, 0]]
     b = nodes[tris[:, 1]]
     c = nodes[tris[:, 2]]
@@ -119,28 +52,8 @@ def _strain_b_matrices_np(nodes, tris):
     return bmats, areas
 
 
-@njit(cache=True)
 def strains_from_values(bmats, tris, values):
     """Mandel strain vectors of a nodal field, one row per triangle."""
-    m = tris.shape[0]
-    out = np.empty((m, 3))
-    for i in range(m):
-        e0 = 0.0
-        e1 = 0.0
-        e2 = 0.0
-        for j in range(3):
-            ux = values[tris[i, j], 0]
-            uy = values[tris[i, j], 1]
-            e0 += bmats[i, 0, 2 * j] * ux + bmats[i, 0, 2 * j + 1] * uy
-            e1 += bmats[i, 1, 2 * j] * ux + bmats[i, 1, 2 * j + 1] * uy
-            e2 += bmats[i, 2, 2 * j] * ux + bmats[i, 2, 2 * j + 1] * uy
-        out[i, 0] = e0
-        out[i, 1] = e1
-        out[i, 2] = e2
-    return out
-
-
-def _strains_from_values_np(bmats, tris, values):
     dofs = values[tris].reshape(tris.shape[0], 6)
     return np.einsum("mij,mj->mi", bmats, dofs)
 
@@ -149,69 +62,8 @@ def _strains_from_values_np(bmats, tris, values):
 # polygon clipping (triangle vs axis-aligned rectangle)
 
 
-@njit(cache=True)
 def clip_areas_rect(nodes, tris, x0, y0, x1, y1):
     """Area of each triangle intersected with [x0,x1]x[y0,y1]."""
-    m = tris.shape[0]
-    out = np.empty(m)
-    px = np.empty(16)
-    py = np.empty(16)
-    qx = np.empty(16)
-    qy = np.empty(16)
-    for i in range(m):
-        n = 3
-        for j in range(3):
-            px[j] = nodes[tris[i, j], 0]
-            py[j] = nodes[tris[i, j], 1]
-        for side in range(4):
-            if n == 0:
-                break
-            k = 0
-            for j in range(n):
-                cxj, cyj = px[j], py[j]
-                jn = j + 1 if j + 1 < n else 0
-                nxj, nyj = px[jn], py[jn]
-                if side == 0:
-                    ins_c = cxj >= x0
-                    ins_n = nxj >= x0
-                elif side == 1:
-                    ins_c = cxj <= x1
-                    ins_n = nxj <= x1
-                elif side == 2:
-                    ins_c = cyj >= y0
-                    ins_n = nyj >= y0
-                else:
-                    ins_c = cyj <= y1
-                    ins_n = nyj <= y1
-                if ins_c:
-                    qx[k] = cxj
-                    qy[k] = cyj
-                    k += 1
-                if ins_c != ins_n:
-                    if side == 0:
-                        t = (x0 - cxj) / (nxj - cxj)
-                    elif side == 1:
-                        t = (x1 - cxj) / (nxj - cxj)
-                    elif side == 2:
-                        t = (y0 - cyj) / (nyj - cyj)
-                    else:
-                        t = (y1 - cyj) / (nyj - cyj)
-                    qx[k] = cxj + t * (nxj - cxj)
-                    qy[k] = cyj + t * (nyj - cyj)
-                    k += 1
-            n = k
-            for j in range(n):
-                px[j] = qx[j]
-                py[j] = qy[j]
-        area = 0.0
-        for j in range(n):
-            jn = j + 1 if j + 1 < n else 0
-            area += px[j] * py[jn] - px[jn] * py[j]
-        out[i] = abs(area) * 0.5
-    return out
-
-
-def _clip_areas_rect_np(nodes, tris, x0, y0, x1, y1):
     out = np.empty(tris.shape[0])
     for i in range(tris.shape[0]):
         poly = [(nodes[t, 0], nodes[t, 1]) for t in tris[i]]
@@ -253,10 +105,9 @@ def _clip_areas_rect_np(nodes, tris, x0, y0, x1, y1):
 
 
 # ---------------------------------------------------------------------------
-# scalar geometry helpers (compiled when numba is active, plain otherwise)
+# scalar geometry helpers
 
 
-@njit(cache=True)
 def point_seg_dist(px, py, ax, ay, bx, by):
     ux, uy = bx - ax, by - ay
     wx, wy = px - ax, py - ay
@@ -274,7 +125,6 @@ def point_seg_dist(px, py, ax, ay, bx, by):
     return np.sqrt(dx * dx + dy * dy)
 
 
-@njit(cache=True)
 def _orient(ax, ay, bx, by, cx, cy):
     v = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     if v > 0.0:
@@ -284,12 +134,10 @@ def _orient(ax, ay, bx, by, cx, cy):
     return 0
 
 
-@njit(cache=True)
 def _on_seg(ax, ay, bx, by, px, py):
     return (min(ax, bx) <= px <= max(ax, bx)) and (min(ay, by) <= py <= max(ay, by))
 
 
-@njit(cache=True)
 def segs_intersect(ax, ay, bx, by, cx, cy, dx, dy):
     o1 = _orient(ax, ay, bx, by, cx, cy)
     o2 = _orient(ax, ay, bx, by, dx, dy)
@@ -308,7 +156,6 @@ def segs_intersect(ax, ay, bx, by, cx, cy, dx, dy):
     return False
 
 
-@njit(cache=True)
 def seg_seg_dist(ax, ay, bx, by, cx, cy, dx, dy):
     """Distance between segments AB and CD (0 when they intersect)."""
     if segs_intersect(ax, ay, bx, by, cx, cy, dx, dy):
@@ -320,7 +167,6 @@ def seg_seg_dist(ax, ay, bx, by, cx, cy, dx, dy):
     return min(min(d1, d2), min(d3, d4))
 
 
-@njit(cache=True)
 def point_in_tri(x, y, t):
     d1 = (x - t[1, 0]) * (t[0, 1] - t[1, 1]) - (t[0, 0] - t[1, 0]) * (y - t[1, 1])
     d2 = (x - t[2, 0]) * (t[1, 1] - t[2, 1]) - (t[1, 0] - t[2, 0]) * (y - t[2, 1])
@@ -330,7 +176,6 @@ def point_in_tri(x, y, t):
     return not (has_neg and has_pos)
 
 
-@njit(cache=True)
 def tri_tri_dist(p, q):
     """Distance between triangles given as (3,2) vertex arrays."""
     for k in range(3):
@@ -349,94 +194,17 @@ def tri_tri_dist(p, q):
 
 
 # ---------------------------------------------------------------------------
-# deflated, Jacobi-preconditioned conjugate gradients on CSR
+# Jacobi-preconditioned conjugate gradients on CSR
 
 
-@njit(cache=True)
-def cg_deflated(indptr, indices, data, x, free, inv_diag, rigid, rel_tol, max_iter):
+def cg_deflated(indptr, indices, data, x, free, inv_diag, rel_tol, max_iter):
     """Minimize v^T K v over free dofs with pinned dofs held at x's values.
 
-    `free` is a 0/1 float mask, `rigid` an (n, m) matrix of orthonormal
-    stiffness-kernel vectors (m may be 0) projected out of residual and
-    search directions.  Returns (x, iterations, relative_residual).
-    Strictly serial so results do not depend on thread count.
+    K is given in CSR form and `free` is a 0/1 float mask; the iteration is
+    Jacobi-preconditioned CG.  Returns (x, iterations, relative_residual).
+    Strictly serial so results do not depend on thread count.  The name
+    outlived its deflation space; qfbench's tracer wraps it by this name.
     """
-    n = x.shape[0]
-    m = rigid.shape[1]
-
-    r = np.zeros(n)
-    for i in range(n):
-        s = 0.0
-        for jj in range(indptr[i], indptr[i + 1]):
-            s += data[jj] * x[indices[jj]]
-        r[i] = -s * free[i]
-    for k in range(m):
-        s = 0.0
-        for i in range(n):
-            s += rigid[i, k] * r[i]
-        for i in range(n):
-            r[i] -= s * rigid[i, k]
-
-    norm0 = 0.0
-    for i in range(n):
-        norm0 += r[i] * r[i]
-    norm0 = np.sqrt(norm0)
-    if norm0 == 0.0:
-        return x, 0, 0.0
-    tol = rel_tol * norm0
-
-    z = np.empty(n)
-    p = np.empty(n)
-    ap = np.empty(n)
-    for i in range(n):
-        z[i] = r[i] * inv_diag[i] * free[i]
-        p[i] = z[i]
-    rz = 0.0
-    for i in range(n):
-        rz += r[i] * z[i]
-
-    it = 0
-    res = norm0
-    while it < max_iter:
-        for i in range(n):
-            s = 0.0
-            for jj in range(indptr[i], indptr[i + 1]):
-                s += data[jj] * p[indices[jj]]
-            ap[i] = s * free[i]
-        for k in range(m):
-            s = 0.0
-            for i in range(n):
-                s += rigid[i, k] * ap[i]
-            for i in range(n):
-                ap[i] -= s * rigid[i, k]
-        pap = 0.0
-        for i in range(n):
-            pap += p[i] * ap[i]
-        if pap <= 0.0:
-            break
-        alpha = rz / pap
-        for i in range(n):
-            x[i] += alpha * p[i]
-            r[i] -= alpha * ap[i]
-        it += 1
-        res = 0.0
-        for i in range(n):
-            res += r[i] * r[i]
-        res = np.sqrt(res)
-        if res <= tol:
-            break
-        rz_new = 0.0
-        for i in range(n):
-            z[i] = r[i] * inv_diag[i] * free[i]
-            rz_new += r[i] * z[i]
-        beta = rz_new / rz
-        rz = rz_new
-        for i in range(n):
-            p[i] = z[i] + beta * p[i]
-    return x, it, res / norm0
-
-
-def _cg_deflated_np(indptr, indices, data, x, free, inv_diag, rigid, rel_tol, max_iter):
     nrow = len(indptr) - 1
     rows = np.repeat(np.arange(nrow), np.diff(indptr))
 
@@ -446,13 +214,8 @@ def _cg_deflated_np(indptr, indices, data, x, free, inv_diag, rigid, rel_tol, ma
         out = np.bincount(rows, weights=data * v[indices], minlength=nrow)
         return out * free
 
-    def deflate(v):
-        if rigid.shape[1]:
-            return v - rigid @ (rigid.T @ v)
-        return v
-
     x = x.copy()
-    r = deflate(-matvec(x))
+    r = -matvec(x)
     norm0 = float(np.linalg.norm(r))
     if norm0 == 0.0:
         return x, 0, 0.0
@@ -463,7 +226,7 @@ def _cg_deflated_np(indptr, indices, data, x, free, inv_diag, rigid, rel_tol, ma
     it = 0
     res = norm0
     while it < max_iter:
-        ap = deflate(matvec(p))
+        ap = matvec(p)
         pap = float(p @ ap)
         if pap <= 0.0:
             break
@@ -486,7 +249,6 @@ def _cg_deflated_np(indptr, indices, data, x, free, inv_diag, rigid, rel_tol, ma
 # truncated-energy accumulation
 
 
-@njit(cache=True)
 def truncated_energy_terms(strains, cmat, w_omega, w_prime, eps, kappa):
     """Per-triangle pieces of the truncated energy.
 
@@ -494,38 +256,8 @@ def truncated_energy_terms(strains, cmat, w_omega, w_prime, eps, kappa):
     elastic_term[i] = w_omega[i]*sq[i], cap_term[i] = kappa*w_prime[i]/eps,
     capped[i] flags eps*sq[i] >= kappa.
     """
-    m = strains.shape[0]
-    sq = np.empty(m)
-    elastic = np.empty(m)
-    cap = np.empty(m)
-    capped = np.zeros(m, dtype=np.bool_)
-    for i in range(m):
-        s = 0.0
-        for a in range(3):
-            row = 0.0
-            for b in range(3):
-                row += cmat[a, b] * strains[i, b]
-            s += strains[i, a] * row
-        sq[i] = s
-        elastic[i] = w_omega[i] * s
-        cap[i] = kappa * w_prime[i] / eps
-        if eps * s >= kappa:
-            capped[i] = True
-    return sq, elastic, cap, capped
-
-
-def _truncated_energy_terms_np(strains, cmat, w_omega, w_prime, eps, kappa):
     sq = np.einsum("mi,ij,mj->m", strains, cmat, strains)
     elastic = w_omega * sq
     cap = kappa * w_prime / eps
     capped = eps * sq >= kappa
     return sq, elastic, cap, capped
-
-
-if not HAS_NUMBA:
-    tri_signed_areas = _tri_signed_areas_np
-    strain_b_matrices = _strain_b_matrices_np
-    strains_from_values = _strains_from_values_np
-    clip_areas_rect = _clip_areas_rect_np
-    cg_deflated = _cg_deflated_np
-    truncated_energy_terms = _truncated_energy_terms_np

@@ -14,7 +14,6 @@ eps |T n omega| |e|_C^2, the choice that minimizes that energy
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -112,7 +111,6 @@ class EnergyReport:
     crack_part: float
     cracked_area: float
     n_cracked: int = 0
-    per_triangle: Optional[np.ndarray] = None
 
     def csv_row(self, step: int, t: float) -> str:
         cols = [f"{step:d}", _g17(t), _g17(self.total), _g17(self.elastic_part),
@@ -141,9 +139,6 @@ class CrackHistory:
     def n_triangles(self) -> int:
         return len(self._keys)
 
-    def accumulated_keys(self):
-        return self._keys.keys()
-
     def add_step(self, tset: TriangleSet):
         mesh = tset.mesh
         added = []
@@ -170,12 +165,6 @@ class CrackHistory:
 
     def area_in_omega_prime(self) -> float:
         return float(sum(a for a, _ in self._keys.values()))
-
-    def copy(self) -> "CrackHistory":
-        h = CrackHistory()
-        h._keys = dict(self._keys)
-        h._steps = list(self._steps)
-        return h
 
 
 # ---------------------------------------------------------------------------
@@ -210,18 +199,17 @@ def static_energy(mesh: Triangulation, u: DisplacementField,
             strains, material.elasticity, w_omega, w_omega, eps, material.kappa)
         elastic = float(elastic_t[~capped].sum())
         crack = float(cap_t[capped].sum())
-        per = np.where(capped, cap_t, elastic_t)
         return EnergyReport(total=elastic + crack, elastic_part=elastic,
                             crack_part=crack,
                             cracked_area=float(w_omega[capped].sum()),
-                            n_cracked=int(capped.sum()), per_triangle=per)
+                            n_cracked=int(capped.sum()))
     sq = np.einsum("mi,ij,mj->m", strains, material.elasticity, strains)
     per = w_omega / eps * material.f(eps * sq)
     total = float(per.sum())
     capped = eps * sq >= material.kappa
     return EnergyReport(total=total, elastic_part=total, crack_part=0.0,
                         cracked_area=float(w_omega[capped].sum()),
-                        n_cracked=int(capped.sum()), per_triangle=per)
+                        n_cracked=int(capped.sum()))
 
 
 def classify_cracked(mesh: Triangulation, u: DisplacementField,

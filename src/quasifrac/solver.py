@@ -1,14 +1,16 @@
 """Minimization of the history-dependent energy on a fixed mesh.
 
 The inner subproblem (crack set frozen) is a linear elastic solve with
-collar nodes pinned to the boundary program; it runs through a serial
-Jacobi-preconditioned conjugate-gradient kernel so results are independent
-of thread count.  Edge-connected pieces of the active region that carry no
-pinned node are gauged by anchoring one node and one tangential dof, which
-removes each piece's rigid motions without coupling pieces that only touch
-at a vertex.  The outer loop alternates solve / reclassify until the
-cracked set stabilizes; multi-starts guard against the nonconvexity of the
-truncated density.
+collar nodes pinned to the boundary program.  Systems with at most
+`direct_threshold` free dofs (3000 by default) run through a serial
+Jacobi-preconditioned conjugate-gradient kernel, larger ones through a
+sequential sparse LU factorization; both are serial, so results are
+independent of thread count.  Edge-connected pieces of the active region
+that carry no pinned node are gauged by anchoring one node and one
+tangential dof, which removes each piece's rigid motions without coupling
+pieces that only touch at a vertex.  The outer loop alternates solve /
+reclassify until the cracked set stabilizes; multi-starts guard against
+the nonconvexity of the truncated density.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +29,7 @@ from .energy import (
     _history_ids,
 )
 from .mesh import DisplacementField, MeshParams, Triangulation
-from .trisets import TriangleSet, _UnionFind
+from .trisets import TriangleSet, edge_components
 
 
 class SolverError(Exception):
@@ -107,29 +109,14 @@ def _gauge_pins(mesh: Triangulation, asm_ids, pinned_node_mask):
     piece without a collar-pinned node gets its lowest node fully anchored
     and a second node anchored orthogonally to their joining direction.
     """
-    if not len(asm_ids):
-        return []
-    ids = np.asarray(asm_ids, dtype=np.int64)
-    pos = {int(t): i for i, t in enumerate(ids)}
-    uf = _UnionFind(len(ids))
-    et = mesh.edge_tris
-    member = np.zeros(mesh.n_triangles, dtype=bool)
-    member[ids] = True
-    both = (et[:, 0] >= 0) & (et[:, 1] >= 0)
-    pairs = et[both]
-    share = member[pairs[:, 0]] & member[pairs[:, 1]]
-    for a, b in pairs[share]:
-        uf.union(pos[int(a)], pos[int(b)])
-    comps = {}
-    for i, t in enumerate(ids):
-        comps.setdefault(uf.find(i), []).append(int(t))
+    ids = np.unique(np.asarray(asm_ids, dtype=np.int64))
     extra = []
     tol = mesh.params.point_tol
-    for key in sorted(comps, key=lambda r: min(comps[r])):
-        tris = comps[key]
-        nodes = np.unique(mesh.triangles[tris].ravel())
+    for tris in edge_components(mesh, ids):
+        nodes = mesh.triangles[tris]
         if pinned_node_mask[nodes].any():
             continue
+        nodes = np.unique(nodes)
         a = int(nodes[0])
         extra.extend([2 * a, 2 * a + 1])
         b = None
@@ -211,9 +198,8 @@ def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
 
     inv_diag = np.where(touched, 1.0 / np.where(touched, diag, 1.0), 1.0)
     max_cg = opts.max_cg if opts.max_cg > 0 else 10 * mesh.n_nodes
-    rigid = np.zeros((n, 0))
     x, iters, relres = cg_deflated(k.indptr, k.indices, k.data, x, free,
-                                   inv_diag, rigid, opts.cg_rel_tol, max_cg)
+                                   inv_diag, opts.cg_rel_tol, max_cg)
     if relres > opts.cg_rel_tol and iters >= max_cg:
         raise NonConvergence(
             f"CG stalled at relative residual {relres:.3e} after {iters} steps")

@@ -5,7 +5,10 @@ Two notions of connectivity are first-class and deliberately distinct:
 edge-connectivity (components of the open set, `components`) and
 vertex-connectivity (components of the closure, `closure_components`).
 Complement components are computed in the whole plane: everything beyond
-the triangulated region counts as one unbounded component.
+the triangulated region counts as one unbounded component.  Every
+connectivity query, here and in the solver's gauging and the boundary
+graph, goes through one numpy labelling function, `component_labels`,
+which names each component by its smallest node index.
 """
 
 from dataclasses import dataclass, field
@@ -14,33 +17,6 @@ from functools import cached_property
 import numpy as np
 
 from .mesh import Triangulation
-
-OUTSIDE = -1  # marker for the unbounded complement region
-
-
-class _UnionFind:
-    __slots__ = ("parent", "rank")
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
 
 
 @dataclass
@@ -110,11 +86,6 @@ class TriangleSet:
     def boundary_length(self) -> float:
         return float(self.mesh.edge_lengths[self.boundary_edges].sum())
 
-    @cached_property
-    def boundary_nodes(self):
-        e = self.mesh.edges[self.boundary_edges]
-        return np.unique(e.ravel())
-
     def boundary_length_in_rect(self, rect) -> float:
         """Boundary length clipped to an axis-aligned rectangle."""
         from .geometry import segment_clip_rect_length
@@ -130,12 +101,12 @@ class TriangleSet:
     @cached_property
     def components(self):
         """Edge-connected components: list of id arrays, sorted by min id."""
-        return _components_from_mask(self.mesh, self.mask, vertex=False)
+        return edge_components(self.mesh, self.ids)
 
     @cached_property
     def closure_components(self):
         """Vertex-connected components of the closure."""
-        return _components_from_mask(self.mesh, self.mask, vertex=True)
+        return _closure_components(self.mesh, self.mask)
 
     @cached_property
     def complement_components(self):
@@ -157,41 +128,78 @@ class TriangleSet:
             return self.ids
         return np.union1d(self.ids, np.concatenate(extra))
 
-    @cached_property
-    def sat_area(self) -> float:
-        """Area of the saturation (holes filled)."""
-        return float(self.mesh.areas[self.saturation_ids()].sum())
 
-    def is_saturated(self) -> bool:
-        comps, bounded = self.complement_components
-        return not any(bounded)
+def component_labels(n: int, edges) -> np.ndarray:
+    """Label each node of an n-node graph with the smallest node index of
+    its connected component.
+
+    `edges` is a (k,2) array of node pairs.  Each round hooks the labels
+    at both ends of every edge to the smaller of the two, then jumps
+    pointers until every label is its own label; it stops once both ends
+    of every edge carry the same label.  Labels only decrease and always
+    name a node of the same component, so the fixed point is the minimum.
+    """
+    lab = np.arange(n)
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    a, b = edges[:, 0], edges[:, 1]
+    while True:
+        la, lb = lab[a], lab[b]
+        if np.array_equal(la, lb):
+            return lab
+        low = np.minimum(la, lb)
+        np.minimum.at(lab, la, low)
+        np.minimum.at(lab, lb, low)
+        while True:
+            jumped = lab[lab]
+            if np.array_equal(jumped, lab):
+                break
+            lab = jumped
 
 
-def _components_from_mask(mesh: Triangulation, mask, vertex: bool):
+def _split_by_label(ids, lab):
+    """Id arrays grouped by label, in increasing label order; each keeps
+    the order of `ids`."""
+    if not len(ids):
+        return []
+    order = np.argsort(lab, kind="stable")
+    cuts = np.flatnonzero(np.diff(lab[order])) + 1
+    return np.split(ids[order], cuts)
+
+
+def _edge_graph(mesh: Triangulation, ids):
+    """(pos, pairs) for the sorted id array `ids`: pos maps a triangle id
+    to its index in `ids` (-1 if absent), pairs holds the index pairs of
+    members that share an edge."""
+    pos = np.full(mesh.n_triangles, -1, dtype=np.int64)
+    pos[ids] = np.arange(len(ids))
+    pairs = pos[mesh.interior_edge_pairs]
+    return pos, pairs[(pairs >= 0).all(axis=1)]
+
+
+def edge_components(mesh: Triangulation, ids):
+    """Edge-connected components of the sorted id array `ids`, as id
+    arrays sorted by min id."""
+    _, pairs = _edge_graph(mesh, ids)
+    return _split_by_label(ids, component_labels(len(ids), pairs))
+
+
+def _closure_components(mesh: Triangulation, mask, skip=-1):
+    """Vertex-connected components of the member closure, without vertex
+    `skip`: a graph of the member triangles (numbered first, so each label
+    is a triangle) and their vertices.  Edge adjacency needs no extra
+    edges: two triangles sharing an edge also share a vertex other than
+    `skip`."""
     ids = np.where(mask)[0]
     if not len(ids):
         return []
-    pos = {int(t): i for i, t in enumerate(ids)}
-    uf = _UnionFind(len(ids))
-    et = mesh.edge_tris
-    both = (et[:, 0] >= 0) & (et[:, 1] >= 0)
-    pairs = et[both]
-    share = mask[pairs[:, 0]] & mask[pairs[:, 1]]
-    for a, b in pairs[share]:
-        uf.union(pos[int(a)], pos[int(b)])
-    if vertex:
-        indptr, tri_ids = mesh.node_tris
-        for v in np.unique(mesh.triangles[ids].ravel()):
-            incident = tri_ids[indptr[v]:indptr[v + 1]]
-            members = incident[mask[incident]]
-            for k in range(1, len(members)):
-                uf.union(pos[int(members[0])], pos[int(members[k])])
-    groups = {}
-    for i, t in enumerate(ids):
-        groups.setdefault(uf.find(i), []).append(int(t))
-    comps = [np.asarray(sorted(g), dtype=np.int64) for g in groups.values()]
-    comps.sort(key=lambda c: int(c[0]))
-    return comps
+    tris = mesh.triangles[ids]
+    verts, inv = np.unique(tris, return_inverse=True)
+    inv = inv.reshape(tris.shape)
+    tri_of = np.repeat(np.arange(len(ids)), 3).reshape(tris.shape)
+    keep = tris != skip
+    pairs = np.column_stack([tri_of[keep], len(ids) + inv[keep]])
+    lab = component_labels(len(ids) + len(verts), pairs)
+    return _split_by_label(ids, lab[:len(ids)])
 
 
 def closure_components_minus_vertex(mesh: Triangulation, mask, v: int):
@@ -200,31 +208,7 @@ def closure_components_minus_vertex(mesh: Triangulation, mask, v: int):
     Triangles sharing an edge stay connected even if the edge contains v
     (an edge minus one point is still connected); the vertex fan at v no
     longer glues."""
-    ids = np.where(mask)[0]
-    if not len(ids):
-        return []
-    pos = {int(t): i for i, t in enumerate(ids)}
-    uf = _UnionFind(len(ids))
-    et = mesh.edge_tris
-    both = (et[:, 0] >= 0) & (et[:, 1] >= 0)
-    pairs = et[both]
-    share = mask[pairs[:, 0]] & mask[pairs[:, 1]]
-    for a, b in pairs[share]:
-        uf.union(pos[int(a)], pos[int(b)])
-    indptr, tri_ids = mesh.node_tris
-    for w in np.unique(mesh.triangles[ids].ravel()):
-        if w == v:
-            continue
-        incident = tri_ids[indptr[w]:indptr[w + 1]]
-        members = incident[mask[incident]]
-        for k in range(1, len(members)):
-            uf.union(pos[int(members[0])], pos[int(members[k])])
-    groups = {}
-    for i, t in enumerate(ids):
-        groups.setdefault(uf.find(i), []).append(int(t))
-    comps = [np.asarray(sorted(g), dtype=np.int64) for g in groups.values()]
-    comps.sort(key=lambda c: int(c[0]))
-    return comps
+    return _closure_components(mesh, mask, skip=int(v))
 
 
 def complement_components(mesh: Triangulation, mask):
@@ -237,40 +221,20 @@ def complement_components(mesh: Triangulation, mask):
     """
     comp_ids = np.where(~mask)[0]
     n = len(comp_ids)
-    pos = {int(t): i for i, t in enumerate(comp_ids)}
-    uf = _UnionFind(n + 1)  # extra node for OUTSIDE
-    outside = n
-    et = mesh.edge_tris
-    both = (et[:, 0] >= 0) & (et[:, 1] >= 0)
-    pairs = et[both]
-    share = (~mask[pairs[:, 0]]) & (~mask[pairs[:, 1]])
-    for a, b in pairs[share]:
-        uf.union(pos[int(a)], pos[int(b)])
-    for e in mesh.mesh_boundary_edges:
-        t = et[e, 0]
-        if not mask[t]:
-            uf.union(pos[int(t)], outside)
-    groups = {}
-    for i, t in enumerate(comp_ids):
-        groups.setdefault(uf.find(i), []).append(int(t))
-    root_out = uf.find(outside)
-    comps = []
-    bounded = []
-    for root, g in groups.items():
-        comps.append(np.asarray(sorted(g), dtype=np.int64))
-        bounded.append(root != root_out)
-    order = np.argsort([int(c[0]) for c in comps]) if comps else []
-    comps = [comps[i] for i in order]
-    bounded = [bounded[i] for i in order]
-    if root_out not in groups:
+    outside = n  # extra node, numbered last so it never names a component
+    pos, pairs = _edge_graph(mesh, comp_ids)
+    rim = pos[mesh.edge_tris[mesh.mesh_boundary_edges, 0]]
+    rim = rim[rim >= 0]
+    pairs = np.concatenate(
+        [pairs, np.column_stack([rim, np.full(len(rim), outside)])])
+    lab = component_labels(n + 1, pairs)
+    comps = _split_by_label(comp_ids, lab[:n])
+    root_out = lab[outside]
+    bounded = (np.unique(lab[:n]) != root_out).tolist()
+    if root_out == outside:
         comps.append(np.empty(0, dtype=np.int64))
         bounded.append(False)
     return comps, bounded
-
-
-def saturation_of(mesh: Triangulation, ids) -> np.ndarray:
-    """Saturation (holes filled) of an arbitrary id set."""
-    return TriangleSet(mesh, ids).saturation_ids()
 
 
 def local_saturation(mesh: Triangulation, ids, member_mask=None) -> np.ndarray:

@@ -24,6 +24,7 @@ from .mesh import DisplacementField, Triangulation
 from .trisets import (
     TriangleSet,
     closure_components_minus_vertex,
+    component_labels,
     local_saturation,
 )
 
@@ -94,12 +95,6 @@ class BoundaryGraph:
     def n_edges(self) -> int:
         return len(self.edge_ids)
 
-    def d_counts(self) -> dict:
-        out = {}
-        for l in self.d_of_component:
-            out[l] = out.get(l, 0) + 1
-        return out
-
     def euler_identity(self):
         """(V - E + F, nu): equal by the planar Euler formula."""
         return (self.n_vertices - self.n_edges + self.n_faces,
@@ -146,14 +141,9 @@ def build_boundary_graph(H: TriangleSet) -> BoundaryGraph:
     n_bounded = int(sum(bounded))
     n_faces = len(comps) + n_bounded
 
-    # graph components via union-find over edge endpoints
-    idx = {int(v): i for i, v in enumerate(verts)}
-    from .trisets import _UnionFind
-    uf = _UnionFind(len(verts))
-    for e in be:
-        a, b = mesh.edges[e]
-        uf.union(idx[int(a)], idx[int(b)])
-    nu = len({uf.find(i) for i in range(len(verts))})
+    # graph components: vertices labelled by their own index are the roots
+    lab = component_labels(len(verts), np.searchsorted(verts, mesh.edges[be]))
+    nu = int((lab == np.arange(len(verts))).sum())
 
     cycles, d_of_component = _boundary_cycles(H, be, comp_of, len(comps), degree)
     return BoundaryGraph(vertices=verts, edge_ids=be, degree=degree,

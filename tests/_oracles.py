@@ -1,9 +1,12 @@
 """Independent oracles used to pin expected values.
 
 These deliberately avoid the code paths they check: the crack-pattern
-oracle enumerates every subset instead of alternating, and the quadrature
-helpers integrate loads directly.
+oracle enumerates every subset instead of alternating, the quadrature
+helpers integrate loads directly, and the component oracle floods triangle
+sets breadth-first over adjacency read straight from the vertex triples.
 """
+
+from collections import deque
 
 import numpy as np
 
@@ -43,3 +46,87 @@ def exhaustive_minimum(mesh, bc, hist_ids, material, params, opts):
         if best is None or e < best:
             best = e
     return best
+
+
+def _flood(members, adjacent):
+    """Components of `members` (sorted ids) under `adjacent(t)`, found
+    breadth-first, as sorted id arrays in the order of their smallest id."""
+    seen = set()
+    comps = []
+    for t0 in members:
+        if t0 in seen:
+            continue
+        seen.add(t0)
+        comp = [t0]
+        queue = deque([t0])
+        while queue:
+            for s in adjacent(queue.popleft()):
+                if s not in seen:
+                    seen.add(s)
+                    comp.append(s)
+                    queue.append(s)
+        comps.append(np.asarray(sorted(comp), dtype=np.int64))
+    return comps
+
+
+def bfs_components(mesh, mask, kind, v=None):
+    """Components of the member triangles by breadth-first flooding.
+
+    kind "edge": triangles sharing two vertices are adjacent; "closure":
+    triangles sharing any vertex other than `v` are adjacent (v=None keeps
+    every vertex).  Returns sorted id arrays ordered by smallest id.
+    """
+    tris = [tuple(int(x) for x in row) for row in mesh.triangles]
+    members = [t for t in range(len(tris)) if mask[t]]
+    by_vertex = {}
+    for t in members:
+        for w in tris[t]:
+            by_vertex.setdefault(w, []).append(t)
+    need = 2 if kind == "edge" else 1
+
+    def adjacent(t):
+        counts = {}
+        for w in tris[t]:
+            if w == v:
+                continue
+            for s in by_vertex[w]:
+                counts[s] = counts.get(s, 0) + 1
+        return [s for s, c in counts.items() if s != t and c >= need]
+
+    return _flood(members, adjacent)
+
+
+def bfs_complement(mesh, mask):
+    """(components, bounded flags) of the non-member triangles in the plane.
+
+    Non-members sharing an edge are adjacent, and a non-member with an edge
+    that no other mesh triangle has touches the outside, one extra node.
+    The component holding the outside is the unbounded one; it is an empty
+    trailing entry when no non-member touches the outside.
+    """
+    out = -1
+    tris = [tuple(int(x) for x in row) for row in mesh.triangles]
+    owners = {}
+    for t, (a, b, c) in enumerate(tris):
+        for e in ((a, b), (b, c), (c, a)):
+            owners.setdefault(frozenset(e), []).append(t)
+
+    def sides(t):
+        a, b, c = tris[t]
+        return [owners[frozenset(e)] for e in ((a, b), (b, c), (c, a))]
+
+    free = [t for t in range(len(tris)) if not mask[t]]
+    rim = [t for t in free if any(len(o) == 1 for o in sides(t))]
+    on_rim = set(rim)
+
+    def adjacent(t):
+        if t == out:
+            return rim
+        nbrs = [s for o in sides(t) for s in o if s != t and not mask[s]]
+        return nbrs + [out] if t in on_rim else nbrs
+
+    comps, bounded = [], []
+    for c in _flood(free + [out], adjacent):
+        bounded.append(c[0] != out)
+        comps.append(c[c != out])
+    return comps, bounded

@@ -123,6 +123,22 @@ def test_cli_determinism_across_threads(smoke_outputs):
                (base / "o2" / name).read_bytes()
 
 
+def test_cli_study_determinism_across_threads(tmp_path):
+    # study is the command that reads FRACTURE_THREADS: at 2 its two
+    # refinement levels run on two threads
+    outs, codes = [], []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        cfg = tmp_path / f"bench_{threads}.cfg"
+        cfg.write_text(BENCH.read_text().replace("out/benchmark", str(out)))
+        res = _run_cli(["study", "--config", str(cfg), "--refine", "1"],
+                       env={"FRACTURE_THREADS": threads})
+        codes.append(res.returncode)
+        outs.append((out / "convergence.csv").read_bytes())
+    assert codes[0] == codes[1]
+    assert outs[0] == outs[1]
+
+
 def test_cli_check_mesh(tmp_path, mesh16):
     path = tmp_path / "m.json"
     mesh16.save(path)

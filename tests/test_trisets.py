@@ -1,0 +1,96 @@
+import numpy as np
+import pytest
+
+from quasifrac.trisets import (
+    TriangleSet,
+    closure_components_minus_vertex,
+    component_labels,
+)
+
+from _oracles import bfs_complement, bfs_components
+from conftest import block_ids, cell_tris
+
+
+def test_component_labels_smallest_index():
+    # a chain listed from its far end, closed into a cycle, plus an
+    # isolated node: hooking alone would need one round per link
+    edges = [(k, k + 1) for k in range(6, -1, -1)] + [(7, 3)]
+    lab = component_labels(9, np.array(edges))
+    assert lab.tolist() == [0] * 8 + [8]
+    assert component_labels(3, np.empty((0, 2))).tolist() == [0, 1, 2]
+
+
+def _assert_same(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64
+        assert np.array_equal(g, w)
+    firsts = [int(c[0]) for c in got if len(c)]
+    assert firsts == sorted(firsts)
+
+
+def _check_against_oracle(mesh, mask):
+    tset = TriangleSet(mesh, np.where(mask)[0])
+    _assert_same(tset.components, bfs_components(mesh, mask, "edge"))
+    _assert_same(tset.closure_components,
+                 bfs_components(mesh, mask, "closure"))
+    verts = np.unique(mesh.triangles[tset.ids])
+    outside = np.setdiff1d(np.arange(mesh.n_nodes), verts)
+    probes = list(verts[::max(1, len(verts) // 6)]) + list(outside[:1])
+    for v in probes:
+        _assert_same(closure_components_minus_vertex(mesh, mask, int(v)),
+                     bfs_components(mesh, mask, "closure", v=int(v)))
+    comps, bounded = tset.complement_components
+    want_comps, want_bounded = bfs_complement(mesh, mask)
+    _assert_same(comps, want_comps)
+    assert bounded == want_bounded
+    return tset
+
+
+@pytest.mark.parametrize("density", [0.15, 0.4, 0.6, 0.85])
+def test_components_match_bfs_oracle_random(mesh16, density):
+    rng = np.random.default_rng(int(100 * density))
+    for _ in range(3):
+        mask = rng.random(mesh16.n_triangles) < density
+        _check_against_oracle(mesh16, mask)
+
+
+def test_components_vertex_touching_pair(mesh16):
+    t0 = cell_tris(mesh16, 8, 8)[0]
+    shared = np.isin(mesh16.triangles, mesh16.triangles[t0]).sum(axis=1)
+    t1 = int(np.where(shared == 1)[0][0])
+    mask = np.zeros(mesh16.n_triangles, dtype=bool)
+    mask[[t0, t1]] = True
+    tset = _check_against_oracle(mesh16, mask)
+    assert len(tset.components) == 2
+    assert len(tset.closure_components) == 1
+    v = int(np.intersect1d(mesh16.triangles[t0], mesh16.triangles[t1])[0])
+    assert len(closure_components_minus_vertex(mesh16, mask, v)) == 2
+    assert tset.complement_components[1] == [False]
+
+
+def test_components_ring_with_hole(mesh16):
+    hole = block_ids(mesh16, 7, 8, 7, 8)
+    ring = np.setdiff1d(block_ids(mesh16, 5, 10, 5, 10), hole)
+    mask = np.zeros(mesh16.n_triangles, dtype=bool)
+    mask[ring] = True
+    tset = _check_against_oracle(mesh16, mask)
+    assert len(tset.components) == 1
+    comps, bounded = tset.complement_components
+    assert bounded.count(True) == 1
+    assert np.array_equal(comps[bounded.index(True)], np.sort(hole))
+    assert np.array_equal(tset.saturation_ids(), np.union1d(ring, hole))
+
+
+def test_components_empty_and_full(mesh16):
+    empty = np.zeros(mesh16.n_triangles, dtype=bool)
+    tset = _check_against_oracle(mesh16, empty)
+    assert tset.components == [] and tset.closure_components == []
+    comps, bounded = tset.complement_components
+    assert bounded == [False] and len(comps[0]) == mesh16.n_triangles
+
+    full = ~empty
+    tset = _check_against_oracle(mesh16, full)
+    assert len(tset.components) == 1 and len(tset.closure_components) == 1
+    comps, bounded = tset.complement_components
+    assert bounded == [False] and len(comps) == 1 and not len(comps[0])
