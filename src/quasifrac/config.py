@@ -167,6 +167,10 @@ class RunConfig:
             raise ValidationError("t_end", "must be positive")
         if v["n_steps"] < 1:
             raise ValidationError("n_steps", "must be >= 1")
+        if v["f_profile"] != "truncated":
+            raise ValidationError(
+                "f_profile", "only 'truncated' is supported: the solver "
+                "minimizes the truncated density")
         if v["eta"] != "auto" and not (0.0 < v["eta"] <= 0.5):
             raise ValidationError("eta", "must be 'auto' or in (0, 0.5]")
         if v["cg_rel_tol"] <= 0.0:

@@ -82,7 +82,6 @@ def check_energy_balance(trace: EvolutionTrace, load: LoadProgram,
     rhs_pc = np.zeros(n)
     if n:
         e0 = steps[0].energy.total
-        power = [None] * n
         for k in range(1, n):
             lhs[k] = steps[k].energy.total - e0
             t0, t1 = steps[k - 1].t, steps[k].t
@@ -92,7 +91,6 @@ def check_energy_balance(trace: EvolutionTrace, load: LoadProgram,
             p_new = _step_power(steps[k], load, t_mid)
             rhs[k] = rhs[k - 1] + dt * (p_prev + p_new)        # 2 * trapezoid
             rhs_pc[k] = rhs_pc[k - 1] + 2.0 * dt * p_prev      # left rectangle
-            power[k] = (p_prev, p_new)
     slack = rhs - lhs
     slack_pc = rhs_pc - lhs
     beta = float(max(0.0, -slack_pc.min())) if n else 0.0

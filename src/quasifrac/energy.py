@@ -125,46 +125,44 @@ def _g17(x: float) -> str:
 
 
 class CrackHistory:
-    """Irreversible accumulated crack set, shared across meshes by
-    coordinate keys so a locked triangle can be found on later meshes."""
+    """Irreversible accumulated crack set of one run, kept by triangle id.
+
+    Every mesh of a run shares the background-grid connectivity, and
+    adaptation keeps each locked triangle's vertex ids and coordinates, so
+    an id names the same triangle on every mesh of the run.  The history
+    remembers the connectivity it was recorded on and refuses a mesh with
+    other connectivity.
+    """
 
     def __init__(self):
-        self._keys = {}   # key -> (area_in_omega_prime, full_area)
-        self._steps = []  # per step: sorted tuple of keys added
-
-    def __len__(self):
-        return len(self._steps)
-
-    @property
-    def n_triangles(self) -> int:
-        return len(self._keys)
+        self._ids = np.empty(0, dtype=np.int64)  # in insertion order
+        self._area_prime = []  # |T n omega'| of each id at crack time
+        self._triangles = None  # connectivity the ids refer to
 
     def add_step(self, tset: TriangleSet):
         mesh = tset.mesh
-        added = []
-        for t in tset.ids:
-            k = mesh.tri_keys[t]
-            if k not in self._keys:
-                self._keys[k] = (float(mesh.area_in_omega_prime[t]),
-                                 float(mesh.areas[t]))
-                added.append(k)
-        self._steps.append(tuple(sorted(added)))
+        if self._triangles is None:
+            self._triangles = mesh.triangles
+        _require_connectivity(self._triangles, mesh)
+        new = tset.ids[~np.isin(tset.ids, self._ids)]
+        self._ids = np.concatenate([self._ids, new])
+        self._area_prime.extend(mesh.area_in_omega_prime[new].tolist())
 
     def resolve_ids(self, mesh: Triangulation) -> np.ndarray:
-        """Ids of the accumulated triangles on `mesh`; raises if absent."""
-        lookup = mesh.key_to_tri
-        out = np.empty(len(self._keys), dtype=np.int64)
-        for i, k in enumerate(self._keys):
-            t = lookup.get(k)
-            if t is None:
-                raise InconsistentHistory(
-                    "locked crack triangle is absent from the mesh")
-            out[i] = t
-        out.sort()
-        return out
+        """Sorted ids of the accumulated triangles on `mesh`."""
+        if self._triangles is not None:
+            _require_connectivity(self._triangles, mesh)
+        return np.sort(self._ids)
 
     def area_in_omega_prime(self) -> float:
-        return float(sum(a for a, _ in self._keys.values()))
+        return float(sum(self._area_prime))
+
+
+def _require_connectivity(triangles, mesh: Triangulation):
+    if triangles is not mesh.triangles and \
+            not np.array_equal(triangles, mesh.triangles):
+        raise InconsistentHistory(
+            "crack history was recorded on a mesh with other connectivity")
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +336,6 @@ def _history_ids(mesh: Triangulation, history) -> np.ndarray:
     if isinstance(history, CrackHistory):
         return history.resolve_ids(mesh)
     if isinstance(history, TriangleSet):
-        if history.mesh is not mesh:
-            lookup = mesh.key_to_tri
-            out = []
-            for t in history.ids:
-                k = history.mesh.tri_keys[t]
-                if k not in lookup:
-                    raise InconsistentHistory(
-                        "locked crack triangle is absent from the mesh")
-                out.append(lookup[k])
-            return np.asarray(sorted(out), dtype=np.int64)
+        _require_connectivity(history.mesh.triangles, mesh)
         return history.ids
     return np.asarray(sorted(history), dtype=np.int64)

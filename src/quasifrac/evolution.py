@@ -142,7 +142,7 @@ class StepRecord:
     accum_ids: np.ndarray
     accum_area_prime: float
     amod_ids: np.ndarray
-    tmod_keys: frozenset
+    tmod_ids: np.ndarray
     kn_length_raw: float
     kn_length_half: float
     kn_components: int
@@ -215,21 +215,6 @@ def _strain_hint(mesh: Triangulation, u: DisplacementField,
                       width=mesh.params.grid_spacing, length=math.inf)
 
 
-def _resolve_field(u: DisplacementField, mesh: Triangulation) -> DisplacementField:
-    if u.mesh is mesh:
-        return u
-    if u.mesh.n_nodes == mesh.n_nodes and np.array_equal(u.mesh.triangles,
-                                                         mesh.triangles):
-        return DisplacementField(mesh, u.values.copy())
-    vals = np.empty((mesh.n_nodes, 2))
-    for i, p in enumerate(mesh.nodes):
-        try:
-            vals[i] = u.evaluate(p)
-        except Exception:
-            vals[i] = 0.0
-    return DisplacementField(mesh, vals)
-
-
 def run_evolution(domain: Domain, params: MeshParams, material: MaterialModel,
                   load: LoadProgram, vm: Optional[VoidModParams] = None,
                   opts: Optional[SolveOptions] = None, *,
@@ -276,7 +261,7 @@ def run_evolution(domain: Domain, params: MeshParams, material: MaterialModel,
     trace = EvolutionTrace(header=header)
 
     prev_u: Optional[DisplacementField] = None
-    prev_tmod_keys: frozenset = frozenset()
+    prev_tmod_ids = np.empty(0, dtype=np.int64)
 
     for k, t in enumerate(load.times()):
         candidates = [mesh]
@@ -284,24 +269,24 @@ def run_evolution(domain: Domain, params: MeshParams, material: MaterialModel,
             hint = _strain_hint(mesh, prev_u, material.kappa, params.eps)
             if hint is not None:
                 try:
-                    locked = TriangleSet(mesh, history.resolve_ids(mesh))
-                    candidates.append(adapt_mesh(mesh, locked, hint))
+                    candidates.append(
+                        adapt_mesh(mesh, history.resolve_ids(mesh), hint))
                 except AdaptationFailed:
                     pass
 
         best = None
         for cand in candidates:
             bc = interpolate(cand, load, t)
-            prev_resolved = _resolve_field(prev_u, cand) if prev_u is not None \
-                else None
+            prev_field = DisplacementField(cand, prev_u.values) \
+                if prev_u is not None else None
             shift = None
-            if prev_resolved is not None and k > 0:
+            if prev_field is not None and k > 0:
                 bc_prev = interpolate(cand, load, t - load.delta)
                 shift = DisplacementField(
-                    cand, prev_resolved.values + bc.values - bc_prev.values)
+                    cand, prev_field.values + bc.values - bc_prev.values)
             try:
                 res = minimize_step(cand, history, bc, material, params, opts,
-                                    prev_u=prev_resolved, shift_field=shift)
+                                    prev_u=prev_field, shift_field=shift)
             except SolverError as exc:
                 if len(candidates) == 1:
                     trace.aborted = True
@@ -318,22 +303,21 @@ def run_evolution(domain: Domain, params: MeshParams, material: MaterialModel,
             return trace
         _, mesh, res = best
 
-        accum_prev = history.resolve_ids(mesh) if history.n_triangles else \
-            np.empty(0, dtype=np.int64)
+        accum_prev = history.resolve_ids(mesh)
         history.add_step(res.cracked_now)
         accum_ids = history.resolve_ids(mesh)
         new_ids = np.setdiff1d(accum_ids, accum_prev)
 
         mod = modify_voids(TriangleSet(mesh, accum_ids), res.u, vm)
-        tmod_keys = frozenset(mesh.tri_keys[int(i)] for i in mod.t_mod.ids)
-        nested = prev_tmod_keys <= tmod_keys
+        tmod_ids = mod.t_mod.ids
+        nested = bool(np.isin(prev_tmod_ids, tmod_ids).all())
         kn_raw = mod.a_mod.boundary_length_in_rect(domain.omega_prime)
         rec = StepRecord(
             k=k, t=t, mesh=mesh, u_values=res.u.values.copy(),
             energy=res.energy, new_crack_ids=new_ids,
             accum_prev_ids=accum_prev, accum_ids=accum_ids,
             accum_area_prime=history.area_in_omega_prime(),
-            amod_ids=mod.a_mod.ids, tmod_keys=tmod_keys,
+            amod_ids=mod.a_mod.ids, tmod_ids=tmod_ids,
             kn_length_raw=kn_raw, kn_length_half=0.5 * kn_raw,
             kn_components=mod.stats.get("n_components", 0),
             amod_area=mod.stats.get("area_Amod", 0.0),
@@ -341,7 +325,7 @@ def run_evolution(domain: Domain, params: MeshParams, material: MaterialModel,
             tmod_nested=nested, mod_stats=mod.stats,
         )
         trace.steps.append(rec)
-        prev_tmod_keys = tmod_keys
+        prev_tmod_ids = tmod_ids
         prev_u = res.u
         if progress:
             print(f"step {k:3d} t={t:.4f} E={res.energy.total:.6g} "

@@ -6,7 +6,6 @@ from ._kernels import (
     clip_areas_rect,
     point_in_tri,
     point_seg_dist,
-    seg_seg_dist,
     tri_signed_areas,
     tri_tri_dist,
 )
@@ -15,9 +14,7 @@ __all__ = [
     "poly_area",
     "clip_poly_convex",
     "clip_areas_polygon",
-    "tri_rect_distance",
     "point_in_tri",
-    "seg_seg_dist",
     "point_seg_dist",
     "tri_tri_dist",
     "tri_signed_areas",
@@ -80,28 +77,6 @@ def clip_areas_polygon(nodes, tris, poly):
         clipped = clip_poly_convex(nodes[t], poly)
         out[i] = poly_area(clipped)
     return out
-
-
-def tri_rect_distance(tri_pts, rect) -> float:
-    """Distance between a triangle and a closed rectangle (0 if touching)."""
-    x0, y0, x1, y1 = rect
-    for p in tri_pts:
-        if x0 <= p[0] <= x1 and y0 <= p[1] <= y1:
-            return 0.0
-    corners = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
-    tri_arr = np.asarray(tri_pts, dtype=float)
-    for c in corners:
-        if point_in_tri(c[0], c[1], tri_arr):
-            return 0.0
-    best = np.inf
-    for i in range(3):
-        a = tri_pts[i]
-        b = tri_pts[(i + 1) % 3]
-        for j in range(4):
-            c = corners[j]
-            d = corners[(j + 1) % 4]
-            best = min(best, seg_seg_dist(a[0], a[1], b[0], b[1], c[0], c[1], d[0], d[1]))
-    return float(best)
 
 
 def segment_clip_rect_length(a, b, rect) -> float:

@@ -5,8 +5,10 @@ A triangulation is admissible when triangles meet only along full shared
 edges or vertices, every interior angle is at least theta0, every edge
 length lies in [eps, omega_factor*eps], and the union covers the body
 rectangle.  All meshes produced here share the connectivity of the regular
-half-square background grid; adaptation moves nodes without retriangulating,
-which keeps crack-history triangles intact across steps.
+half-square background grid; adaptation moves nodes without retriangulating
+and keeps every locked triangle's vertex ids and coordinates.  A triangle id
+therefore names the same triangle on every mesh of a run, and crack history
+is kept by id.
 """
 
 import json
@@ -300,11 +302,26 @@ class Triangulation:
 
     @cached_property
     def collar_mask(self):
-        """Triangles whose closure misses the closed body rectangle."""
-        rect = self.domain.omega
-        out = np.zeros(self.n_triangles, dtype=bool)
-        for i, t in enumerate(self.triangles):
-            out[i] = geometry.tri_rect_distance(self.nodes[t], rect) > 0.0
+        """Triangles whose closure misses the closed body rectangle.
+
+        Separating-axis test of two convex sets: they are disjoint exactly
+        when the triangle's bounding box lies strictly outside the rectangle
+        in x or y, or all four rectangle corners lie strictly right of one
+        edge of the counterclockwise triangle.
+        """
+        x0, y0, x1, y1 = self.domain.omega
+        p = self.nodes[self.triangles]
+        xs, ys = p[:, :, 0], p[:, :, 1]
+        out = ((xs.max(axis=1) < x0) | (xs.min(axis=1) > x1)
+               | (ys.max(axis=1) < y0) | (ys.min(axis=1) > y1))
+        corners = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
+        for k in range(3):
+            a, b = p[:, k], p[:, (k + 1) % 3]
+            ex, ey = b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
+            right = np.ones(self.n_triangles, dtype=bool)
+            for cx, cy in corners:
+                right &= ex * (cy - a[:, 1]) - ey * (cx - a[:, 0]) < 0.0
+            out |= right
         return out
 
     @cached_property
@@ -335,7 +352,9 @@ class Triangulation:
 
     @cached_property
     def tri_keys(self):
-        """Coordinate identity keys, stable across meshes of the family."""
+        """Coordinate keys of the triangles, for checks that compare sets
+        across meshes by position; the program itself identifies triangles
+        by id."""
         tol = self.params.point_tol
         keys = []
         for t in range(self.n_triangles):
@@ -343,10 +362,6 @@ class Triangulation:
                        for v in self.triangles[t])
             keys.append(tuple(k))
         return keys
-
-    @cached_property
-    def key_to_tri(self):
-        return {k: i for i, k in enumerate(self.tri_keys)}
 
     @cached_property
     def _locator_grid(self):
@@ -649,7 +664,8 @@ class StrainHint:
 
 def adapt_mesh(prev: Triangulation, locked, hint: Optional[StrainHint] = None,
                ) -> Triangulation:
-    """Background-based mesh containing every locked triangle verbatim.
+    """Background-based mesh containing every locked triangle (ids of
+    `prev`) verbatim.
 
     Without a hint this merges the background grid with the node positions
     carried by locked triangles (all meshes of the family share the grid
@@ -659,8 +675,7 @@ def adapt_mesh(prev: Triangulation, locked, hint: Optional[StrainHint] = None,
     AdaptationFailed when the result is not admissible or a locked triangle
     cannot be preserved.
     """
-    locked_ids = np.asarray(sorted(locked.ids if hasattr(locked, "ids") else locked),
-                            dtype=np.int64)
+    locked_ids = np.asarray(sorted(locked), dtype=np.int64)
     if len(locked_ids) and (locked_ids.max() >= prev.n_triangles or locked_ids.min() < 0):
         raise AdaptationFailed("locked triangles must belong to the previous mesh")
     if prev.grid_shape is None:

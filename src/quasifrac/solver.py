@@ -2,7 +2,7 @@
 
 The inner subproblem (crack set frozen) is a linear elastic solve with
 collar nodes pinned to the boundary program.  Systems with at most
-`direct_threshold` free dofs (3000 by default) run through a serial
+`DIRECT_THRESHOLD` free dofs (3000) run through a serial
 Jacobi-preconditioned conjugate-gradient kernel, larger ones through a
 sequential sparse LU factorization; both are serial, so results are
 independent of thread count.  Edge-connected pieces of the active region
@@ -21,7 +21,6 @@ import scipy.sparse as sp
 
 from ._kernels import cg_deflated
 from .energy import (
-    CrackHistory,
     MaterialModel,
     EnergyReport,
     choose_crack_set,
@@ -30,6 +29,10 @@ from .energy import (
 )
 from .mesh import DisplacementField, MeshParams, Triangulation
 from .trisets import TriangleSet, edge_components
+
+
+# free dofs above which the sparse LU replaces CG
+DIRECT_THRESHOLD = 3000
 
 
 class SolverError(Exception):
@@ -51,7 +54,6 @@ class SolveOptions:
     max_cg: int = 0          # 0 means 10 * n_nodes
     seed: int = 0
     multi_starts: int = 8    # deterministic starts plus random crack seeds
-    direct_threshold: int = 3000  # free dofs above which a sparse LU is used
 
     def __post_init__(self):
         if self.cg_rel_tol <= 0.0:
@@ -177,7 +179,7 @@ def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
     free[~touched] = 0.0  # nodes outside every weighted triangle stay put
 
     free_idx = np.where(free > 0.0)[0]
-    if len(free_idx) > opts.direct_threshold:
+    if len(free_idx) > DIRECT_THRESHOLD:
         # sequential sparse LU: deterministic and much faster than Jacobi
         # CG on fine meshes
         x_pin = x.copy()

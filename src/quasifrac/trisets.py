@@ -237,7 +237,7 @@ def complement_components(mesh: Triangulation, mask):
     return comps, bounded
 
 
-def local_saturation(mesh: Triangulation, ids, member_mask=None) -> np.ndarray:
+def local_saturation(mesh: Triangulation, ids) -> np.ndarray:
     """Saturation of a (typically small) id set by bounded local flooding.
 
     Holes of a set lie inside its bounding box, so a complement flood that
@@ -247,9 +247,8 @@ def local_saturation(mesh: Triangulation, ids, member_mask=None) -> np.ndarray:
     ids = np.asarray(sorted(ids), dtype=np.int64)
     if not len(ids):
         return ids
-    if member_mask is None:
-        member_mask = np.zeros(mesh.n_triangles, dtype=bool)
-        member_mask[ids] = True
+    member_mask = np.zeros(mesh.n_triangles, dtype=bool)
+    member_mask[ids] = True
     pts = mesh.nodes[np.unique(mesh.triangles[ids].ravel())]
     pad = mesh.params.grid_spacing
     bx0, by0 = pts.min(axis=0) - pad

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import clip_areas_rect
+from ._kernels import clip_areas_rect, strains_from_values
 from .mesh import DisplacementField, Triangulation
 from .trisets import (
     TriangleSet,
@@ -408,7 +408,8 @@ def _frob_strain_energy(mesh: Triangulation, u: DisplacementField, ids,
     ids = np.asarray(ids, dtype=np.int64)
     if not len(ids):
         return 0.0
-    s = u.strains()[ids]
+    s = strains_from_values(mesh.b_matrices[ids], mesh.triangles[ids],
+                            u.values)
     w = mesh.areas[ids] if weights is None else weights[ids]
     return float((w * (s * s).sum(axis=1)).sum())
 

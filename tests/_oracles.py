@@ -2,14 +2,17 @@
 
 These deliberately avoid the code paths they check: the crack-pattern
 oracle enumerates every subset instead of alternating, the quadrature
-helpers integrate loads directly, and the component oracle floods triangle
-sets breadth-first over adjacency read straight from the vertex triples.
+helpers integrate loads directly, the component oracle floods triangle
+sets breadth-first over adjacency read straight from the vertex triples,
+and the collar oracle measures each triangle's distance to the body
+rectangle one triangle at a time.
 """
 
 from collections import deque
 
 import numpy as np
 
+from quasifrac._kernels import point_in_tri, seg_seg_dist
 from quasifrac.solver import solve_elastic
 
 
@@ -130,3 +133,33 @@ def bfs_complement(mesh, mask):
         bounded.append(c[0] != out)
         comps.append(c[c != out])
     return comps, bounded
+
+
+def tri_rect_distance(tri_pts, rect) -> float:
+    """Distance between a triangle and a closed rectangle (0 if touching)."""
+    x0, y0, x1, y1 = rect
+    for p in tri_pts:
+        if x0 <= p[0] <= x1 and y0 <= p[1] <= y1:
+            return 0.0
+    corners = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+    tri_arr = np.asarray(tri_pts, dtype=float)
+    for c in corners:
+        if point_in_tri(c[0], c[1], tri_arr):
+            return 0.0
+    best = np.inf
+    for i in range(3):
+        a = tri_pts[i]
+        b = tri_pts[(i + 1) % 3]
+        for j in range(4):
+            c = corners[j]
+            d = corners[(j + 1) % 4]
+            best = min(best, seg_seg_dist(a[0], a[1], b[0], b[1],
+                                          c[0], c[1], d[0], d[1]))
+    return float(best)
+
+
+def collar_mask_by_distance(mesh):
+    """Triangles at positive distance from the closed body rectangle."""
+    rect = mesh.domain.omega
+    return np.array([tri_rect_distance(mesh.nodes[t], rect) > 0.0
+                     for t in mesh.triangles], dtype=bool)

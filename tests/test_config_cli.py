@@ -37,6 +37,15 @@ def test_negative_eps_names_key():
     assert "eps" in str(err.value)
 
 
+def test_table_profile_rejected():
+    # the solver minimizes the truncated density only; a table profile
+    # would silently run the truncated model
+    with pytest.raises(ValidationError) as err:
+        parse_config("f_profile = table\nf_table = 0:0, 1:1, 2:1\n")
+    assert "f_profile" in str(err.value)
+    assert parse_config("f_profile = truncated\n")["f_profile"] == "truncated"
+
+
 def test_unknown_key_reports_line():
     with pytest.raises(ParseError) as err:
         parse_config("eps = 0.1\n\nwibble = 3\n")

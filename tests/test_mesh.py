@@ -202,3 +202,28 @@ def test_mesh_json_roundtrip(tmp_path, mesh16):
 def test_field_shape_mismatch(mesh16):
     with pytest.raises(Exception):
         DisplacementField(mesh16, np.zeros((3, 2)))
+
+
+def test_collar_mask_matches_distance_oracle(mesh16, mesh32):
+    from _oracles import collar_mask_by_distance
+    nudged_nodes = mesh16.nodes.copy()
+    node = mesh16.triangles[mesh16.find_containing((0.51, 0.52))][0]
+    nudged_nodes[node] += 0.2 * mesh16.params.point_tol * 1e6
+    nudged = Triangulation(nudged_nodes, mesh16.triangles, mesh16.domain,
+                           mesh16.params, grid_shape=mesh16.grid_shape)
+    strip_params = MeshParams(theta0=math.pi / 4, eps=1 / math.sqrt(2.0))
+    strips = [build_background_mesh(
+        Domain((1.1, 0.0, n - 1.1, 1.0), (0.0, 0.0, float(n), 1.0)),
+        strip_params) for n in (4, 6)]
+    by_edge = 0  # collar triangles whose bounding box meets the rectangle
+    for mesh in [mesh16, mesh32, nudged] + strips:
+        expected = collar_mask_by_distance(mesh)
+        assert np.array_equal(mesh.collar_mask, expected)
+        assert expected.any() and not expected.all()
+        x0, y0, x1, y1 = mesh.domain.omega
+        xs = mesh.nodes[mesh.triangles, 0]
+        ys = mesh.nodes[mesh.triangles, 1]
+        box_apart = ((xs.max(axis=1) < x0) | (xs.min(axis=1) > x1)
+                     | (ys.max(axis=1) < y0) | (ys.min(axis=1) > y1))
+        by_edge += int((expected & ~box_apart).sum())
+    assert by_edge > 0
