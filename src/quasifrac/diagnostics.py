@@ -193,12 +193,11 @@ def stability_spot_check(rec, load: LoadProgram, material, params,
     step's minimizer (vanishing on the pinned collar) must not lower the
     history energy beyond solver tolerance."""
     from .energy import history_energy
-    from .solver import _collar_pinned_mask
 
     mesh = rec.mesh
     u = DisplacementField(mesh, rec.u_values)
     e_star = history_energy(mesh, u, rec.accum_prev_ids, material, params).total
-    pinned = _collar_pinned_mask(mesh)
+    pinned = mesh.collar_node_mask
     rng = np.random.default_rng(seed)
     scale = params.eps * max(1.0, float(np.abs(rec.u_values).max()))
     tol = tol_rel * max(1.0, abs(e_star))

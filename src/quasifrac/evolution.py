@@ -227,7 +227,8 @@ def run_evolution(domain: Domain, params: MeshParams, material: MaterialModel,
     contain the accumulated cracked triangles.  After each step the
     accumulated set is void-modified at the configured eta and the crack
     curve taken as the boundary of the modified set.  Solver failures abort
-    with the partial trace.
+    with the partial trace.  Either way no mesh of the returned trace keeps
+    the solver's LU factor.
     """
     if vm is None:
         vm = VoidModParams(eta=eta_schedule(params.eps))
@@ -263,71 +264,76 @@ def run_evolution(domain: Domain, params: MeshParams, material: MaterialModel,
     prev_u: Optional[DisplacementField] = None
     prev_tmod_ids = np.empty(0, dtype=np.int64)
 
-    for k, t in enumerate(load.times()):
-        candidates = [mesh]
-        if snap and prev_u is not None:
-            hint = _strain_hint(mesh, prev_u, material.kappa, params.eps)
-            if hint is not None:
+    try:
+        for k, t in enumerate(load.times()):
+            candidates = [mesh]
+            if snap and prev_u is not None:
+                hint = _strain_hint(mesh, prev_u, material.kappa, params.eps)
+                if hint is not None:
+                    try:
+                        candidates.append(
+                            adapt_mesh(mesh, history.resolve_ids(mesh), hint))
+                    except AdaptationFailed:
+                        pass
+
+            best = None
+            for cand in candidates:
+                bc = interpolate(cand, load, t)
+                prev_field = DisplacementField(cand, prev_u.values) \
+                    if prev_u is not None else None
+                shift = None
+                if prev_field is not None and k > 0:
+                    bc_prev = interpolate(cand, load, t - load.delta)
+                    shift = DisplacementField(
+                        cand, prev_field.values + bc.values - bc_prev.values)
                 try:
-                    candidates.append(
-                        adapt_mesh(mesh, history.resolve_ids(mesh), hint))
-                except AdaptationFailed:
-                    pass
+                    res = minimize_step(cand, history, bc, material, params, opts,
+                                        prev_u=prev_field, shift_field=shift)
+                except SolverError as exc:
+                    if len(candidates) == 1:
+                        trace.aborted = True
+                        trace.abort_reason = f"step {k}: {exc}"
+                        return trace
+                    continue
+                key = (res.energy.total, res.energy.cracked_area,
+                       res.u.values.tobytes())
+                if best is None or key < best[0]:
+                    best = (key, cand, res)
+            if best is None:
+                trace.aborted = True
+                trace.abort_reason = f"step {k}: all mesh candidates failed"
+                return trace
+            _, mesh, res = best
 
-        best = None
-        for cand in candidates:
-            bc = interpolate(cand, load, t)
-            prev_field = DisplacementField(cand, prev_u.values) \
-                if prev_u is not None else None
-            shift = None
-            if prev_field is not None and k > 0:
-                bc_prev = interpolate(cand, load, t - load.delta)
-                shift = DisplacementField(
-                    cand, prev_field.values + bc.values - bc_prev.values)
-            try:
-                res = minimize_step(cand, history, bc, material, params, opts,
-                                    prev_u=prev_field, shift_field=shift)
-            except SolverError as exc:
-                if len(candidates) == 1:
-                    trace.aborted = True
-                    trace.abort_reason = f"step {k}: {exc}"
-                    return trace
-                continue
-            key = (res.energy.total, res.energy.cracked_area,
-                   res.u.values.tobytes())
-            if best is None or key < best[0]:
-                best = (key, cand, res)
-        if best is None:
-            trace.aborted = True
-            trace.abort_reason = f"step {k}: all mesh candidates failed"
-            return trace
-        _, mesh, res = best
+            accum_prev = history.resolve_ids(mesh)
+            history.add_step(res.cracked_now)
+            accum_ids = history.resolve_ids(mesh)
+            new_ids = np.setdiff1d(accum_ids, accum_prev)
 
-        accum_prev = history.resolve_ids(mesh)
-        history.add_step(res.cracked_now)
-        accum_ids = history.resolve_ids(mesh)
-        new_ids = np.setdiff1d(accum_ids, accum_prev)
-
-        mod = modify_voids(TriangleSet(mesh, accum_ids), res.u, vm)
-        tmod_ids = mod.t_mod.ids
-        nested = bool(np.isin(prev_tmod_ids, tmod_ids).all())
-        kn_raw = mod.a_mod.boundary_length_in_rect(domain.omega_prime)
-        rec = StepRecord(
-            k=k, t=t, mesh=mesh, u_values=res.u.values.copy(),
-            energy=res.energy, new_crack_ids=new_ids,
-            accum_prev_ids=accum_prev, accum_ids=accum_ids,
-            accum_area_prime=history.area_in_omega_prime(),
-            amod_ids=mod.a_mod.ids, tmod_ids=tmod_ids,
-            kn_length_raw=kn_raw, kn_length_half=0.5 * kn_raw,
-            kn_components=mod.stats.get("n_components", 0),
-            amod_area=mod.stats.get("area_Amod", 0.0),
-            outer_iters=res.outer_iters, converged=res.converged,
-            tmod_nested=nested, mod_stats=mod.stats,
-        )
-        trace.steps.append(rec)
-        prev_tmod_ids = tmod_ids
-        prev_u = res.u
-        if progress:
-            print(f"step {k:3d} t={t:.4f} E={res.energy.total:.6g} "
-                  f"cracked={len(accum_ids)} K={kn_raw:.4f}")
+            mod = modify_voids(TriangleSet(mesh, accum_ids), res.u, vm)
+            tmod_ids = mod.t_mod.ids
+            nested = bool(np.isin(prev_tmod_ids, tmod_ids).all())
+            kn_raw = mod.a_mod.boundary_length_in_rect(domain.omega_prime)
+            rec = StepRecord(
+                k=k, t=t, mesh=mesh, u_values=res.u.values.copy(),
+                energy=res.energy, new_crack_ids=new_ids,
+                accum_prev_ids=accum_prev, accum_ids=accum_ids,
+                accum_area_prime=history.area_in_omega_prime(),
+                amod_ids=mod.a_mod.ids, tmod_ids=tmod_ids,
+                kn_length_raw=kn_raw, kn_length_half=0.5 * kn_raw,
+                kn_components=mod.stats.get("n_components", 0),
+                amod_area=mod.stats.get("area_Amod", 0.0),
+                outer_iters=res.outer_iters, converged=res.converged,
+                tmod_nested=nested, mod_stats=mod.stats,
+            )
+            trace.steps.append(rec)
+            prev_tmod_ids = tmod_ids
+            prev_u = res.u
+            if progress:
+                print(f"step {k:3d} t={t:.4f} E={res.energy.total:.6g} "
+                      f"cracked={len(accum_ids)} K={kn_raw:.4f}")
+    finally:
+        # the meshes a trace returns keep no LU factor of the run
+        for m in [mesh] + [rec.mesh for rec in trace.steps]:
+            m.factor_slot = None
     return trace

@@ -172,6 +172,10 @@ class Triangulation:
         self.domain = domain
         self.params = params
         self.grid_shape = grid_shape  # (nx, ny, origin_x, origin_y) for grid family
+        # (system key, kept direct system or None) of the last elastic solve
+        # on this mesh, owned by solver.solve_elastic; the one mutable
+        # attribute, and not part of the mesh's value
+        self.factor_slot = None
         self.nodes.setflags(write=False)
         self.triangles.setflags(write=False)
 
@@ -325,30 +329,40 @@ class Triangulation:
         return out
 
     @cached_property
+    def collar_node_mask(self):
+        """Read-only mask of the nodes of collar triangles, which every
+        elastic solve pins to the boundary program."""
+        pinned = np.zeros(self.n_nodes, dtype=bool)
+        pinned[self.triangles[self.collar_mask].ravel()] = True
+        pinned.setflags(write=False)
+        return pinned
+
+    @cached_property
     def is_background(self):
-        """Triangles coinciding with cells of the regular background grid."""
+        """Triangles coinciding with cells of the regular background grid.
+
+        A triangle qualifies when its vertices lie on the lattice and, taken
+        relative to their lowest lattice row and column, occupy exactly the
+        cell corners of a lower {(0,0),(1,0),(1,1)} or an upper
+        {(0,0),(1,1),(0,1)} half-square.
+        """
         if self.grid_shape is None:
             return np.zeros(self.n_triangles, dtype=bool)
         nx, ny, ox, oy = self.grid_shape
         h = self.params.grid_spacing
         tol = self.params.point_tol
-        out = np.zeros(self.n_triangles, dtype=bool)
         rel = (self.nodes - np.array([ox, oy])) / h
         ij = np.round(rel)
         on_lattice = np.max(np.abs(rel - ij), axis=1) * h <= tol
-        for t in range(self.n_triangles):
-            tri = self.triangles[t]
-            if not on_lattice[tri].all():
-                continue
-            pts = {(int(ij[v, 0]), int(ij[v, 1])) for v in tri}
-            if len(pts) != 3:
-                continue
-            i0 = min(p[0] for p in pts)
-            j0 = min(p[1] for p in pts)
-            loc = {(p[0] - i0, p[1] - j0) for p in pts}
-            if loc == {(0, 0), (1, 0), (1, 1)} or loc == {(0, 0), (1, 1), (0, 1)}:
-                out[t] = True
-        return out
+        loc = ij[self.triangles]
+        loc = loc - loc.min(axis=1, keepdims=True)
+        in_cell = ((loc == 0.0) | (loc == 1.0)).all(axis=(1, 2))
+        # corner (a, b) of the unit cell is bit 2a+b; three distinct corners
+        # of one half-square set bits {0,2,3} (lower) or {0,1,3} (upper)
+        code = np.where(in_cell[:, None], 2 * loc[:, :, 0] + loc[:, :, 1], 0)
+        corners = np.bitwise_or.reduce(1 << code.astype(np.int64), axis=1)
+        return (on_lattice[self.triangles].all(axis=1) & in_cell
+                & ((corners == 0b1101) | (corners == 0b1011)))
 
     @cached_property
     def tri_keys(self):
@@ -362,35 +376,6 @@ class Triangulation:
                        for v in self.triangles[t])
             keys.append(tuple(k))
         return keys
-
-    @cached_property
-    def _locator_grid(self):
-        h = self.params.grid_spacing
-        x0 = self.nodes[:, 0].min()
-        y0 = self.nodes[:, 1].min()
-        cells = {}
-        for t in range(self.n_triangles):
-            pts = self.nodes[self.triangles[t]]
-            ci0 = int((pts[:, 0].min() - x0) // h)
-            ci1 = int((pts[:, 0].max() - x0) // h)
-            cj0 = int((pts[:, 1].min() - y0) // h)
-            cj1 = int((pts[:, 1].max() - y0) // h)
-            for ci in range(ci0, ci1 + 1):
-                for cj in range(cj0, cj1 + 1):
-                    cells.setdefault((ci, cj), []).append(t)
-        return x0, y0, h, cells
-
-    def find_containing(self, p) -> int:
-        """Triangle id containing point p, or -1."""
-        x0, y0, h, cells = self._locator_grid
-        ci = int((p[0] - x0) // h)
-        cj = int((p[1] - y0) // h)
-        for dci in (0, -1, 1):
-            for dcj in (0, -1, 1):
-                for t in cells.get((ci + dci, cj + dcj), ()):
-                    if geometry.point_in_tri(p[0], p[1], self.nodes[self.triangles[t]]):
-                        return t
-        return -1
 
     # -- serialization -----------------------------------------------------
 
@@ -461,22 +446,6 @@ class DisplacementField:
         """Mandel strain [e11, e22, sqrt(2) e12] per triangle."""
         bmats, _ = self.mesh.strain_setup
         return strains_from_values(bmats, self.mesh.triangles, self.values)
-
-    def evaluate(self, p):
-        t = self.mesh.find_containing(p)
-        if t < 0:
-            raise MeshError(f"point {p} outside mesh")
-        tri = self.mesh.triangles[t]
-        pts = self.mesh.nodes[tri]
-        det = ((pts[1, 0] - pts[0, 0]) * (pts[2, 1] - pts[0, 1])
-               - (pts[1, 1] - pts[0, 1]) * (pts[2, 0] - pts[0, 0]))
-        l1 = ((p[0] - pts[0, 0]) * (pts[2, 1] - pts[0, 1])
-              - (p[1] - pts[0, 1]) * (pts[2, 0] - pts[0, 0])) / det
-        l2 = ((pts[1, 0] - pts[0, 0]) * (p[1] - pts[0, 1])
-              - (pts[1, 1] - pts[0, 1]) * (p[0] - pts[0, 0])) / det
-        l0 = 1.0 - l1 - l2
-        return (l0 * self.values[tri[0]] + l1 * self.values[tri[1]]
-                + l2 * self.values[tri[2]])
 
 
 # ---------------------------------------------------------------------------

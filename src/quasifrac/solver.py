@@ -5,12 +5,16 @@ collar nodes pinned to the boundary program.  Systems with at most
 `DIRECT_THRESHOLD` free dofs (3000) run through a serial
 Jacobi-preconditioned conjugate-gradient kernel, larger ones through a
 sequential sparse LU factorization; both are serial, so results are
-independent of thread count.  Edge-connected pieces of the active region
-that carry no pinned node are gauged by anchoring one node and one
-tangential dof, which removes each piece's rigid motions without coupling
-pieces that only touch at a vertex.  The outer loop alternates solve /
-reclassify until the cracked set stabilizes; multi-starts guard against
-the nonconvexity of the truncated density.
+independent of thread count.  A direct solve that repeats the reduced
+system of the previous solve on the same mesh keeps its factor on the
+mesh (`Triangulation.factor_slot`) and reuses it while the system
+repeats; any other system drops it first, so at most one factor is kept.
+Edge-connected pieces of the active region that carry no pinned node are
+gauged by anchoring one node and one tangential dof, which removes each
+piece's rigid motions without coupling pieces that only touch at a
+vertex.  The outer loop alternates solve / reclassify until the cracked
+set stabilizes; multi-starts guard against the nonconvexity of the
+truncated density.
 """
 
 from dataclasses import dataclass, field
@@ -73,14 +77,6 @@ class SolveResult:
     cg_iters: int = 0
 
 
-def _collar_pinned_mask(mesh: Triangulation):
-    pinned = np.zeros(mesh.n_nodes, dtype=bool)
-    collar = np.where(mesh.collar_mask)[0]
-    if len(collar):
-        pinned[np.unique(mesh.triangles[collar].ravel())] = True
-    return pinned
-
-
 def assemble_stiffness(mesh: Triangulation, active_ids, material: MaterialModel):
     """CSR matrix of the quadratic form sum_T |T n omega| |e(v)|_C^2."""
     active_ids = np.asarray(active_ids, dtype=np.int64)
@@ -95,7 +91,7 @@ def assemble_stiffness(mesh: Triangulation, active_ids, material: MaterialModel)
     cb = np.einsum("ab,mbj->maj", material.elasticity, bmats)
     ke = np.einsum("mai,maj->mij", bmats, cb) * w[:, None, None]
     tris = mesh.triangles[ids]
-    dof = np.empty((len(ids), 6), dtype=np.int64)
+    dof = np.empty((len(ids), 6), dtype=np.int32)  # SciPy's index type
     dof[:, 0::2] = 2 * tris
     dof[:, 1::2] = 2 * tris + 1
     rows = np.repeat(dof, 6, axis=1).ravel()
@@ -133,6 +129,17 @@ def _gauge_pins(mesh: Triangulation, asm_ids, pinned_node_mask):
     return extra
 
 
+@dataclass
+class _DirectSystem:
+    """Reduced system of a direct solve: stiffness matrix, free dofs, gauge
+    dofs and the LU factor of the free-free block."""
+
+    k: sp.csr_matrix
+    free_idx: np.ndarray
+    gauge: list
+    lu: object
+
+
 def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
                   material: MaterialModel, opts: SolveOptions,
                   x0: Optional[np.ndarray] = None,
@@ -147,12 +154,19 @@ def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
     minimizer of an affine load is affine only once that fringe is pinned
     too.  Floating pieces are gauged (see _gauge_pins).  Raises
     NonConvergence when CG exhausts its budget.
+
+    The reduced system is fixed by the elasticity, the weighted active ids
+    and the pinned nodes.  When a direct solve repeats the system of the
+    previous solve on the same mesh, the mesh keeps that system's factor
+    and later repeats only build the right-hand side and back-substitute.
+    Any other system drops the kept factor before it is assembled, so at
+    most one factor exists while another is built.
     """
     active_ids = active.ids if isinstance(active, TriangleSet) else \
         np.asarray(sorted(active), dtype=np.int64)
-    k, asm_ids = assemble_stiffness(mesh, active_ids, material)
+    active_ids = active_ids[mesh.area_in_omega[active_ids] > 0.0]
     n = 2 * mesh.n_nodes
-    pinned_nodes = _collar_pinned_mask(mesh)
+    pinned_nodes = mesh.collar_node_mask
     if extra_pinned_nodes is not None and len(extra_pinned_nodes):
         pinned_nodes = pinned_nodes.copy()
         pinned_nodes[np.asarray(extra_pinned_nodes, dtype=np.int64)] = True
@@ -166,6 +180,17 @@ def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
     x[0::2] = np.where(pinned_nodes, bc.values[:, 0], x[0::2])
     x[1::2] = np.where(pinned_nodes, bc.values[:, 1], x[1::2])
 
+    key = (material.elasticity.tobytes(), active_ids.tobytes(),
+           pinned_nodes.tobytes())
+    held_key, held = mesh.factor_slot or (None, None)
+    if held_key == key and held is not None:
+        return _direct_solve(mesh, held, x)
+    repeat = held_key == key
+    # forget a kept factor before the next one is built
+    held = None
+    mesh.factor_slot = (key, None)
+
+    k, asm_ids = assemble_stiffness(mesh, active_ids, material)
     free = np.ones(n)
     free[0::2] = np.where(pinned_nodes, 0.0, 1.0)
     free[1::2] = np.where(pinned_nodes, 0.0, 1.0)
@@ -182,21 +207,12 @@ def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
     if len(free_idx) > DIRECT_THRESHOLD:
         # sequential sparse LU: deterministic and much faster than Jacobi
         # CG on fine meshes
-        x_pin = x.copy()
-        x_pin[free_idx] = 0.0
-        rhs = -(k @ x_pin)[free_idx]
         kff = k[free_idx, :][:, free_idx].tocsc()
-        lu = sp.linalg.splu(kff)
-        y = lu.solve(rhs)
-        x[free_idx] = y
-        res = float(np.linalg.norm(kff @ y - rhs))
-        ref = float(np.linalg.norm(rhs)) or 1.0
-        if res > 1e-6 * ref:
-            raise NonConvergence(
-                f"direct solve residual {res / ref:.3e} too large")
-        out = DisplacementField(mesh, np.column_stack([x[0::2], x[1::2]]))
-        out._cg_iters = 1
-        return out
+        system = _DirectSystem(k, free_idx, gauge, sp.linalg.splu(kff))
+        del kff
+        if repeat:
+            mesh.factor_slot = (key, system)
+        return _direct_solve(mesh, system, x)
 
     inv_diag = np.where(touched, 1.0 / np.where(touched, diag, 1.0), 1.0)
     max_cg = opts.max_cg if opts.max_cg > 0 else 10 * mesh.n_nodes
@@ -207,6 +223,26 @@ def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
             f"CG stalled at relative residual {relres:.3e} after {iters} steps")
     out = DisplacementField(mesh, np.column_stack([x[0::2], x[1::2]]))
     out._cg_iters = iters
+    return out
+
+
+def _direct_solve(mesh, system: _DirectSystem, x) -> DisplacementField:
+    """Solve the reduced system for the free dofs of x, whose other dofs
+    hold their pinned values; the gauge dofs are set to zero."""
+    x[system.gauge] = 0.0
+    free_idx = system.free_idx
+    x_pin = x.copy()
+    x_pin[free_idx] = 0.0
+    rhs = -(system.k @ x_pin)[free_idx]
+    x[free_idx] = system.lu.solve(rhs)
+    # the reduced residual kff y - rhs, read off the full product
+    res = float(np.linalg.norm((system.k @ x)[free_idx]))
+    ref = float(np.linalg.norm(rhs)) or 1.0
+    if res > 1e-6 * ref:
+        raise NonConvergence(
+            f"direct solve residual {res / ref:.3e} too large")
+    out = DisplacementField(mesh, np.column_stack([x[0::2], x[1::2]]))
+    out._cg_iters = 1
     return out
 
 
@@ -345,7 +381,7 @@ def kkt_residual(mesh: Triangulation, active, u: DisplacementField,
     k, _ = assemble_stiffness(mesh, active_ids, material)
     x = u.values.ravel()
     g = k @ x
-    pinned = _collar_pinned_mask(mesh)
+    pinned = mesh.collar_node_mask
     if extra_pinned_nodes is not None and len(extra_pinned_nodes):
         pinned = pinned.copy()
         pinned[np.asarray(extra_pinned_nodes, dtype=np.int64)] = True

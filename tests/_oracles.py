@@ -4,15 +4,16 @@ These deliberately avoid the code paths they check: the crack-pattern
 oracle enumerates every subset instead of alternating, the quadrature
 helpers integrate loads directly, the component oracle floods triangle
 sets breadth-first over adjacency read straight from the vertex triples,
-and the collar oracle measures each triangle's distance to the body
-rectangle one triangle at a time.
+the collar oracle measures each triangle's distance to the body
+rectangle one triangle at a time, the clipped-area and background oracles
+take one triangle at a time, and point location scans every triangle.
 """
 
 from collections import deque
 
 import numpy as np
 
-from quasifrac._kernels import point_in_tri, seg_seg_dist
+from quasifrac._kernels import _clip_area_rect, point_in_tri, seg_seg_dist
 from quasifrac.solver import solve_elastic
 
 
@@ -163,3 +164,61 @@ def collar_mask_by_distance(mesh):
     rect = mesh.domain.omega
     return np.array([tri_rect_distance(mesh.nodes[t], rect) > 0.0
                      for t in mesh.triangles], dtype=bool)
+
+
+def clip_areas_by_loop(mesh, rect):
+    """Area of each triangle inside the rectangle, every triangle clipped."""
+    x0, y0, x1, y1 = rect
+    return np.array([_clip_area_rect(mesh.nodes[t], x0, y0, x1, y1)
+                     for t in mesh.triangles])
+
+
+def is_background_by_loop(mesh):
+    """Triangles whose lattice vertices form one half of a grid cell,
+    decided one triangle at a time with coordinate sets."""
+    out = np.zeros(mesh.n_triangles, dtype=bool)
+    if mesh.grid_shape is None:
+        return out
+    _, _, ox, oy = mesh.grid_shape
+    h = mesh.params.grid_spacing
+    rel = (mesh.nodes - np.array([ox, oy])) / h
+    ij = np.round(rel)
+    on_lattice = np.max(np.abs(rel - ij), axis=1) * h <= mesh.params.point_tol
+    for t in range(mesh.n_triangles):
+        tri = mesh.triangles[t]
+        if not on_lattice[tri].all():
+            continue
+        pts = {(int(ij[v, 0]), int(ij[v, 1])) for v in tri}
+        if len(pts) != 3:
+            continue
+        i0 = min(p[0] for p in pts)
+        j0 = min(p[1] for p in pts)
+        loc = {(p[0] - i0, p[1] - j0) for p in pts}
+        out[t] = loc in ({(0, 0), (1, 0), (1, 1)}, {(0, 0), (1, 1), (0, 1)})
+    return out
+
+
+def containing_triangle(mesh, p):
+    """Id of the first triangle containing point p, or -1."""
+    for t, tri in enumerate(mesh.triangles):
+        if point_in_tri(p[0], p[1], mesh.nodes[tri]):
+            return t
+    return -1
+
+
+def field_at(u, p):
+    """Value of the piecewise-affine field u at point p (barycentric)."""
+    t = containing_triangle(u.mesh, p)
+    if t < 0:
+        raise ValueError(f"point {p} outside mesh")
+    tri = u.mesh.triangles[t]
+    pts = u.mesh.nodes[tri]
+    det = ((pts[1, 0] - pts[0, 0]) * (pts[2, 1] - pts[0, 1])
+           - (pts[1, 1] - pts[0, 1]) * (pts[2, 0] - pts[0, 0]))
+    l1 = ((p[0] - pts[0, 0]) * (pts[2, 1] - pts[0, 1])
+          - (p[1] - pts[0, 1]) * (pts[2, 0] - pts[0, 0])) / det
+    l2 = ((pts[1, 0] - pts[0, 0]) * (p[1] - pts[0, 1])
+          - (pts[1, 1] - pts[0, 1]) * (p[0] - pts[0, 0])) / det
+    l0 = 1.0 - l1 - l2
+    return (l0 * u.values[tri[0]] + l1 * u.values[tri[1]]
+            + l2 * u.values[tri[2]])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from quasifrac.mesh import Domain, MeshParams, build_background_mesh
 
@@ -22,6 +23,20 @@ def mesh16():
 @pytest.fixture(scope="session")
 def mesh32():
     return make_mesh(1 / 32)
+
+
+@pytest.fixture()
+def counted_splu(monkeypatch):
+    """List that gains one entry per sparse LU factorization."""
+    calls = []
+    splu = scipy.sparse.linalg.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+    return calls
 
 
 class AffineLoad:

@@ -24,6 +24,7 @@ from quasifrac.mesh import (
 )
 from quasifrac.trisets import TriangleSet
 from conftest import AffineLoad, block_ids, make_mesh
+from _oracles import containing_triangle
 
 
 def _uniform_field(mesh, a11=0.0, a12=0.0, a21=0.0, a22=0.0):
@@ -211,7 +212,7 @@ def test_classify_distance_clause(mesh16):
                         bg_dist_factor=6.0)
     nodes = mesh16.nodes.copy()
     # nudge one interior node: its incident triangles leave the grid family
-    v = mesh16.find_containing((0.51, 0.52))
+    v = containing_triangle(mesh16, (0.51, 0.52))
     node = mesh16.triangles[v][0]
     nodes[node] += 0.2 * params.point_tol * 1e6  # well over coincidence tol
     mesh = Triangulation(nodes, mesh16.triangles, mesh16.domain, params,

@@ -152,3 +152,15 @@ def test_run_keeps_history_by_id():
     trace = run_from_config(cfg)
     assert not trace.aborted
     assert not any("tri_keys" in vars(rec.mesh) for rec in trace.steps)
+
+
+def test_ramp_reuses_factor_and_releases_it(counted_splu):
+    # a crack-free ramp repeats one reduced system: it is factorized twice
+    # before it is kept (12 factorizations when every solve factorizes),
+    # and the returned meshes keep no factor
+    cfg = parse_config("eps = 0.015625\nn_steps = 4\namplitude = 0.4\n"
+                       "load = stretch\nseed = 0\nmulti_starts = 2\n")
+    trace = run_from_config(cfg)
+    assert not trace.aborted
+    assert 0 < len(counted_splu) <= 5
+    assert all(rec.mesh.factor_slot is None for rec in trace.steps)

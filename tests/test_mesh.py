@@ -18,6 +18,13 @@ from quasifrac.mesh import (
     interpolate,
 )
 from conftest import STD_DOMAIN, AffineLoad, make_mesh
+from _oracles import (
+    clip_areas_by_loop,
+    collar_mask_by_distance,
+    containing_triangle,
+    field_at,
+    is_background_by_loop,
+)
 
 
 def test_params_validation():
@@ -122,7 +129,7 @@ def test_interpolate_affine_exact(mesh16):
     norm_a = np.linalg.norm(g.A)
     diam = math.hypot(1.5, 1.5)
     for p in pts:
-        err = np.abs(u.evaluate(p) - g.eval(0.7, p[None])[0]).max()
+        err = np.abs(field_at(u, p) - g.eval(0.7, p[None])[0]).max()
         assert err < 1e-12 * norm_a * diam
 
 
@@ -204,10 +211,11 @@ def test_field_shape_mismatch(mesh16):
         DisplacementField(mesh16, np.zeros((3, 2)))
 
 
-def test_collar_mask_matches_distance_oracle(mesh16, mesh32):
-    from _oracles import collar_mask_by_distance
+def _oracle_meshes(mesh16, mesh32):
+    """mesh16, mesh32, mesh16 with one interior node nudged off the
+    lattice, and the two criterion-7 strips."""
     nudged_nodes = mesh16.nodes.copy()
-    node = mesh16.triangles[mesh16.find_containing((0.51, 0.52))][0]
+    node = mesh16.triangles[containing_triangle(mesh16, (0.51, 0.52))][0]
     nudged_nodes[node] += 0.2 * mesh16.params.point_tol * 1e6
     nudged = Triangulation(nudged_nodes, mesh16.triangles, mesh16.domain,
                            mesh16.params, grid_shape=mesh16.grid_shape)
@@ -215,8 +223,12 @@ def test_collar_mask_matches_distance_oracle(mesh16, mesh32):
     strips = [build_background_mesh(
         Domain((1.1, 0.0, n - 1.1, 1.0), (0.0, 0.0, float(n), 1.0)),
         strip_params) for n in (4, 6)]
+    return [mesh16, mesh32, nudged] + strips
+
+
+def test_collar_mask_matches_distance_oracle(mesh16, mesh32):
     by_edge = 0  # collar triangles whose bounding box meets the rectangle
-    for mesh in [mesh16, mesh32, nudged] + strips:
+    for mesh in _oracle_meshes(mesh16, mesh32):
         expected = collar_mask_by_distance(mesh)
         assert np.array_equal(mesh.collar_mask, expected)
         assert expected.any() and not expected.all()
@@ -227,3 +239,35 @@ def test_collar_mask_matches_distance_oracle(mesh16, mesh32):
                      | (ys.max(axis=1) < y0) | (ys.min(axis=1) > y1))
         by_edge += int((expected & ~box_apart).sum())
     assert by_edge > 0
+
+
+def test_clip_areas_match_clipping_every_triangle(mesh16, mesh32):
+    straddlers = 0
+    for mesh in _oracle_meshes(mesh16, mesh32):
+        for name, rect in (("area_in_omega", mesh.domain.omega),
+                           ("area_in_omega_prime", mesh.domain.omega_prime)):
+            expected = clip_areas_by_loop(mesh, rect)
+            assert getattr(mesh, name).tobytes() == expected.tobytes()
+            straddlers += int(((expected > 0.0)
+                               & (expected < mesh.areas)).sum())
+    assert straddlers > 0
+
+
+def test_is_background_matches_set_loop(mesh16, mesh32):
+    # 2x2 lattice cells, two of them cut along the other diagonal: every
+    # vertex is on the lattice, and only the two cells split lower-left to
+    # upper-right are background
+    crossed = Triangulation(
+        [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (0, 2), (1, 2),
+         (2, 2)],
+        [(0, 1, 4), (0, 4, 3), (1, 2, 4), (2, 5, 4), (3, 4, 6), (4, 7, 6),
+         (4, 5, 8), (4, 8, 7)],
+        Domain((0.5, 0.5, 1.5, 1.5), (0.0, 0.0, 2.0, 2.0)),
+        MeshParams(theta0=math.pi / 4, eps=1 / math.sqrt(2.0)),
+        grid_shape=(2, 2, 0.0, 0.0))
+    meshes = _oracle_meshes(mesh16, mesh32) + [crossed]
+    for mesh in meshes:
+        assert np.array_equal(mesh.is_background, is_background_by_loop(mesh))
+    assert not meshes[2].is_background.all()
+    assert crossed.is_background.tolist() == [True, True] + [False] * 4 \
+        + [True, True]

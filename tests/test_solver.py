@@ -23,7 +23,7 @@ from quasifrac.solver import (
     solve_elastic,
 )
 from quasifrac.trisets import TriangleSet
-from conftest import AffineLoad, make_mesh
+from conftest import AffineLoad, block_ids, make_mesh
 
 
 def _fringe_nodes(mesh):
@@ -174,3 +174,53 @@ def test_minimize_step_matches_oracle_small():
         e_oracle = exhaustive_minimum(mesh, bc, np.empty(0, dtype=np.int64),
                                       mat, params, opts)
         assert res.energy.total == pytest.approx(e_oracle, abs=1e-9)
+
+
+# factor reuse on the eps 1/64 mesh, whose free dofs take the LU path
+
+LOADS = (AffineLoad(0.0, 0.0, 0.0, 0.4), AffineLoad(0.1, 0.2, 0.0, 0.3))
+
+
+def _solve(mesh, active, g, mat, pins=None):
+    return solve_elastic(mesh, active, interpolate(mesh, g, 1.0), mat,
+                         SolveOptions(), extra_pinned_nodes=pins)
+
+
+def _fresh_values(active, g, mat, pins=None):
+    """Solution bytes of the same solve on a newly built mesh."""
+    return _solve(make_mesh(1 / 64), active, g, mat, pins).values.tobytes()
+
+
+def test_solve_elastic_reuses_factor_bitwise(counted_splu):
+    mesh = make_mesh(1 / 64)
+    mat = MaterialModel()
+    active = np.setdiff1d(np.arange(mesh.n_triangles),
+                          block_ids(mesh, 30, 34, 33, 35))
+    out = [_solve(mesh, active, g, mat).values.tobytes()
+           for g in LOADS + LOADS]
+    # the first solve keeps no factor, its repeat keeps one, the rest reuse it
+    assert len(counted_splu) == 2
+    assert mesh.factor_slot[1] is not None
+    for g, values in zip(LOADS + LOADS, out):
+        assert values == _fresh_values(active, g, mat)
+
+
+@pytest.mark.parametrize("change", ["active", "pins", "material"])
+def test_solve_elastic_changed_system_drops_factor(change):
+    mesh = make_mesh(1 / 64)
+    mat = MaterialModel()
+    active = np.setdiff1d(np.arange(mesh.n_triangles),
+                          block_ids(mesh, 30, 34, 33, 35))
+    for g in LOADS:
+        _solve(mesh, active, g, mat)
+    assert mesh.factor_slot[1] is not None
+    pins = None
+    if change == "active":
+        active = np.setdiff1d(active, block_ids(mesh, 34, 35, 33, 35))
+    elif change == "pins":
+        pins = mesh.triangles[block_ids(mesh, 40, 41, 20, 21)].ravel()
+    else:
+        mat = MaterialModel(elasticity=np.diag([2.0, 1.0, 1.0]))
+    u = _solve(mesh, active, LOADS[0], mat, pins)
+    assert mesh.factor_slot[1] is None
+    assert u.values.tobytes() == _fresh_values(active, LOADS[0], mat, pins)
