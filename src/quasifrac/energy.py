@@ -201,7 +201,7 @@ def static_energy(mesh: Triangulation, u: DisplacementField,
                             crack_part=crack,
                             cracked_area=float(w_omega[capped].sum()),
                             n_cracked=int(capped.sum()))
-    sq = np.einsum("mi,ij,mj->m", strains, material.elasticity, strains)
+    sq = _density(strains, material)
     per = w_omega / eps * material.f(eps * sq)
     total = float(per.sum())
     capped = eps * sq >= material.kappa
@@ -216,9 +216,7 @@ def classify_cracked(mesh: Triangulation, u: DisplacementField,
     bg_dist_factor * eps from the background part of the mesh (all
     triangles when the mesh has no background part)."""
     _check_field(mesh, u)
-    strains = u.strains()
-    sq = np.einsum("mi,ij,mj->m", strains, material.elasticity, strains)
-    cracked = params.eps * sq >= material.kappa
+    cracked = params.eps * _density(u.strains(), material) >= material.kappa
     cracked |= _forced_cracked(mesh, params)
     return TriangleSet(mesh, np.where(cracked)[0])
 
@@ -237,8 +235,19 @@ def choose_crack_set(mesh: Triangulation, u: DisplacementField, hist_ids,
     unchanged.
     """
     _check_field(mesh, u)
-    strains = u.strains()
-    sq = np.einsum("mi,ij,mj->m", strains, material.elasticity, strains)
+    return _crack_set_of_density(mesh, _density(u.strains(), material),
+                                 hist_ids, material, params)
+
+
+def _density(strains, material: MaterialModel) -> np.ndarray:
+    """C e : e per triangle for Mandel strain rows `strains`."""
+    return np.einsum("mi,ij,mj->m", strains, material.elasticity, strains)
+
+
+def _crack_set_of_density(mesh: Triangulation, sq, hist_ids,
+                          material: MaterialModel,
+                          params: MeshParams) -> TriangleSet:
+    """choose_crack_set for the per-triangle density sq = C e : e."""
     w_omega = mesh.area_in_omega
     w_prime = mesh.area_in_omega_prime
     kappa, eps = material.kappa, params.eps
@@ -315,8 +324,14 @@ def energy_given_crack_set(mesh: Triangulation, u: DisplacementField, s_ids,
                            material: MaterialModel, params: MeshParams,
                            ) -> EnergyReport:
     """Energy with an explicit crack set (no self-classification)."""
-    strains = u.strains()
-    sq = np.einsum("mi,ij,mj->m", strains, material.elasticity, strains)
+    return _energy_of_density(mesh, _density(u.strains(), material), s_ids,
+                              material, params)
+
+
+def _energy_of_density(mesh: Triangulation, sq, s_ids,
+                       material: MaterialModel,
+                       params: MeshParams) -> EnergyReport:
+    """energy_given_crack_set for the per-triangle density sq = C e : e."""
     w_omega = mesh.area_in_omega
     w_prime = mesh.area_in_omega_prime
     s_mask = np.zeros(mesh.n_triangles, dtype=bool)

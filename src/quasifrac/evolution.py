@@ -229,6 +229,11 @@ def run_evolution(domain: Domain, params: MeshParams, material: MaterialModel,
     curve taken as the boundary of the modified set.  Solver failures abort
     with the partial trace.  Either way no mesh of the returned trace keeps
     the solver's LU factor.
+
+    Of the candidate meshes of a step the lowest energy wins, then the
+    smallest cracked area, then the smallest `u.values.tobytes()`; as in
+    minimize_step, that last tie-break compares the little-endian bytes of
+    the nodal doubles, not their values, so 1.0 sorts after 2.0.
     """
     if vm is None:
         vm = VoidModParams(eta=eta_schedule(params.eps))

@@ -14,7 +14,14 @@ gauged by anchoring one node and one tangential dof, which removes each
 piece's rigid motions without coupling pieces that only touch at a
 vertex.  The outer loop alternates solve / reclassify until the cracked
 set stabilizes; multi-starts guard against the nonconvexity of the
-truncated density.
+truncated density.  Within one step the later starts often replay an
+earlier trajectory, so every solve of the step goes through a memo
+(`_FrozenSolves`, freed when the step returns).  Its key is the frozen
+crack set plus the initial-vector values the solve copies instead of
+computing: on the direct path the few free dofs of nodes in no weighted
+triangle, on the CG path every unpinned, ungauged dof (the warm start).
+A hit is therefore bitwise the field a new solve would give, and each
+distinct system is solved once per step.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +35,10 @@ from .energy import (
     MaterialModel,
     EnergyReport,
     choose_crack_set,
-    energy_given_crack_set,
+    _check_field,
+    _crack_set_of_density,
+    _density,
+    _energy_of_density,
     _history_ids,
 )
 from .mesh import DisplacementField, MeshParams, Triangulation
@@ -132,11 +142,13 @@ def _gauge_pins(mesh: Triangulation, asm_ids, pinned_node_mask):
 @dataclass
 class _DirectSystem:
     """Reduced system of a direct solve: stiffness matrix, free dofs, gauge
-    dofs and the LU factor of the free-free block."""
+    dofs, the dofs copied from the initial vector and the LU factor of the
+    free-free block."""
 
     k: sp.csr_matrix
     free_idx: np.ndarray
     gauge: list
+    copied: np.ndarray
     lu: object
 
 
@@ -154,6 +166,12 @@ def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
     minimizer of an affine load is affine only once that fringe is pinned
     too.  Floating pieces are gauged (see _gauge_pins).  Raises
     NonConvergence when CG exhausts its budget.
+
+    The result depends on the initial vector (x0, or bc where x0 is None)
+    only through the dofs listed in its `_copied` attribute: on the direct
+    path the unpinned, ungauged dofs of nodes in no weighted triangle,
+    which keep their initial values; on the CG path every unpinned,
+    ungauged dof, because the initial vector is the warm start.
 
     The reduced system is fixed by the elasticity, the weighted active ids
     and the pinned nodes.  When a direct solve repeats the system of the
@@ -198,6 +216,7 @@ def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
     for d in gauge:
         free[d] = 0.0
         x[d] = 0.0
+    unknown = free > 0.0
 
     diag = np.asarray(k.diagonal())
     touched = diag > 0.0
@@ -208,7 +227,9 @@ def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
         # sequential sparse LU: deterministic and much faster than Jacobi
         # CG on fine meshes
         kff = k[free_idx, :][:, free_idx].tocsc()
-        system = _DirectSystem(k, free_idx, gauge, sp.linalg.splu(kff))
+        system = _DirectSystem(k, free_idx, gauge,
+                               np.flatnonzero(unknown & ~touched),
+                               sp.linalg.splu(kff))
         del kff
         if repeat:
             mesh.factor_slot = (key, system)
@@ -223,6 +244,7 @@ def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
             f"CG stalled at relative residual {relres:.3e} after {iters} steps")
     out = DisplacementField(mesh, np.column_stack([x[0::2], x[1::2]]))
     out._cg_iters = iters
+    out._copied = np.flatnonzero(unknown)
     return out
 
 
@@ -243,6 +265,7 @@ def _direct_solve(mesh, system: _DirectSystem, x) -> DisplacementField:
             f"direct solve residual {res / ref:.3e} too large")
     out = DisplacementField(mesh, np.column_stack([x[0::2], x[1::2]]))
     out._cg_iters = 1
+    out._copied = system.copied
     return out
 
 
@@ -250,12 +273,65 @@ def _set_key(ids) -> bytes:
     return np.asarray(ids, dtype=np.int64).tobytes()
 
 
-def _evaluate(mesh, u, hist_ids, material, params):
-    """History energy of a field under its optimal crack set, as a
-    comparison tuple."""
-    s = choose_crack_set(mesh, u, hist_ids, material, params)
-    rep = energy_given_crack_set(mesh, u, s.ids, material, params)
-    return (rep.total, rep.cracked_area, u.values.tobytes(), u, rep, s)
+def _evaluate(mesh, u, strains, hist_ids, material, params):
+    """Candidate (u, report, crack set) of a field with strains `strains`:
+    its history energy under its optimal crack set."""
+    _check_field(mesh, u)
+    sq = _density(strains, material)
+    s = _crack_set_of_density(mesh, sq, hist_ids, material, params)
+    return u, _energy_of_density(mesh, sq, s.ids, material, params), s
+
+
+def _rank(cand):
+    """Sort key of a candidate: energy, cracked area, then the bytes of
+    its nodal values."""
+    u, rep, _ = cand
+    return rep.total, rep.cracked_area, u.values.tobytes()
+
+
+class _FrozenSolves:
+    """The elastic solves of one minimize_step call, memoized by frozen
+    crack set.
+
+    A solve with crack set S frozen depends only on S, on bc and on the
+    values its initial vector (x0, or bc where x0 is None) holds at the
+    dofs the solve copies instead of computing (solve_elastic's
+    `_copied`).  Per set the memo keeps the candidate of the latest solve
+    with those values.  A lookup whose initial vector holds the same bytes
+    there is served from the memo, bitwise the candidate a new solve would
+    give; any other lookup solves.
+    """
+
+    def __init__(self, mesh, bc, hist_ids, material, params, opts):
+        self.mesh = mesh
+        self.bc = bc
+        self.hist_ids = hist_ids
+        self.material = material
+        self.params = params
+        self.opts = opts
+        self.cg_iters = 0
+        self._memo = {}  # set key -> (copied dofs, their bytes, candidate)
+
+    def candidate(self, s_ids, x0):
+        """_evaluate tuple of the field solved from x0 with s_ids frozen,
+        and that field's strains when it was solved now (None when it
+        came from the memo)."""
+        key = _set_key(s_ids)
+        x_init = self.bc.values.ravel() if x0 is None else \
+            np.asarray(x0, dtype=float).ravel()
+        held = self._memo.get(key)
+        if held is not None and x_init[held[0]].tobytes() == held[1]:
+            return held[2], None
+        frozen = np.zeros(self.mesh.n_triangles, dtype=bool)
+        frozen[np.asarray(s_ids, dtype=np.int64)] = True
+        u = solve_elastic(self.mesh, np.flatnonzero(~frozen), self.bc,
+                          self.material, self.opts, x0=x0)
+        self.cg_iters += u._cg_iters
+        strains = u.strains()
+        cand = _evaluate(self.mesh, u, strains, self.hist_ids, self.material,
+                         self.params)
+        self._memo[key] = (u._copied, x_init[u._copied].tobytes(), cand)
+        return cand, strains
 
 
 def minimize_step(mesh: Triangulation, history, bc: DisplacementField,
@@ -278,46 +354,46 @@ def minimize_step(mesh: Triangulation, history, bc: DisplacementField,
     whose energy is also scored directly so the step never regresses behind
     that competitor), a greedy ladder cracking only the most strained
     triangles of the elastic solution, and seeded random crack sets.  The
-    best iterate (lowest energy, then smallest cracked area, then
-    lexicographic nodal values) is returned with its crack set as
-    `cracked_now` (history included); its energy is the history energy
-    under that optimal crack set.
+    best iterate is returned with its crack set as `cracked_now` (history
+    included); its energy is the history energy under that optimal crack
+    set.  Best means lowest energy, then smallest cracked area, then the
+    smallest `u.values.tobytes()`: ties are broken on the little-endian
+    bytes of the nodal doubles, not on their values, so 1.0 sorts after
+    2.0 and -0.0 after 0.0.
+
+    Every solve of the call goes through one memo (_FrozenSolves), keyed
+    by the frozen crack set and the initial-vector values the solve
+    copies; the pure-elastic solve enters it with the history set.  A
+    start that replays an earlier trajectory walks it through memo hits,
+    with the same iterations and energies, and each distinct system is
+    solved once.
     """
     hist_ids = _history_ids(mesh, history)
     rng = np.random.default_rng(opts.seed)
     crackable = np.setdiff1d(np.where(~mesh.collar_mask)[0], hist_ids)
-    all_tris = np.arange(mesh.n_triangles)
-
-    best = None
-    best_hist = []
-    best_iters = 0
-    best_converged = False
-    total_cg = 0
+    solves = _FrozenSolves(mesh, bc, hist_ids, material, params, opts)
     x_init = prev_u.values.ravel().copy() if prev_u is not None else None
 
     # pure elastic solve: a candidate in itself and the seed of the ladder
-    u_el = solve_elastic(mesh, np.setdiff1d(all_tris, hist_ids), bc, material,
-                         opts, x0=x_init)
-    total_cg += getattr(u_el, "_cg_iters", 0)
-    cand = _evaluate(mesh, u_el, hist_ids, material, params)
+    cand, strains = solves.candidate(hist_ids, x_init)
     best = cand
-    best_hist = [cand[0]]
+    best_hist = [cand[1].total]
     best_iters = 1
-    fresh = np.setdiff1d(cand[5].ids, hist_ids)
+    fresh = np.setdiff1d(cand[2].ids, hist_ids)
     best_converged = len(fresh) == 0
 
-    starts = [cand[5].ids]
+    starts = [cand[2].ids]
     if shift_field is not None:
-        sc = _evaluate(mesh, shift_field, hist_ids, material, params)
-        if sc[:3] < best[:3]:
+        sc = _evaluate(mesh, shift_field, shift_field.strains(), hist_ids,
+                       material, params)
+        if _rank(sc) < _rank(best):
             best = sc
             best_converged = False
-        starts.append(sc[5].ids)
+        starts.append(sc[2].ids)
     if prev_u is not None:
         starts.append(choose_crack_set(mesh, prev_u, hist_ids, material,
                                        params).ids)
     if len(fresh):
-        strains = u_el.strains()
         sq = (strains[fresh] ** 2).sum(axis=1)
         order = fresh[np.argsort(-sq, kind="stable")]
         j = 1
@@ -329,14 +405,9 @@ def minimize_step(mesh: Triangulation, history, bc: DisplacementField,
         pick = rng.choice(crackable, size=min(k, len(crackable)), replace=False)
         starts.append(np.union1d(hist_ids, pick))
 
-    seen_starts = set()
     for s0 in starts:
         s_ids = np.asarray(s0, dtype=np.int64)
-        skey = _set_key(s_ids)
-        if skey in seen_starts:
-            continue
-        seen_starts.add(skey)
-        seen = {skey}
+        seen = {_set_key(s_ids)}
         x_warm = x_init
         traj = []
         converged = False
@@ -344,14 +415,12 @@ def minimize_step(mesh: Triangulation, history, bc: DisplacementField,
         local_best = None
         for _ in range(opts.max_outer):
             iters += 1
-            active = np.setdiff1d(all_tris, s_ids)
-            u = solve_elastic(mesh, active, bc, material, opts, x0=x_warm)
-            total_cg += getattr(u, "_cg_iters", 0)
+            cand, _ = solves.candidate(s_ids, x_warm)
+            u, rep, s = cand
             x_warm = u.values.ravel().copy()
-            cand = _evaluate(mesh, u, hist_ids, material, params)
-            s_new = cand[5].ids
-            traj.append(cand[0])
-            if local_best is None or cand[:3] < local_best[:3]:
+            s_new = s.ids
+            traj.append(rep.total)
+            if local_best is None or _rank(cand) < _rank(local_best):
                 local_best = cand
             if np.array_equal(s_new, s_ids):
                 converged = True
@@ -361,36 +430,13 @@ def minimize_step(mesh: Triangulation, history, bc: DisplacementField,
                 break  # cycling: keep the best iterate seen so far
             seen.add(key)
             s_ids = s_new
-        if local_best is not None and local_best[:3] < best[:3]:
+        if local_best is not None and _rank(local_best) < _rank(best):
             best = local_best
             best_hist = traj
             best_iters = iters
             best_converged = converged
 
-    _, _, _, u, rep, s_best = best
+    u, rep, s_best = best
     return SolveResult(u=u, energy=rep, cracked_now=s_best,
                        outer_iters=best_iters, converged=best_converged,
-                       energy_history=best_hist, cg_iters=total_cg)
-
-
-def kkt_residual(mesh: Triangulation, active, u: DisplacementField,
-                 material: MaterialModel, extra_pinned_nodes=None) -> float:
-    """Norm of the reduced gradient at u relative to the load norm."""
-    active_ids = active.ids if isinstance(active, TriangleSet) else \
-        np.asarray(sorted(active), dtype=np.int64)
-    k, _ = assemble_stiffness(mesh, active_ids, material)
-    x = u.values.ravel()
-    g = k @ x
-    pinned = mesh.collar_node_mask
-    if extra_pinned_nodes is not None and len(extra_pinned_nodes):
-        pinned = pinned.copy()
-        pinned[np.asarray(extra_pinned_nodes, dtype=np.int64)] = True
-    free = np.ones(2 * mesh.n_nodes, dtype=bool)
-    free[0::2] = ~pinned
-    free[1::2] = ~pinned
-    diag = np.asarray(k.diagonal())
-    free &= diag > 0.0
-    load = np.linalg.norm(g[~free])
-    if load == 0.0:
-        load = 1.0
-    return float(np.linalg.norm(g[free]) / load)
+                       energy_history=best_hist, cg_iters=solves.cg_iters)

@@ -6,7 +6,8 @@ helpers integrate loads directly, the component oracle floods triangle
 sets breadth-first over adjacency read straight from the vertex triples,
 the collar oracle measures each triangle's distance to the body
 rectangle one triangle at a time, the clipped-area and background oracles
-take one triangle at a time, and point location scans every triangle.
+take one triangle at a time, point location scans every triangle, and
+the KKT residual assembles its own stiffness matrix.
 """
 
 from collections import deque
@@ -14,7 +15,8 @@ from collections import deque
 import numpy as np
 
 from quasifrac._kernels import _clip_area_rect, point_in_tri, seg_seg_dist
-from quasifrac.solver import solve_elastic
+from quasifrac.solver import assemble_stiffness, solve_elastic
+from quasifrac.trisets import TriangleSet
 
 
 def exhaustive_minimum(mesh, bc, hist_ids, material, params, opts):
@@ -222,3 +224,25 @@ def field_at(u, p):
     l0 = 1.0 - l1 - l2
     return (l0 * u.values[tri[0]] + l1 * u.values[tri[1]]
             + l2 * u.values[tri[2]])
+
+
+def kkt_residual(mesh, active, u, material, extra_pinned_nodes=None) -> float:
+    """Norm of the reduced gradient at u relative to the load norm."""
+    active_ids = active.ids if isinstance(active, TriangleSet) else \
+        np.asarray(sorted(active), dtype=np.int64)
+    k, _ = assemble_stiffness(mesh, active_ids, material)
+    x = u.values.ravel()
+    g = k @ x
+    pinned = mesh.collar_node_mask
+    if extra_pinned_nodes is not None and len(extra_pinned_nodes):
+        pinned = pinned.copy()
+        pinned[np.asarray(extra_pinned_nodes, dtype=np.int64)] = True
+    free = np.ones(2 * mesh.n_nodes, dtype=bool)
+    free[0::2] = ~pinned
+    free[1::2] = ~pinned
+    diag = np.asarray(k.diagonal())
+    free &= diag > 0.0
+    load = np.linalg.norm(g[~free])
+    if load == 0.0:
+        load = 1.0
+    return float(np.linalg.norm(g[free]) / load)

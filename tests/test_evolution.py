@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from quasifrac import evolution, solver
 from quasifrac.config import load_config, parse_config
 from quasifrac.diagnostics import stability_spot_check
 from quasifrac.energy import MaterialModel
@@ -164,3 +165,36 @@ def test_ramp_reuses_factor_and_releases_it(counted_splu):
     assert not trace.aborted
     assert 0 < len(counted_splu) <= 5
     assert all(rec.mesh.factor_slot is None for rec in trace.steps)
+
+
+def test_crack64_solves_each_system_once_per_step(monkeypatch, counted_splu):
+    # the eps 1/64 crack ladder level: later starts of a step replay earlier
+    # trajectories, which the step's memo serves, so no step solves one
+    # system twice from the same copied initial values.  Re-solving every
+    # replayed system made 124 solves, 56 of them in the crack-growth step,
+    # and 104 factorizations
+    cfg = parse_config("eps = 0.015625\nn_steps = 16\namplitude = 3.2\n"
+                       "load = opening\nprecrack = 0.0 0.5 0.45 0.5 0.06\n"
+                       "seed = 1\nmulti_starts = 3\n")
+    steps = []
+    real_solve, real_step = solver.solve_elastic, evolution.minimize_step
+
+    def step(*args, **kwargs):
+        steps.append([])
+        return real_step(*args, **kwargs)
+
+    def solve(mesh, active, bc, material, opts, x0=None, **kwargs):
+        u = real_solve(mesh, active, bc, material, opts, x0=x0, **kwargs)
+        x_init = bc.values.ravel() if x0 is None else x0
+        steps[-1].append((np.asarray(active).tobytes(),
+                          x_init[u._copied].tobytes()))
+        return u
+
+    monkeypatch.setattr(evolution, "minimize_step", step)
+    monkeypatch.setattr(solver, "solve_elastic", solve)
+    trace = run_from_config(cfg)
+    assert not trace.aborted
+    assert all(len(set(calls)) == len(calls) for calls in steps)
+    assert max(map(len, steps)) < 56
+    assert sum(map(len, steps)) < 124
+    assert 0 < len(counted_splu) <= 53

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from quasifrac import solver
 from quasifrac.energy import (
     CrackHistory,
     MaterialModel,
@@ -18,12 +19,12 @@ from quasifrac.mesh import (
 )
 from quasifrac.solver import (
     SolveOptions,
-    kkt_residual,
     minimize_step,
     solve_elastic,
 )
 from quasifrac.trisets import TriangleSet
 from conftest import AffineLoad, block_ids, make_mesh
+from _oracles import kkt_residual
 
 
 def _fringe_nodes(mesh):
@@ -224,3 +225,54 @@ def test_solve_elastic_changed_system_drops_factor(change):
     u = _solve(mesh, active, LOADS[0], mat, pins)
     assert mesh.factor_slot[1] is None
     assert u.values.tobytes() == _fresh_values(active, LOADS[0], mat, pins)
+
+
+# the per-step solve memo
+
+@pytest.mark.parametrize("eps, lu", [(1 / 16, False), (1 / 64, True)])
+def test_frozen_solves_memo_keys_copied_dofs(monkeypatch, eps, lu):
+    # freezing every triangle around an interior node leaves it in no
+    # weighted triangle, so the solve copies its initial value; a new
+    # value there must be solved again, and the result equals a fresh solve
+    mesh = make_mesh(eps)
+    node = int(np.argmin(np.hypot(mesh.nodes[:, 0] - 0.5,
+                                  mesh.nodes[:, 1] - 0.5)))
+    frozen = np.flatnonzero((mesh.triangles == node).any(axis=1))
+    mat = MaterialModel()
+    g = AffineLoad(0.0, 0.0, 0.0, 0.4)
+    bc = interpolate(mesh, g, 1.0)
+    calls = []
+    real = solver.solve_elastic
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_elastic", counting)
+    solves = solver._FrozenSolves(mesh, bc, np.empty(0, dtype=np.int64), mat,
+                                  mesh.params, SolveOptions())
+    first, _ = solves.candidate(frozen, None)
+    assert len(calls) == 1
+    x_node = bc.values.ravel().copy()
+    x_node[2 * node] += 0.25
+    moved, strains = solves.candidate(frozen, x_node)
+    assert strains is not None and len(calls) == 2
+    assert moved[0].values[node, 0] == x_node[2 * node]
+    assert solves.candidate(frozen, x_node.copy())[0] is moved
+    assert len(calls) == 2
+
+    # a touched free dof is computed on the LU path, so a new initial
+    # value there is served from the memo; CG warm-starts from it
+    other = int(np.setdiff1d(mesh.triangles[frozen], [node])[0])
+    x_other = x_node.copy()
+    x_other[2 * other + 1] += 0.25
+    served, _ = solves.candidate(frozen, x_other)
+    assert (served is moved) == lu
+    assert len(calls) == (2 if lu else 3)
+
+    active = np.setdiff1d(np.arange(mesh.n_triangles), frozen)
+    for cand, x0 in ((first, None), (moved, x_node), (served, x_other)):
+        new = make_mesh(eps)
+        fresh = real(new, active, interpolate(new, g, 1.0), mat,
+                     SolveOptions(), x0=x0)
+        assert cand[0].values.tobytes() == fresh.values.tobytes()
