@@ -1,4 +1,4 @@
-"""Adaptive finite-element simulation of quasi-static brittle fracture on
+"""Finite-element simulation of quasi-static brittle fracture on
 triangular meshes, with sharp crack-curve extraction via void modification."""
 
 __all__ = ["__version__"]

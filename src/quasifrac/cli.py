@@ -128,8 +128,8 @@ def cmd_energy(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="quasifrac",
-        description="Quasi-static brittle fracture on adaptive triangular "
-                    "meshes with void-modification crack extraction.")
+        description="Quasi-static brittle fracture on triangular meshes "
+                    "with void-modification crack extraction.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run a configured evolution")

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import point_seg_dist
 from .energy import MaterialModel
 from .evolution import LoadProgram, eta_schedule
 from .mesh import Domain, MeshParams, Triangulation
@@ -47,8 +46,7 @@ _SCHEMA = [
     ("c1", ("float", None, 1.0)),
     ("c2", ("float", None, 1.0)),
     ("elasticity", ("floats", 9, [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0])),
-    ("f_profile", ("enum", ("truncated", "table"), "truncated")),
-    ("f_table", ("pairs", None, [])),
+    ("f_profile", ("enum", ("truncated",), "truncated")),
     ("load", ("enum", ("stretch", "shear", "opening", "affine", "tabulated"),
               "stretch")),
     ("amplitude", ("float", None, 1.0)),
@@ -121,24 +119,6 @@ def _parse_value(key, spec, raw, line_no):
             raise ValidationError(key, f"expected {arg} numbers, got {len(vals)}",
                                   line_no)
         return vals
-    if kind == "pairs":
-        if not raw:
-            return []
-        out = []
-        for tok in raw.split(","):
-            tok = tok.strip()
-            if not tok:
-                continue
-            parts = tok.split(":")
-            if len(parts) != 2:
-                raise ValidationError(key, f"expected t:v pairs, got {tok!r}",
-                                      line_no)
-            try:
-                out.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                raise ValidationError(key, f"expected numbers in pair {tok!r}",
-                                      line_no)
-        return out
     raise AssertionError(f"unhandled kind {kind}")
 
 
@@ -171,6 +151,10 @@ class RunConfig:
             raise ValidationError(
                 "f_profile", "only 'truncated' is supported: the solver "
                 "minimizes the truncated density")
+        if v["snap"]:
+            raise ValidationError(
+                "snap", "only 'off' is supported: every run uses the "
+                "background mesh")
         if v["eta"] != "auto" and not (0.0 < v["eta"] <= 0.5):
             raise ValidationError("eta", "must be 'auto' or in (0, 0.5]")
         if v["cg_rel_tol"] <= 0.0:
@@ -205,10 +189,8 @@ class RunConfig:
     def material(self) -> MaterialModel:
         v = self.values
         mat = np.asarray(v["elasticity"], dtype=float).reshape(3, 3)
-        profile = "truncated" if v["f_profile"] == "truncated" else \
-            np.asarray(v["f_table"], dtype=float)
         return MaterialModel(kappa=v["kappa"], elasticity=mat, c1=v["c1"],
-                             c2=v["c2"], f_profile=profile)
+                             c2=v["c2"])
 
     def load(self) -> LoadProgram:
         v = self.values
@@ -244,10 +226,18 @@ class RunConfig:
             return np.empty(0, dtype=np.int64)
         x1, y1, x2, y2, width = pc
         centers = mesh.nodes[mesh.triangles].mean(axis=1)
-        out = [t for t in range(mesh.n_triangles)
-               if point_seg_dist(centers[t, 0], centers[t, 1],
-                                 x1, y1, x2, y2) <= 0.5 * width]
-        return np.asarray(out, dtype=np.int64)
+        ux, uy = x2 - x1, y2 - y1
+        wx, wy = centers[:, 0] - x1, centers[:, 1] - y1
+        c2 = ux * ux + uy * uy
+        if c2 <= 0.0:
+            dist = np.sqrt(wx * wx + wy * wy)
+        else:
+            # projection onto the segment, clipped to its ends
+            t = np.clip((ux * wx + uy * wy) / c2, 0.0, 1.0)
+            dx = centers[:, 0] - (x1 + t * ux)
+            dy = centers[:, 1] - (y1 + t * uy)
+            dist = np.sqrt(dx * dx + dy * dy)
+        return np.flatnonzero(dist <= 0.5 * width).astype(np.int64)
 
     # -- serialization -----------------------------------------------------
 
@@ -270,8 +260,6 @@ class RunConfig:
                 txt = _g17(val)
             elif kind == "floats":
                 txt = " ".join(_g17(x) for x in val)
-            elif kind == "pairs":
-                txt = ",".join(f"{_g17(a)}:{_g17(b)}" for a, b in val)
             else:
                 raise AssertionError(kind)
             lines.append(f"{key} = {txt}")

@@ -127,11 +127,10 @@ def _g17(x: float) -> str:
 class CrackHistory:
     """Irreversible accumulated crack set of one run, kept by triangle id.
 
-    Every mesh of a run shares the background-grid connectivity, and
-    adaptation keeps each locked triangle's vertex ids and coordinates, so
-    an id names the same triangle on every mesh of the run.  The history
-    remembers the connectivity it was recorded on and refuses a mesh with
-    other connectivity.
+    A run uses one mesh, so an id names one triangle for the whole run.
+    Callers may still pass a mesh of their own, so the history remembers
+    the connectivity it was recorded on and refuses a mesh with other
+    connectivity.
     """
 
     def __init__(self):

@@ -1,29 +1,25 @@
 """Time-incremental quasi-static crack evolution.
 
 Each step minimizes the history-dependent energy at the current boundary
-load over candidate meshes that contain every previously cracked triangle,
-accumulates the newly cracked triangles irreversibly, and extracts the
-sharp crack curve of the accumulated set through void modification.  The
-per-step modification runs in its deterministic monotone mode, so the
-surviving input triangles nest in time and the crack curves inherit the
-nesting.
+load on the run's background mesh, accumulates the newly cracked
+triangles irreversibly, and extracts the sharp crack curve of the
+accumulated set through void modification.  The per-step modification
+runs in its deterministic monotone mode, so the surviving input triangles
+nest in time and the crack curves inherit the nesting.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .energy import CrackHistory, MaterialModel, EnergyReport
 from .mesh import (
-    AdaptationFailed,
     DisplacementField,
     Domain,
     MeshParams,
-    StrainHint,
     Triangulation,
-    adapt_mesh,
     build_background_mesh,
     interpolate,
 )
@@ -196,25 +192,6 @@ class EvolutionTrace:
         }
 
 
-def _strain_hint(mesh: Triangulation, u: DisplacementField,
-                 kappa: float, eps: float) -> Optional[StrainHint]:
-    """Least-squares line through the centers of high-strain triangles."""
-    s = u.strains()
-    sq = (s * s).sum(axis=1)
-    hot = np.where(eps * sq >= 0.5 * kappa)[0]
-    if len(hot) < 3:
-        return None
-    c = mesh.nodes[mesh.triangles[hot]].mean(axis=1)
-    mean = c.mean(axis=0)
-    cov = np.cov((c - mean).T)
-    w, v = np.linalg.eigh(cov)
-    direction = v[:, -1]
-    if w[-1] <= 10 * w[0]:
-        return None  # no clear band
-    return StrainHint(point=tuple(mean), direction=tuple(direction),
-                      width=mesh.params.grid_spacing, length=math.inf)
-
-
 def run_evolution(domain: Domain, params: MeshParams, material: MaterialModel,
                   load: LoadProgram, vm: Optional[VoidModParams] = None,
                   opts: Optional[SolveOptions] = None, *,
@@ -222,19 +199,20 @@ def run_evolution(domain: Domain, params: MeshParams, material: MaterialModel,
                   progress: bool = False) -> EvolutionTrace:
     """Run the incremental scheme and extract the crack curve per step.
 
-    The step-0 state minimizes the plain truncated energy at g(0); later
-    steps minimize the history energy over candidate meshes constrained to
-    contain the accumulated cracked triangles.  After each step the
-    accumulated set is void-modified at the configured eta and the crack
-    curve taken as the boundary of the modified set.  Solver failures abort
-    with the partial trace.  Either way no mesh of the returned trace keeps
-    the solver's LU factor.
+    Every step works on one mesh, the background mesh of `domain` and
+    `params`.  The step-0 state minimizes the plain truncated energy at
+    g(0); later steps minimize the history energy, whose accumulated
+    cracked triangles stay cracked.  After each step the accumulated set
+    is void-modified at the configured eta and the crack curve taken as
+    the boundary of the modified set.  A solver failure aborts with the
+    partial trace.  Either way the returned mesh keeps no LU factor.
 
-    Of the candidate meshes of a step the lowest energy wins, then the
-    smallest cracked area, then the smallest `u.values.tobytes()`; as in
-    minimize_step, that last tie-break compares the little-endian bytes of
-    the nodal doubles, not their values, so 1.0 sorts after 2.0.
+    `snap` stays only because the benchmark harness passes it; its one
+    accepted value is False.
     """
+    if snap is not False:
+        raise ValueError("snap: only False is accepted; every run uses the "
+                         "background mesh")
     if vm is None:
         vm = VoidModParams(eta=eta_schedule(params.eps))
     if opts is None:
@@ -271,44 +249,19 @@ def run_evolution(domain: Domain, params: MeshParams, material: MaterialModel,
 
     try:
         for k, t in enumerate(load.times()):
-            candidates = [mesh]
-            if snap and prev_u is not None:
-                hint = _strain_hint(mesh, prev_u, material.kappa, params.eps)
-                if hint is not None:
-                    try:
-                        candidates.append(
-                            adapt_mesh(mesh, history.resolve_ids(mesh), hint))
-                    except AdaptationFailed:
-                        pass
-
-            best = None
-            for cand in candidates:
-                bc = interpolate(cand, load, t)
-                prev_field = DisplacementField(cand, prev_u.values) \
-                    if prev_u is not None else None
-                shift = None
-                if prev_field is not None and k > 0:
-                    bc_prev = interpolate(cand, load, t - load.delta)
-                    shift = DisplacementField(
-                        cand, prev_field.values + bc.values - bc_prev.values)
-                try:
-                    res = minimize_step(cand, history, bc, material, params, opts,
-                                        prev_u=prev_field, shift_field=shift)
-                except SolverError as exc:
-                    if len(candidates) == 1:
-                        trace.aborted = True
-                        trace.abort_reason = f"step {k}: {exc}"
-                        return trace
-                    continue
-                key = (res.energy.total, res.energy.cracked_area,
-                       res.u.values.tobytes())
-                if best is None or key < best[0]:
-                    best = (key, cand, res)
-            if best is None:
+            bc = interpolate(mesh, load, t)
+            shift = None
+            if prev_u is not None:
+                bc_prev = interpolate(mesh, load, t - load.delta)
+                shift = DisplacementField(
+                    mesh, prev_u.values + bc.values - bc_prev.values)
+            try:
+                res = minimize_step(mesh, history, bc, material, params, opts,
+                                    prev_u=prev_u, shift_field=shift)
+            except SolverError as exc:
                 trace.aborted = True
-                trace.abort_reason = f"step {k}: all mesh candidates failed"
+                trace.abort_reason = f"step {k}: {exc}"
                 return trace
-            _, mesh, res = best
 
             accum_prev = history.resolve_ids(mesh)
             history.add_step(res.cracked_now)
@@ -338,7 +291,6 @@ def run_evolution(domain: Domain, params: MeshParams, material: MaterialModel,
                 print(f"step {k:3d} t={t:.4f} E={res.energy.total:.6g} "
                       f"cracked={len(accum_ids)} K={kn_raw:.4f}")
     finally:
-        # the meshes a trace returns keep no LU factor of the run
-        for m in [mesh] + [rec.mesh for rec in trace.steps]:
-            m.factor_slot = None
+        # the mesh a trace returns keeps no LU factor of the run
+        mesh.factor_slot = None
     return trace

@@ -1,21 +1,21 @@
-"""Admissible triangulations: background grid, validation, interpolation,
-and crack-constrained adaptation.
+"""Admissible triangulations: background grid, validation and
+interpolation.
 
 A triangulation is admissible when triangles meet only along full shared
 edges or vertices, every interior angle is at least theta0, every edge
 length lies in [eps, omega_factor*eps], and the union covers the body
-rectangle.  All meshes produced here share the connectivity of the regular
-half-square background grid; adaptation moves nodes without retriangulating
-and keeps every locked triangle's vertex ids and coordinates.  A triangle id
-therefore names the same triangle on every mesh of a run, and crack history
-is kept by id.
+rectangle.  A run uses one mesh, the regular half-square background grid,
+so a triangle id names one triangle for the whole run and crack history is
+kept by id.  Meshes built by hand or loaded from files need not be
+background grids; the crack classification's distance clause applies to
+their off-grid triangles.
 """
 
 import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -28,10 +28,6 @@ class MeshError(Exception):
 
 
 class InadmissibleParams(MeshError):
-    pass
-
-
-class AdaptationFailed(MeshError):
     pass
 
 
@@ -614,116 +610,3 @@ def interpolate(mesh: Triangulation, g, t: float) -> DisplacementField:
     """Nodal interpolation of the boundary program g(t, .)."""
     vals = g.eval(t, mesh.nodes)
     return DisplacementField(mesh, vals)
-
-
-@dataclass(frozen=True)
-class StrainHint:
-    """A straight high-strain band: point, unit direction, half-width, half-length."""
-
-    point: tuple
-    direction: tuple
-    width: float
-    length: float = math.inf
-
-    def unit(self):
-        d = np.asarray(self.direction, dtype=float)
-        n = np.hypot(d[0], d[1])
-        return d / n if n > 0 else np.array([1.0, 0.0])
-
-
-def adapt_mesh(prev: Triangulation, locked, hint: Optional[StrainHint] = None,
-               ) -> Triangulation:
-    """Background-based mesh containing every locked triangle (ids of
-    `prev`) verbatim.
-
-    Without a hint this merges the background grid with the node positions
-    carried by locked triangles (all meshes of the family share the grid
-    connectivity, so the merge is a node-coordinate carry-over and the ring
-    of triangles around moved nodes absorbs the transition).  With a hint,
-    free lattice nodes near the band are snapped onto its axis.  Raises
-    AdaptationFailed when the result is not admissible or a locked triangle
-    cannot be preserved.
-    """
-    locked_ids = np.asarray(sorted(locked), dtype=np.int64)
-    if len(locked_ids) and (locked_ids.max() >= prev.n_triangles or locked_ids.min() < 0):
-        raise AdaptationFailed("locked triangles must belong to the previous mesh")
-    if prev.grid_shape is None:
-        raise AdaptationFailed("previous mesh is not from the background grid family")
-
-    base = build_background_mesh(prev.domain, prev.params)
-    if base.n_nodes != prev.n_nodes or base.n_triangles != prev.n_triangles:
-        raise AdaptationFailed("grid family mismatch between meshes")
-
-    nodes = base.nodes.copy()
-    locked_nodes = np.unique(prev.triangles[locked_ids].ravel()) if len(locked_ids) \
-        else np.empty(0, dtype=np.int64)
-    nodes[locked_nodes] = prev.nodes[locked_nodes]
-
-    if hint is not None:
-        nodes = _snap_to_band(nodes, base, hint, frozenset(locked_nodes.tolist()))
-
-    out = Triangulation(nodes, base.triangles, prev.domain, prev.params,
-                        grid_shape=base.grid_shape)
-    rep = check_admissible(out)
-    if not rep.ok:
-        raise AdaptationFailed(f"adapted mesh inadmissible: {rep.kinds()}")
-    for t in locked_ids:
-        if not np.array_equal(out.triangles[t], prev.triangles[t]) or \
-                not np.allclose(out.nodes[out.triangles[t]],
-                                prev.nodes[prev.triangles[t]], atol=0.0):
-            raise AdaptationFailed(f"locked triangle {t} not preserved")
-    return out
-
-
-def _snap_to_band(nodes, base: Triangulation, hint: StrainHint, frozen):
-    """Move at most one lattice node per column (row, for steep bands) onto
-    the band axis, so snapped edges align with it without collapsing."""
-    d = hint.unit()
-    p0 = np.asarray(hint.point, dtype=float)
-    h = base.params.grid_spacing
-    nx, ny, ox, oy = base.grid_shape
-    out = nodes.copy()
-    # a move of m shortens the lattice edge on one side to h - m
-    max_move = min(0.49 * h, h - base.params.eps * (1.0 + 1e-9))
-    if max_move <= 0.0:
-        return out
-    steep = abs(d[1]) > abs(d[0])
-
-    def nid(i, j):
-        return j * (nx + 1) + i
-
-    if not steep:
-        slope = d[1] / d[0]
-        for i in range(nx + 1):
-            x = ox + i * h
-            s = (x - p0[0]) / d[0]
-            if abs(s) > hint.length:
-                continue
-            y_star = p0[1] + slope * (x - p0[0])
-            j = int(round((y_star - oy) / h))
-            if not (0 <= j <= ny):
-                continue
-            v = nid(i, j)
-            if v in frozen:
-                continue
-            move = y_star - nodes[v, 1]
-            if abs(move) <= max_move:
-                out[v, 1] = y_star
-    else:
-        slope = d[0] / d[1]
-        for j in range(ny + 1):
-            y = oy + j * h
-            s = (y - p0[1]) / d[1]
-            if abs(s) > hint.length:
-                continue
-            x_star = p0[0] + slope * (y - p0[1])
-            i = int(round((x_star - ox) / h))
-            if not (0 <= i <= nx):
-                continue
-            v = nid(i, j)
-            if v in frozen:
-                continue
-            move = x_star - nodes[v, 0]
-            if abs(move) <= max_move:
-                out[v, 0] = x_star
-    return out

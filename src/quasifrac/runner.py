@@ -29,8 +29,7 @@ def run_from_config(cfg: RunConfig, progress: bool = False) -> EvolutionTrace:
     precrack = cfg.precrack_ids(mesh)
     return run_evolution(domain, params, cfg.material(), cfg.load(),
                          cfg.voidmod_params(), cfg.solve_options(),
-                         precrack_ids=precrack, snap=cfg["snap"],
-                         progress=progress)
+                         precrack_ids=precrack, progress=progress)
 
 
 def write_outputs(trace: EvolutionTrace, cfg: RunConfig) -> Path:

@@ -84,7 +84,6 @@ class SolveResult:
     outer_iters: int
     converged: bool
     energy_history: list = field(default_factory=list)
-    cg_iters: int = 0
 
 
 def assemble_stiffness(mesh: Triangulation, active_ids, material: MaterialModel):
@@ -243,7 +242,6 @@ def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
         raise NonConvergence(
             f"CG stalled at relative residual {relres:.3e} after {iters} steps")
     out = DisplacementField(mesh, np.column_stack([x[0::2], x[1::2]]))
-    out._cg_iters = iters
     out._copied = np.flatnonzero(unknown)
     return out
 
@@ -264,7 +262,6 @@ def _direct_solve(mesh, system: _DirectSystem, x) -> DisplacementField:
         raise NonConvergence(
             f"direct solve residual {res / ref:.3e} too large")
     out = DisplacementField(mesh, np.column_stack([x[0::2], x[1::2]]))
-    out._cg_iters = 1
     out._copied = system.copied
     return out
 
@@ -309,7 +306,6 @@ class _FrozenSolves:
         self.material = material
         self.params = params
         self.opts = opts
-        self.cg_iters = 0
         self._memo = {}  # set key -> (copied dofs, their bytes, candidate)
 
     def candidate(self, s_ids, x0):
@@ -326,7 +322,6 @@ class _FrozenSolves:
         frozen[np.asarray(s_ids, dtype=np.int64)] = True
         u = solve_elastic(self.mesh, np.flatnonzero(~frozen), self.bc,
                           self.material, self.opts, x0=x0)
-        self.cg_iters += u._cg_iters
         strains = u.strains()
         cand = _evaluate(self.mesh, u, strains, self.hist_ids, self.material,
                          self.params)
@@ -439,4 +434,4 @@ def minimize_step(mesh: Triangulation, history, bc: DisplacementField,
     u, rep, s_best = best
     return SolveResult(u=u, energy=rep, cracked_now=s_best,
                        outer_iters=best_iters, converged=best_converged,
-                       energy_history=best_hist, cg_iters=solves.cg_iters)
+                       energy_history=best_hist)

@@ -6,15 +6,17 @@ helpers integrate loads directly, the component oracle floods triangle
 sets breadth-first over adjacency read straight from the vertex triples,
 the collar oracle measures each triangle's distance to the body
 rectangle one triangle at a time, the clipped-area and background oracles
-take one triangle at a time, point location scans every triangle, and
-the KKT residual assembles its own stiffness matrix.
+take one triangle at a time, the pre-crack oracle measures one triangle
+center at a time, point location scans every triangle, and the KKT
+residual assembles its own stiffness matrix.
 """
 
 from collections import deque
 
 import numpy as np
 
-from quasifrac._kernels import _clip_area_rect, point_in_tri, seg_seg_dist
+from quasifrac._kernels import (_clip_area_rect, point_in_tri,
+                                point_seg_dist, seg_seg_dist)
 from quasifrac.solver import assemble_stiffness, solve_elastic
 from quasifrac.trisets import TriangleSet
 
@@ -198,6 +200,17 @@ def is_background_by_loop(mesh):
         loc = {(p[0] - i0, p[1] - j0) for p in pts}
         out[t] = loc in ({(0, 0), (1, 0), (1, 1)}, {(0, 0), (1, 1), (0, 1)})
     return out
+
+
+def precrack_ids_by_loop(mesh, precrack):
+    """Triangles whose center lies within half the band width of the
+    pre-crack segment (x1, y1, x2, y2, width), one center at a time."""
+    x1, y1, x2, y2, width = precrack
+    centers = mesh.nodes[mesh.triangles].mean(axis=1)
+    return np.asarray([t for t in range(mesh.n_triangles)
+                       if point_seg_dist(centers[t, 0], centers[t, 1],
+                                         x1, y1, x2, y2) <= 0.5 * width],
+                      dtype=np.int64)
 
 
 def containing_triangle(mesh, p):

@@ -15,6 +15,7 @@ from quasifrac.config import (
     load_config,
     parse_config,
 )
+from _oracles import precrack_ids_by_loop
 
 REPO = Path(__file__).resolve().parents[1]
 BENCH = REPO / "configs" / "benchmark.cfg"
@@ -28,7 +29,7 @@ def test_empty_config_is_all_defaults():
     assert cfg["eta"] == "auto"
     assert cfg["output_dir"] == "out"
     # every schema key is materialized
-    assert len(cfg.values) == 31
+    assert len(cfg.values) == 30
 
 
 def test_negative_eps_names_key():
@@ -37,13 +38,32 @@ def test_negative_eps_names_key():
     assert "eps" in str(err.value)
 
 
-def test_table_profile_rejected():
-    # the solver minimizes the truncated density only; a table profile
-    # would silently run the truncated model
+@pytest.mark.parametrize("key, rejected, accepted, value", [
+    ("f_profile", "table", "truncated", "truncated"),
+    ("snap", "on", "off", False),
+], ids=["f_profile", "snap"])
+def test_table_profile_rejected(key, rejected, accepted, value):
+    # the solver minimizes the truncated density only, and every run uses
+    # the background mesh; either option would silently be ignored
     with pytest.raises(ValidationError) as err:
-        parse_config("f_profile = table\nf_table = 0:0, 1:1, 2:1\n")
-    assert "f_profile" in str(err.value)
-    assert parse_config("f_profile = truncated\n")["f_profile"] == "truncated"
+        parse_config(f"{key} = {rejected}\n")
+    assert key in str(err.value)
+    assert parse_config(f"{key} = {accepted}\n")[key] == value
+
+
+@pytest.mark.parametrize("precrack", [
+    (0.0, 0.5, 0.45, 0.5, 0.06),
+    (0.0, 0.35, 0.35, 0.55, 0.08),
+    (0.4, 0.4, 0.4, 0.4, 0.2),
+    (1.5, 1.5, 2.0, 1.8, 0.2),
+], ids=["horizontal", "inclined", "degenerate", "off-body"])
+def test_precrack_ids_match_loop(mesh16, mesh32, precrack):
+    cfg = RunConfig(values={"precrack": list(precrack)})
+    for mesh in (mesh16, mesh32):
+        ids = cfg.precrack_ids(mesh)
+        assert ids.dtype == np.int64
+        assert np.array_equal(ids, precrack_ids_by_loop(mesh, precrack))
+        assert (len(ids) == 0) == (precrack[0] > 1.25)
 
 
 def test_unknown_key_reports_line():

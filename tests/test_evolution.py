@@ -9,7 +9,7 @@ from quasifrac.config import load_config, parse_config
 from quasifrac.diagnostics import stability_spot_check
 from quasifrac.energy import MaterialModel
 from quasifrac.evolution import LoadProgram, eta_schedule, run_evolution
-from quasifrac.mesh import MeshParams, adapt_mesh
+from quasifrac.mesh import MeshParams
 from quasifrac.runner import run_from_config
 from quasifrac.solver import SolveOptions
 from quasifrac.voidmod import VoidModParams
@@ -56,6 +56,8 @@ def test_zero_load_trace():
         assert rec.energy.total == 0.0
         assert len(rec.accum_ids) == 0
         assert rec.kn_length_raw == 0.0
+    with pytest.raises(ValueError):
+        run_evolution(STD_DOMAIN, params, MaterialModel(), load, snap=True)
 
 
 def test_subcritical_matches_pure_elastic():
@@ -116,34 +118,6 @@ def test_energy_bound_under_refinement():
         trace = run_from_config(cfg)
         maxes.append(max(s.energy.total for s in trace.steps))
     assert maxes[1] <= 2.0 * maxes[0]
-
-
-def test_snap_run_builds_adapted_candidates(monkeypatch):
-    # snap = on adds an adapted mesh as a second candidate at steps after
-    # the first; the crack history must carry over between the meshes
-    import quasifrac.evolution as evolution
-    built = []
-
-    def counting_adapt(*args, **kwargs):
-        out = adapt_mesh(*args, **kwargs)
-        built.append(out)
-        return out
-
-    monkeypatch.setattr(evolution, "adapt_mesh", counting_adapt)
-    cfg = parse_config(
-        "eps = 0.03125\nn_steps = 4\namplitude = 3.2\nload = opening\n"
-        "precrack = 0.0 0.5 0.45 0.5 0.06\nseed = 1\nmulti_starts = 3\n"
-        "snap = on\n")
-    trace = run_from_config(cfg)
-    assert built
-    assert not trace.aborted
-    assert len(trace.steps) == 5
-    prev = None
-    for rec in trace.steps:
-        if prev is not None:
-            assert np.isin(prev, rec.accum_ids).all()
-        prev = rec.accum_ids
-        assert rec.tmod_nested
 
 
 def test_run_keeps_history_by_id():

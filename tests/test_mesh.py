@@ -5,19 +5,16 @@ import numpy as np
 import pytest
 
 from quasifrac.mesh import (
-    AdaptationFailed,
     DisplacementField,
     Domain,
     InadmissibleParams,
     MeshParams,
-    StrainHint,
     Triangulation,
-    adapt_mesh,
     build_background_mesh,
     check_admissible,
     interpolate,
 )
-from conftest import STD_DOMAIN, AffineLoad, make_mesh
+from conftest import STD_DOMAIN, AffineLoad
 from _oracles import (
     clip_areas_by_loop,
     collar_mask_by_distance,
@@ -145,51 +142,6 @@ def test_interpolate_shear_strain(mesh16):
 def test_interpolate_zero(mesh16):
     u = interpolate(mesh16, AffineLoad(), 1.0)
     assert not u.values.any()
-
-
-def test_adapt_mesh_identity(mesh16):
-    out = adapt_mesh(mesh16, [], None)
-    assert np.array_equal(out.triangles, mesh16.triangles)
-    assert np.allclose(out.nodes, mesh16.nodes, atol=0.0)
-
-
-def test_adapt_mesh_preserves_locked(mesh16):
-    locked = [200, 201, 300]
-    out = adapt_mesh(mesh16, locked, None)
-    for t in locked:
-        assert np.array_equal(out.triangles[t], mesh16.triangles[t])
-        assert np.array_equal(out.nodes[out.triangles[t]],
-                              mesh16.nodes[mesh16.triangles[t]])
-    assert check_admissible(out).ok
-
-
-def test_adapt_mesh_band_snapping():
-    mesh = make_mesh(1 / 16, theta0=math.radians(15.0))
-    ang = math.radians(30.0)
-    hint = StrainHint(point=(0.5, 0.5),
-                      direction=(math.cos(ang), math.sin(ang)),
-                      width=0.6 * mesh.params.grid_spacing, length=0.45)
-    out = adapt_mesh(mesh, [], hint)
-    assert check_admissible(out).ok
-    moved = np.where(np.any(out.nodes != mesh.nodes, axis=1))[0]
-    assert len(moved) >= 2
-    # at least one edge inside the band aligns with it within 5 degrees
-    d = np.array([math.cos(ang), math.sin(ang)])
-    best = 180.0
-    for e in range(len(out.edges)):
-        a, b = out.edges[e]
-        if a not in moved and b not in moved:
-            continue
-        v = out.nodes[b] - out.nodes[a]
-        v = v / np.linalg.norm(v)
-        dev = math.degrees(math.acos(min(1.0, abs(float(v @ d)))))
-        best = min(best, dev)
-    assert best <= 5.0
-
-
-def test_adapt_mesh_rejects_foreign_locked(mesh16, mesh32):
-    with pytest.raises(AdaptationFailed):
-        adapt_mesh(mesh16, [mesh16.n_triangles + 5], None)
 
 
 def test_mesh_json_roundtrip(tmp_path, mesh16):

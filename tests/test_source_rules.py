@@ -1,9 +1,15 @@
-"""Source rules checked on the package text."""
+"""Source rules checked on the package text and on the names it exports."""
 
+import importlib
+import importlib.util
 import re
+from functools import cached_property
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "quasifrac"
+from quasifrac.mesh import Triangulation
+
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src" / "quasifrac"
 
 # a handler that catches everything can silently replace data
 CATCH_ALL = re.compile(r"^\s*except\s*(Exception\b[^:]*)?:", re.MULTILINE)
@@ -17,3 +23,20 @@ def test_no_catch_all_handlers():
             line = text.count("\n", 0, m.start()) + 1
             found.append(f"{path.name}:{line}: {m.group(0).strip()}")
     assert not found, "catch-all exception handlers:\n" + "\n".join(found)
+
+
+def test_benchmark_wrap_targets_exist():
+    # the benchmark's span tracer wraps program functions and mesh tables by
+    # name; loading it does not install it
+    spec = importlib.util.spec_from_file_location(
+        "qfbench_tracer", REPO / "qfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{module}.{attr}"
+               for _, module, attr in tracer.FUNCTIONS + (tracer.CG,)
+               if not callable(getattr(importlib.import_module(module), attr,
+                                       None))]
+    missing += [f"Triangulation.{name}" for name in tracer.TABLES
+                if not isinstance(Triangulation.__dict__.get(name),
+                                  cached_property)]
+    assert not missing, f"benchmark wrap targets absent: {missing}"
