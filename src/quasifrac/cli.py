@@ -55,9 +55,7 @@ def cmd_voidmod(args) -> int:
         u = _load_field(mesh, args.field)
     else:
         u = DisplacementField(mesh, np.zeros((mesh.n_nodes, 2)))
-    vm = VoidModParams(eta=args.eta, heal_mode=args.heal_mode,
-                       boundary_margin=args.margin)
-    res = modify_voids(TriangleSet(mesh, ids), u, vm)
+    res = modify_voids(TriangleSet(mesh, ids), u, VoidModParams(eta=args.eta))
     payload = {
         "a_mod": [int(t) for t in res.a_mod.ids],
         "t_mod": [int(t) for t in res.t_mod.ids],
@@ -142,9 +140,6 @@ def main(argv=None) -> int:
     p.add_argument("--set", required=True, help="text file of triangle ids")
     p.add_argument("--field", default=None, help="JSON nodal field")
     p.add_argument("--eta", type=float, default=0.2)
-    p.add_argument("--heal-mode", default="elastic",
-                   choices=("elastic", "mcshane"))
-    p.add_argument("--margin", type=float, default=0.0)
     p.add_argument("--out", default=None)
     p.add_argument("--vtp", default=None,
                    help="write the modified boundary as a polyline file")

@@ -47,16 +47,13 @@ _SCHEMA = [
     ("c2", ("float", None, 1.0)),
     ("elasticity", ("floats", 9, [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0])),
     ("f_profile", ("enum", ("truncated",), "truncated")),
-    ("load", ("enum", ("stretch", "shear", "opening", "affine", "tabulated"),
-              "stretch")),
+    ("load", ("enum", ("stretch", "shear", "opening", "affine"), "stretch")),
     ("amplitude", ("float", None, 1.0)),
     ("load_matrix", ("floats", None, [])),
     ("center", ("floats", None, [])),
     ("t_end", ("float", None, 1.0)),
     ("n_steps", ("int", None, 10)),
     ("eta", ("eta", None, "auto")),
-    ("heal_mode", ("enum", ("elastic", "mcshane"), "elastic")),
-    ("boundary_margin", ("float", None, 0.0)),
     ("cg_rel_tol", ("float", None, 1.0e-10)),
     ("max_outer", ("int", None, 200)),
     ("max_cg", ("int", None, 0)),
@@ -137,8 +134,10 @@ class RunConfig:
         v = self.values
         if v["eps"] <= 0.0:
             raise ValidationError("eps", "must be positive")
-        if not (0.0 < v["theta0"] <= math.pi / 3.0):
-            raise ValidationError("theta0", "must lie in (0, pi/3]")
+        if not (0.0 < v["theta0"] <= _PI4):
+            raise ValidationError(
+                "theta0", "must lie in (0, pi/4]: every run uses the "
+                "background mesh, whose half-squares have 45 degree angles")
         if v["omega_factor"] < 6.0:
             raise ValidationError("omega_factor", "must be >= 6")
         if v["kappa"] <= 0.0:
@@ -167,6 +166,16 @@ class RunConfig:
             raise ValidationError("precrack", "expects x1 y1 x2 y2 width")
         if v["load"] == "affine" and len(v["load_matrix"]) != 4:
             raise ValidationError("load_matrix", "affine load needs 4 numbers")
+        for key in ("omega", "omega_prime"):
+            if len(v[key]) != 4:
+                raise ValidationError(key, "expects x0 y0 x1 y1")
+        ox0, oy0, ox1, oy1 = v["omega"]
+        if not (ox0 < ox1 and oy0 < oy1):
+            raise ValidationError("omega", "needs x0 < x1 and y0 < y1")
+        try:
+            self.domain()
+        except ValueError as exc:
+            raise ValidationError("omega_prime", str(exc))
 
     def __getitem__(self, key):
         return self.values[key]
@@ -210,8 +219,7 @@ class RunConfig:
     def voidmod_params(self) -> VoidModParams:
         v = self.values
         eta = eta_schedule(v["eps"]) if v["eta"] == "auto" else v["eta"]
-        return VoidModParams(eta=eta, heal_mode=v["heal_mode"],
-                             boundary_margin=v["boundary_margin"])
+        return VoidModParams(eta=eta)
 
     def solve_options(self) -> SolveOptions:
         v = self.values

@@ -232,7 +232,6 @@ def run_evolution(domain: Domain, params: MeshParams, material: MaterialModel,
         "kappa": material.kappa,
         "elasticity": [[float(x) for x in row] for row in material.elasticity],
         "eta": vm.eta,
-        "heal_mode": vm.heal_mode,
         "delta": load.delta,
         "t_end": load.t_end,
         "n_steps": load.n_steps,

@@ -140,10 +140,6 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _coord_key(x: float, y: float, tol: float):
-    return (round(x / tol), round(y / tol))
-
-
 class Triangulation:
     """Immutable conforming triangle mesh of the enclosing rectangle.
 
@@ -203,16 +199,19 @@ class Triangulation:
         raw = np.sort(raw, axis=1)
         edges, inv = np.unique(raw, axis=0, return_inverse=True)
         tri_edges = inv.reshape(m, 3)
+        # occurrences t*3+k grouped by edge, each group in (t, k) order
+        flat = tri_edges.ravel()
+        order = np.argsort(flat, kind="stable")
+        counts = np.bincount(flat, minlength=len(edges))
+        first = np.cumsum(counts) - counts
+        if (counts > 2).any():
+            third = order[first[counts > 2] + 2].min()
+            raise MeshError(
+                f"edge {flat[third]} shared by more than two triangles")
         edge_tris = np.full((len(edges), 2), -1, dtype=np.int64)
-        for t in range(m):
-            for k in range(3):
-                e = tri_edges[t, k]
-                if edge_tris[e, 0] < 0:
-                    edge_tris[e, 0] = t
-                elif edge_tris[e, 1] < 0:
-                    edge_tris[e, 1] = t
-                else:
-                    raise MeshError(f"edge {e} shared by more than two triangles")
+        edge_tris[:, 0] = order[first] // 3
+        two = counts == 2
+        edge_tris[two, 1] = order[first[two] + 1] // 3
         return edges, tri_edges, edge_tris
 
     @property
@@ -365,13 +364,13 @@ class Triangulation:
         """Coordinate keys of the triangles, for checks that compare sets
         across meshes by position; the program itself identifies triangles
         by id."""
-        tol = self.params.point_tol
-        keys = []
-        for t in range(self.n_triangles):
-            k = sorted(_coord_key(self.nodes[v, 0], self.nodes[v, 1], tol)
-                       for v in self.triangles[t])
-            keys.append(tuple(k))
-        return keys
+        # node coordinates in units of point_tol, rounded half to even and
+        # kept as floats, which hold any such integer exactly
+        q = np.round(self.nodes / self.params.point_tol)[self.triangles]
+        order = np.lexsort((q[:, :, 1], q[:, :, 0]))
+        pts = np.take_along_axis(q, order[:, :, None], axis=1)
+        x0, y0, x1, y1, x2, y2 = pts.reshape(-1, 6).T.tolist()
+        return list(zip(zip(x0, y0), zip(x1, y1), zip(x2, y2)))
 
     # -- serialization -----------------------------------------------------
 

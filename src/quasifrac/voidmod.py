@@ -6,9 +6,9 @@ The pipeline turns a triangle set A with bounded energy into A_mod whose
 boundary length is dominated by 2|A|/(eps sin theta0) up to O(eta):
 small holes of the closure are filled; small pieces hanging at separating
 vertices (and whole small closure components) are cut off with the field
-extended over them; remaining small pieces touching the rest in at most
-two points are peeled iteratively; finally exposed triangles with an
-exclusive vertex are healed away.  Every stage removes whole saturated
+extended elastically over them; remaining small pieces touching the rest
+in at most two points are peeled iteratively; finally exposed triangles
+with an exclusive vertex are healed away.  Every stage removes whole saturated
 pieces or single triangles, which keeps filled triangles interior and
 makes the construction monotone under set inclusion.
 """
@@ -39,23 +39,13 @@ class PreconditionViolated(VoidModError):
 
 @dataclass(frozen=True)
 class VoidModParams:
-    """Smallness parameter eta and healing configuration.
-
-    `boundary_margin` is the extra clearance (absolute length) a piece must
-    keep from the boundary of the enclosing rectangle to be healed; pieces
-    whose one-ring neighborhood leaves the triangulated region are never
-    healed regardless.
-    """
+    """Smallness parameter eta of the void modification."""
 
     eta: float = 0.2
-    heal_mode: str = "elastic"   # or "mcshane"
-    boundary_margin: float = 0.0
 
     def __post_init__(self):
         if not (0.0 < self.eta <= 0.5):
             raise VoidModError(f"eta must lie in (0, 0.5], got {self.eta}")
-        if self.heal_mode not in ("elastic", "mcshane"):
-            raise VoidModError(f"unknown heal mode {self.heal_mode!r}")
 
     def hole_threshold(self, eps: float) -> float:
         """Area budget eps^2 / eta^2 for holes and removable pieces."""
@@ -120,6 +110,13 @@ def _boundary_degrees(tset: TriangleSet):
     return be, deg
 
 
+def _boundary_members(tset: TriangleSet):
+    """(boundary edges, the member triangle owning each)."""
+    be = tset.boundary_edges
+    et = tset.mesh.edge_tris[be]
+    return be, np.where(tset.mask[et[:, 0]], et[:, 0], et[:, 1])
+
+
 def build_boundary_graph(H: TriangleSet) -> BoundaryGraph:
     """Boundary graph of a nonempty set, with degree partition, faces,
     boundary-cycle tuples per edge-component, and touch counts."""
@@ -145,7 +142,7 @@ def build_boundary_graph(H: TriangleSet) -> BoundaryGraph:
     lab = component_labels(len(verts), np.searchsorted(verts, mesh.edges[be]))
     nu = int((lab == np.arange(len(verts))).sum())
 
-    cycles, d_of_component = _boundary_cycles(H, be, comp_of, len(comps), degree)
+    cycles, d_of_component = _boundary_cycles(H, comp_of, len(comps), degree)
     return BoundaryGraph(vertices=verts, edge_ids=be, degree=degree,
                          v2l_counts=v2l, n_faces=n_faces,
                          n_graph_components=nu, n_components=len(comps),
@@ -153,7 +150,7 @@ def build_boundary_graph(H: TriangleSet) -> BoundaryGraph:
                          cycles=cycles, d_of_component=d_of_component)
 
 
-def _boundary_cycles(H: TriangleSet, be, comp_of, n_comps, degree):
+def _boundary_cycles(H: TriangleSet, comp_of, n_comps, degree):
     """Traverse boundary curves with the member material kept on the left.
 
     Starting from each unvisited directed boundary edge, the walk rotates
@@ -163,56 +160,34 @@ def _boundary_cycles(H: TriangleSet, be, comp_of, n_comps, degree):
     """
     mesh = H.mesh
     mask = H.mask
-    et = mesh.edge_tris
-    edges = mesh.edges
-    member_of_edge = {}
-    for e in be:
-        t0, t1 = et[e]
-        member_of_edge[int(e)] = int(t0) if mask[t0] else int(t1)
-    is_boundary = set(int(e) for e in be)
+    tris = mesh.triangles
+    te = mesh.tri_edges
+    nb = mesh.tri_neighbors
+    be, member = _boundary_members(H)
+    is_boundary = np.zeros(len(mesh.edges), dtype=bool)
+    is_boundary[be] = True
+    # each boundary edge directed counterclockwise in its member triangle
+    pos = np.argmax(te[member] == be[:, None], axis=1)
+    tails = tris[member, pos]
+    heads = tris[member, (pos + 1) % 3]
 
-    edge_lookup = {}
-    for e in be:
-        a, b = int(edges[e, 0]), int(edges[e, 1])
-        edge_lookup[(a, b)] = int(e)
-        edge_lookup[(b, a)] = int(e)
-
-    def directed_of(e):
-        """Directed version (a -> b) with the member triangle on the left."""
-        t = member_of_edge[e]
-        tri = mesh.triangles[t]
-        a, b = edges[e]
-        for k in range(3):
-            if tri[k] == a and tri[(k + 1) % 3] == b:
-                return (int(a), int(b), t)
-        return (int(b), int(a), t)
-
-    def third(t, a, b):
-        tri = mesh.triangles[t]
-        for v in tri:
-            if v != a and v != b:
-                return int(v)
-        raise VoidModError("degenerate triangle connectivity")
-
-    def next_edge(a, v, t):
-        w = third(t, a, v)
+    def next_edge(v, t):
+        """(v, w, member) of the first boundary edge met by rotating around
+        v through member triangles from t; in each, the edge tried is the
+        one leaving v counterclockwise, at v's slot."""
         while True:
-            e = edge_lookup.get((v, w))
-            if e is not None and e in is_boundary:
-                return (v, w, member_of_edge[e])
-            # hop to the member triangle across (v, w)
-            e_all = _find_mesh_edge(mesh, v, w)
-            t0, t1 = et[e_all]
-            t_next = int(t1) if int(t0) == t else int(t0)
-            if t_next < 0 or not mask[t_next]:
+            tri = tris[t].tolist()
+            i = tri.index(v)
+            if is_boundary[te[t, i]]:
+                return (v, tri[(i + 1) % 3], t)
+            # hop to the member triangle across that edge
+            t = int(nb[t, i])
+            if t < 0 or not mask[t]:
                 raise VoidModError("boundary walk left the member set")
-            t = t_next
-            w = third(t, v, w)
 
     visited = set()
     comp_cycles = [[] for _ in range(n_comps)]
-    for e in sorted(is_boundary):
-        a0, b0, t0 = directed_of(e)
+    for a0, b0, t0 in zip(tails.tolist(), heads.tolist(), member.tolist()):
         if (a0, b0) in visited:
             continue
         cyc = []
@@ -220,8 +195,7 @@ def _boundary_cycles(H: TriangleSet, be, comp_of, n_comps, degree):
         while True:
             visited.add((a, b))
             cyc.append(b)
-            a2, b2, t2 = next_edge(a, b, t)
-            a, b, t = a2, b2, t2
+            a, b, t = next_edge(b, t)
             if (a, b) == (a0, b0):
                 break
         comp_cycles[comp_of[t0]].append(cyc)
@@ -235,18 +209,6 @@ def _boundary_cycles(H: TriangleSet, be, comp_of, n_comps, degree):
         cycles.append(comp_cycles[i])
         d_of_component.append(sum(1 for v in tup if degree.get(v, 0) >= 4))
     return cycles, d_of_component
-
-
-def _find_mesh_edge(mesh: Triangulation, a, b):
-    key = (min(a, b), max(a, b))
-    lookup = getattr(mesh, "_edge_lookup", None)
-    if lookup is None:
-        lookup = {(int(e[0]), int(e[1])): i for i, e in enumerate(mesh.edges)}
-        mesh._edge_lookup = lookup
-    e = lookup.get(key)
-    if e is None:
-        raise VoidModError(f"no mesh edge between nodes {a} and {b}")
-    return e
 
 
 # ---------------------------------------------------------------------------
@@ -293,33 +255,23 @@ def _neighborhood(mesh: Triangulation, z_ids) -> np.ndarray:
     return np.asarray(sorted(out), dtype=np.int64)
 
 
-def _piece_healable(mesh: Triangulation, z_ids, vm: VoidModParams) -> bool:
+def _piece_healable(mesh: Triangulation, z_ids) -> bool:
     """Gate: the one-ring neighborhood must stay inside the triangulated
-    region and the piece must keep the configured boundary clearance."""
+    region."""
     z_ids = np.asarray(z_ids, dtype=np.int64)
     if mesh.tri_on_mesh_boundary[z_ids].any():
         return False
-    nz = _neighborhood(mesh, z_ids)
-    if not len(nz):
-        return False
-    if vm.boundary_margin > 0.0:
-        px0, py0, px1, py1 = mesh.domain.omega_prime
-        pts = mesh.nodes[_nodes_of(mesh, z_ids)]
-        d = np.minimum.reduce([pts[:, 0] - px0, px1 - pts[:, 0],
-                               pts[:, 1] - py0, py1 - pts[:, 1]])
-        if d.min() < vm.boundary_margin:
-            return False
-    return True
+    return bool(len(_neighborhood(mesh, z_ids)))
 
 
-def _extend_field(mesh: Triangulation, u: DisplacementField, z_ids, data_ids,
-                  mode: str) -> DisplacementField:
-    """Extend u over the piece Z from the data triangles.
+def _extend_field(mesh: Triangulation, u: DisplacementField, z_ids,
+                  data_ids) -> DisplacementField:
+    """Extend u elastically over the piece Z from the data triangles.
 
-    elastic: minimize the symmetric-gradient energy over Z with the shared
-    nodes pinned (minimum-norm solve fixes any leftover rigid freedom).
-    mcshane: subtract the skew part of a reference data gradient, extend
-    each component with the Lipschitz-preserving inf-formula, add it back.
+    The symmetric-gradient energy over Z is minimized with the nodes shared
+    with the data pinned (a minimum-norm solve fixes any leftover rigid
+    freedom).  This is the energy `healing_ratio` reports, so no other
+    extension with the same pinned nodes scores lower.
     """
     z_ids = np.asarray(z_ids, dtype=np.int64)
     data_ids = np.asarray(data_ids, dtype=np.int64)
@@ -329,28 +281,6 @@ def _extend_field(mesh: Triangulation, u: DisplacementField, z_ids, data_ids,
     if not len(free):
         return u
     out = u.copy()
-    if mode == "mcshane" and len(data_ids):
-        bmats, _ = mesh.strain_setup
-        ref = int(data_ids[0])
-        grads = _tri_gradients(mesh, u.values, np.concatenate([[ref], data_ids]))
-        g_ref = grads[0]
-        a_skew = 0.5 * (g_ref - g_ref.T)
-        w_vals = u.values - (mesh.nodes @ a_skew.T)
-        lip = np.zeros(2)
-        for k, t in enumerate(data_ids):
-            g = grads[k + 1] - a_skew
-            lip[0] = max(lip[0], math.hypot(g[0, 0], g[0, 1]))
-            lip[1] = max(lip[1], math.hypot(g[1, 0], g[1, 1]))
-        dpts = mesh.nodes[dnodes]
-        for v in free:
-            d = np.hypot(dpts[:, 0] - mesh.nodes[v, 0],
-                         dpts[:, 1] - mesh.nodes[v, 1])
-            for i in range(2):
-                out.values[v, i] = float(np.min(w_vals[dnodes, i] + lip[i] * d))
-        out.values[free] += mesh.nodes[free] @ a_skew.T
-        return out
-
-    # elastic extension on the local patch
     local = {int(v): i for i, v in enumerate(znodes)}
     n = 2 * len(znodes)
     k = np.zeros((n, n))
@@ -387,22 +317,6 @@ def _extend_field(mesh: Triangulation, u: DisplacementField, z_ids, data_ids,
     return out
 
 
-def _tri_gradients(mesh: Triangulation, values, ids):
-    """Full 2x2 gradients of the affine field on the listed triangles."""
-    out = np.empty((len(ids), 2, 2))
-    for k, t in enumerate(ids):
-        tri = mesh.triangles[t]
-        p = mesh.nodes[tri]
-        det = ((p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1])
-               - (p[1, 1] - p[0, 1]) * (p[2, 0] - p[0, 0]))
-        g = np.array([
-            [p[1, 1] - p[2, 1], p[2, 1] - p[0, 1], p[0, 1] - p[1, 1]],
-            [p[2, 0] - p[1, 0], p[0, 0] - p[2, 0], p[1, 0] - p[0, 0]],
-        ]) / det
-        out[k] = values[tri].T @ g.T
-    return out
-
-
 def _frob_strain_energy(mesh: Triangulation, u: DisplacementField, ids,
                         weights=None) -> float:
     ids = np.asarray(ids, dtype=np.int64)
@@ -416,9 +330,9 @@ def _frob_strain_energy(mesh: Triangulation, u: DisplacementField, ids,
 
 def heal_component(Z: TriangleSet, u: DisplacementField, Y: TriangleSet,
                    vm: VoidModParams) -> DisplacementField:
-    """Extend u over a connected saturated small piece Z with the data
-    taken from its neighborhood minus Y; the closures of Y and Z may share
-    at most two points."""
+    """Extend u elastically over a connected saturated small piece Z with
+    the data taken from its neighborhood minus Y; the closures of Y and Z
+    may share at most two points."""
     mesh = Z.mesh
     if len(Z.closure_components) != 1:
         raise PreconditionViolated("piece must be connected")
@@ -436,7 +350,7 @@ def heal_component(Z: TriangleSet, u: DisplacementField, Y: TriangleSet,
         raise PreconditionViolated(
             f"Y touches Z at {len(touch)} points (at most two allowed)")
     data = np.setdiff1d(nz, y_ids)
-    return _extend_field(mesh, u, Z.ids, data, vm.heal_mode)
+    return _extend_field(mesh, u, Z.ids, data)
 
 
 def healing_ratio(mesh: Triangulation, u_new: DisplacementField,
@@ -487,19 +401,24 @@ def _sep_piece_candidates(B: TriangleSet):
     return out
 
 
+def _small_saturation(mesh: Triangulation, p, budget: float):
+    """Saturation of the piece p when it is small and healable, else None."""
+    if float(mesh.areas[p].sum()) > budget:
+        return None  # saturation only grows the piece
+    sat = local_saturation(mesh, p)
+    if float(mesh.areas[sat].sum()) > budget or not _piece_healable(mesh, sat):
+        return None
+    return sat
+
+
 def _maximal_small_pieces(B: TriangleSet, pieces, vm: VoidModParams):
     mesh = B.mesh
     budget = vm.hole_threshold(mesh.params.eps)
     small = []
     for p in pieces:
-        if float(mesh.areas[p].sum()) > budget:
-            continue  # saturation only grows the piece
-        sat = local_saturation(mesh, p)
-        if float(mesh.areas[sat].sum()) > budget:
-            continue
-        if not _piece_healable(mesh, sat, vm):
-            continue
-        small.append((p, sat))
+        sat = _small_saturation(mesh, p, budget)
+        if sat is not None:
+            small.append((p, sat))
     keep = []
     sets = [frozenset(int(t) for t in p) for p, _ in small]
     for i, (p, sat) in enumerate(small):
@@ -513,45 +432,39 @@ def _maximal_small_pieces(B: TriangleSet, pieces, vm: VoidModParams):
     return keep
 
 
-def _heal_removed(mesh: Triangulation, u: DisplacementField, removed_fill,
-                  void_after_mask, vm: VoidModParams, ratios: list,
-                  ) -> DisplacementField:
-    """Heal each closure component of the removed (saturated) region."""
-    if not len(removed_fill):
-        return u
-    region = TriangleSet(mesh, removed_fill)
+def _remove_pieces(W: TriangleSet, u: DisplacementField, pieces,
+                   stats: dict):
+    """Remove the (piece, saturation) pairs from W and heal u over each
+    closure component of the removed saturations, with the data taken from
+    its neighborhood minus what W keeps; counts the pieces and healing
+    ratios in stats."""
+    mesh = W.mesh
+    rest = W.difference(np.concatenate([p for p, _ in pieces]))
+    region = TriangleSet(mesh, np.concatenate([sat for _, sat in pieces]))
+    ratios = stats.setdefault("heal_ratios", [])
     for zc in region.closure_components:
         nz = _neighborhood(mesh, zc)
-        y_ids = nz[void_after_mask[nz]]
-        data = np.setdiff1d(nz, y_ids)
+        data = nz[~rest.mask[nz]]
         before = u
-        u = _extend_field(mesh, u, zc, data, vm.heal_mode)
+        u = _extend_field(mesh, u, zc, data)
         ratios.append(healing_ratio(mesh, u, before, zc, data))
-    return u
+    stats["sep_removed"] = stats.get("sep_removed", 0) + len(pieces)
+    return rest, u
 
 
 def remove_separating_small(B: TriangleSet, u: DisplacementField,
                             vm: VoidModParams, stats: Optional[dict] = None):
     """Remove maximal small pieces hanging at separating vertices (and
     whole small closure components), healing the field over each; pieces
-    too close to the boundary of the triangulated region are kept."""
-    mesh = B.mesh
+    touching the outer boundary of the triangulated region are kept."""
     if not len(B):
         return B, u
-    pieces = _sep_piece_candidates(B)
-    keep = _maximal_small_pieces(B, pieces, vm)
+    stats = {} if stats is None else stats
+    stats.setdefault("sep_removed", 0)
+    keep = _maximal_small_pieces(B, _sep_piece_candidates(B), vm)
     if not keep:
-        if stats is not None:
-            stats.setdefault("sep_removed", 0)
         return B, u
-    removed = np.unique(np.concatenate([p for p, _ in keep]))
-    removed_fill = np.unique(np.concatenate([sat for _, sat in keep]))
-    b_sep = B.difference(removed)
-    ratios = stats.setdefault("heal_ratios", []) if stats is not None else []
-    u_sep = _heal_removed(mesh, u, removed_fill, b_sep.mask, vm, ratios)
-    if stats is not None:
-        stats["sep_removed"] = stats.get("sep_removed", 0) + len(keep)
-    return b_sep, u_sep
+    return _remove_pieces(B, u, keep, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -571,34 +484,21 @@ def _touch_points(mesh: Triangulation, piece_ids, other_mask) -> int:
 
 
 def _peel_round(W: TriangleSet, vm: VoidModParams):
-    """One simultaneous round: small edge-components touching the rest in
-    at most two points, plus small single-vertex-separated pieces."""
+    """(piece, saturation) pairs removed in one simultaneous round: small
+    edge-components touching the rest in at most two points, plus small
+    single-vertex-separated pieces."""
     mesh = W.mesh
     budget = vm.hole_threshold(mesh.params.eps)
     removal = []
-
-    comps = W.components
-    for c in comps:
-        if float(mesh.areas[c].sum()) > budget:
-            continue
-        sat = local_saturation(mesh, c)
-        if float(mesh.areas[sat].sum()) > budget:
-            continue
-        if not _piece_healable(mesh, sat, vm):
+    for c in W.components:
+        sat = _small_saturation(mesh, c, budget)
+        if sat is None:
             continue
         rest = W.mask.copy()
         rest[c] = False
         if _touch_points(mesh, c, rest) <= 2:
             removal.append((c, sat))
-
-    for p, sat in _maximal_small_pieces(W, _sep_piece_candidates(W), vm):
-        removal.append((p, sat))
-
-    if not removal:
-        return None, None, 0
-    ids = np.unique(np.concatenate([p for p, _ in removal]))
-    fill = np.unique(np.concatenate([s for _, s in removal]))
-    return ids, fill, len(removal)
+    return removal + _maximal_small_pieces(W, _sep_piece_candidates(W), vm)
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +513,7 @@ def heal_triangles(H: TriangleSet, u: DisplacementField, vm: VoidModParams,
     The strain of a dropped triangle is already determined by continuity
     along the two shared edges with its good neighbors, so the field needs
     no modification; the induced amplification is measured and reported.
-    Triangles whose exposed-edge neighbors are missing (outer mesh
-    boundary) or too close to the enclosing boundary are kept.
+    Triangles at the outer boundary of the triangulated region are kept.
     """
     mesh = H.mesh
     if not len(H):
@@ -644,7 +543,7 @@ def heal_triangles(H: TriangleSet, u: DisplacementField, vm: VoidModParams,
                 break
         if not exclusive:
             continue
-        if not _piece_healable(mesh, np.array([t]), vm):
+        if not _piece_healable(mesh, np.array([t])):
             continue
         removal.append(t)
         if stats is not None:
@@ -676,19 +575,13 @@ def _unfill_exposed(H: TriangleSet, filled) -> TriangleSet:
     fmask = np.zeros(mesh.n_triangles, dtype=bool)
     fmask[np.asarray(filled, dtype=np.int64)] = True
     out = H
-    while True:
-        if not len(out):
-            return out
-        et = mesh.edge_tris
-        exposed = []
-        for e in out.boundary_edges:
-            t0, t1 = et[e]
-            member = int(t0) if out.mask[t0] else int(t1)
-            if fmask[member]:
-                exposed.append(member)
-        if not exposed:
-            return out
-        out = out.difference(np.unique(exposed))
+    while len(out):
+        _, member = _boundary_members(out)
+        exposed = member[fmask[member]]
+        if not len(exposed):
+            break
+        out = out.difference(exposed)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -734,17 +627,11 @@ def modify_voids(A: TriangleSet, u: DisplacementField,
     b_sep, u_mod = remove_separating_small(b, u, vm, stats=work)
 
     w = b_sep
-    rounds = 0
-    while rounds < 1000:
-        ids, fill, n_pieces = _peel_round(w, vm)
-        if ids is None:
+    for _ in range(1000):
+        pieces = _peel_round(w, vm)
+        if not pieces:
             break
-        w_new = w.difference(ids)
-        ratios = work.setdefault("heal_ratios", [])
-        u_mod = _heal_removed(mesh, u_mod, fill, w_new.mask, vm, ratios)
-        work["sep_removed"] = work.get("sep_removed", 0) + n_pieces
-        w = w_new
-        rounds += 1
+        w, u_mod = _remove_pieces(w, u_mod, pieces, work)
 
     a_mod, u_mod = heal_triangles(w, u_mod, vm, stats=work)
     a_mod = _unfill_exposed(a_mod, filled)
@@ -786,15 +673,9 @@ def modify_voids(A: TriangleSet, u: DisplacementField,
 
 
 def _changed_triangles(mesh: Triangulation, u, u_mod):
+    """Triangles with a node where u_mod differs from u."""
     diff = np.any(u.values != u_mod.values, axis=1)
-    if not diff.any():
-        return np.empty(0, dtype=np.int64)
-    changed_nodes = np.where(diff)[0]
-    indptr, tri_ids = mesh.node_tris
-    out = set()
-    for v in changed_nodes:
-        out.update(int(t) for t in tri_ids[indptr[v]:indptr[v + 1]])
-    return np.asarray(sorted(out), dtype=np.int64)
+    return np.flatnonzero(diff[mesh.triangles].any(axis=1))
 
 
 def _inner_window(mesh: Triangulation, vm: VoidModParams):
@@ -815,11 +696,5 @@ def _filled_boundary_length(mesh: Triangulation, a_mod: TriangleSet,
         return 0.0
     fmask = np.zeros(mesh.n_triangles, dtype=bool)
     fmask[np.asarray(filled, dtype=np.int64)] = True
-    et = mesh.edge_tris
-    total = 0.0
-    for e in a_mod.boundary_edges:
-        t0, t1 = et[e]
-        member = int(t0) if a_mod.mask[t0] else int(t1)
-        if fmask[member]:
-            total += float(mesh.edge_lengths[e])
-    return total
+    be, member = _boundary_members(a_mod)
+    return float(mesh.edge_lengths[be[fmask[member]]].sum())

@@ -7,7 +7,8 @@ sets breadth-first over adjacency read straight from the vertex triples,
 the collar oracle measures each triangle's distance to the body
 rectangle one triangle at a time, the clipped-area and background oracles
 take one triangle at a time, the pre-crack oracle measures one triangle
-center at a time, point location scans every triangle, and the KKT
+center at a time, the edge-table and coordinate-key oracles fill one
+triangle at a time, point location scans every triangle, and the KKT
 residual assembles its own stiffness matrix.
 """
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from quasifrac._kernels import (_clip_area_rect, point_in_tri,
                                 point_seg_dist, seg_seg_dist)
+from quasifrac.mesh import MeshError
 from quasifrac.solver import assemble_stiffness, solve_elastic
 from quasifrac.trisets import TriangleSet
 
@@ -211,6 +213,35 @@ def precrack_ids_by_loop(mesh, precrack):
                        if point_seg_dist(centers[t, 0], centers[t, 1],
                                          x1, y1, x2, y2) <= 0.5 * width],
                       dtype=np.int64)
+
+
+def edge_tables_by_loop(mesh):
+    """(edges, edge_tris): the sorted node pairs of the mesh edges, and the
+    -1 padded triangles of each, filled one (triangle, slot) occurrence at
+    a time; a third triangle on an edge raises MeshError."""
+    pairs = [tuple(sorted((tri[k], tri[(k + 1) % 3])))
+             for tri in mesh.triangles.tolist() for k in range(3)]
+    edges = sorted(set(pairs))
+    index = {e: i for i, e in enumerate(edges)}
+    edge_tris = np.full((len(edges), 2), -1, dtype=np.int64)
+    for n, pair in enumerate(pairs):
+        e, t = index[pair], n // 3
+        if edge_tris[e, 0] < 0:
+            edge_tris[e, 0] = t
+        elif edge_tris[e, 1] < 0:
+            edge_tris[e, 1] = t
+        else:
+            raise MeshError(f"edge {e} shared by more than two triangles")
+    return np.asarray(edges, dtype=np.int64), edge_tris
+
+
+def tri_keys_by_loop(mesh):
+    """Sorted rounded coordinate keys of each triangle, one vertex at a
+    time with Python's round."""
+    tol = mesh.params.point_tol
+    return [tuple(sorted((round(mesh.nodes[v, 0] / tol),
+                          round(mesh.nodes[v, 1] / tol)) for v in tri))
+            for tri in mesh.triangles]
 
 
 def containing_triangle(mesh, p):

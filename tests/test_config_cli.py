@@ -29,7 +29,7 @@ def test_empty_config_is_all_defaults():
     assert cfg["eta"] == "auto"
     assert cfg["output_dir"] == "out"
     # every schema key is materialized
-    assert len(cfg.values) == 30
+    assert len(cfg.values) == 28
 
 
 def test_negative_eps_names_key():
@@ -82,6 +82,16 @@ def test_bad_value_reports_line():
 def test_duplicate_key_rejected():
     with pytest.raises(ParseError):
         parse_config("eps = 0.1\neps = 0.2\n")
+
+
+def test_crack_config_is_ladder_level():
+    # the shipped crack smoke config is the crack ladder's eps 1/32 level
+    from test_acceptance import _crack_config
+    shipped = load_config(REPO / "configs" / "crack.cfg").values
+    ladder = _crack_config(32, 8).values
+    shipped.pop("output_dir")
+    ladder.pop("output_dir")
+    assert shipped == ladder
 
 
 def test_roundtrip_canonical_golden():
@@ -212,9 +222,19 @@ def test_cli_study_smoke(tmp_path):
     assert (tmp_path / "st" / "convergence.csv").exists()
 
 
-def test_cli_rejects_bad_config(tmp_path):
+@pytest.mark.parametrize("line, key", [
+    ("eps = -3", "eps"),
+    # no config key can supply a load table
+    ("load = tabulated", "load"),
+    # every run uses the background mesh, which needs theta0 <= pi/4
+    ("theta0 = 1.0", "theta0"),
+    # no Dirichlet collar
+    ("omega_prime = 0 0 1 1", "omega_prime"),
+], ids=["eps", "load", "theta0", "omega_prime"])
+def test_cli_rejects_bad_config(tmp_path, line, key):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("eps = -3\n")
+    cfg.write_text(f"{line}\noutput_dir = {tmp_path / 'out'}\n")
     res = _run_cli(["simulate", "--config", str(cfg)])
     assert res.returncode == 2
-    assert "eps" in res.stderr
+    assert res.stderr.startswith("config error: ")
+    assert f"{key}: " in res.stderr

@@ -8,6 +8,7 @@ from quasifrac.mesh import (
     DisplacementField,
     Domain,
     InadmissibleParams,
+    MeshError,
     MeshParams,
     Triangulation,
     build_background_mesh,
@@ -19,8 +20,10 @@ from _oracles import (
     clip_areas_by_loop,
     collar_mask_by_distance,
     containing_triangle,
+    edge_tables_by_loop,
     field_at,
     is_background_by_loop,
+    tri_keys_by_loop,
 )
 
 
@@ -203,6 +206,22 @@ def test_clip_areas_match_clipping_every_triangle(mesh16, mesh32):
             straddlers += int(((expected > 0.0)
                                & (expected < mesh.areas)).sum())
     assert straddlers > 0
+
+
+def test_mesh_tables_match_loops(mesh16, mesh32):
+    for mesh in _oracle_meshes(mesh16, mesh32):
+        edges, edge_tris = edge_tables_by_loop(mesh)
+        assert np.array_equal(mesh.edges, edges)
+        assert mesh.edge_tris.tobytes() == edge_tris.tobytes()
+        assert mesh.tri_keys == tri_keys_by_loop(mesh)
+    # a fan of three triangles on the edge (0, 1)
+    fan = Triangulation([(0, 0), (1, 0), (0.5, 1), (0.5, -1), (0.5, 2)],
+                        [(0, 1, 2), (0, 1, 3), (0, 1, 4)], STD_DOMAIN,
+                        MeshParams(theta0=math.pi / 6, eps=0.5))
+    with pytest.raises(MeshError, match="edge 0 shared"):
+        fan.edge_table
+    with pytest.raises(MeshError, match="edge 0 shared"):
+        edge_tables_by_loop(fan)
 
 
 def test_is_background_matches_set_loop(mesh16, mesh32):

@@ -1,17 +1,20 @@
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
 
-from quasifrac.mesh import DisplacementField, interpolate
+from quasifrac.mesh import DisplacementField, Triangulation, interpolate
 from quasifrac.trisets import TriangleSet, local_saturation
 from quasifrac.voidmod import (
     PreconditionViolated,
     VoidModParams,
     build_boundary_graph,
     fill_holes,
+    _neighborhood,
     heal_component,
     heal_triangles,
+    healing_ratio,
     modify_voids,
     remove_separating_small,
 )
@@ -81,10 +84,19 @@ def test_graph_identities_random(mesh32):
         density = rng.uniform(0.05, 0.5)
         ids = rng.choice(mesh32.n_triangles,
                          size=int(density * mesh32.n_triangles), replace=False)
-        g = build_boundary_graph(TriangleSet(mesh32, ids))
+        tset = TriangleSet(mesh32, ids)
+        g = build_boundary_graph(tset)
         assert g.euler_identity()[0] == g.euler_identity()[1]
         assert g.edge_count_identity()[0] == g.edge_count_identity()[1]
         assert g.d_sum_identity()[0] == g.d_sum_identity()[1]
+        # the cycles walk every boundary edge once, member on the left
+        walked = sorted(step for comp in g.cycles for cyc in comp
+                        for step in zip(cyc[-1:] + cyc[:-1], cyc))
+        tri = mesh32.triangles[tset.ids]
+        on_bdy = np.isin(mesh32.tri_edges[tset.ids], g.edge_ids)
+        ccw = sorted(zip(tri[on_bdy].tolist(),
+                         np.roll(tri, -1, axis=1)[on_bdy].tolist()))
+        assert walked == ccw
 
 
 def test_lemma_components_bound(mesh32):
@@ -183,14 +195,6 @@ def test_heal_component_affine_reproduction(mesh16):
     healed = heal_component(z, broken, TriangleSet(mesh16), VM)
     assert np.allclose(healed.values[strictly_inner],
                        u.values[strictly_inner], atol=1e-9)
-    # the Lipschitz-extension mode is not exact on affine data but must
-    # stay within a modest amplification of the surrounding strain
-    vm = VoidModParams(eta=0.2, heal_mode="mcshane")
-    healed_mc = heal_component(z, broken, TriangleSet(mesh16), vm)
-    from quasifrac.voidmod import _neighborhood, healing_ratio
-    nz = _neighborhood(mesh16, z.ids)
-    ratio = healing_ratio(mesh16, healed_mc, u, z.ids, nz)
-    assert ratio < 5.0
 
 
 def test_heal_component_rigid_motion(mesh16):
@@ -240,17 +244,10 @@ def test_heal_component_two_point_pinch_ratio(mesh16):
     assert len(np.intersect1d(znodes, ynodes)) == 2
     u = smooth_field(mesh16, seed=4)
     before = u.copy()
-    from quasifrac.voidmod import healing_ratio, _neighborhood
-    ratios = {}
-    for mode in ("elastic", "mcshane"):
-        vm = VoidModParams(eta=0.2, heal_mode=mode)
-        healed = heal_component(z, u, TriangleSet(mesh16, y_ids), vm)
-        nz = _neighborhood(mesh16, z.ids)
-        data = np.setdiff1d(nz, np.asarray(y_ids))
-        ratios[mode] = healing_ratio(mesh16, healed, before, z.ids, data)
-        assert np.isfinite(ratios[mode])
-    # elastic extension is the energy-minimal one
-    assert ratios["elastic"] <= ratios["mcshane"] + 1e-12
+    healed = heal_component(z, u, TriangleSet(mesh16, y_ids), VM)
+    nz = _neighborhood(mesh16, z.ids)
+    data = np.setdiff1d(nz, np.asarray(y_ids))
+    assert np.isfinite(healing_ratio(mesh16, healed, before, z.ids, data))
 
 
 def test_heal_triangles_isolated(mesh16):
@@ -353,6 +350,22 @@ def test_modify_voids_change_confined(mesh16):
     changed = np.where(np.any(res.u_mod.values != u.values, axis=1))[0]
     iso_nodes = set(int(v) for v in np.unique(mesh16.triangles[iso].ravel()))
     assert set(int(v) for v in changed) <= iso_nodes
+
+
+def test_mesh_keeps_no_hidden_state(mesh32):
+    # void modification and the boundary graph read the mesh's own tables;
+    # what they leave on it is only what those tables cache
+    rng = np.random.default_rng(31)
+    ids = rng.choice(mesh32.n_triangles, size=300, replace=False)
+    res = modify_voids(TriangleSet(mesh32, ids), smooth_field(mesh32, 5), VM)
+    build_boundary_graph(res.a_mod)
+    build_boundary_graph(TriangleSet(mesh32, ids))
+    fresh = Triangulation(mesh32.nodes, mesh32.triangles, mesh32.domain,
+                          mesh32.params, grid_shape=mesh32.grid_shape)
+    cached = {name for name, attr in vars(Triangulation).items()
+              if isinstance(attr, cached_property)}
+    assert set(vars(mesh32)) <= set(vars(fresh)) | cached
+    assert "factor_slot" in vars(fresh)
 
 
 def test_local_saturation_matches_global(mesh16):
