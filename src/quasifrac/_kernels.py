@@ -1,7 +1,9 @@
 """Hot numeric kernels in numpy.
 
-Array kernels take whole triangle or dof arrays; the scalar geometry
-helpers work on single points, segments and triangles.
+Array kernels (strain matrices, triangle-rectangle clipped areas and the
+Jacobi-preconditioned conjugate gradient) take whole triangle or dof
+arrays; the scalar geometry helpers work on single points, segments and
+triangles.
 """
 
 import numpy as np
@@ -130,11 +132,11 @@ def _clip_area_rect(pts, x0, y0, x1, y1):
 def point_seg_dist(px, py, ax, ay, bx, by):
     ux, uy = bx - ax, by - ay
     wx, wy = px - ax, py - ay
-    c1 = ux * wx + uy * wy
-    c2 = ux * ux + uy * uy
-    if c2 <= 0.0:
+    dot = ux * wx + uy * wy
+    len2 = ux * ux + uy * uy
+    if len2 <= 0.0:
         return np.sqrt(wx * wx + wy * wy)
-    t = c1 / c2
+    t = dot / len2
     if t < 0.0:
         t = 0.0
     elif t > 1.0:
@@ -262,21 +264,3 @@ def cg_deflated(indptr, indices, data, x, free, inv_diag, rel_tol, max_iter):
         rz = rz_new
         p = z + beta * p
     return x, it, res / norm0
-
-
-# ---------------------------------------------------------------------------
-# truncated-energy accumulation
-
-
-def truncated_energy_terms(strains, cmat, w_omega, w_prime, eps, kappa):
-    """Per-triangle pieces of the truncated energy.
-
-    Returns (sq, elastic_term, cap_term, capped): sq[i] = |e|_C^2,
-    elastic_term[i] = w_omega[i]*sq[i], cap_term[i] = kappa*w_prime[i]/eps,
-    capped[i] flags eps*sq[i] >= kappa.
-    """
-    sq = np.einsum("mi,ij,mj->m", strains, cmat, strains)
-    elastic = w_omega * sq
-    cap = kappa * w_prime / eps
-    capped = eps * sq >= kappa
-    return sq, elastic, cap, capped

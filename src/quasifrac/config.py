@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import MaterialModel
+from .energy import EnergyError, MaterialModel
 from .evolution import LoadProgram, eta_schedule
 from .mesh import Domain, MeshParams, Triangulation
 from .solver import SolveOptions
@@ -37,20 +37,16 @@ _PI4 = math.pi / 4.0
 _SCHEMA = [
     ("omega", ("floats", 4, [0.0, 0.0, 1.0, 1.0])),
     ("omega_prime", ("floats", 4, [-0.25, -0.25, 1.25, 1.25])),
-    ("notch", ("floats", None, [])),
     ("theta0", ("float", None, _PI4)),
     ("eps", ("float", None, 0.0625)),
     ("omega_factor", ("float", None, 1.0e6)),
     ("bg_dist_factor", ("float", None, 1.0e6)),
     ("kappa", ("float", None, 1.0)),
-    ("c1", ("float", None, 1.0)),
-    ("c2", ("float", None, 1.0)),
     ("elasticity", ("floats", 9, [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0])),
-    ("f_profile", ("enum", ("truncated",), "truncated")),
     ("load", ("enum", ("stretch", "shear", "opening", "affine"), "stretch")),
     ("amplitude", ("float", None, 1.0)),
     ("load_matrix", ("floats", None, [])),
-    ("center", ("floats", None, [])),
+    ("center", ("floats", 2, [])),
     ("t_end", ("float", None, 1.0)),
     ("n_steps", ("int", None, 10)),
     ("eta", ("eta", None, "auto")),
@@ -146,10 +142,6 @@ class RunConfig:
             raise ValidationError("t_end", "must be positive")
         if v["n_steps"] < 1:
             raise ValidationError("n_steps", "must be >= 1")
-        if v["f_profile"] != "truncated":
-            raise ValidationError(
-                "f_profile", "only 'truncated' is supported: the solver "
-                "minimizes the truncated density")
         if v["snap"]:
             raise ValidationError(
                 "snap", "only 'off' is supported: every run uses the "
@@ -160,8 +152,8 @@ class RunConfig:
             raise ValidationError("cg_rel_tol", "must be positive")
         if v["multi_starts"] < 1 or v["max_outer"] < 1:
             raise ValidationError("multi_starts", "iteration counts must be >= 1")
-        if v["notch"] and (len(v["notch"]) < 6 or len(v["notch"]) % 2):
-            raise ValidationError("notch", "needs an even list of >= 6 numbers")
+        if v["seed"] < 0:
+            raise ValidationError("seed", "must be >= 0")
         if v["precrack"] and len(v["precrack"]) != 5:
             raise ValidationError("precrack", "expects x1 y1 x2 y2 width")
         if v["load"] == "affine" and len(v["load_matrix"]) != 4:
@@ -176,6 +168,10 @@ class RunConfig:
             self.domain()
         except ValueError as exc:
             raise ValidationError("omega_prime", str(exc))
+        try:
+            self.material()
+        except EnergyError as exc:
+            raise ValidationError("elasticity", str(exc))
 
     def __getitem__(self, key):
         return self.values[key]
@@ -183,11 +179,8 @@ class RunConfig:
     # -- builders ----------------------------------------------------------
 
     def domain(self) -> Domain:
-        notch = self.values["notch"]
-        pts = tuple((notch[i], notch[i + 1]) for i in range(0, len(notch), 2)) \
-            if notch else None
         return Domain(tuple(self.values["omega"]),
-                      tuple(self.values["omega_prime"]), pts)
+                      tuple(self.values["omega_prime"]))
 
     def mesh_params(self) -> MeshParams:
         v = self.values
@@ -198,8 +191,7 @@ class RunConfig:
     def material(self) -> MaterialModel:
         v = self.values
         mat = np.asarray(v["elasticity"], dtype=float).reshape(3, 3)
-        return MaterialModel(kappa=v["kappa"], elasticity=mat, c1=v["c1"],
-                             c2=v["c2"])
+        return MaterialModel(kappa=v["kappa"], elasticity=mat)
 
     def load(self) -> LoadProgram:
         v = self.values
@@ -236,12 +228,12 @@ class RunConfig:
         centers = mesh.nodes[mesh.triangles].mean(axis=1)
         ux, uy = x2 - x1, y2 - y1
         wx, wy = centers[:, 0] - x1, centers[:, 1] - y1
-        c2 = ux * ux + uy * uy
-        if c2 <= 0.0:
+        len2 = ux * ux + uy * uy
+        if len2 <= 0.0:
             dist = np.sqrt(wx * wx + wy * wy)
         else:
             # projection onto the segment, clipped to its ends
-            t = np.clip((ux * wx + uy * wy) / c2, 0.0, 1.0)
+            t = np.clip((ux * wx + uy * wy) / len2, 0.0, 1.0)
             dx = centers[:, 0] - (x1 + t * ux)
             dy = centers[:, 1] - (y1 + t * uy)
             dist = np.sqrt(dx * dx + dy * dy)

@@ -1,15 +1,15 @@
 """Truncated finite-element energy, crack classification, and the
 history-dependent energy of the incremental scheme.
 
-Per triangle the density is f(eps * C e:e) / eps with f(t) = min(t, kappa)
-by default; a triangle whose density is capped counts as cracked, as does
-any triangle far from the regular background grid.  The elastic integral
-runs over the body rectangle; cracked area is measured inside the
-enclosing rectangle.  In the history energy a triangle straddling the body
-boundary therefore costs more cracked than its capped density says; for a
-fixed field it joins the crack set only where kappa |T n omega'| <=
-eps |T n omega| |e|_C^2, the choice that minimizes that energy
-(choose_crack_set).
+Per triangle the density is min(eps C e:e, kappa) / eps for a positive
+definite elasticity C; a triangle whose density is capped counts as
+cracked, as does any triangle far from the regular background grid.  The
+elastic integral runs over the body rectangle; cracked area is measured
+inside the enclosing rectangle.  In the history energy a triangle
+straddling the body boundary therefore costs more cracked than its capped
+density says; for a fixed field it joins the crack set only where
+kappa |T n omega'| <= eps |T n omega| |e|_C^2, the choice that minimizes
+that energy (choose_crack_set).
 """
 
 import math
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import tri_tri_dist, truncated_energy_terms
+from ._kernels import tri_tri_dist
 from .mesh import DisplacementField, MeshParams, Triangulation
 from .trisets import TriangleSet
 
@@ -38,25 +38,20 @@ class InconsistentHistory(EnergyError):
     pass
 
 
-TRUNCATED = "truncated"
-
-
 @dataclass
 class MaterialModel:
     """Energy-density cap kappa and the elasticity contraction.
 
-    `elasticity` is a symmetric 3x3 matrix acting on Mandel strain vectors
-    [e11, e22, sqrt(2) e12]; with the identity matrix the contraction
-    C e : e reduces exactly to the Frobenius norm |e|^2.  `f_profile` is
-    either "truncated" (f(t) = min(t, kappa)) or an (n,2) table of a
-    nondecreasing density with f(0)=0, slope 1 at 0, and plateau kappa.
+    The density of a triangle is min(eps C e:e, kappa) / eps.
+    `elasticity` is a symmetric positive definite 3x3 matrix acting on
+    Mandel strain vectors [e11, e22, sqrt(2) e12]; its smallest and largest
+    eigenvalues are the model's ellipticity constants, which bound C e:e
+    from below and above by multiples of |e|^2.  With the identity matrix
+    the contraction C e:e reduces exactly to the Frobenius norm |e|^2.
     """
 
     kappa: float = 1.0
     elasticity: np.ndarray = field(default_factory=lambda: np.eye(3))
-    c1: float = 1.0
-    c2: float = 1.0
-    f_profile: object = TRUNCATED
 
     def __post_init__(self):
         self.elasticity = np.asarray(self.elasticity, dtype=float)
@@ -66,42 +61,8 @@ class MaterialModel:
             raise EnergyError("elasticity must be a 3x3 Mandel matrix")
         if not np.allclose(self.elasticity, self.elasticity.T, atol=1e-12):
             raise EnergyError("elasticity matrix must be symmetric")
-        if not (0.0 < self.c1 <= self.c2):
-            raise EnergyError("need 0 < c1 <= c2")
-        if not self.is_truncated:
-            tab = np.asarray(self.f_profile, dtype=float)
-            if tab.ndim != 2 or tab.shape[1] != 2 or tab.shape[0] < 2:
-                raise EnergyError("custom f must be an (n,2) table")
-            if tab[0, 0] != 0.0 or tab[0, 1] != 0.0:
-                raise EnergyError("custom f must start at (0,0)")
-            if np.any(np.diff(tab[:, 0]) <= 0) or np.any(np.diff(tab[:, 1]) < 0):
-                raise EnergyError("custom f must be nondecreasing")
-            slope0 = tab[1, 1] / tab[1, 0]
-            if abs(slope0 - 1.0) > 1e-6:
-                raise EnergyError("custom f must have unit slope at zero")
-            if abs(tab[-1, 1] - self.kappa) > 1e-12 * max(1.0, self.kappa):
-                raise EnergyError("custom f must plateau at kappa")
-            self.f_profile = tab
-
-    @property
-    def is_truncated(self) -> bool:
-        return isinstance(self.f_profile, str) and self.f_profile == TRUNCATED
-
-    def f(self, t):
-        if self.is_truncated:
-            return np.minimum(t, self.kappa)
-        tab = self.f_profile
-        return np.interp(t, tab[:, 0], tab[:, 1])
-
-    def validate_ellipticity(self, n_samples: int = 10_000, seed: int = 0) -> bool:
-        """Check c1 |xi|^2 <= C xi : xi <= c2 |xi|^2 on random symmetric xi."""
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal((n_samples, 3))
-        quad = np.einsum("ni,ij,nj->n", v, self.elasticity, v)
-        norm2 = (v * v).sum(axis=1)
-        lo = self.c1 * norm2 - 1e-12 * norm2
-        hi = self.c2 * norm2 + 1e-12 * norm2
-        return bool(np.all(quad >= lo) and np.all(quad <= hi))
+        if not np.linalg.eigvalsh(self.elasticity).min() > 0.0:
+            raise EnergyError("elasticity matrix must be positive definite")
 
 
 @dataclass
@@ -185,26 +146,17 @@ def _check_field(mesh, u):
 
 def static_energy(mesh: Triangulation, u: DisplacementField,
                   material: MaterialModel, params: MeshParams) -> EnergyReport:
-    """Total truncated energy and, for the truncated profile, its exact
-    split into elastic part plus kappa * |capped region in omega| / eps."""
+    """Total truncated energy and its exact split into the elastic part
+    plus kappa * |capped region in omega| / eps."""
     _check_field(mesh, u)
-    strains = u.strains()
     w_omega = mesh.area_in_omega
     eps = params.eps
-    if material.is_truncated:
-        sq, elastic_t, cap_t, capped = truncated_energy_terms(
-            strains, material.elasticity, w_omega, w_omega, eps, material.kappa)
-        elastic = float(elastic_t[~capped].sum())
-        crack = float(cap_t[capped].sum())
-        return EnergyReport(total=elastic + crack, elastic_part=elastic,
-                            crack_part=crack,
-                            cracked_area=float(w_omega[capped].sum()),
-                            n_cracked=int(capped.sum()))
-    sq = _density(strains, material)
-    per = w_omega / eps * material.f(eps * sq)
-    total = float(per.sum())
+    sq = _density(u.strains(), material)
     capped = eps * sq >= material.kappa
-    return EnergyReport(total=total, elastic_part=total, crack_part=0.0,
+    elastic = float((w_omega * sq)[~capped].sum())
+    crack = float((material.kappa * w_omega / eps)[capped].sum())
+    return EnergyReport(total=elastic + crack, elastic_part=elastic,
+                        crack_part=crack,
                         cracked_area=float(w_omega[capped].sum()),
                         n_cracked=int(capped.sum()))
 

@@ -36,10 +36,10 @@ class LoadProgram:
     """Time-parameterized boundary displacement g(t, x) on the enclosing
     rectangle.
 
-    Presets are spatially affine, g(t,x) = t * amplitude * A (x - center),
-    so their nodal interpolation is exact and the time derivative is the
-    constant-in-time field amplitude * A (x - center).  A tabulated load
-    interpolates matrices linearly between sample times.
+    Every load is spatially affine, g(t,x) = t * amplitude * A (x - center):
+    the presets fix A, and an affine load takes it from the caller.  So the
+    nodal interpolation is exact and the time derivative is the
+    constant-in-time field amplitude * A (x - center).
     """
 
     kind: str = "stretch"
@@ -48,7 +48,6 @@ class LoadProgram:
     n_steps: int = 10
     center: tuple = (0.0, 0.0)
     matrix: Optional[np.ndarray] = None
-    table: Optional[list] = None  # [(t, 2x2 matrix), ...]
 
     def __post_init__(self):
         if self.t_end <= 0.0 or self.n_steps < 1:
@@ -63,13 +62,6 @@ class LoadProgram:
             if self.matrix is None:
                 raise ValueError("affine load requires a matrix")
             self.matrix = np.asarray(self.matrix, dtype=float).reshape(2, 2)
-        elif self.kind == "tabulated":
-            if not self.table:
-                raise ValueError("tabulated load requires a table")
-            self.table = [(float(t), np.asarray(m, dtype=float).reshape(2, 2))
-                          for t, m in self.table]
-            if any(t2 <= t1 for (t1, _), (t2, _) in zip(self.table, self.table[1:])):
-                raise ValueError("table times must increase")
         else:
             raise ValueError(f"unknown load kind {self.kind!r}")
 
@@ -80,31 +72,14 @@ class LoadProgram:
     def times(self):
         return [k * self.delta for k in range(self.n_steps + 1)]
 
-    def _matrix_at(self, t: float):
-        if self.kind == "tabulated":
-            ts = [row[0] for row in self.table]
-            if t <= ts[0]:
-                return self.table[0][1] * (t / ts[0] if ts[0] > 0 else 1.0)
-            for (t1, m1), (t2, m2) in zip(self.table, self.table[1:]):
-                if t <= t2:
-                    s = (t - t1) / (t2 - t1)
-                    return (1 - s) * m1 + s * m2
-            return self.table[-1][1]
-        return t * self.amplitude * self.matrix
-
     def eval(self, t: float, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         rel = pts - np.asarray(self.center, dtype=float)
-        return rel @ self._matrix_at(t).T
+        return rel @ (t * self.amplitude * self.matrix).T
 
     def dt_matrix(self, t: float) -> np.ndarray:
-        """Spatial gradient of the time derivative of g at time t."""
-        if self.kind == "tabulated":
-            ts = [row[0] for row in self.table]
-            for (t1, m1), (t2, m2) in zip(self.table, self.table[1:]):
-                if t <= t2:
-                    return (m2 - m1) / (t2 - t1)
-            return np.zeros((2, 2))
+        """Spatial gradient of the time derivative of g; the same at every
+        time t."""
         return self.amplitude * self.matrix
 
     def dt_strain_mandel(self, t: float) -> np.ndarray:

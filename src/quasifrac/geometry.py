@@ -13,7 +13,6 @@ from ._kernels import (
 __all__ = [
     "poly_area",
     "clip_poly_convex",
-    "clip_areas_polygon",
     "point_in_tri",
     "point_seg_dist",
     "tri_tri_dist",
@@ -56,26 +55,6 @@ def clip_poly_convex(subject, clip):
                     t = side_c / denom
                     out.append((cur[0] + t * (nxt[0] - cur[0]),
                                 cur[1] + t * (nxt[1] - cur[1])))
-    return out
-
-
-def _ccw(poly):
-    poly = np.asarray(poly, dtype=float)
-    s = 0.0
-    for i in range(len(poly)):
-        a = poly[i]
-        b = poly[(i + 1) % len(poly)]
-        s += a[0] * b[1] - b[0] * a[1]
-    return poly if s >= 0 else poly[::-1]
-
-
-def clip_areas_polygon(nodes, tris, poly):
-    """Per-triangle intersection area against a convex polygon."""
-    poly = _ccw(poly)
-    out = np.empty(len(tris))
-    for i, t in enumerate(tris):
-        clipped = clip_poly_convex(nodes[t], poly)
-        out[i] = poly_area(clipped)
     return out
 
 

@@ -69,13 +69,11 @@ class MeshParams:
 class Domain:
     """Body rectangle omega inside the enclosing rectangle omega_prime.
 
-    The Dirichlet collar is omega_prime minus the closure of omega; an
-    optional convex polygonal notch is cut out of omega.
+    The Dirichlet collar is omega_prime minus the closure of omega.
     """
 
     omega: tuple
     omega_prime: tuple
-    notch: Optional[tuple] = None
 
     def __post_init__(self):
         ox0, oy0, ox1, oy1 = self.omega
@@ -90,10 +88,7 @@ class Domain:
     @property
     def omega_area(self) -> float:
         x0, y0, x1, y1 = self.omega
-        a = (x1 - x0) * (y1 - y0)
-        if self.notch:
-            a -= geometry.poly_area(self.notch)
-        return a
+        return (x1 - x0) * (y1 - y0)
 
     @property
     def collar_area(self) -> float:
@@ -102,15 +97,13 @@ class Domain:
         return (px1 - px0) * (py1 - py0) - (x1 - x0) * (y1 - y0)
 
     def to_dict(self):
-        d = {"omega": list(self.omega), "omega_prime": list(self.omega_prime)}
-        if self.notch:
-            d["notch"] = [list(p) for p in self.notch]
-        return d
+        return {"omega": list(self.omega), "omega_prime": list(self.omega_prime)}
 
     @staticmethod
     def from_dict(d):
-        notch = tuple(tuple(p) for p in d["notch"]) if d.get("notch") else None
-        return Domain(tuple(d["omega"]), tuple(d["omega_prime"]), notch)
+        if "notch" in d:
+            raise ValueError("domains with a notch are not supported")
+        return Domain(tuple(d["omega"]), tuple(d["omega_prime"]))
 
 
 @dataclass
@@ -285,14 +278,9 @@ class Triangulation:
 
     @cached_property
     def area_in_omega(self):
-        """|T `intersect` omega| per triangle (notch removed)."""
+        """|T `intersect` omega| per triangle."""
         x0, y0, x1, y1 = self.domain.omega
-        a = clip_areas_rect(self.nodes, self.triangles, x0, y0, x1, y1)
-        if self.domain.notch:
-            a = a - geometry.clip_areas_polygon(self.nodes, self.triangles,
-                                                self.domain.notch)
-            a = np.maximum(a, 0.0)
-        return a
+        return clip_areas_rect(self.nodes, self.triangles, x0, y0, x1, y1)
 
     @cached_property
     def area_in_omega_prime(self):

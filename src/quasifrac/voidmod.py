@@ -616,8 +616,7 @@ def modify_voids(A: TriangleSet, u: DisplacementField,
         stats.update(area_Amod=0.0, perim_Amod=0.0, n_components=0,
                      healed_triangle_count=0, removed_component_count=0,
                      energy_out=energy_in, c_eta=0.0, c_perimeter=0.0,
-                     c_components=0.0, max_heal_ratio=0.0, changed_area=0.0,
-                     filled_boundary_length=0.0)
+                     c_components=0.0, max_heal_ratio=0.0, changed_area=0.0)
         return ModResult(empty, u, empty, np.empty(0, dtype=np.int64), stats)
 
     b = fill_holes(A, vm)
@@ -666,7 +665,6 @@ def modify_voids(A: TriangleSet, u: DisplacementField,
         c_components=n_comp * eps / vm.eta,
         max_heal_ratio=max(heal_ratios) if heal_ratios else 0.0,
         changed_area=changed_area,
-        filled_boundary_length=_filled_boundary_length(mesh, a_mod, filled),
         window=window,
     )
     return ModResult(a_mod, u_mod, t_mod, filled, stats)
@@ -687,14 +685,3 @@ def _inner_window(mesh: Triangulation, vm: VoidModParams):
     if wx0 >= wx1 or wy0 >= wy1:
         return None
     return (wx0, wy0, wx1, wy1)
-
-
-def _filled_boundary_length(mesh: Triangulation, a_mod: TriangleSet,
-                            filled) -> float:
-    """Length of A_mod boundary edges owned by filled (non-input) triangles."""
-    if not len(filled) or not len(a_mod):
-        return 0.0
-    fmask = np.zeros(mesh.n_triangles, dtype=bool)
-    fmask[np.asarray(filled, dtype=np.int64)] = True
-    be, member = _boundary_members(a_mod)
-    return float(mesh.edge_lengths[be[fmask[member]]].sum())

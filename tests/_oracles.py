@@ -7,7 +7,8 @@ sets breadth-first over adjacency read straight from the vertex triples,
 the collar oracle measures each triangle's distance to the body
 rectangle one triangle at a time, the clipped-area and background oracles
 take one triangle at a time, the pre-crack oracle measures one triangle
-center at a time, the edge-table and coordinate-key oracles fill one
+center at a time, the filled-boundary oracle finds a set's boundary edges
+from its vertex triples, the edge-table and coordinate-key oracles fill one
 triangle at a time, point location scans every triangle, and the KKT
 residual assembles its own stiffness matrix.
 """
@@ -104,6 +105,20 @@ def bfs_components(mesh, mask, kind, v=None):
         return [s for s, c in counts.items() if s != t and c >= need]
 
     return _flood(members, adjacent)
+
+
+def filled_boundary_edges(mesh, member_ids, filled_ids):
+    """Number of boundary edges of the member triangles owned by a triangle
+    of `filled_ids`.  An edge of a member is on the boundary when no other
+    member has the same two vertices."""
+    owners = {}
+    for t in member_ids:
+        tri = [int(w) for w in mesh.triangles[t]]
+        for k in range(3):
+            key = frozenset((tri[k], tri[(k + 1) % 3]))
+            owners.setdefault(key, []).append(int(t))
+    filled = {int(t) for t in filled_ids}
+    return sum(len(ts) == 1 and ts[0] in filled for ts in owners.values())
 
 
 def bfs_complement(mesh, mask):

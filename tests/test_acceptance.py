@@ -23,6 +23,7 @@ from quasifrac.solver import SolveOptions
 from quasifrac.trisets import TriangleSet
 from quasifrac.voidmod import VoidModParams, build_boundary_graph, modify_voids
 from conftest import make_mesh
+from _oracles import filled_boundary_edges
 
 REPO = Path(__file__).resolve().parents[1]
 ETA = 0.2
@@ -201,7 +202,7 @@ def voidmod_suite():
     """50 scaled random inputs per resolution, modified at eta = 0.2."""
     t0 = time.time()
     vm = VoidModParams(eta=ETA)
-    results = {}
+    results = {"exposed": []}
     for eps_inv in (16, 32, 64, 128):
         mesh = make_mesh(1.0 / eps_inv)
         rows = []
@@ -211,9 +212,15 @@ def voidmod_suite():
             u = smooth_bounded_field(mesh, rng)
             res = modify_voids(TriangleSet(mesh, ids), u, vm)
             rows.append(res.stats)
+            results["exposed"].append(_exposed(res))
         results[eps_inv] = rows
     results["elapsed"] = time.time() - t0
     return results
+
+
+def _exposed(res):
+    """A_mod boundary edges owned by a filled triangle of one result."""
+    return filled_boundary_edges(res.a_mod.mesh, res.a_mod.ids, res.filled)
 
 
 def _fit_and_check(results, key):
@@ -245,6 +252,7 @@ def nesting_suite(mesh32):
     t0 = time.time()
     vm = VoidModParams(eta=ETA)
     stats = []
+    exposed = []
     failures = 0
     for i in range(200):
         rng = np.random.default_rng(5000 + i)
@@ -260,7 +268,8 @@ def nesting_suite(mesh32):
         if not (r1.a_mod.issubset(r2.a_mod) and r1.t_mod.issubset(r2.t_mod)):
             failures += 1
         stats.extend([r1.stats, r2.stats])
-    return {"failures": failures, "stats": stats,
+        exposed.extend([_exposed(r1), _exposed(r2)])
+    return {"failures": failures, "stats": stats, "exposed": exposed,
             "elapsed": time.time() - t0}
 
 
@@ -272,13 +281,10 @@ def test_criterion_5_monotonicity(nesting_suite):
 
 
 def test_criterion_6_filled_triangles_interior(voidmod_suite, nesting_suite):
-    rows = nesting_suite["stats"]
-    for eps_inv in (16, 32, 64, 128):
-        rows = rows + voidmod_suite[eps_inv]
-    for st in rows:
-        assert st["filled_boundary_length"] == 0.0
-    _report(6, f"filled triangles contribute zero boundary length in all "
-               f"{len(rows)} modified sets of suites 4-5")
+    counts = nesting_suite["exposed"] + voidmod_suite["exposed"]
+    assert sum(counts) == 0
+    _report(6, f"filled triangles own no A_mod boundary edge in all "
+               f"{len(counts)} modified sets of suites 4-5")
 
 
 # ---------------------------------------------------------------------------

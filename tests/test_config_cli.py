@@ -29,7 +29,7 @@ def test_empty_config_is_all_defaults():
     assert cfg["eta"] == "auto"
     assert cfg["output_dir"] == "out"
     # every schema key is materialized
-    assert len(cfg.values) == 28
+    assert len(cfg.values) == 24
 
 
 def test_negative_eps_names_key():
@@ -38,17 +38,19 @@ def test_negative_eps_names_key():
     assert "eps" in str(err.value)
 
 
-@pytest.mark.parametrize("key, rejected, accepted, value", [
-    ("f_profile", "table", "truncated", "truncated"),
-    ("snap", "on", "off", False),
+@pytest.mark.parametrize("keys, error", [
+    (("f_profile", "c1", "c2", "notch"), ParseError),
+    (("snap",), ValidationError),
 ], ids=["f_profile", "snap"])
-def test_table_profile_rejected(key, rejected, accepted, value):
-    # the solver minimizes the truncated density only, and every run uses
-    # the background mesh; either option would silently be ignored
-    with pytest.raises(ValidationError) as err:
-        parse_config(f"{key} = {rejected}\n")
-    assert key in str(err.value)
-    assert parse_config(f"{key} = {accepted}\n")[key] == value
+def test_table_profile_rejected(keys, error):
+    # the model has one density and one domain shape, and the ellipticity
+    # bounds are the elasticity's eigenvalues, so those keys are gone;
+    # every run uses the background mesh, so only snap = off is accepted
+    for key in keys:
+        with pytest.raises(error) as err:
+            parse_config(f"{key} = on\n")
+        assert key in str(err.value)
+    assert parse_config("snap = off\n")["snap"] is False
 
 
 @pytest.mark.parametrize("precrack", [
@@ -94,6 +96,16 @@ def test_crack_config_is_ladder_level():
     assert shipped == ladder
 
 
+@pytest.mark.parametrize("path", sorted((REPO / "configs").glob("*.cfg")),
+                         ids=lambda p: p.name)
+def test_shipped_config_parses(path):
+    cfg = load_config(path)
+    canon = cfg.canonical()
+    again = parse_config(canon)
+    assert again.canonical() == canon
+    assert again.values == cfg.values
+
+
 def test_roundtrip_canonical_golden():
     cfg = load_config(BENCH)
     canon = cfg.canonical()
@@ -113,7 +125,7 @@ def test_builders():
     vm = cfg.voidmod_params()
     assert vm.eta == pytest.approx(0.2)
     mat = cfg.material()
-    assert mat.validate_ellipticity()
+    assert np.array_equal(mat.elasticity, np.eye(3))
 
 
 def _run_cli(args, env=None):
@@ -230,7 +242,15 @@ def test_cli_study_smoke(tmp_path):
     ("theta0 = 1.0", "theta0"),
     # no Dirichlet collar
     ("omega_prime = 0 0 1 1", "omega_prime"),
-], ids=["eps", "load", "theta0", "omega_prime"])
+    # a center is one point
+    ("center = 1 2 3", "center"),
+    ("center = 0.5", "center"),
+    ("seed = -1", "seed"),
+    # the elasticity must be symmetric positive definite
+    ("elasticity = 1 2 0 0 1 0 0 0 1", "elasticity"),
+    ("elasticity = -1 0 0 0 1 0 0 0 1", "elasticity"),
+], ids=["eps", "load", "theta0", "omega_prime", "center3", "center1", "seed",
+        "asymmetric", "indefinite"])
 def test_cli_rejects_bad_config(tmp_path, line, key):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"{line}\noutput_dir = {tmp_path / 'out'}\n")

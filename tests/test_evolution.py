@@ -37,15 +37,6 @@ def test_load_program_presets():
     assert e[2] == pytest.approx(math.sqrt(2.0) * 0.5)
 
 
-def test_load_program_tabulated():
-    table = [(0.5, [[0, 0], [0, 1.0]]), (1.0, [[0, 0], [0, 3.0]])]
-    load = LoadProgram(kind="tabulated", table=table, t_end=1.0, n_steps=2)
-    pts = np.array([[0.0, 1.0]])
-    assert np.allclose(load.eval(0.5, pts), [[0.0, 1.0]])
-    assert np.allclose(load.eval(0.75, pts), [[0.0, 2.0]])
-    assert np.allclose(load.dt_matrix(0.75), [[0, 0], [0, 4.0]])
-
-
 def test_zero_load_trace():
     params = MeshParams(theta0=math.pi / 4, eps=1 / 16)
     load = LoadProgram(kind="stretch", amplitude=0.0, n_steps=3)

@@ -161,6 +161,14 @@ def test_mesh_json_roundtrip(tmp_path, mesh16):
     assert check_admissible(back).ok
 
 
+def test_mesh_file_with_notch_rejected(mesh16):
+    # the notch is gone from the model: refuse it rather than drop it
+    data = mesh16.to_dict()
+    data["domain"]["notch"] = [[0.4, 0.4], [0.6, 0.4], [0.5, 0.6]]
+    with pytest.raises(ValueError, match="notch"):
+        Triangulation.from_dict(data)
+
+
 def test_field_shape_mismatch(mesh16):
     with pytest.raises(Exception):
         DisplacementField(mesh16, np.zeros((3, 2)))
