@@ -1,9 +1,11 @@
 """Hot numeric kernels in numpy.
 
-Array kernels (strain matrices, triangle-rectangle clipped areas and the
+Array kernels (strain matrices, triangle-rectangle clipped areas and a
 Jacobi-preconditioned conjugate gradient) take whole triangle or dof
 arrays; the scalar geometry helpers work on single points, segments and
-triangles.
+triangles.  The solver factors every elastic system directly, so the
+conjugate gradient serves only as an independent minimizer in tests and
+as a target of the benchmark's span tracer.
 """
 
 import numpy as np
@@ -223,8 +225,10 @@ def cg_deflated(indptr, indices, data, x, free, inv_diag, rel_tol, max_iter):
 
     K is given in CSR form and `free` is a 0/1 float mask; the iteration is
     Jacobi-preconditioned CG.  Returns (x, iterations, relative_residual).
-    Strictly serial so results do not depend on thread count.  The name
-    outlived its deflation space; qfbench's tracer wraps it by this name.
+    Strictly serial so results do not depend on thread count.  No program
+    path calls it: tests use it as an oracle for the unconstrained
+    minimum, and qfbench's tracer wraps it by this name, which outlived
+    its deflation space.
     """
     nrow = len(indptr) - 1
     rows = np.repeat(np.arange(nrow), np.diff(indptr))

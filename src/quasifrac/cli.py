@@ -28,6 +28,17 @@ def _load_ids(path) -> np.ndarray:
     return np.asarray([int(t) for t in toks], dtype=np.int64)
 
 
+def _positive_float(text) -> float:
+    """argparse type of a number greater than zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def cmd_simulate(args) -> int:
     try:
         cfg = load_config(args.config)
@@ -158,7 +169,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("energy", help="evaluate the truncated energy")
     p.add_argument("--mesh", required=True)
     p.add_argument("--field", required=True)
-    p.add_argument("--kappa", type=float, default=1.0)
+    p.add_argument("--kappa", type=_positive_float, default=1.0)
     p.set_defaults(func=cmd_energy)
 
     args = parser.parse_args(argv)

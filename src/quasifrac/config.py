@@ -50,9 +50,7 @@ _SCHEMA = [
     ("t_end", ("float", None, 1.0)),
     ("n_steps", ("int", None, 10)),
     ("eta", ("eta", None, "auto")),
-    ("cg_rel_tol", ("float", None, 1.0e-10)),
     ("max_outer", ("int", None, 200)),
-    ("max_cg", ("int", None, 0)),
     ("multi_starts", ("int", None, 3)),
     ("seed", ("int", None, 0)),
     ("snap", ("flag", None, False)),
@@ -148,8 +146,6 @@ class RunConfig:
                 "background mesh")
         if v["eta"] != "auto" and not (0.0 < v["eta"] <= 0.5):
             raise ValidationError("eta", "must be 'auto' or in (0, 0.5]")
-        if v["cg_rel_tol"] <= 0.0:
-            raise ValidationError("cg_rel_tol", "must be positive")
         if v["multi_starts"] < 1 or v["max_outer"] < 1:
             raise ValidationError("multi_starts", "iteration counts must be >= 1")
         if v["seed"] < 0:
@@ -215,8 +211,7 @@ class RunConfig:
 
     def solve_options(self) -> SolveOptions:
         v = self.values
-        return SolveOptions(cg_rel_tol=v["cg_rel_tol"], max_outer=v["max_outer"],
-                            max_cg=v["max_cg"], seed=v["seed"],
+        return SolveOptions(max_outer=v["max_outer"], seed=v["seed"],
                             multi_starts=v["multi_starts"])
 
     def precrack_ids(self, mesh: Triangulation) -> np.ndarray:

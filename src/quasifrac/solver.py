@@ -1,36 +1,36 @@
 """Minimization of the history-dependent energy on a fixed mesh.
 
 The inner subproblem (crack set frozen) is a linear elastic solve with
-collar nodes pinned to the boundary program.  Systems with at most
-`DIRECT_THRESHOLD` free dofs (3000) run through a serial
-Jacobi-preconditioned conjugate-gradient kernel, larger ones through a
-sequential sparse LU factorization; both are serial, so results are
-independent of thread count.  A direct solve that repeats the reduced
-system of the previous solve on the same mesh keeps its factor on the
-mesh (`Triangulation.factor_slot`) and reuses it while the system
-repeats; any other system drops it first, so at most one factor is kept.
-Edge-connected pieces of the active region that carry no pinned node are
-gauged by anchoring one node and one tangential dof, which removes each
-piece's rigid motions without coupling pieces that only touch at a
-vertex.  The outer loop alternates solve / reclassify until the cracked
-set stabilizes; multi-starts guard against the nonconvexity of the
-truncated density.  Within one step the later starts often replay an
-earlier trajectory, so every solve of the step goes through a memo
-(`_FrozenSolves`, freed when the step returns).  Its key is the frozen
-crack set plus the initial-vector values the solve copies instead of
-computing: on the direct path the few free dofs of nodes in no weighted
-triangle, on the CG path every unpinned, ungauged dof (the warm start).
-A hit is therefore bitwise the field a new solve would give, and each
-distinct system is solved once per step.
+collar nodes pinned to the boundary program.  The zero-energy motions
+left after pinning (pieces of the active region that float, or hinge on
+a single node) are fixed by `_gauge_pins`, which holds exactly as many
+dofs as there are such motions at their initial values, so every reduced
+system is symmetric positive definite.  Each one is factored the same
+way, by `_factor`: SuperLU in symmetric mode, sequential, so results are
+independent of thread count.  A solve that repeats the reduced system of
+the previous solve on the same mesh keeps its factor on the mesh
+(`Triangulation.factor_slot`) and reuses it while the system repeats; any
+other system drops it first, so at most one factor is kept.  The outer
+loop alternates solve / reclassify until the cracked set stabilizes;
+multi-starts guard against the nonconvexity of the truncated density.
+Within one step the later starts often replay an earlier trajectory, so
+every solve of the step goes through a memo (`_FrozenSolves`, freed when
+the step returns).  Its key is the frozen crack set plus the
+initial-vector values the solve copies instead of computing: the free
+dofs of nodes in no weighted triangle and the gauge dofs.  A hit is
+therefore bitwise the field a new solve would give, and each distinct
+system is solved once per step.
 """
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from ._kernels import cg_deflated
 from .energy import (
     MaterialModel,
     EnergyReport,
@@ -42,11 +42,8 @@ from .energy import (
     _history_ids,
 )
 from .mesh import DisplacementField, MeshParams, Triangulation
-from .trisets import TriangleSet, edge_components
-
-
-# free dofs above which the sparse LU replaces CG
-DIRECT_THRESHOLD = 3000
+from .trisets import (TriangleSet, _edge_graph, _split_by_label,
+                      component_labels)
 
 
 class SolverError(Exception):
@@ -57,21 +54,13 @@ class SingularSystem(SolverError):
     pass
 
 
-class NonConvergence(SolverError):
-    pass
-
-
 @dataclass
 class SolveOptions:
-    cg_rel_tol: float = 1e-10
     max_outer: int = 200
-    max_cg: int = 0          # 0 means 10 * n_nodes
     seed: int = 0
     multi_starts: int = 8    # deterministic starts plus random crack seeds
 
     def __post_init__(self):
-        if self.cg_rel_tol <= 0.0:
-            raise ValueError("cg_rel_tol must be positive")
         if self.max_outer < 1 or self.multi_starts < 1:
             raise ValueError("iteration counts must be >= 1")
 
@@ -110,52 +99,152 @@ def assemble_stiffness(mesh: Triangulation, active_ids, material: MaterialModel)
 
 
 def _gauge_pins(mesh: Triangulation, asm_ids, pinned_node_mask):
-    """Extra pinned dofs anchoring rigid motions of floating pieces.
+    """Sorted dofs that fix the zero-energy motions of the assembled
+    triangles (sorted ids `asm_ids`), one dof per motion.
 
-    Pieces are edge-connected components of the assembled triangles; a
-    piece without a collar-pinned node gets its lowest node fully anchored
-    and a second node anchored orthogonally to their joining direction.
+    With C positive definite, a field of zero energy moves each
+    edge-connected piece of the assembled triangles rigidly, by (tx, ty, w).
+    It vanishes at pinned nodes, and pieces sharing a node agree there.  A
+    piece with two fixed nodes (pinned, or in a piece already held) cannot
+    move and drops out.  The other pieces fall into groups joined through
+    shared nodes that are not fixed; groups move independently, and the
+    motions of one group are the null space of a small dense system (see
+    _group_gauge).
     """
-    ids = np.unique(np.asarray(asm_ids, dtype=np.int64))
-    extra = []
-    tol = mesh.params.point_tol
-    for tris in edge_components(mesh, ids):
-        nodes = mesh.triangles[tris]
-        if pinned_node_mask[nodes].any():
-            continue
-        nodes = np.unique(nodes)
-        a = int(nodes[0])
-        extra.extend([2 * a, 2 * a + 1])
-        b = None
-        for cand in nodes[1:]:
-            if np.linalg.norm(mesh.nodes[cand] - mesh.nodes[a]) > tol:
-                b = int(cand)
-                break
-        if b is None:
-            raise SingularSystem("floating piece has no second anchor node")
-        d = mesh.nodes[b] - mesh.nodes[a]
-        extra.append(2 * b + 1 if abs(d[0]) >= abs(d[1]) else 2 * b)
-    return extra
+    ids = np.asarray(asm_ids, dtype=np.int64)
+    nn = mesh.n_nodes
+    _, pairs = _edge_graph(mesh, ids)
+    piece = component_labels(len(ids), pairs)
+    code = np.unique(np.repeat(piece, 3) * nn + mesh.triangles[ids].ravel())
+    p, v = np.divmod(code, nn)  # (piece, node) incidences
+    fixed = pinned_node_mask.copy()
+    while True:
+        held = np.bincount(p, weights=fixed[v], minlength=len(ids)) >= 2
+        grow = held[p] & ~fixed[v]
+        if not grow.any():
+            break
+        fixed[v[grow]] = True
+    p, v = p[~held[p]], v[~held[p]]
+    pieces, q = np.unique(p, return_inverse=True)
+    link = ~fixed[v]
+    group = component_labels(len(pieces) + nn, np.column_stack(
+        [q[link], len(pieces) + v[link]]))[q]
+    chosen = [_group_gauge(mesh, q[inc], v[inc], fixed)
+              for inc in _split_by_label(np.arange(len(q)), group)]
+    return np.sort(np.concatenate(chosen)) if chosen else \
+        np.empty(0, dtype=np.int64)
+
+
+def _group_gauge(mesh: Triangulation, q, v, fixed):
+    """Gauge dofs of one group of moving pieces, given as (piece, node)
+    incidences.
+
+    The rigid motions of the pieces that vanish at fixed nodes and agree at
+    shared ones are the null space of the stacked constraints.  The dofs
+    are chosen greedily, each the dof on which the null-space basis is
+    largest once the dofs chosen before are projected out, so the basis
+    restricted to them is invertible and fixing them leaves no zero-energy
+    motion.
+    """
+    pieces, q = np.unique(q, return_inverse=True)
+    n_cols = 3 * len(pieces)
+    # the motion of piece q at node v, rotating about the piece's node mean
+    # and scaled by its extent, so every column is of order one
+    xy = mesh.nodes[v]
+    centre = np.column_stack([np.bincount(q, weights=xy[:, 0]),
+                              np.bincount(q, weights=xy[:, 1])])
+    rel = xy - centre[q] / np.bincount(q)[q][:, None]
+    extent = np.zeros(len(pieces))
+    np.maximum.at(extent, q, np.abs(rel).max(axis=1))
+    rel /= extent[q][:, None]
+    motion = np.zeros((len(v), 2, n_cols))
+    at = np.arange(len(v))
+    motion[at, 0, 3 * q] = 1.0
+    motion[at, 1, 3 * q + 1] = 1.0
+    motion[at, 0, 3 * q + 2] = -rel[:, 1]
+    motion[at, 1, 3 * q + 2] = rel[:, 0]
+    # constraints: no motion at fixed nodes, agreement at shared nodes
+    by_node = np.lexsort((q, v))
+    same = v[by_node[1:]] == v[by_node[:-1]]
+    a = np.concatenate([motion[fixed[v]],
+                        motion[by_node[1:][same]] - motion[by_node[:-1][same]]])
+    a = a.reshape(-1, n_cols)
+    lam, vec = np.linalg.eigh(a.T @ a)
+    basis = vec[:, lam <= 1e-10 * max(float(lam[-1]), 1.0)]
+    # nodal motions of the basis at the group's unfixed nodes, by dof
+    lead = by_node[np.concatenate([[True], ~same])]
+    lead = lead[~fixed[v[lead]]]
+    dofs = (2 * v[lead][:, None] + np.arange(2)).ravel()
+    r = (motion[lead] @ basis).reshape(len(dofs), -1)
+    chosen = []
+    for _ in range(basis.shape[1]):
+        r2 = (r * r).sum(axis=1)
+        # the lowest dof among the (numerically) largest rows
+        i = int(np.flatnonzero(r2 >= (1.0 - 1e-9) * r2.max())[0])
+        chosen.append(dofs[i])
+        d = r[i] / np.sqrt(r2[i])
+        r = r - np.outer(r @ d, d)
+    return np.asarray(chosen, dtype=np.int64)
+
+
+_superlu_module = None  # loaded once per process, like an import
+
+
+def _superlu():
+    """SuperLU's extension module, loaded alone from SciPy's sparse-solver
+    directory on the first factorization: importing `scipy.sparse.linalg`
+    would load all of that package for one function."""
+    global _superlu_module
+    if _superlu_module is None:
+        path = [os.path.join(os.path.dirname(sp.__file__), "linalg",
+                             "_dsolve")]
+        spec = importlib.machinery.PathFinder.find_spec("_superlu", path)
+        if spec is None:
+            raise ImportError(
+                f"SciPy's _superlu extension not found in {path[0]}")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        _superlu_module = module
+    return _superlu_module
+
+
+_FACTOR_OPTIONS = {"ColPerm": "MMD_AT_PLUS_A", "DiagPivotThresh": 0.0,
+                   "SymmetricMode": True}
+
+
+def _factor(kff: sp.csc_matrix):
+    """Sparse LU factor of a symmetric positive definite CSC matrix: SuperLU
+    with a symmetric ordering and pivots on the diagonal, as
+    `scipy.sparse.linalg.splu(kff, permc_spec="MMD_AT_PLUS_A",
+    diag_pivot_thresh=0.0, options={"SymmetricMode": True})` computes it.
+    Raises SingularSystem when a pivot is exactly zero."""
+    try:
+        return _superlu().gstrf(kff.shape[0], kff.nnz, kff.data,
+                                np.asarray(kff.indices, dtype=np.intc),
+                                np.asarray(kff.indptr, dtype=np.intc),
+                                csc_construct_func=sp.csc_array,
+                                options=_FACTOR_OPTIONS, ilu=False)
+    except RuntimeError as exc:
+        raise SingularSystem(f"reduced stiffness matrix: {exc}") from None
 
 
 @dataclass
 class _DirectSystem:
-    """Reduced system of a direct solve: stiffness matrix, free dofs, gauge
-    dofs, the dofs copied from the initial vector and the LU factor of the
-    free-free block."""
+    """Reduced system of a solve: stiffness matrix, free dofs, the dofs
+    copied from the initial vector and the LU factor of the free-free
+    block."""
 
     k: sp.csr_matrix
     free_idx: np.ndarray
-    gauge: list
     copied: np.ndarray
     lu: object
 
 
 def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
-                  material: MaterialModel, opts: SolveOptions,
+                  material: MaterialModel,
                   x0: Optional[np.ndarray] = None,
                   extra_pinned_nodes=None) -> DisplacementField:
-    """Unique minimizer of the active elastic energy with collar pinned to bc.
+    """Minimizer of the active elastic energy with collar pinned to bc.
 
     `active` is a TriangleSet or id array of triangles whose energy counts;
     collar triangles are pinned through their nodes regardless, and
@@ -163,21 +252,21 @@ def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
     weights are the areas inside the body rectangle, so the partially
     weighted fringe along its boundary is softer than the interior and the
     minimizer of an affine load is affine only once that fringe is pinned
-    too.  Floating pieces are gauged (see _gauge_pins).  Raises
-    NonConvergence when CG exhausts its budget.
+    too.  Zero-energy motions are gauged (see _gauge_pins), which makes the
+    minimizer unique.  Raises SingularSystem when the reduced system cannot
+    be factored or its solve leaves a large residual.
 
     The result depends on the initial vector (x0, or bc where x0 is None)
-    only through the dofs listed in its `_copied` attribute: on the direct
-    path the unpinned, ungauged dofs of nodes in no weighted triangle,
-    which keep their initial values; on the CG path every unpinned,
-    ungauged dof, because the initial vector is the warm start.
+    only through the dofs listed in its `_copied` attribute, which keep
+    their initial values: the unpinned dofs of nodes in no weighted
+    triangle, and the gauge dofs.
 
     The reduced system is fixed by the elasticity, the weighted active ids
-    and the pinned nodes.  When a direct solve repeats the system of the
-    previous solve on the same mesh, the mesh keeps that system's factor
-    and later repeats only build the right-hand side and back-substitute.
-    Any other system drops the kept factor before it is assembled, so at
-    most one factor exists while another is built.
+    and the pinned nodes.  When a solve repeats the system of the previous
+    solve on the same mesh, the mesh keeps that system's factor and later
+    repeats only build the right-hand side and back-substitute.  Any other
+    system drops the kept factor before it is assembled, so at most one
+    factor exists while another is built.
     """
     active_ids = active.ids if isinstance(active, TriangleSet) else \
         np.asarray(sorted(active), dtype=np.int64)
@@ -208,48 +297,26 @@ def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
     mesh.factor_slot = (key, None)
 
     k, asm_ids = assemble_stiffness(mesh, active_ids, material)
-    free = np.ones(n)
-    free[0::2] = np.where(pinned_nodes, 0.0, 1.0)
-    free[1::2] = np.where(pinned_nodes, 0.0, 1.0)
+    unpinned = np.repeat(~pinned_nodes, 2)
+    # nodes outside every weighted triangle stay put
+    touched = k.diagonal() > 0.0
+    free = unpinned & touched
     gauge = _gauge_pins(mesh, asm_ids, pinned_nodes)
-    for d in gauge:
-        free[d] = 0.0
-        x[d] = 0.0
-    unknown = free > 0.0
-
-    diag = np.asarray(k.diagonal())
-    touched = diag > 0.0
-    free[~touched] = 0.0  # nodes outside every weighted triangle stay put
-
-    free_idx = np.where(free > 0.0)[0]
-    if len(free_idx) > DIRECT_THRESHOLD:
-        # sequential sparse LU: deterministic and much faster than Jacobi
-        # CG on fine meshes
-        kff = k[free_idx, :][:, free_idx].tocsc()
-        system = _DirectSystem(k, free_idx, gauge,
-                               np.flatnonzero(unknown & ~touched),
-                               sp.linalg.splu(kff))
-        del kff
-        if repeat:
-            mesh.factor_slot = (key, system)
-        return _direct_solve(mesh, system, x)
-
-    inv_diag = np.where(touched, 1.0 / np.where(touched, diag, 1.0), 1.0)
-    max_cg = opts.max_cg if opts.max_cg > 0 else 10 * mesh.n_nodes
-    x, iters, relres = cg_deflated(k.indptr, k.indices, k.data, x, free,
-                                   inv_diag, opts.cg_rel_tol, max_cg)
-    if relres > opts.cg_rel_tol and iters >= max_cg:
-        raise NonConvergence(
-            f"CG stalled at relative residual {relres:.3e} after {iters} steps")
-    out = DisplacementField(mesh, np.column_stack([x[0::2], x[1::2]]))
-    out._copied = np.flatnonzero(unknown)
-    return out
+    free[gauge] = False
+    free_idx = np.flatnonzero(free)
+    kff = k[free_idx, :][:, free_idx].tocsc()
+    system = _DirectSystem(k, free_idx,
+                           np.union1d(np.flatnonzero(unpinned & ~touched), gauge),
+                           _factor(kff))
+    del kff
+    if repeat:
+        mesh.factor_slot = (key, system)
+    return _direct_solve(mesh, system, x)
 
 
 def _direct_solve(mesh, system: _DirectSystem, x) -> DisplacementField:
     """Solve the reduced system for the free dofs of x, whose other dofs
-    hold their pinned values; the gauge dofs are set to zero."""
-    x[system.gauge] = 0.0
+    hold their pinned or copied values."""
     free_idx = system.free_idx
     x_pin = x.copy()
     x_pin[free_idx] = 0.0
@@ -259,7 +326,7 @@ def _direct_solve(mesh, system: _DirectSystem, x) -> DisplacementField:
     res = float(np.linalg.norm((system.k @ x)[free_idx]))
     ref = float(np.linalg.norm(rhs)) or 1.0
     if res > 1e-6 * ref:
-        raise NonConvergence(
+        raise SingularSystem(
             f"direct solve residual {res / ref:.3e} too large")
     out = DisplacementField(mesh, np.column_stack([x[0::2], x[1::2]]))
     out._copied = system.copied
@@ -279,11 +346,17 @@ def _evaluate(mesh, u, strains, hist_ids, material, params):
     return u, _energy_of_density(mesh, sq, s.ids, material, params), s
 
 
-def _rank(cand):
-    """Sort key of a candidate: energy, cracked area, then the bytes of
-    its nodal values."""
-    u, rep, _ = cand
-    return rep.total, rep.cracked_area, u.values.tobytes()
+def _better(cand, other) -> bool:
+    """Whether candidate `cand` ranks before `other`: lower energy, then
+    smaller cracked area, then the first nodal value where the fields
+    differ is smaller."""
+    key, other_key = (cand[1].total, cand[1].cracked_area), \
+        (other[1].total, other[1].cracked_area)
+    if key != other_key:
+        return key < other_key
+    a, b = cand[0].values.ravel(), other[0].values.ravel()
+    differ = np.flatnonzero(a != b)
+    return bool(len(differ)) and bool(a[differ[0]] < b[differ[0]])
 
 
 class _FrozenSolves:
@@ -299,13 +372,12 @@ class _FrozenSolves:
     give; any other lookup solves.
     """
 
-    def __init__(self, mesh, bc, hist_ids, material, params, opts):
+    def __init__(self, mesh, bc, hist_ids, material, params):
         self.mesh = mesh
         self.bc = bc
         self.hist_ids = hist_ids
         self.material = material
         self.params = params
-        self.opts = opts
         self._memo = {}  # set key -> (copied dofs, their bytes, candidate)
 
     def candidate(self, s_ids, x0):
@@ -321,7 +393,7 @@ class _FrozenSolves:
         frozen = np.zeros(self.mesh.n_triangles, dtype=bool)
         frozen[np.asarray(s_ids, dtype=np.int64)] = True
         u = solve_elastic(self.mesh, np.flatnonzero(~frozen), self.bc,
-                          self.material, self.opts, x0=x0)
+                          self.material, x0=x0)
         strains = u.strains()
         cand = _evaluate(self.mesh, u, strains, self.hist_ids, self.material,
                          self.params)
@@ -352,9 +424,8 @@ def minimize_step(mesh: Triangulation, history, bc: DisplacementField,
     best iterate is returned with its crack set as `cracked_now` (history
     included); its energy is the history energy under that optimal crack
     set.  Best means lowest energy, then smallest cracked area, then the
-    smallest `u.values.tobytes()`: ties are broken on the little-endian
-    bytes of the nodal doubles, not on their values, so 1.0 sorts after
-    2.0 and -0.0 after 0.0.
+    nodal values compared in order by value (see _better), so -0.0 and
+    0.0 tie.
 
     Every solve of the call goes through one memo (_FrozenSolves), keyed
     by the frozen crack set and the initial-vector values the solve
@@ -366,7 +437,7 @@ def minimize_step(mesh: Triangulation, history, bc: DisplacementField,
     hist_ids = _history_ids(mesh, history)
     rng = np.random.default_rng(opts.seed)
     crackable = np.setdiff1d(np.where(~mesh.collar_mask)[0], hist_ids)
-    solves = _FrozenSolves(mesh, bc, hist_ids, material, params, opts)
+    solves = _FrozenSolves(mesh, bc, hist_ids, material, params)
     x_init = prev_u.values.ravel().copy() if prev_u is not None else None
 
     # pure elastic solve: a candidate in itself and the seed of the ladder
@@ -381,7 +452,7 @@ def minimize_step(mesh: Triangulation, history, bc: DisplacementField,
     if shift_field is not None:
         sc = _evaluate(mesh, shift_field, shift_field.strains(), hist_ids,
                        material, params)
-        if _rank(sc) < _rank(best):
+        if _better(sc, best):
             best = sc
             best_converged = False
         starts.append(sc[2].ids)
@@ -415,7 +486,7 @@ def minimize_step(mesh: Triangulation, history, bc: DisplacementField,
             x_warm = u.values.ravel().copy()
             s_new = s.ids
             traj.append(rep.total)
-            if local_best is None or _rank(cand) < _rank(local_best):
+            if local_best is None or _better(cand, local_best):
                 local_best = cand
             if np.array_equal(s_new, s_ids):
                 converged = True
@@ -425,7 +496,7 @@ def minimize_step(mesh: Triangulation, history, bc: DisplacementField,
                 break  # cycling: keep the best iterate seen so far
             seen.add(key)
             s_ids = s_new
-        if local_best is not None and _rank(local_best) < _rank(best):
+        if local_best is not None and _better(local_best, best):
             best = local_best
             best_hist = traj
             best_iters = iters

@@ -24,7 +24,7 @@ from quasifrac.solver import assemble_stiffness, solve_elastic
 from quasifrac.trisets import TriangleSet
 
 
-def exhaustive_minimum(mesh, bc, hist_ids, material, params, opts):
+def exhaustive_minimum(mesh, bc, hist_ids, material, params):
     """Minimum history energy over all crack patterns.
 
     Every subset S of triangles is frozen, the elastic complement solved,
@@ -47,7 +47,7 @@ def exhaustive_minimum(mesh, bc, hist_ids, material, params, opts):
     for bits in range(2 ** m):
         s = np.array([i for i in range(m) if bits >> i & 1], dtype=np.int64)
         active = np.setdiff1d(every, np.union1d(s, hist_ids))
-        v = solve_elastic(mesh, active, bc, material, opts)
+        v = solve_elastic(mesh, active, bc, material)
         strains = v.strains()
         sq = np.einsum("mi,ij,mj->m", strains, material.elasticity, strains)
         elastic = w_omega * sq

@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
+from quasifrac import solver
 from quasifrac.mesh import Domain, MeshParams, build_background_mesh
 
 
@@ -29,13 +29,13 @@ def mesh32():
 def counted_splu(monkeypatch):
     """List that gains one entry per sparse LU factorization."""
     calls = []
-    splu = scipy.sparse.linalg.splu
+    factor = solver._factor
 
-    def counting(*args, **kwargs):
+    def counting(kff):
         calls.append(1)
-        return splu(*args, **kwargs)
+        return factor(kff)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+    monkeypatch.setattr(solver, "_factor", counting)
     return calls
 
 

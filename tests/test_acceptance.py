@@ -333,7 +333,7 @@ def test_criterion_7_solver_oracle():
             hist.add_step(TriangleSet(mesh, hist_ids))
         res = minimize_step(mesh, hist, bc, MaterialModel(), params, opts)
         e_oracle = exhaustive_minimum(mesh, bc, hist_ids, MaterialModel(),
-                                      params, opts)
+                                      params)
         worst = max(worst, abs(res.energy.total - e_oracle))
         assert res.energy.total <= e_oracle + 1e-9
     elapsed = time.time() - t0

@@ -29,7 +29,7 @@ def test_empty_config_is_all_defaults():
     assert cfg["eta"] == "auto"
     assert cfg["output_dir"] == "out"
     # every schema key is materialized
-    assert len(cfg.values) == 24
+    assert len(cfg.values) == 22
 
 
 def test_negative_eps_names_key():
@@ -39,13 +39,14 @@ def test_negative_eps_names_key():
 
 
 @pytest.mark.parametrize("keys, error", [
-    (("f_profile", "c1", "c2", "notch"), ParseError),
+    (("f_profile", "c1", "c2", "notch", "cg_rel_tol", "max_cg"), ParseError),
     (("snap",), ValidationError),
 ], ids=["f_profile", "snap"])
 def test_table_profile_rejected(keys, error):
-    # the model has one density and one domain shape, and the ellipticity
-    # bounds are the elasticity's eigenvalues, so those keys are gone;
-    # every run uses the background mesh, so only snap = off is accepted
+    # the model has one density and one domain shape, the ellipticity
+    # bounds are the elasticity's eigenvalues and every solve is direct, so
+    # those keys are gone; every run uses the background mesh, so only
+    # snap = off is accepted
     for key in keys:
         with pytest.raises(error) as err:
             parse_config(f"{key} = on\n")
@@ -258,3 +259,17 @@ def test_cli_rejects_bad_config(tmp_path, line, key):
     assert res.returncode == 2
     assert res.stderr.startswith("config error: ")
     assert f"{key}: " in res.stderr
+
+
+@pytest.mark.parametrize("kappa", ["-1", "0"])
+def test_cli_energy_rejects_nonpositive_kappa(tmp_path, mesh16, kappa):
+    # a usage error naming the option, not a traceback
+    mesh_path = tmp_path / "m.json"
+    mesh16.save(mesh_path)
+    field_path = tmp_path / "u.json"
+    field_path.write_text(json.dumps({"values": [[0.0, 0.0]] * mesh16.n_nodes}))
+    res = _run_cli(["energy", "--mesh", str(mesh_path),
+                    "--field", str(field_path), "--kappa", kappa])
+    assert res.returncode == 2
+    assert "--kappa" in res.stderr
+    assert "Traceback" not in res.stderr

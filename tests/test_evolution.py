@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -148,8 +151,8 @@ def test_crack64_solves_each_system_once_per_step(monkeypatch, counted_splu):
         steps.append([])
         return real_step(*args, **kwargs)
 
-    def solve(mesh, active, bc, material, opts, x0=None, **kwargs):
-        u = real_solve(mesh, active, bc, material, opts, x0=x0, **kwargs)
+    def solve(mesh, active, bc, material, x0=None, **kwargs):
+        u = real_solve(mesh, active, bc, material, x0=x0, **kwargs)
         x_init = bc.values.ravel() if x0 is None else x0
         steps[-1].append((np.asarray(active).tobytes(),
                           x_init[u._copied].tobytes()))
@@ -163,3 +166,25 @@ def test_crack64_solves_each_system_once_per_step(monkeypatch, counted_splu):
     assert max(map(len, steps)) < 56
     assert sum(map(len, steps)) < 124
     assert 0 < len(counted_splu) <= 53
+
+
+def test_crack32_run_loads_no_sparse_linalg():
+    # the solver loads SciPy's SuperLU extension alone; importing all of
+    # scipy.sparse.linalg would cost the run about 8 MiB
+    repo = Path(__file__).resolve().parents[1]
+    code = ("import sys\n"
+            "from quasifrac.config import load_config\n"
+            "from quasifrac.runner import run_from_config\n"
+            "cfg = load_config(sys.argv[1])\n"
+            "assert cfg['eps'] == 1 / 32 and cfg['precrack']\n"
+            "assert not run_from_config(cfg).aborted\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith('scipy.sparse.linalg')))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", code,
+                          str(repo / "configs" / "crack.cfg")],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
