@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -131,6 +131,31 @@ class ValidationReport:
             return "admissible"
         lines = [f"{k} {ids} {d}".rstrip() for k, ids, d in self.violations]
         return "\n".join(lines)
+
+
+class StiffnessPattern(NamedTuple):
+    """Entries of the stiffness matrix that the triangles of positive weight
+    can touch, over the 2 n_nodes dofs (dof 2v+c is component c of node v),
+    in the canonical CSR order: rows ascending, columns sorted within a
+    row.  The pattern is symmetric, so `indptr` and `indices` are also its
+    CSC column pointers and row indices.  Index arrays are int32.
+
+    slot:      (m,) row of each triangle in `scatter`, -1 for zero weight
+    scatter:   (w, 36) pattern position of each entry of a triangle's 6x6
+               element block, in its dof order (u0x, u0y, u1x, ..., u2y)
+    indptr:    (2 n_nodes + 1,) row pointers
+    indices:   (nnz,) column of each entry
+    rows:      (nnz,) row of each entry
+    csc_order: (nnz,) position of the entry (j, i) for the entry (i, j) at
+               each position, so data[csc_order] lists the values by column
+    """
+
+    slot: np.ndarray
+    scatter: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    rows: np.ndarray
+    csc_order: np.ndarray
 
 
 class Triangulation:
@@ -281,6 +306,48 @@ class Triangulation:
         """|T `intersect` omega| per triangle."""
         x0, y0, x1, y1 = self.domain.omega
         return clip_areas_rect(self.nodes, self.triangles, x0, y0, x1, y1)
+
+    @cached_property
+    def stiffness_pattern(self):
+        """Sparsity pattern of the stiffness matrix summed over every
+        triangle of positive weight |T n omega| (see StiffnessPattern)."""
+        weighted = np.flatnonzero(self.area_in_omega > 0.0)
+        nn = self.n_nodes
+        tris = self.triangles[weighted]
+        # the node pairs (a, b) of each triangle, each distinct pair once
+        pairs, pair_of = np.unique(
+            (tris[:, :, None] * nn + tris[:, None, :]).ravel(),
+            return_inverse=True)
+        a, b = np.divmod(pairs, nn)
+        deg = np.bincount(a, minlength=nn)
+        # dof rows 2a and 2a+1 each hold 2b and 2b+1 for every pair (a, b):
+        # entry (2a+s, 2b+t) of pair k sits at 2k + 2 first[a] + s*2deg[a] + t
+        first = np.cumsum(deg) - deg
+        base = (2 * np.arange(len(pairs)) + 2 * first[a]).astype(np.int32)
+        width = (2 * deg[a]).astype(np.int32)
+        s = np.arange(2, dtype=np.int32)[:, None]
+        t = np.arange(2, dtype=np.int32)
+        at = base[:, None, None] + width[:, None, None] * s + t
+        nnz = 4 * len(pairs)
+        indices = np.empty(nnz, dtype=np.int32)
+        indices[at] = (2 * b)[:, None, None] + t
+        indptr = np.zeros(2 * nn + 1, dtype=np.int32)
+        np.cumsum(np.repeat(2 * deg, 2), out=indptr[1:])
+        rows = np.repeat(np.arange(2 * nn, dtype=np.int32), np.diff(indptr))
+        k = pair_of.reshape(-1, 3, 1, 3, 1)
+        scatter = (base[k] + width[k] * s[:, :, None] + t).reshape(-1, 6, 6)
+        csc_order = np.empty(nnz, dtype=np.int32)
+        csc_order[scatter] = scatter.transpose(0, 2, 1)
+        slot = np.full(self.n_triangles, -1, dtype=np.int32)
+        slot[weighted] = np.arange(len(weighted))
+        return StiffnessPattern(slot, scatter.reshape(-1, 36), indptr, indices,
+                                rows, csc_order)
+
+    @cached_property
+    def tri_bbox(self):
+        """(m,4) bounding box [xmin, ymin, xmax, ymax] of each triangle."""
+        p = self.nodes[self.triangles]
+        return np.concatenate([p.min(axis=1), p.max(axis=1)], axis=1)
 
     @cached_property
     def area_in_omega_prime(self):

@@ -5,10 +5,14 @@ collar nodes pinned to the boundary program.  The zero-energy motions
 left after pinning (pieces of the active region that float, or hinge on
 a single node) are fixed by `_gauge_pins`, which holds exactly as many
 dofs as there are such motions at their initial values, so every reduced
-system is symmetric positive definite.  Each one is factored the same
-way, by `_factor`: SuperLU in symmetric mode, sequential, so results are
-independent of thread count.  A solve that repeats the reduced system of
-the previous solve on the same mesh keeps its factor on the mesh
+system is symmetric positive definite.  The path uses numpy alone: each
+system is summed onto the mesh's cached stiffness pattern
+(`assemble_stiffness`), its free-free block is cut out column by column
+(`CSRMatrix.csc_block`), and every such block is factored the same way,
+by `_factor`: SuperLU in symmetric mode, sequential, so results are
+independent of thread count.  SuperLU's extension is loaded alone, and no
+part of `scipy.sparse` is imported.  A solve that repeats the reduced
+system of the previous solve on the same mesh keeps its factor on the mesh
 (`Triangulation.factor_slot`) and reuses it while the system repeats; any
 other system drops it first, so at most one factor is kept.  The outer
 loop alternates solve / reclassify until the cracked set stabilizes;
@@ -26,10 +30,9 @@ import importlib.machinery
 import importlib.util
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .energy import (
     MaterialModel,
@@ -75,27 +78,80 @@ class SolveResult:
     energy_history: list = field(default_factory=list)
 
 
+class CSRMatrix(NamedTuple):
+    """Square sparse matrix with a symmetric pattern in SciPy's canonical
+    CSR form (int32 indices, columns sorted within a row, no duplicate
+    entries), with the row of each entry and the order that lists its
+    entries column by column (see mesh.StiffnessPattern.csc_order).
+    Gathers by its int32 index arrays go through np.take, which reads them
+    without converting them first."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    rows: np.ndarray
+    csc_order: np.ndarray
+
+    @property
+    def shape(self):
+        return len(self.indptr) - 1, len(self.indptr) - 1
+
+    def __matmul__(self, x):
+        """Matrix-vector product, each row summed in column order."""
+        # (bincount returns ints when it has nothing to count)
+        return np.bincount(self.rows, self.data * np.take(x, self.indices),
+                           minlength=self.shape[0]).astype(float, copy=False)
+
+    def diagonal(self):
+        on = self.rows == self.indices
+        out = np.zeros(self.shape[0])
+        out[self.rows[on]] = self.data[on]
+        return out
+
+    def csc_block(self, keep):
+        """CSC arrays (indptr, indices, data) of the submatrix on the dofs
+        where the mask `keep` holds, renumbered in order."""
+        sel = np.take(keep, self.rows) & np.take(keep, self.indices)
+        new = np.cumsum(keep, dtype=np.int32) - 1
+        n = int(np.count_nonzero(keep))
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(np.take(new, self.rows[sel]), minlength=n),
+                  out=indptr[1:])
+        return (indptr, np.take(new, self.indices[sel]),
+                np.take(self.data, self.csc_order[sel]))
+
+
 def assemble_stiffness(mesh: Triangulation, active_ids, material: MaterialModel):
-    """CSR matrix of the quadratic form sum_T |T n omega| |e(v)|_C^2."""
+    """The matrix of the quadratic form sum_T |T n omega| |e(v)|_C^2 over
+    the active triangles of positive weight, as a CSRMatrix over all
+    2 n_nodes dofs, and the ids of those triangles in the given order.
+
+    Element blocks B^T C B |T n omega| are summed onto the mesh's stiffness
+    pattern (Triangulation.stiffness_pattern) in the order of the ids, and
+    only the entries some active triangle touches are kept, so the matrix
+    has the structure a COO to CSR conversion of the blocks gives.
+    """
+    pattern = mesh.stiffness_pattern
     active_ids = np.asarray(active_ids, dtype=np.int64)
-    w = mesh.area_in_omega[active_ids]
-    keep = w > 0.0
-    ids = active_ids[keep]
-    w = w[keep]
-    n = 2 * mesh.n_nodes
-    if not len(ids):
-        return sp.csr_matrix((n, n)), ids
-    bmats = mesh.b_matrices[ids]
-    cb = np.einsum("ab,mbj->maj", material.elasticity, bmats)
-    ke = np.einsum("mai,maj->mij", bmats, cb) * w[:, None, None]
-    tris = mesh.triangles[ids]
-    dof = np.empty((len(ids), 6), dtype=np.int32)  # SciPy's index type
-    dof[:, 0::2] = 2 * tris
-    dof[:, 1::2] = 2 * tris + 1
-    rows = np.repeat(dof, 6, axis=1).ravel()
-    cols = np.tile(dof, (1, 6)).ravel()
-    k = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    return k, ids
+    slot = np.take(pattern.slot, active_ids)
+    weighted = slot >= 0
+    ids = active_ids[weighted]
+    bmats = np.take(mesh.b_matrices, ids, axis=0)
+    ke = np.swapaxes(bmats, 1, 2) @ (material.elasticity @ bmats)
+    ke *= mesh.area_in_omega[ids][:, None, None]
+    at = np.take(pattern.scatter, slot[weighted], axis=0).astype(np.intp)
+    at = at.ravel()
+    nnz = len(pattern.indices)
+    data = np.bincount(at, ke.ravel(), minlength=nnz).astype(float, copy=False)
+    keep = np.zeros(nnz, dtype=bool)
+    keep[at] = True
+    # the kept positions renumbered, for the order by column
+    kept_at = np.cumsum(keep, dtype=np.int32) - 1
+    rows = pattern.rows[keep]
+    indptr = np.zeros(len(pattern.indptr), dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=len(indptr) - 1), out=indptr[1:])
+    return CSRMatrix(indptr, pattern.indices[keep], data[keep], rows,
+                     np.take(kept_at, pattern.csc_order[keep])), ids
 
 
 def _gauge_pins(mesh: Triangulation, asm_ids, pinned_node_mask):
@@ -192,12 +248,16 @@ _superlu_module = None  # loaded once per process, like an import
 
 def _superlu():
     """SuperLU's extension module, loaded alone from SciPy's sparse-solver
-    directory on the first factorization: importing `scipy.sparse.linalg`
+    directory on the first factorization.  The directory is found from
+    SciPy's install location without importing `scipy.sparse`, which
     would load all of that package for one function."""
     global _superlu_module
     if _superlu_module is None:
-        path = [os.path.join(os.path.dirname(sp.__file__), "linalg",
-                             "_dsolve")]
+        scipy_spec = importlib.util.find_spec("scipy")
+        if scipy_spec is None:
+            raise ImportError("SciPy is not installed")
+        path = [os.path.join(scipy_spec.submodule_search_locations[0],
+                             "sparse", "linalg", "_dsolve")]
         spec = importlib.machinery.PathFinder.find_spec("_superlu", path)
         if spec is None:
             raise ImportError(
@@ -212,17 +272,23 @@ _FACTOR_OPTIONS = {"ColPerm": "MMD_AT_PLUS_A", "DiagPivotThresh": 0.0,
                    "SymmetricMode": True}
 
 
-def _factor(kff: sp.csc_matrix):
-    """Sparse LU factor of a symmetric positive definite CSC matrix: SuperLU
-    with a symmetric ordering and pivots on the diagonal, as
-    `scipy.sparse.linalg.splu(kff, permc_spec="MMD_AT_PLUS_A",
-    diag_pivot_thresh=0.0, options={"SymmetricMode": True})` computes it.
-    Raises SingularSystem when a pivot is exactly zero."""
+def _csc_array(*args, **kwargs):
+    """SciPy sparse array of a factor's `L` or `U`, which SuperLU builds
+    only when a caller reads them (the program never does); SciPy's sparse
+    package is imported then, not before."""
+    return importlib.import_module("scipy.sparse").csc_array(*args, **kwargs)
+
+
+def _factor(indptr, indices, data):
+    """Sparse LU factor of the symmetric positive definite matrix with CSC
+    arrays (indptr, indices, data), int32 indices: SuperLU with a symmetric
+    ordering and pivots on the diagonal, as `scipy.sparse.linalg.splu(kff,
+    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    options={"SymmetricMode": True})` computes it for that matrix.  Raises
+    SingularSystem when a pivot is exactly zero."""
     try:
-        return _superlu().gstrf(kff.shape[0], kff.nnz, kff.data,
-                                np.asarray(kff.indices, dtype=np.intc),
-                                np.asarray(kff.indptr, dtype=np.intc),
-                                csc_construct_func=sp.csc_array,
+        return _superlu().gstrf(len(indptr) - 1, len(data), data, indices,
+                                indptr, csc_construct_func=_csc_array,
                                 options=_FACTOR_OPTIONS, ilu=False)
     except RuntimeError as exc:
         raise SingularSystem(f"reduced stiffness matrix: {exc}") from None
@@ -234,7 +300,7 @@ class _DirectSystem:
     copied from the initial vector and the LU factor of the free-free
     block."""
 
-    k: sp.csr_matrix
+    k: CSRMatrix
     free_idx: np.ndarray
     copied: np.ndarray
     lu: object
@@ -304,11 +370,9 @@ def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
     gauge = _gauge_pins(mesh, asm_ids, pinned_nodes)
     free[gauge] = False
     free_idx = np.flatnonzero(free)
-    kff = k[free_idx, :][:, free_idx].tocsc()
     system = _DirectSystem(k, free_idx,
                            np.union1d(np.flatnonzero(unpinned & ~touched), gauge),
-                           _factor(kff))
-    del kff
+                           _factor(*k.csc_block(free)))
     if repeat:
         mesh.factor_slot = (key, system)
     return _direct_solve(mesh, system, x)

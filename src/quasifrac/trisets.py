@@ -255,13 +255,11 @@ def local_saturation(mesh: Triangulation, ids) -> np.ndarray:
     bx1, by1 = pts.max(axis=0) + pad
     nb = mesh.tri_neighbors
     on_bdy = mesh.tri_on_mesh_boundary
-    nodes = mesh.nodes
-    tris = mesh.triangles
+    bbox = mesh.tri_bbox
 
     def in_box(t):
-        p = nodes[tris[t]]
-        return (p[:, 0].min() >= bx0 and p[:, 0].max() <= bx1
-                and p[:, 1].min() >= by0 and p[:, 1].max() <= by1)
+        x0, y0, x1, y1 = bbox[t]
+        return x0 >= bx0 and x1 <= bx1 and y0 >= by0 and y1 <= by1
 
     visited = set()
     fill = []

@@ -9,13 +9,14 @@ rectangle one triangle at a time, the clipped-area and background oracles
 take one triangle at a time, the pre-crack oracle measures one triangle
 center at a time, the filled-boundary oracle finds a set's boundary edges
 from its vertex triples, the edge-table and coordinate-key oracles fill one
-triangle at a time, point location scans every triangle, and the KKT
-residual assembles its own stiffness matrix.
+triangle at a time, point location scans every triangle, and the
+stiffness oracle converts the element blocks from COO to CSR with SciPy.
 """
 
 from collections import deque
 
 import numpy as np
+import scipy.sparse as sp
 
 from quasifrac._kernels import (_clip_area_rect, point_in_tri,
                                 point_seg_dist, seg_seg_dist)
@@ -285,11 +286,41 @@ def field_at(u, p):
             + l2 * u.values[tri[2]])
 
 
+def coo_stiffness(mesh, active_ids, material):
+    """SciPy CSR matrix of sum_T |T n omega| |e(v)|_C^2 over the active
+    triangles of positive weight, summed by COO to CSR conversion, and the
+    ids of those triangles."""
+    active_ids = np.asarray(active_ids, dtype=np.int64)
+    w = mesh.area_in_omega[active_ids]
+    keep = w > 0.0
+    ids = active_ids[keep]
+    w = w[keep]
+    n = 2 * mesh.n_nodes
+    if not len(ids):
+        return sp.csr_matrix((n, n)), ids
+    bmats = mesh.b_matrices[ids]
+    cb = np.einsum("ab,mbj->maj", material.elasticity, bmats)
+    ke = np.einsum("mai,maj->mij", bmats, cb) * w[:, None, None]
+    tris = mesh.triangles[ids]
+    dof = np.empty((len(ids), 6), dtype=np.int32)
+    dof[:, 0::2] = 2 * tris
+    dof[:, 1::2] = 2 * tris + 1
+    rows = np.repeat(dof, 6, axis=1).ravel()
+    cols = np.tile(dof, (1, 6)).ravel()
+    k = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return k, ids
+
+
+def scipy_csr(k):
+    """SciPy CSR matrix of the program's CSRMatrix `k`."""
+    return sp.csr_matrix((k.data, k.indices, k.indptr), shape=k.shape)
+
+
 def kkt_residual(mesh, active, u, material, extra_pinned_nodes=None) -> float:
     """Norm of the reduced gradient at u relative to the load norm."""
     active_ids = active.ids if isinstance(active, TriangleSet) else \
         np.asarray(sorted(active), dtype=np.int64)
-    k, _ = assemble_stiffness(mesh, active_ids, material)
+    k = scipy_csr(assemble_stiffness(mesh, active_ids, material)[0])
     x = u.values.ravel()
     g = k @ x
     pinned = mesh.collar_node_mask

@@ -31,9 +31,9 @@ def counted_splu(monkeypatch):
     calls = []
     factor = solver._factor
 
-    def counting(kff):
+    def counting(*csc):
         calls.append(1)
-        return factor(kff)
+        return factor(*csc)
 
     monkeypatch.setattr(solver, "_factor", counting)
     return calls

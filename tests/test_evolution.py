@@ -188,3 +188,27 @@ def test_crack32_run_loads_no_sparse_linalg():
                          capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("code", [
+    "from quasifrac.config import load_config\n"
+    "from quasifrac.runner import run_from_config\n"
+    "cfg = load_config(sys.argv[1])\n"
+    "assert cfg['precrack'] and not run_from_config(cfg).aborted\n",
+    "import quasifrac.cli\n",
+], ids=["crack_run", "cli_import"])
+def test_no_scipy_sparse_module_loaded(code):
+    # assembly, the free-free block and the products use numpy alone, and
+    # SuperLU's extension is loaded by itself: importing scipy.sparse would
+    # cost every process about 20 MiB
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
+    report = ("print(sorted(m for m in sys.modules\n"
+              "             if m.startswith('scipy.sparse')))\n")
+    res = subprocess.run([sys.executable, "-c", "import sys\n" + code + report,
+                          str(repo / "configs" / "crack.cfg")],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

@@ -25,7 +25,7 @@ from quasifrac.solver import (
 )
 from quasifrac.trisets import TriangleSet
 from conftest import AffineLoad, block_ids, make_mesh
-from _oracles import kkt_residual
+from _oracles import coo_stiffness, kkt_residual, scipy_csr
 
 
 def _fringe_nodes(mesh):
@@ -299,7 +299,7 @@ def test_solve_elastic_vertex_attached_island(request, mesh_name):
     u = solve_elastic(mesh, active, bc, mat)
     assert kkt_residual(mesh, active, u, mat) < 1e-10
     # the minimum energy, from CG on the ungauged system
-    k, _ = solver.assemble_stiffness(mesh, active, mat)
+    k = scipy_csr(solver.assemble_stiffness(mesh, active, mat)[0])
     diag = k.diagonal()
     touched = diag > 0.0
     free = (touched & np.repeat(~mesh.collar_node_mask, 2)).astype(float)
@@ -337,7 +337,7 @@ def test_solve_elastic_hinged_triangle():
 def _null_dim(mesh, active, pinned):
     """Null-space dimension of the dense stiffness on the unpinned dofs of
     the weighted active triangles."""
-    k, _ = solver.assemble_stiffness(mesh, active, MaterialModel())
+    k = scipy_csr(solver.assemble_stiffness(mesh, active, MaterialModel())[0])
     dense = k.toarray()
     free = (np.diag(dense) > 0.0) & np.repeat(~pinned, 2)
     lam = np.linalg.eigvalsh(dense[np.ix_(free, free)])
@@ -366,11 +366,72 @@ def test_gauge_count_is_null_space_dimension(mesh16):
     assert 0 in dims and 1 in dims and 3 in dims and max(dims) > 6
 
 
+# the assembly
+
+SPD_ELASTICITY = np.array([[2.0, 0.6, 0.1], [0.6, 1.5, 0.2], [0.1, 0.2, 1.1]])
+
+
+def _assembly_cases(mesh16):
+    """(mesh, active ids): random sets at eps 1/16 and 1/64, every triangle,
+    the empty set, and criterion 7's strips."""
+    rng = np.random.default_rng(3)
+    cases = []
+    for mesh in (mesh16, make_mesh(1 / 64)):
+        for frac in (0.1, 0.5, 0.9):
+            keep = rng.random(mesh.n_triangles) >= frac
+            cases.append((mesh, rng.permutation(np.flatnonzero(keep))))
+        cases += [(mesh, np.arange(mesh.n_triangles)),
+                  (mesh, np.empty(0, dtype=np.int64))]
+    for n_cells in (4, 6):
+        strip = strip_mesh(n_cells)
+        cases += [(strip, np.arange(strip.n_triangles)), (strip, [5]),
+                  (strip, [2, 5]), (strip, [0, 3, 4, 7])]
+    return cases
+
+
+def test_assemble_matches_coo_oracle(mesh16):
+    # the cached pattern gives SciPy's COO to CSR result: equal structure,
+    # values to roundoff, on one mesh with the material alternating
+    materials = (MaterialModel(), MaterialModel(elasticity=SPD_ELASTICITY))
+    for mesh, active in _assembly_cases(mesh16):
+        for mat in materials + materials:
+            k, ids = solver.assemble_stiffness(mesh, active, mat)
+            ref, ref_ids = coo_stiffness(mesh, active, mat)
+            assert np.array_equal(ids, ref_ids)
+            assert k.shape == ref.shape
+            assert np.array_equal(k.indptr, ref.indptr)
+            assert np.array_equal(k.indices, ref.indices)
+            scale = np.abs(ref.data).max(initial=1.0)
+            assert np.abs(k.data - ref.data).max(initial=0.0) <= 1e-14 * scale
+            assert np.array_equal(k.rows, np.repeat(np.arange(k.shape[0]),
+                                                    np.diff(k.indptr)))
+            # column order, product and diagonal as SciPy computes them
+            kk = scipy_csr(k)
+            assert kk.tocsc().data.tobytes() == k.data[k.csc_order].tobytes()
+            x = np.random.default_rng(len(ids)).standard_normal(k.shape[0])
+            assert (k @ x).tobytes() == (kk @ x).tobytes()
+            assert k.diagonal().tobytes() == kk.diagonal().tobytes()
+
+
+def test_csc_block_is_scipy_submatrix(mesh16):
+    k, _ = solver.assemble_stiffness(mesh16, np.arange(mesh16.n_triangles),
+                                     MaterialModel(elasticity=SPD_ELASTICITY))
+    rng = np.random.default_rng(4)
+    for keep in (rng.random(k.shape[0]) >= 0.2, np.zeros(k.shape[0], bool)):
+        indptr, indices, data = k.csc_block(keep)
+        ref = scipy_csr(k)[keep][:, keep].tocsc()
+        assert np.array_equal(indptr, ref.indptr)
+        assert np.array_equal(indices, ref.indices)
+        assert data.tobytes() == ref.data.tobytes()
+        assert indptr.dtype == indices.dtype == np.intc
+
+
 # the factorization
 
 def test_factor_matches_public_splu(monkeypatch):
     # the private SuperLU entry gives bitwise the factor of the public
     # function with the same options, on a system of the eps 1/64 crack run
+    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
     from quasifrac.config import parse_config
     cfg = parse_config("eps = 0.015625\nload = opening\n"
@@ -380,16 +441,19 @@ def test_factor_matches_public_splu(monkeypatch):
     captured = []
     real = solver._factor
 
-    def capture(kff):
-        captured.append(kff)
-        return real(kff)
+    def capture(*csc):
+        captured.append(csc)
+        return real(*csc)
 
     monkeypatch.setattr(solver, "_factor", capture)
     solve_elastic(mesh, active, interpolate(mesh, cfg.load(), 0.5),
                   MaterialModel())
-    kff, = captured
+    (indptr, indices, data), = captured
+    kff = sp.csc_matrix((data, indices, indptr), shape=(len(indptr) - 1,) * 2)
     assert kff.shape[0] > 3000
-    ours = real(kff)
+    # sorted row indices and no duplicates, as splu would make them
+    assert kff.has_canonical_format
+    ours = real(indptr, indices, data)
     public = spla.splu(kff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
     assert np.array_equal(ours.perm_r, public.perm_r)
@@ -408,7 +472,8 @@ def test_factor_matches_public_splu(monkeypatch):
 def test_factor_singular_raises(matrix):
     import scipy.sparse as sp
     with pytest.raises(solver.SingularSystem):
-        solver._factor(sp.csc_matrix(np.array(matrix)))
+        kff = sp.csc_matrix(np.array(matrix))
+        solver._factor(kff.indptr, kff.indices, kff.data)
 
 
 def test_rank_ties_on_values_not_bytes(mesh16):

@@ -13,6 +13,10 @@ SRC = REPO / "src" / "quasifrac"
 
 # a handler that catches everything can silently replace data
 CATCH_ALL = re.compile(r"^\s*except\s*(Exception\b[^:]*)?:", re.MULTILINE)
+# an import statement that loads any part of scipy.sparse
+SPARSE_IMPORT = re.compile(
+    r"^\s*(import\s[^\n]*\bscipy\.sparse\b|from\s+scipy\.sparse\b"
+    r"|from\s+scipy\s+import\s[^\n]*\bsparse\b)", re.MULTILINE)
 
 
 def test_no_catch_all_handlers():
@@ -23,6 +27,21 @@ def test_no_catch_all_handlers():
             line = text.count("\n", 0, m.start()) + 1
             found.append(f"{path.name}:{line}: {m.group(0).strip()}")
     assert not found, "catch-all exception handlers:\n" + "\n".join(found)
+
+
+def test_no_scipy_sparse_imports():
+    # the elastic path is numpy-only; importing scipy.sparse costs every
+    # process about 20 MiB
+    assert all(SPARSE_IMPORT.search(line) for line in (
+        "import scipy.sparse as sp", "    import scipy.sparse.linalg",
+        "from scipy.sparse import csr_array", "from scipy import sparse"))
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for m in SPARSE_IMPORT.finditer(text):
+            line = text.count("\n", 0, m.start()) + 1
+            found.append(f"{path.name}:{line}: {m.group(0).strip()}")
+    assert not found, "scipy.sparse imports:\n" + "\n".join(found)
 
 
 def test_benchmark_wrap_targets_exist():
