@@ -251,12 +251,6 @@ class Triangulation:
         return np.hypot(d[:, 0], d[:, 1])
 
     @cached_property
-    def interior_edge_pairs(self):
-        """(k,2) ids of the triangle pairs sharing an interior edge."""
-        et = self.edge_tris
-        return et[et[:, 1] >= 0]
-
-    @cached_property
     def mesh_boundary_edges(self):
         """Edges on the outer boundary of the triangulated region."""
         return np.where(self.edge_tris[:, 1] < 0)[0]

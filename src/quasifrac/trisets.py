@@ -8,7 +8,8 @@ Complement components are computed in the whole plane: everything beyond
 the triangulated region counts as one unbounded component.  Every
 connectivity query, here and in the solver's gauging and the boundary
 graph, goes through one numpy labelling function, `component_labels`,
-which names each component by its smallest node index.
+which names each component by its smallest node index.  Only the search
+for cut vertices in void modification walks its small graph depth-first.
 """
 
 from dataclasses import dataclass, field
@@ -169,11 +170,18 @@ def _split_by_label(ids, lab):
 def _edge_graph(mesh: Triangulation, ids):
     """(pos, pairs) for the sorted id array `ids`: pos maps a triangle id
     to its index in `ids` (-1 if absent), pairs holds the index pairs of
-    members that share an edge."""
+    members that share an edge, each once with the smaller index first.
+
+    The pairs are read from the members' rows of `tri_neighbors`, so the
+    work beyond filling `pos` scales with the set, not the mesh.  It serves
+    `edge_components`, `complement_components` and the solver's gauge."""
     pos = np.full(mesh.n_triangles, -1, dtype=np.int64)
     pos[ids] = np.arange(len(ids))
-    pairs = pos[mesh.interior_edge_pairs]
-    return pos, pairs[(pairs >= 0).all(axis=1)]
+    nb = mesh.tri_neighbors[ids]
+    other = np.where(nb >= 0, pos[nb], -1)
+    own = np.broadcast_to(np.arange(len(ids))[:, None], nb.shape)
+    keep = other > own
+    return pos, np.column_stack([own[keep], other[keep]])
 
 
 def edge_components(mesh: Triangulation, ids):

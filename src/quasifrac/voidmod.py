@@ -11,6 +11,13 @@ in at most two points are peeled iteratively; finally exposed triangles
 with an exclusive vertex are healed away.  Every stage removes whole saturated
 pieces or single triangles, which keeps filled triangles interior and
 makes the construction monotone under set inclusion.
+
+The passes after hole filling cost in proportion to the set, not the mesh:
+edge-connectivity reads the members' rows of the neighbor table, the
+pieces split at one vertex come from one depth-first search per set, and
+triangle healing tests all members at once.  What still scales with the
+mesh is hole filling (it labels the whole complement) and the strain
+energies over the complement that the audit statistics report.
 """
 
 import math
@@ -23,7 +30,6 @@ from ._kernels import clip_areas_rect, strains_from_values
 from .mesh import DisplacementField, Triangulation
 from .trisets import (
     TriangleSet,
-    closure_components_minus_vertex,
     component_labels,
     local_saturation,
 )
@@ -242,17 +248,21 @@ def _nodes_of(mesh: Triangulation, ids) -> np.ndarray:
     return np.unique(mesh.triangles[ids].ravel())
 
 
+def _node_fans(mesh: Triangulation, nodes):
+    """(k, t): every triangle t at each of the nodes, with k the node's
+    index in `nodes`."""
+    indptr, tri_ids = mesh.node_tris
+    start = indptr[nodes]
+    count = indptr[nodes + 1] - start
+    k = np.repeat(np.arange(len(nodes)), count)
+    return k, tri_ids[np.arange(len(k)) + (start - np.cumsum(count) + count)[k]]
+
+
 def _neighborhood(mesh: Triangulation, z_ids) -> np.ndarray:
     """Triangles outside Z whose closure meets the closure of Z."""
-    znodes = _nodes_of(mesh, z_ids)
-    indptr, tri_ids = mesh.node_tris
-    out = set()
-    zset = set(int(t) for t in z_ids)
-    for v in znodes:
-        for t in tri_ids[indptr[v]:indptr[v + 1]]:
-            if int(t) not in zset:
-                out.add(int(t))
-    return np.asarray(sorted(out), dtype=np.int64)
+    _, fan = _node_fans(mesh, _nodes_of(mesh, z_ids))
+    fan = np.unique(fan)
+    return fan[~np.isin(fan, z_ids)]
 
 
 def _piece_healable(mesh: Triangulation, z_ids) -> bool:
@@ -317,15 +327,22 @@ def _extend_field(mesh: Triangulation, u: DisplacementField, z_ids,
     return out
 
 
+def _tri_strain_energy(mesh: Triangulation, u: DisplacementField, ids,
+                       weights=None) -> np.ndarray:
+    """Weighted squared Frobenius strain of each triangle in ids (area
+    weights by default)."""
+    s = strains_from_values(mesh.b_matrices[ids], mesh.triangles[ids],
+                            u.values)
+    w = mesh.areas[ids] if weights is None else weights[ids]
+    return w * (s * s).sum(axis=1)
+
+
 def _frob_strain_energy(mesh: Triangulation, u: DisplacementField, ids,
                         weights=None) -> float:
     ids = np.asarray(ids, dtype=np.int64)
     if not len(ids):
         return 0.0
-    s = strains_from_values(mesh.b_matrices[ids], mesh.triangles[ids],
-                            u.values)
-    w = mesh.areas[ids] if weights is None else weights[ids]
-    return float((w * (s * s).sum(axis=1)).sum())
+    return float(_tri_strain_energy(mesh, u, ids, weights).sum())
 
 
 def heal_component(Z: TriangleSet, u: DisplacementField, Y: TriangleSet,
@@ -367,38 +384,103 @@ def healing_ratio(mesh: Triangulation, u_new: DisplacementField,
 # modification 2: separating vertices
 
 
-def _sep_piece_candidates(B: TriangleSet):
-    """All components of the closure split at one high-degree vertex, plus
-    the whole closure components."""
+def _sep_piece_candidates(B: TriangleSet, budget: float):
+    """The whole closure components of B, plus every part of area <=
+    budget that the closure of its component splits into at one vertex;
+    sorted id arrays in lexicographic order, without repeats.
+
+    Removing a vertex never splits an edge-component (two triangles sharing
+    an edge share a second vertex), so one depth-first search runs over the
+    graph of edge-components and the vertices shared by two or more of them,
+    on an explicit stack since a chain of pieces can be long.  Rooted at a component, every cut vertex v is an
+    inner node; it cuts off each child subtree c with low[c] >= disc[v],
+    a contiguous slice of visit order, and the rest of its tree is the
+    remaining part.  Prefix sums of the components' areas along visit order
+    rule out parts that are far too large; the others are decided on their
+    sorted ids, as `_small_saturation` sums them.
+    """
     mesh = B.mesh
-    _, deg = _boundary_degrees(B)
-    closure = B.closure_components
-    pieces = [tuple(int(t) for t in c) for c in closure]
-    comp_of = {}
-    for i, c in enumerate(closure):
-        for t in c:
-            comp_of[int(t)] = i
-    for v in np.where(deg >= 4)[0]:
-        indptr, tri_ids = mesh.node_tris
-        incident = [int(t) for t in tri_ids[indptr[v]:indptr[v + 1]] if B.mask[t]]
-        if not incident:
+    comps = B.components
+    n_c = len(comps)
+    if not n_c:
+        return []
+    # (vertex, component) incidences; junctions touch two or more components
+    flat = np.concatenate(comps)
+    sizes = np.array([len(c) for c in comps])
+    code = np.unique(mesh.triangles[flat] * n_c
+                     + np.repeat(np.arange(n_c), sizes)[:, None])
+    vert, comp = np.divmod(code, n_c)
+    first = np.r_[True, vert[1:] != vert[:-1]]
+    count = np.diff(np.r_[np.flatnonzero(first), len(vert)])
+    shared = np.repeat(count >= 2, count)
+    junction = n_c - 1 + np.cumsum(first[shared])  # graph node of the vertex
+    nbrs = [[] for _ in range(n_c + int(first[shared].sum()))]
+    for j, c in zip(junction.tolist(), comp[shared].tolist()):
+        nbrs[j].append(c)
+        nbrs[c].append(j)
+
+    n = len(nbrs)
+    disc, low, parent = [-1] * n, [0] * n, [-1] * n
+    span, root = [1] * n, [0] * n
+    order = []
+    for r in range(n_c):
+        if disc[r] >= 0:
             continue
-        home = closure[comp_of[incident[0]]]
-        sub = np.zeros(mesh.n_triangles, dtype=bool)
-        sub[home] = True
-        parts = closure_components_minus_vertex(mesh, sub, int(v))
-        if len(parts) <= 1:
-            continue
-        for p in parts:
-            pieces.append(tuple(int(t) for t in p))
-    # dedupe, keep deterministic order
-    seen = set()
-    out = []
-    for p in sorted(pieces):
-        if p not in seen:
-            seen.add(p)
-            out.append(np.asarray(p, dtype=np.int64))
-    return out
+        disc[r] = low[r] = len(order)
+        order.append(r)
+        stack = [(r, iter(nbrs[r]))]
+        while stack:
+            u, it = stack[-1]
+            for w in it:
+                if disc[w] < 0:
+                    parent[w], root[w] = u, r
+                    disc[w] = low[w] = len(order)
+                    order.append(w)
+                    stack.append((w, iter(nbrs[w])))
+                    break
+                if w != parent[u]:
+                    low[u] = min(low[u], disc[w])
+            else:
+                stack.pop()
+                if stack:
+                    p = parent[u]
+                    low[p] = min(low[p], low[u])
+                    span[p] += span[u]
+
+    node_area = np.zeros(n)
+    node_area[:n_c] = np.add.reduceat(mesh.areas[flat],
+                                      np.cumsum(sizes) - sizes)
+    cum = np.r_[0.0, np.cumsum(node_area[order])]
+    slack = 1e-9 * cum[-1]  # far above the rounding of either sum
+
+    def part(slices):
+        """Sorted ids of the components in the visit-order slices."""
+        return np.sort(np.concatenate(
+            [comps[w] for a, b in slices for w in order[a:b] if w < n_c]))
+
+    whole = [part([(disc[r], disc[r] + span[r])])
+             for r in range(n_c) if parent[r] < 0]
+    cuts = {}
+    for c in range(n_c):
+        v = parent[c]
+        if v >= 0 and low[c] >= disc[v]:
+            cuts.setdefault(v, []).append((disc[c], disc[c] + span[c]))
+    split = []
+    for v, cut in cuts.items():
+        r = root[v]
+        rest = [(disc[r], disc[r] + span[r])]
+        rest_area = cum[disc[r] + span[r]] - cum[disc[r]]
+        for a, b in sorted(cut):
+            if cum[b] - cum[a] <= budget + slack:
+                split.append(part([(a, b)]))
+            rest_area -= cum[b] - cum[a]
+            lo, hi = rest.pop()
+            rest += [(lo, a), (b, hi)]
+        if rest_area <= budget + slack:
+            split.append(part(rest))
+    small = [p for p in split if float(mesh.areas[p].sum()) <= budget]
+    unique = {tuple(p.tolist()): p for p in whole + small}
+    return [unique[k] for k in sorted(unique)]
 
 
 def _small_saturation(mesh: Triangulation, p, budget: float):
@@ -411,25 +493,19 @@ def _small_saturation(mesh: Triangulation, p, budget: float):
     return sat
 
 
-def _maximal_small_pieces(B: TriangleSet, pieces, vm: VoidModParams):
+def _maximal_small_pieces(B: TriangleSet, vm: VoidModParams):
+    """(piece, saturation) pairs of the separating-vertex candidates of B
+    that are small and healable and lie in no other such piece."""
     mesh = B.mesh
     budget = vm.hole_threshold(mesh.params.eps)
     small = []
-    for p in pieces:
+    for p in _sep_piece_candidates(B, budget):
         sat = _small_saturation(mesh, p, budget)
         if sat is not None:
             small.append((p, sat))
-    keep = []
-    sets = [frozenset(int(t) for t in p) for p, _ in small]
-    for i, (p, sat) in enumerate(small):
-        maximal = True
-        for j, other in enumerate(sets):
-            if j != i and sets[i] < other:
-                maximal = False
-                break
-        if maximal:
-            keep.append((p, sat))
-    return keep
+    sets = [frozenset(p.tolist()) for p, _ in small]
+    return [pair for pair, s in zip(small, sets)
+            if not any(s < other for other in sets)]
 
 
 def _remove_pieces(W: TriangleSet, u: DisplacementField, pieces,
@@ -461,7 +537,7 @@ def remove_separating_small(B: TriangleSet, u: DisplacementField,
         return B, u
     stats = {} if stats is None else stats
     stats.setdefault("sep_removed", 0)
-    keep = _maximal_small_pieces(B, _sep_piece_candidates(B), vm)
+    keep = _maximal_small_pieces(B, vm)
     if not keep:
         return B, u
     return _remove_pieces(B, u, keep, stats)
@@ -472,15 +548,9 @@ def remove_separating_small(B: TriangleSet, u: DisplacementField,
 
 
 def _touch_points(mesh: Triangulation, piece_ids, other_mask) -> int:
-    pn = _nodes_of(mesh, piece_ids)
-    indptr, tri_ids = mesh.node_tris
-    count = 0
-    for v in pn:
-        for t in tri_ids[indptr[v]:indptr[v + 1]]:
-            if other_mask[t]:
-                count += 1
-                break
-    return count
+    """Number of the piece's nodes that a triangle in other_mask shares."""
+    k, fan = _node_fans(mesh, _nodes_of(mesh, piece_ids))
+    return len(np.unique(k[other_mask[fan]]))
 
 
 def _peel_round(W: TriangleSet, vm: VoidModParams):
@@ -498,7 +568,7 @@ def _peel_round(W: TriangleSet, vm: VoidModParams):
         rest[c] = False
         if _touch_points(mesh, c, rest) <= 2:
             removal.append((c, sat))
-    return removal + _maximal_small_pieces(W, _sep_piece_candidates(W), vm)
+    return removal + _maximal_small_pieces(W, vm)
 
 
 # ---------------------------------------------------------------------------
@@ -514,52 +584,39 @@ def heal_triangles(H: TriangleSet, u: DisplacementField, vm: VoidModParams,
     along the two shared edges with its good neighbors, so the field needs
     no modification; the induced amplification is measured and reported.
     Triangles at the outer boundary of the triangulated region are kept.
+
+    The test runs on whole arrays: the members' neighbor rows, and the
+    number of members at each node (1 marks an exclusive vertex).  Strains
+    are evaluated only on the dropped triangles and their exposed
+    neighbors.
     """
     mesh = H.mesh
     if not len(H):
         return H, u
-    mask = H.mask
-    nb = mesh.tri_neighbors
-
-    indptr, tri_ids = mesh.node_tris
-    removal = []
     ratios = stats.setdefault("tri_heal_ratios", []) if stats is not None else []
-    strains = None
-    for t in H.ids:
-        t = int(t)
-        nbs = nb[t]
-        member_nb = [int(s) for s in nbs if s >= 0 and mask[s]]
-        if len(member_nb) > 1:
-            continue
-        exposed = [int(s) for s in nbs if s >= 0 and not mask[s]]
-        if len(exposed) < 2 or (nbs < 0).any():
-            continue  # missing neighbors: cannot heal at the mesh rim
-        # exclusive vertex: one of t's nodes belongs to no other member
-        exclusive = False
-        for v in mesh.triangles[t]:
-            owners = tri_ids[indptr[v]:indptr[v + 1]]
-            if not np.any(mask[owners] & (owners != t)):
-                exclusive = True
-                break
-        if not exclusive:
-            continue
-        if not _piece_healable(mesh, np.array([t])):
-            continue
-        removal.append(t)
-        if stats is not None:
-            if strains is None:
-                strains = u.strains()
-            num = float(mesh.areas[t] * (strains[t] ** 2).sum())
-            den = sum(float(mesh.areas[s] * (strains[s] ** 2).sum())
-                      for s in exposed)
-            ratios.append(0.0 if den == 0.0 else num / den)
-
-    if not removal:
+    ids = H.ids
+    nbs = mesh.tri_neighbors[ids]
+    member_nb = (nbs >= 0) & H.mask[nbs]
+    owners = np.bincount(mesh.triangles[ids].ravel(), minlength=mesh.n_nodes)
+    # missing neighbors: cannot heal at the mesh rim.  With all three
+    # present, at most one a member, two or more edges are exposed, and the
+    # triangle is off the rim with a nonempty neighborhood: healable
+    drop = ((nbs >= 0).all(axis=1) & (member_nb.sum(axis=1) <= 1)
+            & (owners[mesh.triangles[ids]] == 1).any(axis=1))
+    removal = ids[drop]
+    if not len(removal):
         return H, u
-    out = H.difference(np.asarray(removal, dtype=np.int64))
     if stats is not None:
+        exposed = ~member_nb[drop]
+        nb_energy = np.zeros(exposed.shape)
+        nb_energy[exposed] = _tri_strain_energy(mesh, u, nbs[drop][exposed])
+        # summed in neighbor order, as a running sum over the exposed ones
+        den = nb_energy[:, 0] + nb_energy[:, 1] + nb_energy[:, 2]
+        num = _tri_strain_energy(mesh, u, removal)
+        ratios.extend(np.divide(num, den, out=np.zeros_like(num),
+                                where=den != 0.0).tolist())
         stats["healed_triangles"] = stats.get("healed_triangles", 0) + len(removal)
-    return out, u
+    return H.difference(removal), u
 
 
 def _unfill_exposed(H: TriangleSet, filled) -> TriangleSet:
@@ -606,9 +663,8 @@ def modify_voids(A: TriangleSet, u: DisplacementField,
     eps = mesh.params.eps
     sin0 = math.sin(mesh.params.theta0)
     stats = {"area_A": A.area, "eta": vm.eta}
-    energy_in = _frob_strain_energy(
-        mesh, u, np.setdiff1d(np.arange(mesh.n_triangles), A.ids),
-        weights=mesh.area_in_omega)
+    energy_in = _frob_strain_energy(mesh, u, np.flatnonzero(~A.mask),
+                                    weights=mesh.area_in_omega)
     stats["energy_in"] = energy_in
 
     if not len(A):
@@ -647,8 +703,8 @@ def modify_voids(A: TriangleSet, u: DisplacementField,
         wx0, wy0, wx1, wy1 = window
         w_in = clip_areas_rect(mesh.nodes, mesh.triangles, wx0, wy0, wx1, wy1)
         changed_area = float(w_in[changed_tris].sum()) if len(changed_tris) else 0.0
-        outside_amod = np.setdiff1d(np.arange(mesh.n_triangles), a_mod.ids)
-        energy_out = _frob_strain_energy(mesh, u_mod, outside_amod, weights=w_in)
+        energy_out = _frob_strain_energy(mesh, u_mod, np.flatnonzero(~a_mod.mask),
+                                         weights=w_in)
     else:
         changed_area = 0.0
         energy_out = 0.0

@@ -9,8 +9,11 @@ rectangle one triangle at a time, the clipped-area and background oracles
 take one triangle at a time, the pre-crack oracle measures one triangle
 center at a time, the filled-boundary oracle finds a set's boundary edges
 from its vertex triples, the edge-table and coordinate-key oracles fill one
-triangle at a time, point location scans every triangle, and the
-stiffness oracle converts the element blocks from COO to CSR with SciPy.
+triangle at a time, point location scans every triangle, the
+stiffness oracle converts the element blocks from COO to CSR with SciPy,
+the separating-piece oracle splits the home closure component at every
+vertex of boundary degree four or more, and the triangle-healing oracle
+tests one member triangle at a time against the whole-mesh strains.
 """
 
 from collections import deque
@@ -22,7 +25,8 @@ from quasifrac._kernels import (_clip_area_rect, point_in_tri,
                                 point_seg_dist, seg_seg_dist)
 from quasifrac.mesh import MeshError
 from quasifrac.solver import assemble_stiffness, solve_elastic
-from quasifrac.trisets import TriangleSet
+from quasifrac.trisets import TriangleSet, closure_components_minus_vertex
+from quasifrac.voidmod import _piece_healable
 
 
 def exhaustive_minimum(mesh, bc, hist_ids, material, params):
@@ -336,3 +340,56 @@ def kkt_residual(mesh, active, u, material, extra_pinned_nodes=None) -> float:
     if load == 0.0:
         load = 1.0
     return float(np.linalg.norm(g[free]) / load)
+
+
+def sep_pieces_by_vertex(B):
+    """Every closure component of B, plus every part that the closure of a
+    component splits into at one vertex of boundary degree >= 4; sorted id
+    arrays in lexicographic order, without repeats."""
+    mesh = B.mesh
+    deg = np.bincount(mesh.edges[B.boundary_edges].ravel(),
+                      minlength=mesh.n_nodes)
+    closure = B.closure_components
+    pieces = [tuple(int(t) for t in c) for c in closure]
+    comp_of = {int(t): i for i, c in enumerate(closure) for t in c}
+    for v in np.where(deg >= 4)[0]:
+        incident = [int(t) for t in mesh.tris_of_node(v) if B.mask[t]]
+        if not incident:
+            continue
+        sub = np.zeros(mesh.n_triangles, dtype=bool)
+        sub[closure[comp_of[incident[0]]]] = True
+        parts = closure_components_minus_vertex(mesh, sub, int(v))
+        if len(parts) > 1:
+            pieces += [tuple(int(t) for t in p) for p in parts]
+    return [np.asarray(p, dtype=np.int64) for p in sorted(set(pieces))]
+
+
+def heal_triangles_by_loop(H, u):
+    """(kept ids, ratios) of triangle healing: one member at a time, with
+    the ratios taken from the strains of the whole mesh."""
+    mesh = H.mesh
+    mask = H.mask
+    nb = mesh.tri_neighbors
+    indptr, tri_ids = mesh.node_tris
+    strains = u.strains()
+    removal, ratios = [], []
+    for t in H.ids.tolist():
+        nbs = nb[t]
+        member_nb = [int(s) for s in nbs if s >= 0 and mask[s]]
+        exposed = [int(s) for s in nbs if s >= 0 and not mask[s]]
+        if len(member_nb) > 1 or len(exposed) < 2 or (nbs < 0).any():
+            continue
+        exclusive = False
+        for v in mesh.triangles[t]:
+            owners = tri_ids[indptr[v]:indptr[v + 1]]
+            if not np.any(mask[owners] & (owners != t)):
+                exclusive = True
+                break
+        if not exclusive or not _piece_healable(mesh, np.array([t])):
+            continue
+        removal.append(t)
+        num = float(mesh.areas[t] * (strains[t] ** 2).sum())
+        den = sum(float(mesh.areas[s] * (strains[s] ** 2).sum())
+                  for s in exposed)
+        ratios.append(0.0 if den == 0.0 else num / den)
+    return np.setdiff1d(H.ids, removal), ratios

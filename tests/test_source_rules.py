@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import re
+import types
 from functools import cached_property
 from pathlib import Path
 
@@ -59,3 +60,21 @@ def test_benchmark_wrap_targets_exist():
                 if not isinstance(Triangulation.__dict__.get(name),
                                   cached_property)]
     assert not missing, f"benchmark wrap targets absent: {missing}"
+
+
+def _mutable_globals(module):
+    """Names a module binds to a dict, list or set (dunder names aside)."""
+    return sorted(name for name, value in vars(module).items()
+                  if not name.startswith("__")
+                  and isinstance(value, (dict, list, set)))
+
+
+def test_voidmod_and_trisets_keep_no_module_state():
+    # `study` runs refinement levels on threads: a memo bound at module
+    # level would be shared between them
+    probe = types.ModuleType("probe")
+    probe.memo, probe.seen, probe.order, probe.frozen = {}, set(), [], ()
+    assert _mutable_globals(probe) == ["memo", "order", "seen"]
+    found = {name: _mutable_globals(importlib.import_module(name))
+             for name in ("quasifrac.voidmod", "quasifrac.trisets")}
+    assert not any(found.values()), f"module-level containers: {found}"

@@ -12,6 +12,7 @@ from quasifrac.voidmod import (
     build_boundary_graph,
     fill_holes,
     _neighborhood,
+    _sep_piece_candidates,
     heal_component,
     heal_triangles,
     healing_ratio,
@@ -19,7 +20,8 @@ from quasifrac.voidmod import (
     remove_separating_small,
 )
 from conftest import AffineLoad, block_ids, cell_tris, make_mesh
-from _oracles import filled_boundary_edges
+from _oracles import (filled_boundary_edges, heal_triangles_by_loop,
+                      sep_pieces_by_vertex)
 
 VM = VoidModParams(eta=0.2)
 
@@ -179,6 +181,68 @@ def test_remove_separating_isolated_small(mesh16):
     assert set(iso).isdisjoint(set(b_sep.ids))
 
 
+def _assert_candidates_match(mesh, ids):
+    # the pieces of area <= budget agree with the per-vertex splits, for the
+    # run's budget and for an unbounded one (every split part)
+    b = TriangleSet(mesh, ids)
+    want = sep_pieces_by_vertex(b)
+    for budget in (VM.hole_threshold(mesh.params.eps), math.inf):
+        got = _sep_piece_candidates(b, budget)
+        assert all(p.dtype == np.int64 for p in got)
+        small = [[p.tolist() for p in pieces
+                  if float(mesh.areas[p].sum()) <= budget]
+                 for pieces in (got, want)]
+        assert small[0] == small[1]
+    return want
+
+
+def test_sep_candidates_bow_ties(mesh16):
+    # two triangles, and two 2x2 blocks, meeting at one lattice node
+    a, _ = cell_tris(mesh16, 5, 5)
+    b, _ = cell_tris(mesh16, 6, 6)
+    assert len(_assert_candidates_match(mesh16, [a, b])) == 3
+    blocks = np.concatenate([block_ids(mesh16, 3, 5, 3, 5),
+                             block_ids(mesh16, 5, 7, 5, 7)])
+    assert len(_assert_candidates_match(mesh16, blocks)) == 3
+
+
+def test_sep_candidates_vertex_chain(mesh16):
+    # lower halves along the diagonal: every inner node cuts the chain
+    chain = [cell_tris(mesh16, k, k)[0] for k in range(3, 10)]
+    assert len(_assert_candidates_match(mesh16, chain)) == 1 + 2 * 6
+
+
+def test_sep_candidates_ring_with_pendant(mesh16):
+    ring = np.setdiff1d(block_ids(mesh16, 4, 10, 4, 10),
+                        block_ids(mesh16, 5, 9, 5, 9))
+    pendant = np.concatenate([block_ids(mesh16, 10, 11, 10, 12),
+                              [cell_tris(mesh16, 11, 12)[0]]])
+    pieces = _assert_candidates_match(mesh16,
+                                      np.concatenate([ring, pendant]))
+    assert any(np.array_equal(p, np.sort(ring)) for p in pieces)
+
+
+def test_sep_candidates_pinch_at_mesh_rim(mesh16):
+    # two triangles meeting only at a node on the left rim of the mesh
+    v = int(np.flatnonzero((mesh16.nodes[:, 0] == mesh16.nodes[:, 0].min())
+                           & (mesh16.nodes[:, 1] > 0.5))[0])
+    fan = [int(t) for t in mesh16.tris_of_node(v)]
+    pair = [(s, t) for s in fan for t in fan if s < t and len(
+        np.intersect1d(mesh16.triangles[s], mesh16.triangles[t])) == 1]
+    assert pair
+    _assert_candidates_match(mesh16, list(pair[0]))
+
+
+@pytest.mark.parametrize("name", ["mesh16", "mesh32"])
+def test_sep_candidates_random(name, request):
+    mesh = request.getfixturevalue(name)
+    rng = np.random.default_rng(41)
+    for _ in range(6):
+        density = rng.uniform(0.05, 0.5)
+        _assert_candidates_match(mesh, np.flatnonzero(
+            rng.random(mesh.n_triangles) < density))
+
+
 # ---------------------------------------------------------------------------
 # healing
 
@@ -290,6 +354,33 @@ def test_heal_triangles_full_disk_unchanged(mesh16):
     h = TriangleSet(mesh16, np.setdiff1d(ids, np.asarray(trim)))
     out, _ = heal_triangles(h, zero_field(mesh16), VM)
     assert np.array_equal(out.ids, h.ids)
+
+
+def _heal_cases(mesh16, mesh32):
+    lower, upper = cell_tris(mesh16, 5, 5)
+    disk = block_ids(mesh16, 4, 9, 4, 9)
+    trim = [cell_tris(mesh16, 4, 8)[1], cell_tris(mesh16, 8, 4)[0]]
+    yield mesh16, [cell_tris(mesh16, 7, 7)[0]]
+    yield mesh16, [cell_tris(mesh16, 5, 5)[0], cell_tris(mesh16, 6, 6)[0]]
+    yield mesh16, [lower, upper, cell_tris(mesh16, 6, 4)[1]]
+    yield mesh16, np.setdiff1d(disk, np.asarray(trim))
+    rng = np.random.default_rng(17)
+    for mesh in (mesh16, mesh32):
+        for density in (0.02, 0.1, 0.3, 0.6):
+            yield mesh, np.flatnonzero(rng.random(mesh.n_triangles) < density)
+
+
+def test_heal_triangles_matches_loop_oracle(mesh16, mesh32):
+    for k, (mesh, ids) in enumerate(_heal_cases(mesh16, mesh32)):
+        h = TriangleSet(mesh, ids)
+        u = smooth_field(mesh, seed=k)
+        stats = {}
+        out, u_out = heal_triangles(h, u, VM, stats=stats)
+        want_ids, want_ratios = heal_triangles_by_loop(h, u)
+        assert u_out is u
+        assert np.array_equal(out.ids, want_ids)
+        assert stats["tri_heal_ratios"] == want_ratios
+        assert stats.get("healed_triangles", 0) == len(h) - len(want_ids)
 
 
 # ---------------------------------------------------------------------------
