@@ -2,10 +2,12 @@
 
 Array kernels (strain matrices, triangle-rectangle clipped areas and a
 Jacobi-preconditioned conjugate gradient) take whole triangle or dof
-arrays; the scalar geometry helpers work on single points, segments and
-triangles.  The solver factors every elastic system directly, so the
-conjugate gradient serves only as an independent minimizer in tests and
-as a target of the benchmark's span tracer.
+arrays.  The scalar geometry helpers (point-segment distance, polygon
+area, convex polygon clipping and segment length inside a rectangle)
+serve the mesh validator and the clipped crack-curve length.  The solver
+factors every elastic system directly, so the conjugate gradient serves
+only as an independent minimizer in tests and as a target of the
+benchmark's span tracer.
 """
 
 import numpy as np
@@ -148,72 +150,65 @@ def point_seg_dist(px, py, ax, ay, bx, by):
     return np.sqrt(dx * dx + dy * dy)
 
 
-def _orient(ax, ay, bx, by, cx, cy):
-    v = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    if v > 0.0:
-        return 1
-    if v < 0.0:
-        return -1
-    return 0
-
-
-def _on_seg(ax, ay, bx, by, px, py):
-    return (min(ax, bx) <= px <= max(ax, bx)) and (min(ay, by) <= py <= max(ay, by))
-
-
-def segs_intersect(ax, ay, bx, by, cx, cy, dx, dy):
-    o1 = _orient(ax, ay, bx, by, cx, cy)
-    o2 = _orient(ax, ay, bx, by, dx, dy)
-    o3 = _orient(cx, cy, dx, dy, ax, ay)
-    o4 = _orient(cx, cy, dx, dy, bx, by)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and _on_seg(ax, ay, bx, by, cx, cy):
-        return True
-    if o2 == 0 and _on_seg(ax, ay, bx, by, dx, dy):
-        return True
-    if o3 == 0 and _on_seg(cx, cy, dx, dy, ax, ay):
-        return True
-    if o4 == 0 and _on_seg(cx, cy, dx, dy, bx, by):
-        return True
-    return False
-
-
-def seg_seg_dist(ax, ay, bx, by, cx, cy, dx, dy):
-    """Distance between segments AB and CD (0 when they intersect)."""
-    if segs_intersect(ax, ay, bx, by, cx, cy, dx, dy):
+def poly_area(pts) -> float:
+    """Shoelace area (absolute) of a polygon given as an (n,2) sequence."""
+    pts = np.asarray(pts, dtype=float)
+    if len(pts) < 3:
         return 0.0
-    d1 = point_seg_dist(ax, ay, cx, cy, dx, dy)
-    d2 = point_seg_dist(bx, by, cx, cy, dx, dy)
-    d3 = point_seg_dist(cx, cy, ax, ay, bx, by)
-    d4 = point_seg_dist(dx, dy, ax, ay, bx, by)
-    return min(min(d1, d2), min(d3, d4))
+    x, y = pts[:, 0], pts[:, 1]
+    return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))) / 2.0
 
 
-def point_in_tri(x, y, t):
-    d1 = (x - t[1, 0]) * (t[0, 1] - t[1, 1]) - (t[0, 0] - t[1, 0]) * (y - t[1, 1])
-    d2 = (x - t[2, 0]) * (t[1, 1] - t[2, 1]) - (t[1, 0] - t[2, 0]) * (y - t[2, 1])
-    d3 = (x - t[0, 0]) * (t[2, 1] - t[0, 1]) - (t[2, 0] - t[0, 0]) * (y - t[0, 1])
-    has_neg = (d1 < 0) or (d2 < 0) or (d3 < 0)
-    has_pos = (d1 > 0) or (d2 > 0) or (d3 > 0)
-    return not (has_neg and has_pos)
+def clip_poly_convex(subject, clip):
+    """Sutherland-Hodgman clip of `subject` against convex CCW `clip`."""
+    out = [tuple(p) for p in subject]
+    clip = [tuple(p) for p in clip]
+    n = len(clip)
+    for i in range(n):
+        if not out:
+            return []
+        a = clip[i]
+        b = clip[(i + 1) % n]
+        inp = out
+        out = []
+        for j, cur in enumerate(inp):
+            nxt = inp[(j + 1) % len(inp)]
+            side_c = (b[0] - a[0]) * (cur[1] - a[1]) - (b[1] - a[1]) * (cur[0] - a[0])
+            side_n = (b[0] - a[0]) * (nxt[1] - a[1]) - (b[1] - a[1]) * (nxt[0] - a[0])
+            if side_c >= 0.0:
+                out.append(cur)
+            if (side_c >= 0.0) != (side_n >= 0.0):
+                denom = side_c - side_n
+                if denom != 0.0:
+                    t = side_c / denom
+                    out.append((cur[0] + t * (nxt[0] - cur[0]),
+                                cur[1] + t * (nxt[1] - cur[1])))
+    return out
 
 
-def tri_tri_dist(p, q):
-    """Distance between triangles given as (3,2) vertex arrays."""
-    for k in range(3):
-        if point_in_tri(q[k, 0], q[k, 1], p) or point_in_tri(p[k, 0], p[k, 1], q):
-            return 0.0
-    best = 1e300
-    for i in range(3):
-        i2 = (i + 1) % 3
-        for j in range(3):
-            j2 = (j + 1) % 3
-            d = seg_seg_dist(p[i, 0], p[i, 1], p[i2, 0], p[i2, 1],
-                             q[j, 0], q[j, 1], q[j2, 0], q[j2, 1])
-            if d < best:
-                best = d
-    return best
+def segment_clip_rect_length(a, b, rect) -> float:
+    """Length of segment ab inside [x0,x1]x[y0,y1] (Liang-Barsky)."""
+    x0, y0, x1, y1 = rect
+    dx = b[0] - a[0]
+    dy = b[1] - a[1]
+    t0, t1 = 0.0, 1.0
+    for p, q in ((-dx, a[0] - x0), (dx, x1 - a[0]), (-dy, a[1] - y0), (dy, y1 - a[1])):
+        if p == 0.0:
+            if q < 0.0:
+                return 0.0
+            continue
+        r = q / p
+        if p < 0.0:
+            if r > t1:
+                return 0.0
+            if r > t0:
+                t0 = r
+        else:
+            if r < t0:
+                return 0.0
+            if r < t1:
+                t1 = r
+    return float(np.hypot(dx, dy) * max(0.0, t1 - t0))
 
 
 # ---------------------------------------------------------------------------

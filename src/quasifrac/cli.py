@@ -39,6 +39,25 @@ def _positive_float(text) -> float:
     return value
 
 
+def _eta(text) -> float:
+    """argparse type of a void-modification eta in (0, 0.5]."""
+    value = _positive_float(text)
+    if value > 0.5:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 0.5], got {text}")
+    return value
+
+
+def _nonnegative_int(text) -> int:
+    """argparse type of an integer of at least zero."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 def cmd_simulate(args) -> int:
     try:
         cfg = load_config(args.config)
@@ -150,7 +169,7 @@ def main(argv=None) -> int:
     p.add_argument("--mesh", required=True)
     p.add_argument("--set", required=True, help="text file of triangle ids")
     p.add_argument("--field", default=None, help="JSON nodal field")
-    p.add_argument("--eta", type=float, default=0.2)
+    p.add_argument("--eta", type=_eta, default=0.2)
     p.add_argument("--out", default=None)
     p.add_argument("--vtp", default=None,
                    help="write the modified boundary as a polyline file")
@@ -162,7 +181,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("study", help="refinement study on one load")
     p.add_argument("--config", required=True)
-    p.add_argument("--refine", type=int, default=1)
+    p.add_argument("--refine", type=_nonnegative_int, default=1)
     p.add_argument("--progress", action="store_true")
     p.set_defaults(func=cmd_study)
 

@@ -40,7 +40,6 @@ _SCHEMA = [
     ("theta0", ("float", None, _PI4)),
     ("eps", ("float", None, 0.0625)),
     ("omega_factor", ("float", None, 1.0e6)),
-    ("bg_dist_factor", ("float", None, 1.0e6)),
     ("kappa", ("float", None, 1.0)),
     ("elasticity", ("floats", 9, [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0])),
     ("load", ("enum", ("stretch", "shear", "opening", "affine"), "stretch")),
@@ -181,8 +180,7 @@ class RunConfig:
     def mesh_params(self) -> MeshParams:
         v = self.values
         return MeshParams(theta0=v["theta0"], eps=v["eps"],
-                          omega_factor=v["omega_factor"],
-                          bg_dist_factor=v["bg_dist_factor"])
+                          omega_factor=v["omega_factor"])
 
     def material(self) -> MaterialModel:
         v = self.values

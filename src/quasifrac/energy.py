@@ -3,11 +3,11 @@ history-dependent energy of the incremental scheme.
 
 Per triangle the density is min(eps C e:e, kappa) / eps for a positive
 definite elasticity C; a triangle whose density is capped counts as
-cracked, as does any triangle far from the regular background grid.  The
-elastic integral runs over the body rectangle; cracked area is measured
-inside the enclosing rectangle.  In the history energy a triangle
-straddling the body boundary therefore costs more cracked than its capped
-density says; for a fixed field it joins the crack set only where
+cracked, whether or not it is a cell of the background grid.  The elastic
+integral runs over the body rectangle; cracked area is measured inside the
+enclosing rectangle.  In the history energy a triangle straddling the body
+boundary therefore costs more cracked than its capped density says; for a
+fixed field it joins the crack set only where
 kappa |T n omega'| <= eps |T n omega| |e|_C^2, the choice that minimizes
 that energy (choose_crack_set).
 """
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import tri_tri_dist
 from .mesh import DisplacementField, MeshParams, Triangulation
 from .trisets import TriangleSet
 
@@ -163,12 +162,10 @@ def static_energy(mesh: Triangulation, u: DisplacementField,
 
 def classify_cracked(mesh: Triangulation, u: DisplacementField,
                      material: MaterialModel, params: MeshParams) -> TriangleSet:
-    """Triangles with eps |e|_C^2 >= kappa, plus triangles farther than
-    bg_dist_factor * eps from the background part of the mesh (all
-    triangles when the mesh has no background part)."""
+    """Triangles whose density is capped, eps |e|_C^2 >= kappa (ties
+    crack)."""
     _check_field(mesh, u)
     cracked = params.eps * _density(u.strains(), material) >= material.kappa
-    cracked |= _forced_cracked(mesh, params)
     return TriangleSet(mesh, np.where(cracked)[0])
 
 
@@ -182,8 +179,7 @@ def choose_crack_set(mesh: Triangulation, u: DisplacementField, hist_ids,
     two areas agree this is classify_cracked's test eps |e|_C^2 >= kappa,
     bit for bit; a triangle straddling the body boundary is charged its
     larger area in the enclosing rectangle, so it needs a proportionally
-    larger strain.  The background clause of classify_cracked applies
-    unchanged.
+    larger strain.
     """
     _check_field(mesh, u)
     return _crack_set_of_density(mesh, _density(u.strains(), material),
@@ -204,57 +200,8 @@ def _crack_set_of_density(mesh: Triangulation, sq, hist_ids,
     kappa, eps = material.kappa, params.eps
     cracked = np.where(w_omega == w_prime, eps * sq >= kappa,
                        kappa * w_prime <= eps * sq * w_omega)
-    cracked |= _forced_cracked(mesh, params)
     cracked[np.asarray(hist_ids, dtype=np.int64)] = True
     return TriangleSet(mesh, np.where(cracked)[0])
-
-
-def _forced_cracked(mesh: Triangulation, params: MeshParams):
-    """Mask of triangles cracked whatever the field: those farther than
-    bg_dist_factor * eps from the background part of the mesh, or all
-    triangles when the mesh has no background part."""
-    bg = mesh.is_background
-    if not bg.any():
-        return np.ones(mesh.n_triangles, dtype=bool)
-    if bg.all():
-        return np.zeros(mesh.n_triangles, dtype=bool)
-    return _far_from_background(mesh, bg, params.bg_dist_factor * params.eps)
-
-
-def _far_from_background(mesh: Triangulation, bg, radius: float):
-    """Mask of triangles at distance >= radius from every background triangle."""
-    out = np.zeros(mesh.n_triangles, dtype=bool)
-    cand = np.where(~bg)[0]
-    if not len(cand):
-        return out
-    span = max(float(np.ptp(mesh.nodes[:, 0])), float(np.ptp(mesh.nodes[:, 1])))
-    if radius > 2.0 * span:
-        return out  # clause inert: some background triangle is always nearer
-    h = mesh.params.grid_spacing
-    x0 = mesh.nodes[:, 0].min()
-    y0 = mesh.nodes[:, 1].min()
-    cells = {}
-    for t in np.where(bg)[0]:
-        p = mesh.nodes[mesh.triangles[t]]
-        ci = int((p[:, 0].mean() - x0) // h)
-        cj = int((p[:, 1].mean() - y0) // h)
-        cells.setdefault((ci, cj), []).append(t)
-    reach = int(math.ceil(radius / h)) + 2
-    for t in cand:
-        p = mesh.nodes[mesh.triangles[t]]
-        ci = int((p[:, 0].mean() - x0) // h)
-        cj = int((p[:, 1].mean() - y0) // h)
-        best = np.inf
-        for di in range(-reach, reach + 1):
-            for dj in range(-reach, reach + 1):
-                for s in cells.get((ci + di, cj + dj), ()):
-                    d = tri_tri_dist(p, mesh.nodes[mesh.triangles[s]])
-                    if d < best:
-                        best = d
-            if best < radius * 0.5:
-                break
-        out[t] = best >= radius
-    return out
 
 
 def history_energy(mesh: Triangulation, u: DisplacementField, history,

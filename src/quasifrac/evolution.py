@@ -191,7 +191,7 @@ def run_evolution(domain: Domain, params: MeshParams, material: MaterialModel,
     if vm is None:
         vm = VoidModParams(eta=eta_schedule(params.eps))
     if opts is None:
-        opts = SolveOptions(multi_starts=3)
+        opts = SolveOptions()
 
     mesh = build_background_mesh(domain, params)
     history = CrackHistory()
@@ -203,7 +203,6 @@ def run_evolution(domain: Domain, params: MeshParams, material: MaterialModel,
         "eps": params.eps,
         "theta0": params.theta0,
         "omega_factor": params.omega_factor,
-        "bg_dist_factor": params.bg_dist_factor,
         "kappa": material.kappa,
         "elasticity": [[float(x) for x in row] for row in material.elasticity],
         "eta": vm.eta,

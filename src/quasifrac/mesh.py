@@ -7,8 +7,7 @@ length lies in [eps, omega_factor*eps], and the union covers the body
 rectangle.  A run uses one mesh, the regular half-square background grid,
 so a triangle id names one triangle for the whole run and crack history is
 kept by id.  Meshes built by hand or loaded from files need not be
-background grids; the crack classification's distance clause applies to
-their off-grid triangles.
+background grids; the crack classification treats every triangle alike.
 """
 
 import json
@@ -19,8 +18,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import geometry
-from ._kernels import clip_areas_rect, strain_b_matrices, strains_from_values
+from ._kernels import (clip_areas_rect, clip_poly_convex, point_seg_dist,
+                       poly_area, strain_b_matrices, strains_from_values,
+                       tri_signed_areas)
 
 
 class MeshError(Exception):
@@ -33,14 +33,12 @@ class InadmissibleParams(MeshError):
 
 @dataclass(frozen=True)
 class MeshParams:
-    """Mesh-family parameters: minimal angle, minimal edge length eps,
-    maximal edge length omega_factor*eps, and the background-distance
-    multiplier used by crack classification."""
+    """Mesh-family parameters: minimal angle, minimal edge length eps and
+    maximal edge length omega_factor*eps."""
 
     theta0: float
     eps: float
     omega_factor: float = 1.0e6
-    bg_dist_factor: float = 1.0e6
 
     def __post_init__(self):
         if not (0.0 < self.theta0 <= math.pi / 3.0):
@@ -172,7 +170,7 @@ class Triangulation:
         triangles = np.ascontiguousarray(np.asarray(triangles, dtype=np.int64))
         if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise MeshError("triangles must be an (m,3) index array")
-        signed = geometry.tri_signed_areas(nodes, triangles)
+        signed = tri_signed_areas(nodes, triangles)
         flip = signed < 0.0
         if flip.any():
             triangles = triangles.copy()
@@ -203,7 +201,7 @@ class Triangulation:
 
     @cached_property
     def areas(self):
-        return np.abs(geometry.tri_signed_areas(self.nodes, self.triangles))
+        return np.abs(tri_signed_areas(self.nodes, self.triangles))
 
     @cached_property
     def edge_table(self):
@@ -388,7 +386,8 @@ class Triangulation:
         A triangle qualifies when its vertices lie on the lattice and, taken
         relative to their lowest lattice row and column, occupy exactly the
         cell corners of a lower {(0,0),(1,0),(1,1)} or an upper
-        {(0,0),(1,1),(0,1)} half-square.
+        {(0,0),(1,1),(0,1)} half-square.  The crack rule does not read
+        it; tests and the benchmark's table timings do.
         """
         if self.grid_shape is None:
             return np.zeros(self.n_triangles, dtype=bool)
@@ -434,7 +433,6 @@ class Triangulation:
             },
             "domain": self.domain.to_dict(),
         }
-        d["params"]["bg_dist_factor"] = self.params.bg_dist_factor
         if self.grid_shape is not None:
             d["grid_shape"] = list(self.grid_shape)
         return d
@@ -447,8 +445,7 @@ class Triangulation:
     def from_dict(d, domain: Optional[Domain] = None) -> "Triangulation":
         p = d["params"]
         params = MeshParams(theta0=float(p["theta0"]), eps=float(p["eps"]),
-                            omega_factor=float(p.get("omega_factor", 1e6)),
-                            bg_dist_factor=float(p.get("bg_dist_factor", 1e6)))
+                            omega_factor=float(p.get("omega_factor", 1e6)))
         nodes = np.asarray(d["nodes"], dtype=float)
         if domain is None:
             if "domain" in d:
@@ -632,8 +629,8 @@ def _check_overlaps(mesh: Triangulation, rep: ValidationReport):
                 seen.add((a, b))
                 pa = nodes[tris[a]]
                 pb = nodes[tris[b]]
-                inter = geometry.clip_poly_convex(pa, pb)
-                if geometry.poly_area(inter) > area_tol:
+                inter = clip_poly_convex(pa, pb)
+                if poly_area(inter) > area_tol:
                     rep.add("overlap", (a, b), "positive intersection area")
                     continue
                 if _tjunction(pa, pb, tol) or _tjunction(pb, pa, tol):
@@ -646,7 +643,7 @@ def _tjunction(pa, pb, tol) -> bool:
         for k in range(3):
             a = pb[k]
             b = pb[(k + 1) % 3]
-            if geometry.point_seg_dist(p[0], p[1], a[0], a[1], b[0], b[1]) < tol:
+            if point_seg_dist(p[0], p[1], a[0], a[1], b[0], b[1]) < tol:
                 da = math.hypot(p[0] - a[0], p[1] - a[1])
                 db = math.hypot(p[0] - b[0], p[1] - b[1])
                 if da > tol and db > tol:

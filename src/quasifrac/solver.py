@@ -61,7 +61,7 @@ class SingularSystem(SolverError):
 class SolveOptions:
     max_outer: int = 200
     seed: int = 0
-    multi_starts: int = 8    # deterministic starts plus random crack seeds
+    multi_starts: int = 3    # deterministic starts plus random crack seeds
 
     def __post_init__(self):
         if self.max_outer < 1 or self.multi_starts < 1:

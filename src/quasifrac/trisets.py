@@ -17,6 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._kernels import segment_clip_rect_length
 from .mesh import Triangulation
 
 
@@ -89,7 +90,6 @@ class TriangleSet:
 
     def boundary_length_in_rect(self, rect) -> float:
         """Boundary length clipped to an axis-aligned rectangle."""
-        from .geometry import segment_clip_rect_length
         total = 0.0
         for e in self.boundary_edges:
             a, b = self.mesh.edges[e]

@@ -5,7 +5,7 @@ oracle enumerates every subset instead of alternating, the quadrature
 helpers integrate loads directly, the component oracle floods triangle
 sets breadth-first over adjacency read straight from the vertex triples,
 the collar oracle measures each triangle's distance to the body
-rectangle one triangle at a time, the clipped-area and background oracles
+rectangle one triangle at a time with scalar segment predicates, the clipped-area and background oracles
 take one triangle at a time, the pre-crack oracle measures one triangle
 center at a time, the filled-boundary oracle finds a set's boundary edges
 from its vertex triples, the edge-table and coordinate-key oracles fill one
@@ -21,8 +21,7 @@ from collections import deque
 import numpy as np
 import scipy.sparse as sp
 
-from quasifrac._kernels import (_clip_area_rect, point_in_tri,
-                                point_seg_dist, seg_seg_dist)
+from quasifrac._kernels import _clip_area_rect, point_seg_dist
 from quasifrac.mesh import MeshError
 from quasifrac.solver import assemble_stiffness, solve_elastic
 from quasifrac.trisets import TriangleSet, closure_components_minus_vertex
@@ -41,8 +40,6 @@ def exhaustive_minimum(mesh, bc, hist_ids, material, params):
     m = mesh.n_triangles
     if m > 14:
         raise ValueError("exhaustive enumeration limited to small meshes")
-    if not mesh.is_background.all():
-        raise ValueError("oracle does not reproduce the distance clause")
     every = np.arange(m)
     w_omega = mesh.area_in_omega
     w_prime = mesh.area_in_omega_prime
@@ -160,6 +157,57 @@ def bfs_complement(mesh, mask):
         bounded.append(c[0] != out)
         comps.append(c[c != out])
     return comps, bounded
+
+
+def _orient(ax, ay, bx, by, cx, cy):
+    v = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    if v > 0.0:
+        return 1
+    if v < 0.0:
+        return -1
+    return 0
+
+
+def _on_seg(ax, ay, bx, by, px, py):
+    return (min(ax, bx) <= px <= max(ax, bx)) and (min(ay, by) <= py <= max(ay, by))
+
+
+def segs_intersect(ax, ay, bx, by, cx, cy, dx, dy):
+    o1 = _orient(ax, ay, bx, by, cx, cy)
+    o2 = _orient(ax, ay, bx, by, dx, dy)
+    o3 = _orient(cx, cy, dx, dy, ax, ay)
+    o4 = _orient(cx, cy, dx, dy, bx, by)
+    if o1 != o2 and o3 != o4:
+        return True
+    if o1 == 0 and _on_seg(ax, ay, bx, by, cx, cy):
+        return True
+    if o2 == 0 and _on_seg(ax, ay, bx, by, dx, dy):
+        return True
+    if o3 == 0 and _on_seg(cx, cy, dx, dy, ax, ay):
+        return True
+    if o4 == 0 and _on_seg(cx, cy, dx, dy, bx, by):
+        return True
+    return False
+
+
+def seg_seg_dist(ax, ay, bx, by, cx, cy, dx, dy):
+    """Distance between segments AB and CD (0 when they intersect)."""
+    if segs_intersect(ax, ay, bx, by, cx, cy, dx, dy):
+        return 0.0
+    d1 = point_seg_dist(ax, ay, cx, cy, dx, dy)
+    d2 = point_seg_dist(bx, by, cx, cy, dx, dy)
+    d3 = point_seg_dist(cx, cy, ax, ay, bx, by)
+    d4 = point_seg_dist(dx, dy, ax, ay, bx, by)
+    return min(min(d1, d2), min(d3, d4))
+
+
+def point_in_tri(x, y, t):
+    d1 = (x - t[1, 0]) * (t[0, 1] - t[1, 1]) - (t[0, 0] - t[1, 0]) * (y - t[1, 1])
+    d2 = (x - t[2, 0]) * (t[1, 1] - t[2, 1]) - (t[1, 0] - t[2, 0]) * (y - t[2, 1])
+    d3 = (x - t[0, 0]) * (t[2, 1] - t[0, 1]) - (t[2, 0] - t[0, 0]) * (y - t[0, 1])
+    has_neg = (d1 < 0) or (d2 < 0) or (d3 < 0)
+    has_pos = (d1 > 0) or (d2 > 0) or (d3 > 0)
+    return not (has_neg and has_pos)
 
 
 def tri_rect_distance(tri_pts, rect) -> float:

@@ -29,7 +29,7 @@ def test_empty_config_is_all_defaults():
     assert cfg["eta"] == "auto"
     assert cfg["output_dir"] == "out"
     # every schema key is materialized
-    assert len(cfg.values) == 22
+    assert len(cfg.values) == 21
 
 
 def test_negative_eps_names_key():
@@ -39,14 +39,15 @@ def test_negative_eps_names_key():
 
 
 @pytest.mark.parametrize("keys, error", [
-    (("f_profile", "c1", "c2", "notch", "cg_rel_tol", "max_cg"), ParseError),
+    (("f_profile", "c1", "c2", "notch", "cg_rel_tol", "max_cg",
+      "bg_dist_factor"), ParseError),
     (("snap",), ValidationError),
 ], ids=["f_profile", "snap"])
 def test_table_profile_rejected(keys, error):
-    # the model has one density and one domain shape, the ellipticity
-    # bounds are the elasticity's eigenvalues and every solve is direct, so
-    # those keys are gone; every run uses the background mesh, so only
-    # snap = off is accepted
+    # the model has one density, one domain shape and one crack rule, the
+    # ellipticity bounds are the elasticity's eigenvalues and every solve
+    # is direct, so those keys are gone; every run uses the background
+    # mesh, so only snap = off is accepted
     for key in keys:
         with pytest.raises(error) as err:
             parse_config(f"{key} = on\n")
@@ -273,3 +274,28 @@ def test_cli_energy_rejects_nonpositive_kappa(tmp_path, mesh16, kappa):
     assert res.returncode == 2
     assert "--kappa" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("eta", ["0.7", "0", "-0.1"])
+def test_cli_voidmod_rejects_eta_outside_range(tmp_path, mesh16, eta):
+    # eta must lie in (0, 0.5]: a usage error naming the option
+    mesh_path = tmp_path / "m.json"
+    mesh16.save(mesh_path)
+    set_path = tmp_path / "set.txt"
+    set_path.write_text("0 1 2\n")
+    res = _run_cli(["voidmod", "--mesh", str(mesh_path), "--set",
+                    str(set_path), f"--eta={eta}"])
+    assert res.returncode == 2
+    assert "--eta" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_cli_study_rejects_negative_refine(tmp_path):
+    # a negative level count would run no level at all
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"output_dir = {tmp_path / 'out'}\n")
+    res = _run_cli(["study", "--config", str(cfg), "--refine=-1"])
+    assert res.returncode == 2
+    assert "--refine" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "out").exists()

@@ -10,6 +10,7 @@ from quasifrac.energy import (
     InconsistentHistory,
     MaterialModel,
     MeshFieldMismatch,
+    choose_crack_set,
     classify_cracked,
     history_energy,
     static_energy,
@@ -24,7 +25,6 @@ from quasifrac.mesh import (
 )
 from quasifrac.trisets import TriangleSet
 from conftest import AffineLoad, block_ids, make_mesh
-from _oracles import containing_triangle
 
 
 def _uniform_field(mesh, a11=0.0, a12=0.0, a21=0.0, a22=0.0):
@@ -163,33 +163,22 @@ def test_classify_boundary_case():
     assert len(classify_cracked(mesh, u, mat_above, params)) == 0
 
 
-def test_classify_no_background_all_cracked():
+def test_classify_off_grid_mesh_by_density_alone():
+    # a hand-built triangle off the background grid: with a zero field
+    # its density is zero, so nothing cracks under either crack rule
     params = MeshParams(theta0=math.radians(20.0), eps=0.4)
     dom = Domain((0.2, 0.2, 1.0, 0.8), (0.0, 0.0, 1.4, 1.0))
     mesh = Triangulation([(0, 0), (1.4, 0), (0.7, 1.0)], [(0, 1, 2)],
                          dom, params)
     assert not mesh.is_background.any()
     u = DisplacementField(mesh, np.zeros((3, 2)))
-    cracked = classify_cracked(mesh, u, MaterialModel(), params)
-    assert len(cracked) == mesh.n_triangles
-
-
-def test_classify_distance_clause(mesh16):
-    # shrink the distance factor so non-background triangles crack
-    params = MeshParams(theta0=mesh16.params.theta0, eps=mesh16.params.eps,
-                        bg_dist_factor=6.0)
-    nodes = mesh16.nodes.copy()
-    # nudge one interior node: its incident triangles leave the grid family
-    v = containing_triangle(mesh16, (0.51, 0.52))
-    node = mesh16.triangles[v][0]
-    nodes[node] += 0.2 * params.point_tol * 1e6  # well over coincidence tol
-    mesh = Triangulation(nodes, mesh16.triangles, mesh16.domain, params,
-                         grid_shape=mesh16.grid_shape)
-    assert not mesh.is_background.all()
-    u = DisplacementField(mesh, np.zeros((mesh.n_nodes, 2)))
-    cracked = classify_cracked(mesh, u, MaterialModel(), params)
-    # factor 6 eps exceeds the moved triangles' distance: nothing cracks
-    assert len(cracked) == 0
+    mat = MaterialModel()
+    assert len(classify_cracked(mesh, u, mat, params)) == 0
+    assert len(choose_crack_set(mesh, u, [], mat, params)) == 0
+    # a field whose capped density saturates cracks it
+    u = DisplacementField(mesh, np.array([[0.0, 0.0], [3.0, 0.0],
+                                          [1.5, 0.0]]))
+    assert classify_cracked(mesh, u, mat, params).ids.tolist() == [0]
 
 
 def test_history_energy_empty_matches_static(mesh16):

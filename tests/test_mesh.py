@@ -154,11 +154,17 @@ def test_mesh_json_roundtrip(tmp_path, mesh16):
         data = json.load(f)
     assert set(data) >= {"nodes", "triangles", "params"}
     assert set(data["params"]) >= {"theta0", "eps", "omega_factor"}
+    assert "bg_dist_factor" not in data["params"]
     back = Triangulation.load(path)
     assert np.allclose(back.nodes, mesh16.nodes)
     assert np.array_equal(back.triangles, mesh16.triangles)
     assert back.params.eps == mesh16.params.eps
     assert check_admissible(back).ok
+    # older files carry a bg_dist_factor entry; it is ignored
+    data["params"]["bg_dist_factor"] = 6.0
+    old = Triangulation.from_dict(data)
+    assert old.params == mesh16.params
+    assert np.array_equal(old.triangles, mesh16.triangles)
 
 
 def test_mesh_file_with_notch_rejected(mesh16):
