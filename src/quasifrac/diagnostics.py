@@ -139,8 +139,11 @@ def run_convergence_study(base_config: RunConfig, refinements: int,
 
     Each row reports the final crack length, the crack part of the energy,
     its geometric counterpart kappa * sin(theta0) * (half crack length),
-    the elastic part, and the balance beta fit.
+    the elastic part, and the balance beta fit.  Raises ValueError when
+    `refinements` is negative.
     """
+    if refinements < 0:
+        raise ValueError(f"refinements must be >= 0, got {refinements}")
     from concurrent.futures import ThreadPoolExecutor
 
     from .runner import run_from_config, thread_cap

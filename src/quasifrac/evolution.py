@@ -180,7 +180,7 @@ def run_evolution(domain: Domain, params: MeshParams, material: MaterialModel,
     cracked triangles stay cracked.  After each step the accumulated set
     is void-modified at the configured eta and the crack curve taken as
     the boundary of the modified set.  A solver failure aborts with the
-    partial trace.  Either way the returned mesh keeps no LU factor.
+    partial trace.  Either way the returned mesh keeps no factor.
 
     `snap` stays only because the benchmark harness passes it; its one
     accepted value is False.
@@ -264,6 +264,6 @@ def run_evolution(domain: Domain, params: MeshParams, material: MaterialModel,
                 print(f"step {k:3d} t={t:.4f} E={res.energy.total:.6g} "
                       f"cracked={len(accum_ids)} K={kn_raw:.4f}")
     finally:
-        # the mesh a trace returns keeps no LU factor of the run
+        # the mesh a trace returns keeps no factor of the run
         mesh.factor_slot = None
     return trace

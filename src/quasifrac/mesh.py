@@ -135,8 +135,7 @@ class StiffnessPattern(NamedTuple):
     """Entries of the stiffness matrix that the triangles of positive weight
     can touch, over the 2 n_nodes dofs (dof 2v+c is component c of node v),
     in the canonical CSR order: rows ascending, columns sorted within a
-    row.  The pattern is symmetric, so `indptr` and `indices` are also its
-    CSC column pointers and row indices.  Index arrays are int32.
+    row.  Index arrays are int32.
 
     slot:      (m,) row of each triangle in `scatter`, -1 for zero weight
     scatter:   (w, 36) pattern position of each entry of a triangle's 6x6
@@ -144,8 +143,6 @@ class StiffnessPattern(NamedTuple):
     indptr:    (2 n_nodes + 1,) row pointers
     indices:   (nnz,) column of each entry
     rows:      (nnz,) row of each entry
-    csc_order: (nnz,) position of the entry (j, i) for the entry (i, j) at
-               each position, so data[csc_order] lists the values by column
     """
 
     slot: np.ndarray
@@ -153,7 +150,6 @@ class StiffnessPattern(NamedTuple):
     indptr: np.ndarray
     indices: np.ndarray
     rows: np.ndarray
-    csc_order: np.ndarray
 
 
 class Triangulation:
@@ -180,9 +176,9 @@ class Triangulation:
         self.domain = domain
         self.params = params
         self.grid_shape = grid_shape  # (nx, ny, origin_x, origin_y) for grid family
-        # (system key, kept direct system or None) of the last elastic solve
-        # on this mesh, owned by solver.solve_elastic; the one mutable
-        # attribute, and not part of the mesh's value
+        # (system key, direct system) of the latest elastic system factored
+        # on this mesh, or None, owned by solver.solve_elastic; the one
+        # mutable attribute, and not part of the mesh's value
         self.factor_slot = None
         self.nodes.setflags(write=False)
         self.triangles.setflags(write=False)
@@ -328,12 +324,24 @@ class Triangulation:
         rows = np.repeat(np.arange(2 * nn, dtype=np.int32), np.diff(indptr))
         k = pair_of.reshape(-1, 3, 1, 3, 1)
         scatter = (base[k] + width[k] * s[:, :, None] + t).reshape(-1, 6, 6)
-        csc_order = np.empty(nnz, dtype=np.int32)
-        csc_order[scatter] = scatter.transpose(0, 2, 1)
         slot = np.full(self.n_triangles, -1, dtype=np.int32)
         slot[weighted] = np.arange(len(weighted))
         return StiffnessPattern(slot, scatter.reshape(-1, 36), indptr, indices,
-                                rows, csc_order)
+                                rows)
+
+    @cached_property
+    def band_order(self):
+        """The 2 n_nodes dofs in an order that keeps the stiffness matrix
+        banded: nodes swept along the longer side of their bounding box,
+        row by row across the shorter side (y counts as the longer side of
+        a square), each node's x dof before its y dof.  On the grid family
+        of a box no wider than tall this is the node numbering itself, and
+        the half-bandwidth is about twice the nodes of one row."""
+        lo, hi = self.nodes.min(axis=0), self.nodes.max(axis=0)
+        x, y = self.nodes[:, 0], self.nodes[:, 1]
+        long_short = (x, y) if hi[0] - lo[0] > hi[1] - lo[1] else (y, x)
+        nodes = np.lexsort(long_short[::-1])
+        return (2 * nodes[:, None] + np.arange(2)).ravel()
 
     @cached_property
     def tri_bbox(self):

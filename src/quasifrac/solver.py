@@ -5,14 +5,16 @@ collar nodes pinned to the boundary program.  The zero-energy motions
 left after pinning (pieces of the active region that float, or hinge on
 a single node) are fixed by `_gauge_pins`, which holds exactly as many
 dofs as there are such motions at their initial values, so every reduced
-system is symmetric positive definite.  The path uses numpy alone: each
-system is summed onto the mesh's cached stiffness pattern
-(`assemble_stiffness`), its free-free block is cut out column by column
-(`CSRMatrix.csc_block`), and every such block is factored the same way,
-by `_factor`: SuperLU in symmetric mode, sequential, so results are
-independent of thread count.  SuperLU's extension is loaded alone, and no
-part of `scipy.sparse` is imported.  A solve that repeats the reduced
-system of the previous solve on the same mesh keeps its factor on the mesh
+system is symmetric positive definite.  The path uses numpy and LAPACK
+alone: each system is summed onto the mesh's cached stiffness pattern
+(`assemble_stiffness`), its free-free block is renumbered in the mesh's
+band order (`Triangulation.band_order`) and its upper triangle scattered
+into band storage (`CSRMatrix.band_block`), and every such block is
+factored the same way, by `_factor`: LAPACK's band Cholesky `dpbtrf`,
+solved by `dpbtrs`.  SciPy's LAPACK extension is loaded alone, with its
+bundled OpenBLAS held to one thread, so results are independent of the
+thread count; no part of `scipy.sparse` or `scipy.linalg` is imported.
+The mesh keeps the factor of its latest system
 (`Triangulation.factor_slot`) and reuses it while the system repeats; any
 other system drops it first, so at most one factor is kept.  The outer
 loop alternates solve / reclassify until the cracked set stabilizes;
@@ -26,6 +28,8 @@ therefore bitwise the field a new solve would give, and each distinct
 system is solved once per step.
 """
 
+import ctypes
+import glob
 import importlib.machinery
 import importlib.util
 import os
@@ -81,16 +85,14 @@ class SolveResult:
 class CSRMatrix(NamedTuple):
     """Square sparse matrix with a symmetric pattern in SciPy's canonical
     CSR form (int32 indices, columns sorted within a row, no duplicate
-    entries), with the row of each entry and the order that lists its
-    entries column by column (see mesh.StiffnessPattern.csc_order).
-    Gathers by its int32 index arrays go through np.take, which reads them
-    without converting them first."""
+    entries), with the row of each entry.  Gathers by its int32 index
+    arrays go through np.take, which reads them without converting them
+    first."""
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
     rows: np.ndarray
-    csc_order: np.ndarray
 
     @property
     def shape(self):
@@ -108,17 +110,23 @@ class CSRMatrix(NamedTuple):
         out[self.rows[on]] = self.data[on]
         return out
 
-    def csc_block(self, keep):
-        """CSC arrays (indptr, indices, data) of the submatrix on the dofs
-        where the mask `keep` holds, renumbered in order."""
-        sel = np.take(keep, self.rows) & np.take(keep, self.indices)
-        new = np.cumsum(keep, dtype=np.int32) - 1
-        n = int(np.count_nonzero(keep))
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(np.take(new, self.rows[sel]), minlength=n),
-                  out=indptr[1:])
-        return (indptr, np.take(new, self.indices[sel]),
-                np.take(self.data, self.csc_order[sel]))
+    def band_block(self, order):
+        """LAPACK upper band storage of the submatrix on the dofs `order`,
+        renumbered in that order: a (kd + 1, n) Fortran-ordered array
+        holding entry (i, j), i <= j <= i + kd, at [kd + i - j, j], where
+        kd is the submatrix's half-bandwidth.  The upper triangle is
+        scattered straight from the rows."""
+        n = len(order)
+        new = np.full(self.shape[0], -1, dtype=np.intp)
+        new[order] = np.arange(n)
+        i, j = np.take(new, self.rows), np.take(new, self.indices)
+        upper = (i >= 0) & (j >= i)
+        i, j = i[upper], j[upper]
+        kd = int((j - i).max(initial=0))
+        band = np.zeros((n, kd + 1))
+        # [kd + i - j, j] of the transpose is flat position (j + 1) kd + i
+        band.ravel()[(j + 1) * kd + i] = self.data[upper]
+        return band.T
 
 
 def assemble_stiffness(mesh: Triangulation, active_ids, material: MaterialModel):
@@ -145,13 +153,10 @@ def assemble_stiffness(mesh: Triangulation, active_ids, material: MaterialModel)
     data = np.bincount(at, ke.ravel(), minlength=nnz).astype(float, copy=False)
     keep = np.zeros(nnz, dtype=bool)
     keep[at] = True
-    # the kept positions renumbered, for the order by column
-    kept_at = np.cumsum(keep, dtype=np.int32) - 1
     rows = pattern.rows[keep]
     indptr = np.zeros(len(pattern.indptr), dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=len(indptr) - 1), out=indptr[1:])
-    return CSRMatrix(indptr, pattern.indices[keep], data[keep], rows,
-                     np.take(kept_at, pattern.csc_order[keep])), ids
+    return CSRMatrix(indptr, pattern.indices[keep], data[keep], rows), ids
 
 
 def _gauge_pins(mesh: Triangulation, asm_ids, pinned_node_mask):
@@ -243,67 +248,70 @@ def _group_gauge(mesh: Triangulation, q, v, fixed):
     return np.asarray(chosen, dtype=np.int64)
 
 
-_superlu_module = None  # loaded once per process, like an import
+_lapack_module = None  # loaded once per process, like an import
 
 
-def _superlu():
-    """SuperLU's extension module, loaded alone from SciPy's sparse-solver
-    directory on the first factorization.  The directory is found from
-    SciPy's install location without importing `scipy.sparse`, which
-    would load all of that package for one function."""
-    global _superlu_module
-    if _superlu_module is None:
+def _lapack():
+    """SciPy's LAPACK extension module, loaded alone from SciPy's `linalg`
+    directory on the first factorization, without importing the
+    `scipy.linalg` package.  The OpenBLAS that SciPy's wheels bundle is
+    then held to one thread: the band factorization's BLAS calls work on
+    small blocks, where threads cost more than they save.  A SciPy built
+    without that library keeps its own BLAS threading."""
+    global _lapack_module
+    if _lapack_module is None:
         scipy_spec = importlib.util.find_spec("scipy")
         if scipy_spec is None:
             raise ImportError("SciPy is not installed")
-        path = [os.path.join(scipy_spec.submodule_search_locations[0],
-                             "sparse", "linalg", "_dsolve")]
-        spec = importlib.machinery.PathFinder.find_spec("_superlu", path)
+        root = scipy_spec.submodule_search_locations[0]
+        path = [os.path.join(root, "linalg")]
+        spec = importlib.machinery.PathFinder.find_spec("_flapack", path)
         if spec is None:
             raise ImportError(
-                f"SciPy's _superlu extension not found in {path[0]}")
+                f"SciPy's _flapack extension not found in {path[0]}")
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        _superlu_module = module
-    return _superlu_module
+        for lib in glob.glob(os.path.join(os.path.dirname(root), "scipy.libs",
+                                          "libscipy_openblas*.so")):
+            set_threads = ctypes.CDLL(lib).scipy_openblas_set_num_threads
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+        _lapack_module = module
+    return _lapack_module
 
 
-_FACTOR_OPTIONS = {"ColPerm": "MMD_AT_PLUS_A", "DiagPivotThresh": 0.0,
-                   "SymmetricMode": True}
+class _BandFactor(NamedTuple):
+    """Cholesky factor U^T U of a symmetric positive definite band matrix,
+    U in LAPACK's upper band storage."""
+
+    u: np.ndarray
+
+    def solve(self, b):
+        return _lapack().dpbtrs(self.u, b)[0]
 
 
-def _csc_array(*args, **kwargs):
-    """SciPy sparse array of a factor's `L` or `U`, which SuperLU builds
-    only when a caller reads them (the program never does); SciPy's sparse
-    package is imported then, not before."""
-    return importlib.import_module("scipy.sparse").csc_array(*args, **kwargs)
-
-
-def _factor(indptr, indices, data):
-    """Sparse LU factor of the symmetric positive definite matrix with CSC
-    arrays (indptr, indices, data), int32 indices: SuperLU with a symmetric
-    ordering and pivots on the diagonal, as `scipy.sparse.linalg.splu(kff,
-    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-    options={"SymmetricMode": True})` computes it for that matrix.  Raises
-    SingularSystem when a pivot is exactly zero."""
-    try:
-        return _superlu().gstrf(len(indptr) - 1, len(data), data, indices,
-                                indptr, csc_construct_func=_csc_array,
-                                options=_FACTOR_OPTIONS, ilu=False)
-    except RuntimeError as exc:
-        raise SingularSystem(f"reduced stiffness matrix: {exc}") from None
+def _factor(band):
+    """Cholesky factor of the symmetric positive definite matrix in upper
+    band storage `band` (see CSRMatrix.band_block), computed in place by
+    LAPACK's dpbtrf.  Raises SingularSystem when a leading minor is not
+    positive."""
+    u, info = _lapack().dpbtrf(band, overwrite_ab=1)
+    if info > 0:
+        raise SingularSystem(f"reduced stiffness matrix: leading minor of "
+                             f"order {info} is not positive")
+    return _BandFactor(u)
 
 
 @dataclass
 class _DirectSystem:
-    """Reduced system of a solve: stiffness matrix, free dofs, the dofs
-    copied from the initial vector and the LU factor of the free-free
-    block."""
+    """Reduced system of a solve: stiffness matrix, free dofs in the
+    mesh's band order, the dofs copied from the initial vector and the
+    Cholesky factor of the free-free block."""
 
     k: CSRMatrix
     free_idx: np.ndarray
     copied: np.ndarray
-    lu: object
+    factor: _BandFactor
 
 
 def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
@@ -328,11 +336,10 @@ def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
     triangle, and the gauge dofs.
 
     The reduced system is fixed by the elasticity, the weighted active ids
-    and the pinned nodes.  When a solve repeats the system of the previous
-    solve on the same mesh, the mesh keeps that system's factor and later
-    repeats only build the right-hand side and back-substitute.  Any other
-    system drops the kept factor before it is assembled, so at most one
-    factor exists while another is built.
+    and the pinned nodes.  The mesh keeps the factor of its latest system,
+    and a solve that repeats that system only builds the right-hand side
+    and back-substitutes.  Any other system drops the kept factor before
+    it is assembled, so at most one factor exists at a time.
     """
     active_ids = active.ids if isinstance(active, TriangleSet) else \
         np.asarray(sorted(active), dtype=np.int64)
@@ -354,13 +361,10 @@ def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
 
     key = (material.elasticity.tobytes(), active_ids.tobytes(),
            pinned_nodes.tobytes())
-    held_key, held = mesh.factor_slot or (None, None)
-    if held_key == key and held is not None:
-        return _direct_solve(mesh, held, x)
-    repeat = held_key == key
-    # forget a kept factor before the next one is built
-    held = None
-    mesh.factor_slot = (key, None)
+    if mesh.factor_slot is not None and mesh.factor_slot[0] == key:
+        return _direct_solve(mesh, mesh.factor_slot[1], x)
+    # forget the kept factor before the next one is built
+    mesh.factor_slot = None
 
     k, asm_ids = assemble_stiffness(mesh, active_ids, material)
     unpinned = np.repeat(~pinned_nodes, 2)
@@ -369,12 +373,12 @@ def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
     free = unpinned & touched
     gauge = _gauge_pins(mesh, asm_ids, pinned_nodes)
     free[gauge] = False
-    free_idx = np.flatnonzero(free)
+    order = mesh.band_order
+    free_idx = order[free[order]]
     system = _DirectSystem(k, free_idx,
                            np.union1d(np.flatnonzero(unpinned & ~touched), gauge),
-                           _factor(*k.csc_block(free)))
-    if repeat:
-        mesh.factor_slot = (key, system)
+                           _factor(k.band_block(free_idx)))
+    mesh.factor_slot = (key, system)
     return _direct_solve(mesh, system, x)
 
 
@@ -385,7 +389,7 @@ def _direct_solve(mesh, system: _DirectSystem, x) -> DisplacementField:
     x_pin = x.copy()
     x_pin[free_idx] = 0.0
     rhs = -(system.k @ x_pin)[free_idx]
-    x[free_idx] = system.lu.solve(rhs)
+    x[free_idx] = system.factor.solve(rhs)
     # the reduced residual kff y - rhs, read off the full product
     res = float(np.linalg.norm((system.k @ x)[free_idx]))
     ref = float(np.linalg.norm(rhs)) or 1.0

@@ -368,6 +368,17 @@ def scipy_csr(k):
     return sp.csr_matrix((k.data, k.indices, k.indptr), shape=k.shape)
 
 
+def dense_of_band(band):
+    """Dense symmetric matrix of LAPACK upper band storage `band`, entry
+    (i, j), i <= j, at [kd + i - j, j]."""
+    kd, n = band.shape[0] - 1, band.shape[1]
+    a = np.zeros((n, n))
+    for d in range(min(kd + 1, n)):
+        i = np.arange(n - d)
+        a[i, i + d] = a[i + d, i] = band[kd - d, i + d]
+    return a
+
+
 def kkt_residual(mesh, active, u, material, extra_pinned_nodes=None) -> float:
     """Norm of the reduced gradient at u relative to the load norm."""
     active_ids = active.ids if isinstance(active, TriangleSet) else \

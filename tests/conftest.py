@@ -26,14 +26,14 @@ def mesh32():
 
 
 @pytest.fixture()
-def counted_splu(monkeypatch):
-    """List that gains one entry per sparse LU factorization."""
+def counted_factor(monkeypatch):
+    """List that gains one entry per factorization of a reduced system."""
     calls = []
     factor = solver._factor
 
-    def counting(*csc):
+    def counting(band):
         calls.append(1)
-        return factor(*csc)
+        return factor(band)
 
     monkeypatch.setattr(solver, "_factor", counting)
     return calls

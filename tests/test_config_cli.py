@@ -192,6 +192,23 @@ def test_cli_study_determinism_across_threads(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_cli_crack_run_independent_of_blas_threads(tmp_path):
+    # the band factorization holds SciPy's OpenBLAS to one thread, so the
+    # thread count a caller sets for it changes no output byte
+    text = (REPO / "configs" / "crack.cfg").read_text()
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        cfg = tmp_path / f"crack_{threads}.cfg"
+        cfg.write_text(text.replace("out/crack", str(out)))
+        res = _run_cli(["simulate", "--config", str(cfg)],
+                       env={"OPENBLAS_NUM_THREADS": threads})
+        assert res.returncode == 0, res.stderr
+        outs.append([(out / name).read_bytes()
+                     for name in ("energies.csv", "trace.json")])
+    assert outs[0] == outs[1]
+
+
 def test_cli_check_mesh(tmp_path, mesh16):
     path = tmp_path / "m.json"
     mesh16.save(path)

@@ -94,6 +94,14 @@ def test_study_single_row():
     assert study.csv().count("\n") == 2
 
 
+@pytest.mark.parametrize("refinements", [-1, -3])
+def test_study_rejects_negative_refinements(refinements):
+    # a negative count used to return a study with no rows
+    cfg = parse_config("eps = 0.0625\nn_steps = 2\namplitude = 0.3\n")
+    with pytest.raises(ValueError, match="refinements"):
+        run_convergence_study(cfg, refinements)
+
+
 def test_study_uncracked_ramp_zero_columns():
     cfg = parse_config("eps = 0.0625\nn_steps = 2\namplitude = 0.3\n")
     study = run_convergence_study(cfg, refinements=1)

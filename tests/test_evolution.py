@@ -123,24 +123,26 @@ def test_run_keeps_history_by_id():
     assert not any("tri_keys" in vars(rec.mesh) for rec in trace.steps)
 
 
-def test_ramp_reuses_factor_and_releases_it(counted_splu):
-    # a crack-free ramp repeats one reduced system: it is factorized twice
-    # before it is kept (12 factorizations when every solve factorizes),
-    # and the returned meshes keep no factor
+def test_ramp_reuses_factor_and_releases_it(counted_factor):
+    # a crack-free ramp repeats one reduced system, whose factor is kept
+    # from its first solve (12 factorizations when every solve
+    # factorizes), and the returned meshes keep no factor
     cfg = parse_config("eps = 0.015625\nn_steps = 4\namplitude = 0.4\n"
                        "load = stretch\nseed = 0\nmulti_starts = 2\n")
     trace = run_from_config(cfg)
     assert not trace.aborted
-    assert 0 < len(counted_splu) <= 5
+    assert 0 < len(counted_factor) <= 5
     assert all(rec.mesh.factor_slot is None for rec in trace.steps)
 
 
-def test_crack64_solves_each_system_once_per_step(monkeypatch, counted_splu):
+def test_crack64_solves_each_system_once_per_step(monkeypatch,
+                                                  counted_factor):
     # the eps 1/64 crack ladder level: later starts of a step replay earlier
     # trajectories, which the step's memo serves, so no step solves one
     # system twice from the same copied initial values.  Re-solving every
     # replayed system made 124 solves, 56 of them in the crack-growth step,
-    # and 104 factorizations
+    # and 104 factorizations; keeping a factor only from a system's second
+    # solve made 53
     cfg = parse_config("eps = 0.015625\nn_steps = 16\namplitude = 3.2\n"
                        "load = opening\nprecrack = 0.0 0.5 0.45 0.5 0.06\n"
                        "seed = 1\nmulti_starts = 3\n")
@@ -165,12 +167,13 @@ def test_crack64_solves_each_system_once_per_step(monkeypatch, counted_splu):
     assert all(len(set(calls)) == len(calls) for calls in steps)
     assert max(map(len, steps)) < 56
     assert sum(map(len, steps)) < 124
-    assert 0 < len(counted_splu) <= 53
+    assert 0 < len(counted_factor) <= 47
 
 
 def test_crack32_run_loads_no_sparse_linalg():
-    # the solver loads SciPy's SuperLU extension alone; importing all of
-    # scipy.sparse.linalg would cost the run about 8 MiB
+    # the solver loads SciPy's LAPACK extension alone; importing all of
+    # scipy.sparse.linalg would cost the run about 8 MiB, and no part of
+    # scipy.linalg is needed either
     repo = Path(__file__).resolve().parents[1]
     code = ("import sys\n"
             "from quasifrac.config import load_config\n"
@@ -179,7 +182,8 @@ def test_crack32_run_loads_no_sparse_linalg():
             "assert cfg['eps'] == 1 / 32 and cfg['precrack']\n"
             "assert not run_from_config(cfg).aborted\n"
             "print(sorted(m for m in sys.modules\n"
-            "             if m.startswith('scipy.sparse.linalg')))\n")
+            "             if m.startswith(('scipy.sparse.linalg',\n"
+            "                              'scipy.linalg'))))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
@@ -190,25 +194,40 @@ def test_crack32_run_loads_no_sparse_linalg():
     assert res.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("code", [
-    "from quasifrac.config import load_config\n"
-    "from quasifrac.runner import run_from_config\n"
-    "cfg = load_config(sys.argv[1])\n"
-    "assert cfg['precrack'] and not run_from_config(cfg).aborted\n",
-    "import quasifrac.cli\n",
+# the files a process has mapped from SciPy's package and bundled libraries
+MAPPED_SCIPY = (
+    "maps = open('/proc/self/maps').read().split()\n"
+    "print(sorted({p.rsplit('/', 1)[1] for p in maps\n"
+    "              if '/scipy/' in p or '/scipy.libs/' in p}))\n")
+
+
+@pytest.mark.parametrize("code,lapack", [
+    ("from quasifrac.config import load_config\n"
+     "from quasifrac.runner import run_from_config\n"
+     "cfg = load_config(sys.argv[1])\n"
+     "assert cfg['precrack'] and not run_from_config(cfg).aborted\n", True),
+    ("import quasifrac.cli\n", False),
 ], ids=["crack_run", "cli_import"])
-def test_no_scipy_sparse_module_loaded(code):
+def test_no_scipy_sparse_module_loaded(code, lapack):
     # assembly, the free-free block and the products use numpy alone, and
-    # SuperLU's extension is loaded by itself: importing scipy.sparse would
-    # cost every process about 20 MiB
+    # SciPy's LAPACK extension is loaded by itself, only once a system is
+    # factored: importing scipy.sparse would cost every process about
+    # 20 MiB, and a crack run needs no scipy.linalg module
+    if not Path("/proc/self/maps").exists():
+        pytest.skip("needs /proc/self/maps")
     repo = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
     report = ("print(sorted(m for m in sys.modules\n"
-              "             if m.startswith('scipy.sparse')))\n")
-    res = subprocess.run([sys.executable, "-c", "import sys\n" + code + report,
+              "             if m.startswith(('scipy.sparse', 'scipy.linalg'))))\n")
+    res = subprocess.run([sys.executable, "-c",
+                          "import sys\n" + code + report + MAPPED_SCIPY,
                           str(repo / "configs" / "crack.cfg")],
                          capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    modules, mapped = res.stdout.strip().splitlines()
+    assert modules == "[]"
+    # the CLI maps no SciPy extension or library; a run maps the LAPACK one
+    assert ("_flapack" in mapped) == lapack, mapped
+    assert lapack or mapped == "[]", mapped

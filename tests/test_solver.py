@@ -1,10 +1,15 @@
+import glob
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from quasifrac import solver
 from quasifrac._kernels import cg_deflated
+from quasifrac.config import parse_config
 from quasifrac.energy import (
     CrackHistory,
     MaterialModel,
@@ -25,7 +30,7 @@ from quasifrac.solver import (
 )
 from quasifrac.trisets import TriangleSet
 from conftest import AffineLoad, block_ids, make_mesh
-from _oracles import coo_stiffness, kkt_residual, scipy_csr
+from _oracles import coo_stiffness, dense_of_band, kkt_residual, scipy_csr
 
 
 def _fringe_nodes(mesh):
@@ -176,7 +181,7 @@ def test_minimize_step_matches_oracle_small():
         assert res.energy.total == pytest.approx(e_oracle, abs=1e-9)
 
 
-# factor reuse on the eps 1/64 mesh, whose free dofs take the LU path
+# factor reuse on the eps 1/64 mesh
 
 LOADS = (AffineLoad(0.0, 0.0, 0.0, 0.4), AffineLoad(0.1, 0.2, 0.0, 0.3))
 
@@ -191,29 +196,29 @@ def _fresh_values(active, g, mat, pins=None):
     return _solve(make_mesh(1 / 64), active, g, mat, pins).values.tobytes()
 
 
-def test_solve_elastic_reuses_factor_bitwise(counted_splu):
+def test_solve_elastic_reuses_factor_bitwise(counted_factor):
     mesh = make_mesh(1 / 64)
     mat = MaterialModel()
     active = np.setdiff1d(np.arange(mesh.n_triangles),
                           block_ids(mesh, 30, 34, 33, 35))
     out = [_solve(mesh, active, g, mat).values.tobytes()
            for g in LOADS + LOADS]
-    # the first solve keeps no factor, its repeat keeps one, the rest reuse it
-    assert len(counted_splu) == 2
+    # the first solve keeps its factor, the rest reuse it
+    assert len(counted_factor) == 1
     assert mesh.factor_slot[1] is not None
     for g, values in zip(LOADS + LOADS, out):
         assert values == _fresh_values(active, g, mat)
 
 
 @pytest.mark.parametrize("change", ["active", "pins", "material"])
-def test_solve_elastic_changed_system_drops_factor(change):
+def test_solve_elastic_changed_system_drops_factor(change, counted_factor):
     mesh = make_mesh(1 / 64)
     mat = MaterialModel()
     active = np.setdiff1d(np.arange(mesh.n_triangles),
                           block_ids(mesh, 30, 34, 33, 35))
     for g in LOADS:
         _solve(mesh, active, g, mat)
-    assert mesh.factor_slot[1] is not None
+    old_key, old_system = mesh.factor_slot
     pins = None
     if change == "active":
         active = np.setdiff1d(active, block_ids(mesh, 34, 35, 33, 35))
@@ -222,7 +227,10 @@ def test_solve_elastic_changed_system_drops_factor(change):
     else:
         mat = MaterialModel(elasticity=np.diag([2.0, 1.0, 1.0]))
     u = _solve(mesh, active, LOADS[0], mat, pins)
-    assert mesh.factor_slot[1] is None
+    # the changed system is factored and kept in place of the old one
+    assert len(counted_factor) == 2
+    assert mesh.factor_slot[0] != old_key
+    assert mesh.factor_slot[1] is not old_system
     assert u.values.tobytes() == _fresh_values(active, LOADS[0], mat, pins)
 
 
@@ -405,35 +413,65 @@ def test_assemble_matches_coo_oracle(mesh16):
             assert np.abs(k.data - ref.data).max(initial=0.0) <= 1e-14 * scale
             assert np.array_equal(k.rows, np.repeat(np.arange(k.shape[0]),
                                                     np.diff(k.indptr)))
-            # column order, product and diagonal as SciPy computes them
+            # product and diagonal as SciPy computes them
             kk = scipy_csr(k)
-            assert kk.tocsc().data.tobytes() == k.data[k.csc_order].tobytes()
             x = np.random.default_rng(len(ids)).standard_normal(k.shape[0])
             assert (k @ x).tobytes() == (kk @ x).tobytes()
             assert k.diagonal().tobytes() == kk.diagonal().tobytes()
 
 
-def test_csc_block_is_scipy_submatrix(mesh16):
+def test_band_block_is_scipy_submatrix(mesh16):
     k, _ = solver.assemble_stiffness(mesh16, np.arange(mesh16.n_triangles),
                                      MaterialModel(elasticity=SPD_ELASTICITY))
     rng = np.random.default_rng(4)
-    for keep in (rng.random(k.shape[0]) >= 0.2, np.zeros(k.shape[0], bool)):
-        indptr, indices, data = k.csc_block(keep)
-        ref = scipy_csr(k)[keep][:, keep].tocsc()
-        assert np.array_equal(indptr, ref.indptr)
-        assert np.array_equal(indices, ref.indices)
-        assert data.tobytes() == ref.data.tobytes()
-        assert indptr.dtype == indices.dtype == np.intc
+    order = mesh16.band_order
+    for keep in (rng.random(k.shape[0]) >= 0.2, np.zeros(k.shape[0], bool),
+                 np.ones(k.shape[0], bool)):
+        for dofs in (order[keep[order]], order[keep[order]][::-1]):
+            band = k.band_block(dofs)
+            assert band.flags.f_contiguous
+            ref = scipy_csr(k)[dofs][:, dofs].toarray()
+            dense = dense_of_band(band)
+            # the upper triangle as it is; the lower one mirrors it, which
+            # the roundoff of the element blocks leaves unequal in the last
+            # bits
+            assert np.triu(dense).tobytes() == np.triu(ref).tobytes()
+            scale = np.abs(ref).max(initial=1.0)
+            assert np.abs(dense - ref).max(initial=0.0) <= 1e-14 * scale
+            # the half-bandwidth is the block's own
+            rows, cols = np.nonzero(ref)
+            assert band.shape[0] == (cols - rows).max(initial=0) + 1
+
+
+def _mesh_half_bandwidth(mesh):
+    k, _ = solver.assemble_stiffness(mesh, np.arange(mesh.n_triangles),
+                                     MaterialModel())
+    return k.band_block(mesh.band_order).shape[0] - 1
+
+
+@pytest.mark.parametrize("width,height", [(2.0, 1.0), (1.0, 2.0), (1.0, 1.0)])
+def test_band_order_follows_short_side(width, height):
+    # nodes are swept along the long side, so the band spans one row across
+    # the short side: node (i, j) touches (i + 1, j + 1) at most, which is
+    # 2 (nodes per row + 1) + 1 dofs further on
+    mesh = make_mesh(1 / 16, domain=Domain(
+        (0.0, 0.0, width, height), (-0.25, -0.25, width + 0.25, height + 0.25)))
+    nx, ny = mesh.grid_shape[:2]
+    short = min(nx, ny) + 1
+    assert _mesh_half_bandwidth(mesh) == 2 * (short + 1) + 1
+    assert sorted(mesh.band_order) == list(range(2 * mesh.n_nodes))
+    if nx <= ny:
+        # the node numbering itself
+        assert np.array_equal(mesh.band_order, np.arange(2 * mesh.n_nodes))
+    else:
+        assert 2 * (nx + 2) + 1 > _mesh_half_bandwidth(mesh)
 
 
 # the factorization
 
-def test_factor_matches_public_splu(monkeypatch):
-    # the private SuperLU entry gives bitwise the factor of the public
-    # function with the same options, on a system of the eps 1/64 crack run
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-    from quasifrac.config import parse_config
+def test_factor_matches_dense_solve(monkeypatch):
+    # the band Cholesky solves a system of the eps 1/64 crack run as a
+    # dense solve does, and the block is no wider than the mesh's band
     cfg = parse_config("eps = 0.015625\nload = opening\n"
                        "precrack = 0.0 0.5 0.45 0.5 0.06\n")
     mesh = make_mesh(1 / 64)
@@ -441,29 +479,49 @@ def test_factor_matches_public_splu(monkeypatch):
     captured = []
     real = solver._factor
 
-    def capture(*csc):
-        captured.append(csc)
-        return real(*csc)
+    def capture(band):
+        captured.append(band.copy(order="F"))
+        factor = real(band)
+        captured.append(factor)
+        return factor
 
     monkeypatch.setattr(solver, "_factor", capture)
     solve_elastic(mesh, active, interpolate(mesh, cfg.load(), 0.5),
                   MaterialModel())
-    (indptr, indices, data), = captured
-    kff = sp.csc_matrix((data, indices, indptr), shape=(len(indptr) - 1,) * 2)
-    assert kff.shape[0] > 3000
-    # sorted row indices and no duplicates, as splu would make them
-    assert kff.has_canonical_format
-    ours = real(indptr, indices, data)
-    public = spla.splu(kff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-    assert np.array_equal(ours.perm_r, public.perm_r)
-    assert np.array_equal(ours.perm_c, public.perm_c)
-    for a, b in ((ours.L, public.L), (ours.U, public.U)):
-        assert np.array_equal(a.indptr, b.indptr)
-        assert np.array_equal(a.indices, b.indices)
-        assert a.data.tobytes() == b.data.tobytes()
+    band, factor = captured
+    assert band.shape[1] > 3000
+    assert band.shape[0] - 1 <= _mesh_half_bandwidth(mesh)
+    kff = dense_of_band(band)
     rhs = np.random.default_rng(1).standard_normal(kff.shape[0])
-    assert ours.solve(rhs).tobytes() == public.solve(rhs).tobytes()
+    ref = np.linalg.solve(kff, rhs)
+    err = np.linalg.norm(factor.solve(rhs) - ref) / np.linalg.norm(ref)
+    assert err <= 1e-12
+
+
+def test_lapack_holds_bundled_openblas_to_one_thread():
+    # loading the extension pins SciPy's own OpenBLAS, whatever thread
+    # count the environment asks for
+    import scipy
+    libs = glob.glob(os.path.join(os.path.dirname(scipy.__path__[0]),
+                                  "scipy.libs", "libscipy_openblas*.so"))
+    if not libs:
+        pytest.skip("SciPy bundles no OpenBLAS")
+    code = ("import ctypes, sys\n"
+            "from quasifrac import solver\n"
+            "lib = ctypes.CDLL(sys.argv[1])\n"
+            "count = lib.scipy_openblas_get_num_threads\n"
+            "count.restype = ctypes.c_int\n"
+            "before = count()\n"
+            "solver._lapack()\n"
+            "print(before, count())\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", code, libs[0]],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["2", "1"]
 
 
 @pytest.mark.parametrize("matrix", [[[1.0, 1.0], [1.0, 1.0]],
@@ -471,9 +529,11 @@ def test_factor_matches_public_splu(monkeypatch):
                          ids=["rank1", "zero"])
 def test_factor_singular_raises(matrix):
     import scipy.sparse as sp
+    kk = sp.csr_matrix(np.array(matrix))
+    k = solver.CSRMatrix(kk.indptr, kk.indices, kk.data,
+                         np.repeat(np.arange(2), np.diff(kk.indptr)))
     with pytest.raises(solver.SingularSystem):
-        kff = sp.csc_matrix(np.array(matrix))
-        solver._factor(kff.indptr, kff.indices, kff.data)
+        solver._factor(k.band_block(np.arange(2)))
 
 
 def test_rank_ties_on_values_not_bytes(mesh16):
