@@ -1,5 +1,5 @@
-"""Post-hoc verification: discrete energy-balance estimate, crack-curve
-length accounting, and refinement studies.
+"""Post-hoc verification: discrete energy-balance estimate and
+refinement studies.
 
 The balance check compares the energy increment of a trace against the
 work of the boundary load.  The work integral is evaluated two ways: a
@@ -12,14 +12,12 @@ the latter and must shrink under simultaneous (eps, delta) refinement.
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .config import RunConfig
 from .evolution import EvolutionTrace, LoadProgram
 from .mesh import DisplacementField
-from .trisets import TriangleSet
 
 
 @dataclass
@@ -98,20 +96,6 @@ def check_energy_balance(trace: EvolutionTrace, load: LoadProgram,
     return BalanceReport(lhs=lhs, rhs=rhs, slack=slack, rhs_pc=rhs_pc,
                          slack_pc=slack_pc, beta_fit=beta, max_energy=max_e,
                          tol_abs=1e-6 * max(max_e, 1e-300))
-
-
-class CrackLength(NamedTuple):
-    raw: float   # both lips of every slit counted
-    half: float  # raw / 2, the curve-length convention of the limit
-
-
-def crack_length(a_mod: TriangleSet) -> CrackLength:
-    """Boundary length of the modified set inside the enclosing rectangle,
-    reported raw and halved (a slit's two lips collapse onto one curve)."""
-    if not len(a_mod):
-        return CrackLength(0.0, 0.0)
-    raw = a_mod.boundary_length_in_rect(a_mod.mesh.domain.omega_prime)
-    return CrackLength(raw, 0.5 * raw)
 
 
 @dataclass

@@ -344,12 +344,6 @@ class Triangulation:
         return (2 * nodes[:, None] + np.arange(2)).ravel()
 
     @cached_property
-    def tri_bbox(self):
-        """(m,4) bounding box [xmin, ymin, xmax, ymax] of each triangle."""
-        p = self.nodes[self.triangles]
-        return np.concatenate([p.min(axis=1), p.max(axis=1)], axis=1)
-
-    @cached_property
     def area_in_omega_prime(self):
         x0, y0, x1, y1 = self.domain.omega_prime
         return clip_areas_rect(self.nodes, self.triangles, x0, y0, x1, y1)
@@ -532,21 +526,12 @@ def build_background_mesh(domain: Domain, params: MeshParams) -> Triangulation:
     ys = oy + h * np.arange(ny + 1)
     xx, yy = np.meshgrid(xs, ys)
     nodes = np.column_stack([xx.ravel(), yy.ravel()])
-
-    def nid(i, j):
-        return j * (nx + 1) + i
-
-    tris = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    k = 0
-    for j in range(ny):
-        for i in range(nx):
-            n00 = nid(i, j)
-            n10 = nid(i + 1, j)
-            n01 = nid(i, j + 1)
-            n11 = nid(i + 1, j + 1)
-            tris[k] = (n00, n10, n11)   # lower half
-            tris[k + 1] = (n00, n11, n01)  # upper half
-            k += 2
+    # lower-left node of each cell, row by row; cell (i, j) holds triangles
+    # 2k (lower half) and 2k+1 (upper half) with k = j*nx + i
+    n00 = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    n10, n01, n11 = n00 + 1, n00 + nx + 1, n00 + nx + 2
+    tris = np.stack([np.column_stack([n00, n10, n11]),
+                     np.column_stack([n00, n11, n01])], axis=1).reshape(-1, 3)
     return Triangulation(nodes, tris, domain, params, grid_shape=(nx, ny, ox, oy))
 
 

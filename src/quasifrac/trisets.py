@@ -42,17 +42,9 @@ class TriangleSet:
     def __contains__(self, t):
         return bool(np.isin(t, self.ids))
 
-    def union(self, other) -> "TriangleSet":
-        oids = other.ids if isinstance(other, TriangleSet) else np.asarray(other)
-        return TriangleSet(self.mesh, np.union1d(self.ids, oids))
-
     def difference(self, other) -> "TriangleSet":
         oids = other.ids if isinstance(other, TriangleSet) else np.asarray(other)
         return TriangleSet(self.mesh, np.setdiff1d(self.ids, oids))
-
-    def intersection(self, other) -> "TriangleSet":
-        oids = other.ids if isinstance(other, TriangleSet) else np.asarray(other)
-        return TriangleSet(self.mesh, np.intersect1d(self.ids, oids))
 
     def issubset(self, other) -> bool:
         oids = other.ids if isinstance(other, TriangleSet) else np.asarray(other)
@@ -121,8 +113,30 @@ class TriangleSet:
         """
         return complement_components(self.mesh, self.mask)
 
+    @cached_property
+    def n_holes(self) -> int:
+        """Number of bounded complement components, by Euler's formula.
+
+        The closure K of the members is a planar complex with V vertices,
+        E edges, F triangles and b0 components (`closure_components`).
+        By Alexander duality the plane minus K has b0 - (V - E + F)
+        bounded components.  When the triangulated region is a closed
+        disk, as the background grid's rectangle is, these are exactly
+        the bounded entries of `complement_components`.
+        """
+        if not len(self.ids):
+            return 0
+        verts = np.unique(self.mesh.triangles[self.ids])
+        edges = np.unique(self.mesh.tri_edges[self.ids])
+        euler = len(verts) - len(edges) + len(self.ids)
+        return len(self.closure_components) - euler
+
     def saturation_ids(self) -> np.ndarray:
-        """Member ids plus all triangles in bounded complement components."""
+        """Member ids plus all triangles in bounded complement components;
+        the complement is labelled only when the Euler count finds a hole
+        (see `n_holes` for the condition on the mesh)."""
+        if not self.n_holes:
+            return self.ids
         comps, bounded = self.complement_components
         extra = [c for c, b in zip(comps, bounded) if b]
         if not extra:
@@ -243,63 +257,3 @@ def complement_components(mesh: Triangulation, mask):
         comps.append(np.empty(0, dtype=np.int64))
         bounded.append(False)
     return comps, bounded
-
-
-def local_saturation(mesh: Triangulation, ids) -> np.ndarray:
-    """Saturation of a (typically small) id set by bounded local flooding.
-
-    Holes of a set lie inside its bounding box, so a complement flood that
-    escapes the inflated box or reaches the outer mesh boundary cannot be a
-    hole.  Cost scales with the saturated region, not the mesh.
-    """
-    ids = np.asarray(sorted(ids), dtype=np.int64)
-    if not len(ids):
-        return ids
-    member_mask = np.zeros(mesh.n_triangles, dtype=bool)
-    member_mask[ids] = True
-    pts = mesh.nodes[np.unique(mesh.triangles[ids].ravel())]
-    pad = mesh.params.grid_spacing
-    bx0, by0 = pts.min(axis=0) - pad
-    bx1, by1 = pts.max(axis=0) + pad
-    nb = mesh.tri_neighbors
-    on_bdy = mesh.tri_on_mesh_boundary
-    bbox = mesh.tri_bbox
-
-    def in_box(t):
-        x0, y0, x1, y1 = bbox[t]
-        return x0 >= bx0 and x1 <= bx1 and y0 >= by0 and y1 <= by1
-
-    visited = set()
-    fill = []
-    for seed in ids:
-        for t0 in nb[seed]:
-            t0 = int(t0)
-            if t0 < 0 or member_mask[t0] or t0 in visited:
-                continue
-            comp = []
-            stack = [t0]
-            comp_set = {t0}
-            bounded = True
-            while stack:
-                t = stack.pop()
-                comp.append(t)
-                if on_bdy[t]:
-                    bounded = False
-                if not in_box(t):
-                    bounded = False
-                    continue  # out-of-box triangles are not expanded
-                for s in nb[t]:
-                    s = int(s)
-                    if s < 0:
-                        bounded = False
-                        continue
-                    if member_mask[s] or s in comp_set:
-                        continue
-                    comp_set.add(s)
-                    stack.append(s)
-            visited.update(comp)
-            if bounded:
-                fill.extend(comp)
-    if not fill:
-        return ids
-    return np.union1d(ids, np.asarray(fill, dtype=np.int64))

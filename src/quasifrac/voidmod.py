@@ -12,12 +12,14 @@ with an exclusive vertex are healed away.  Every stage removes whole saturated
 pieces or single triangles, which keeps filled triangles interior and
 makes the construction monotone under set inclusion.
 
-The passes after hole filling cost in proportion to the set, not the mesh:
-edge-connectivity reads the members' rows of the neighbor table, the
-pieces split at one vertex come from one depth-first search per set, and
-triangle healing tests all members at once.  What still scales with the
-mesh is hole filling (it labels the whole complement) and the strain
-energies over the complement that the audit statistics report.
+The passes cost in proportion to the set, not the mesh: edge-connectivity
+reads the members' rows of the neighbor table, holes are counted by
+Euler's formula on the closure (`TriangleSet.n_holes`), the pieces split
+at one vertex come from one depth-first search per set, a piece is
+healable when it owns no rim triangle, and triangle healing tests all
+members at once.  What still scales with the mesh is the labelling of the
+whole complement when a set does have holes, and the strain energies over
+the complement that the audit statistics report.
 """
 
 import math
@@ -28,18 +30,10 @@ import numpy as np
 
 from ._kernels import clip_areas_rect, strains_from_values
 from .mesh import DisplacementField, Triangulation
-from .trisets import (
-    TriangleSet,
-    component_labels,
-    local_saturation,
-)
+from .trisets import TriangleSet, component_labels
 
 
 class VoidModError(Exception):
-    pass
-
-
-class PreconditionViolated(VoidModError):
     pass
 
 
@@ -222,8 +216,9 @@ def _boundary_cycles(H: TriangleSet, comp_of, n_comps, degree):
 
 
 def fill_holes(A: TriangleSet, vm: VoidModParams) -> TriangleSet:
-    """Absorb bounded complement components of area <= eps^2/eta^2."""
-    if not len(A):
+    """Absorb bounded complement components of area <= eps^2/eta^2; the
+    complement is labelled only when the Euler count finds a hole."""
+    if not A.n_holes:
         return A
     mesh = A.mesh
     comps, bounded = A.complement_components
@@ -266,12 +261,15 @@ def _neighborhood(mesh: Triangulation, z_ids) -> np.ndarray:
 
 
 def _piece_healable(mesh: Triangulation, z_ids) -> bool:
-    """Gate: the one-ring neighborhood must stay inside the triangulated
-    region."""
+    """Gate: the piece is nonempty and owns no edge of the mesh rim.
+
+    In a planar tiling (triangles meeting edge to edge, each edge in at
+    most two of them) such a piece always has a nonempty `_neighborhood`
+    to take healing data from: the union of its triangles is bounded, so
+    it has a boundary edge, and as that edge is not on the rim, the
+    triangle across it lies outside the piece."""
     z_ids = np.asarray(z_ids, dtype=np.int64)
-    if mesh.tri_on_mesh_boundary[z_ids].any():
-        return False
-    return bool(len(_neighborhood(mesh, z_ids)))
+    return len(z_ids) > 0 and not mesh.tri_on_mesh_boundary[z_ids].any()
 
 
 def _extend_field(mesh: Triangulation, u: DisplacementField, z_ids,
@@ -343,31 +341,6 @@ def _frob_strain_energy(mesh: Triangulation, u: DisplacementField, ids,
     if not len(ids):
         return 0.0
     return float(_tri_strain_energy(mesh, u, ids, weights).sum())
-
-
-def heal_component(Z: TriangleSet, u: DisplacementField, Y: TriangleSet,
-                   vm: VoidModParams) -> DisplacementField:
-    """Extend u elastically over a connected saturated small piece Z with
-    the data taken from its neighborhood minus Y; the closures of Y and Z
-    may share at most two points."""
-    mesh = Z.mesh
-    if len(Z.closure_components) != 1:
-        raise PreconditionViolated("piece must be connected")
-    sat = local_saturation(mesh, Z.ids)
-    if len(sat) != len(Z.ids):
-        raise PreconditionViolated("piece must be saturated (no holes)")
-    budget = vm.hole_threshold(mesh.params.eps)
-    if Z.area > budget:
-        raise PreconditionViolated(
-            f"piece area {Z.area:.3e} exceeds eps^2/eta^2 = {budget:.3e}")
-    nz = _neighborhood(mesh, Z.ids)
-    y_ids = np.intersect1d(Y.ids, nz) if len(Y) else np.empty(0, dtype=np.int64)
-    touch = np.intersect1d(_nodes_of(mesh, y_ids), _nodes_of(mesh, Z.ids))
-    if len(touch) > 2:
-        raise PreconditionViolated(
-            f"Y touches Z at {len(touch)} points (at most two allowed)")
-    data = np.setdiff1d(nz, y_ids)
-    return _extend_field(mesh, u, Z.ids, data)
 
 
 def healing_ratio(mesh: Triangulation, u_new: DisplacementField,
@@ -487,7 +460,7 @@ def _small_saturation(mesh: Triangulation, p, budget: float):
     """Saturation of the piece p when it is small and healable, else None."""
     if float(mesh.areas[p].sum()) > budget:
         return None  # saturation only grows the piece
-    sat = local_saturation(mesh, p)
+    sat = TriangleSet(mesh, p).saturation_ids()
     if float(mesh.areas[sat].sum()) > budget or not _piece_healable(mesh, sat):
         return None
     return sat

@@ -4,6 +4,7 @@ These deliberately avoid the code paths they check: the crack-pattern
 oracle enumerates every subset instead of alternating, the quadrature
 helpers integrate loads directly, the component oracle floods triangle
 sets breadth-first over adjacency read straight from the vertex triples,
+the rim oracle counts the owners of each edge from the vertex triples,
 the collar oracle measures each triangle's distance to the body
 rectangle one triangle at a time with scalar segment predicates, the clipped-area and background oracles
 take one triangle at a time, the pre-crack oracle measures one triangle
@@ -25,7 +26,6 @@ from quasifrac._kernels import _clip_area_rect, point_seg_dist
 from quasifrac.mesh import MeshError
 from quasifrac.solver import assemble_stiffness, solve_elastic
 from quasifrac.trisets import TriangleSet, closure_components_minus_vertex
-from quasifrac.voidmod import _piece_healable
 
 
 def exhaustive_minimum(mesh, bc, hist_ids, material, params):
@@ -231,6 +231,17 @@ def tri_rect_distance(tri_pts, rect) -> float:
             best = min(best, seg_seg_dist(a[0], a[1], b[0], b[1],
                                           c[0], c[1], d[0], d[1]))
     return float(best)
+
+
+def rim_triangles_by_loop(mesh):
+    """Triangles with an edge that no other triangle has."""
+    owners = {}
+    for t, (a, b, c) in enumerate(mesh.triangles.tolist()):
+        for e in ((a, b), (b, c), (c, a)):
+            owners.setdefault(frozenset(e), []).append(t)
+    rim = np.zeros(mesh.n_triangles, dtype=bool)
+    rim[[ts[0] for ts in owners.values() if len(ts) == 1]] = True
+    return rim
 
 
 def collar_mask_by_distance(mesh):
@@ -444,7 +455,7 @@ def heal_triangles_by_loop(H, u):
             if not np.any(mask[owners] & (owners != t)):
                 exclusive = True
                 break
-        if not exclusive or not _piece_healable(mesh, np.array([t])):
+        if not exclusive:
             continue
         removal.append(t)
         num = float(mesh.areas[t] * (strains[t] ** 2).sum())

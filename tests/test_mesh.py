@@ -238,14 +238,6 @@ def test_mesh_tables_match_loops(mesh16, mesh32):
         edge_tables_by_loop(fan)
 
 
-def test_tri_bbox_matches_each_triangle(mesh16, mesh32):
-    # local_saturation compares these coordinates with its box
-    for mesh in _oracle_meshes(mesh16, mesh32):
-        for t, box in enumerate(mesh.tri_bbox.tolist()):
-            p = mesh.nodes[mesh.triangles[t]]
-            assert box == p.min(axis=0).tolist() + p.max(axis=0).tolist()
-
-
 def test_is_background_matches_set_loop(mesh16, mesh32):
     # 2x2 lattice cells, two of them cut along the other diagonal: every
     # vertex is on the lattice, and only the two cells split lower-left to

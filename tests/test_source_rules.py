@@ -1,5 +1,6 @@
 """Source rules checked on the package text and on the names it exports."""
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -78,3 +79,74 @@ def test_voidmod_and_trisets_keep_no_module_state():
     found = {name: _mutable_globals(importlib.import_module(name))
              for name in ("quasifrac.voidmod", "quasifrac.trisets")}
     assert not any(found.values()), f"module-level containers: {found}"
+
+
+# functions, methods and properties that only tests call, each with the
+# reason it stays in the package
+TEST_ONLY = (
+    ("config.RunConfig.canonical",
+     "canonical config text, pinned by the golden-file test"),
+    ("diagnostics.BalanceReport.passed", "balance verdict tests assert"),
+    ("diagnostics.BalanceReport.sharp", "zero-constant balance verdict"),
+    ("diagnostics.stability_spot_check",
+     "minimality probe of a step; `study` does not report it yet"),
+    ("energy.triangle_strain", "one triangle's strain tensor, for tests"),
+    ("mesh.ValidationReport.kinds", "violation kinds tests compare"),
+    ("mesh.Triangulation.tris_of_node", "one node's fan, for test sets"),
+    ("mesh.Triangulation.save", "writes mesh files the CLI tests load"),
+    ("voidmod.BoundaryGraph.edge_count_identity",
+     "edge-count identity of the boundary graph, checked by tests"),
+    ("voidmod.BoundaryGraph.d_sum_identity",
+     "cycle-count identity of the boundary graph, checked by tests"),
+)
+
+
+def _named(tree):
+    """(line, name) of every identifier the code reads (names, attributes,
+    imports) and of every string constant that is exactly an identifier,
+    as the tracer names its targets; comments and prose do not count."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((node.lineno, a.name) for a in node.names)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            yield node.lineno, node.value
+
+
+def _defs(tree, prefix):
+    """(qualified name, first line, last line) of every def in the tree,
+    decorators included."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = min([node.lineno]
+                        + [d.lineno for d in node.decorator_list])
+            yield f"{prefix}.{node.name}", first, node.end_lineno
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield from _defs(node, f"{prefix}.{node.name}")
+
+
+def test_no_dead_code():
+    # every function, method and property of the package is named by the
+    # program or the benchmark outside its own def, or listed in TEST_ONLY
+    paths = sorted(SRC.glob("*.py")) + sorted((REPO / "qfbench").glob("*.py"))
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in paths}
+    named = {p: list(_named(tree)) for p, tree in trees.items()}
+    unnamed = []
+    for path in sorted(SRC.glob("*.py")):
+        for qual, first, last in _defs(trees[path], path.stem):
+            name = qual.rsplit(".", 1)[1]
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if not any(n == name and not (p == path and first <= line <= last)
+                       for p, found in named.items() for line, n in found):
+                unnamed.append(qual)
+    listed = [qual for qual, _ in TEST_ONLY]
+    assert sorted(set(unnamed) - set(listed)) == [], \
+        "functions no program path names; delete them or list in TEST_ONLY"
+    assert sorted(set(listed) - set(unnamed)) == [], \
+        "TEST_ONLY entries that are gone or now have a program caller"

@@ -5,23 +5,24 @@ import numpy as np
 import pytest
 
 from quasifrac.mesh import DisplacementField, Triangulation, interpolate
-from quasifrac.trisets import TriangleSet, local_saturation
+from quasifrac.trisets import TriangleSet
 from quasifrac.voidmod import (
-    PreconditionViolated,
     VoidModParams,
     build_boundary_graph,
     fill_holes,
+    _extend_field,
     _neighborhood,
+    _piece_healable,
     _sep_piece_candidates,
-    heal_component,
     heal_triangles,
     healing_ratio,
     modify_voids,
     remove_separating_small,
 )
 from conftest import AffineLoad, block_ids, cell_tris, make_mesh
-from _oracles import (filled_boundary_edges, heal_triangles_by_loop,
-                      sep_pieces_by_vertex)
+from _oracles import (bfs_complement, clip_areas_by_loop,
+                      filled_boundary_edges, heal_triangles_by_loop,
+                      rim_triangles_by_loop, sep_pieces_by_vertex)
 
 VM = VoidModParams(eta=0.2)
 
@@ -257,7 +258,7 @@ def test_heal_component_affine_reproduction(mesh16):
         np.arange(mesh16.n_triangles), z.ids)].ravel())
     strictly_inner = np.setdiff1d(inner, outer)
     broken.values[strictly_inner] = 7.0  # garbage inside the void
-    healed = heal_component(z, broken, TriangleSet(mesh16), VM)
+    healed = _extend_field(mesh16, broken, z.ids, _neighborhood(mesh16, z.ids))
     assert np.allclose(healed.values[strictly_inner],
                        u.values[strictly_inner], atol=1e-9)
 
@@ -267,35 +268,9 @@ def test_heal_component_rigid_motion(mesh16):
     w = 0.4
     rigid = np.array([0.3, -0.1]) + mesh16.nodes @ np.array([[0, -w], [w, 0.0]]).T
     u = DisplacementField(mesh16, rigid)
-    healed = heal_component(z, u, TriangleSet(mesh16), VM)
+    healed = _extend_field(mesh16, u, z.ids, _neighborhood(mesh16, z.ids))
     s = healed.strains()
     assert np.abs(s[z.ids]).max() < 1e-10
-
-
-def test_heal_component_preconditions(mesh16):
-    u = zero_field(mesh16)
-    # not saturated: ring with hole
-    ids = block_ids(mesh16, 4, 8, 4, 8)
-    ring = TriangleSet(mesh16, np.setdiff1d(ids, np.asarray(cell_tris(mesh16, 5, 5))))
-    with pytest.raises(PreconditionViolated):
-        heal_component(ring, u, TriangleSet(mesh16), VM)
-    # too large
-    big = TriangleSet(mesh16, block_ids(mesh16, 2, 12, 2, 12))
-    with pytest.raises(PreconditionViolated):
-        heal_component(big, u, TriangleSet(mesh16), VM)
-    # Y touching at three points
-    z = TriangleSet(mesh16, block_ids(mesh16, 6, 8, 6, 8))
-    znodes = np.unique(mesh16.triangles[z.ids].ravel())
-    corners = [v for v in znodes
-               if sum(1 for t in mesh16.tris_of_node(v) if t in set(z.ids)) == 1]
-    y_ids = []
-    for v in corners[:3]:
-        for t in mesh16.tris_of_node(v):
-            if t not in set(z.ids):
-                y_ids.append(int(t))
-                break
-    with pytest.raises(PreconditionViolated):
-        heal_component(z, u, TriangleSet(mesh16, y_ids), VM)
 
 
 def test_heal_component_two_point_pinch_ratio(mesh16):
@@ -309,9 +284,8 @@ def test_heal_component_two_point_pinch_ratio(mesh16):
     assert len(np.intersect1d(znodes, ynodes)) == 2
     u = smooth_field(mesh16, seed=4)
     before = u.copy()
-    healed = heal_component(z, u, TriangleSet(mesh16, y_ids), VM)
-    nz = _neighborhood(mesh16, z.ids)
-    data = np.setdiff1d(nz, np.asarray(y_ids))
+    data = np.setdiff1d(_neighborhood(mesh16, z.ids), np.asarray(y_ids))
+    healed = _extend_field(mesh16, u, z.ids, data)
     assert np.isfinite(healing_ratio(mesh16, healed, before, z.ids, data))
 
 
@@ -444,6 +418,46 @@ def test_modify_voids_change_confined(mesh16):
     assert set(int(v) for v in changed) <= iso_nodes
 
 
+@pytest.mark.parametrize("eps_inv, eta", [(64, 0.4), (32, 0.5)])
+def test_modify_voids_inner_window(eps_inv, eta):
+    # a maximal edge length of 6 eps leaves a nonempty inner window, where
+    # the changed area and the complement energy are measured.  At eta =
+    # 0.4 a whole vertex fan (6 eps^2) counts as small, so removing it
+    # moves the field at its center node; at eta = 0.5 (window (0.375,
+    # 0.625)^2 at eps 1/32) the fan is kept, and no piece small enough to
+    # go has an inner node, so nothing moves
+    eps = 1 / eps_inv
+    mesh = make_mesh(eps, omega_factor=6)
+    vm = VoidModParams(eta=eta)
+    margin = 2 * 6 * eps + eps / eta ** 3
+    window = (-0.25 + margin, -0.25 + margin, 1.25 - margin, 1.25 - margin)
+    center = int(np.argmin(np.hypot(*(mesh.nodes - 0.5).T)))
+    fan = mesh.tris_of_node(center)
+    # a one-cell band across the plate, kept because it reaches the rim
+    band = block_ids(mesh, 0, mesh.grid_shape[0], eps_inv // 3,
+                     eps_inv // 3 + 1)
+    u = smooth_field(mesh, 6)
+    res = modify_voids(TriangleSet(mesh, np.concatenate([fan, band])), u, vm)
+    st = res.stats
+    assert st["window"] == pytest.approx(window, abs=1e-15)
+    moved = np.flatnonzero(np.any(res.u_mod.values != u.values, axis=1))
+    if eta < 0.5:
+        assert np.array_equal(res.a_mod.ids, np.sort(band))
+        assert moved.tolist() == [center]
+        assert st["changed_area"] == pytest.approx(mesh.areas[fan].sum(),
+                                                   rel=1e-12)
+        assert st["changed_area"] > 0.0
+    else:
+        assert set(fan) <= set(res.a_mod.ids)
+        assert not len(moved) and st["changed_area"] == 0.0
+    w_in = clip_areas_by_loop(mesh, window)
+    strains = res.u_mod.strains()
+    out = ~res.a_mod.mask
+    want = float((w_in[out] * (strains[out] ** 2).sum(axis=1)).sum())
+    assert st["energy_out"] == pytest.approx(want, rel=1e-12)
+    assert 0.0 < st["energy_out"] < st["energy_in"]
+
+
 def test_mesh_keeps_no_hidden_state(mesh32):
     # void modification and the boundary graph read the mesh's own tables;
     # what they leave on it is only what those tables cache
@@ -460,10 +474,102 @@ def test_mesh_keeps_no_hidden_state(mesh32):
     assert "factor_slot" in vars(fresh)
 
 
-def test_local_saturation_matches_global(mesh16):
+def _fan_ring(mesh, i, j):
+    """Ring pinched at vertices around the lattice node (i, j): every other
+    triangle of its fan and the triangle across the outer edge of each
+    triangle in between, which leaves those three as single-triangle
+    holes."""
+    v = j * (mesh.grid_shape[0] + 1) + i
+    fan = [int(t) for t in mesh.tris_of_node(v)]
+    rows = mesh.triangles[fan]
+    # the fan in angular order around v
+    c = mesh.nodes[rows].mean(axis=1) - mesh.nodes[v]
+    fan = [fan[k] for k in np.argsort(np.arctan2(c[:, 1], c[:, 0]))]
+    ring = fan[0::2]
+    for t in fan[1::2]:
+        across = [int(s) for s in mesh.tri_neighbors[t] if s >= 0
+                  and v not in mesh.triangles[s]]
+        ring += across
+    return np.asarray(ring, dtype=np.int64)
+
+
+def _saturation_cases(mesh):
+    """Stress sets for hole counting: random sets, rings with holes, rings
+    pinched at vertices, nested sets and sets on the mesh rim."""
+    nx, ny = mesh.grid_shape[:2]
+    yield np.empty(0, dtype=np.int64)
     rng = np.random.default_rng(21)
-    for _ in range(10):
-        ids = rng.choice(mesh16.n_triangles, size=20, replace=False)
-        ts = TriangleSet(mesh16, ids)
-        assert np.array_equal(local_saturation(mesh16, ts.ids),
-                              ts.saturation_ids())
+    for density in (0.02, 0.1, 0.3, 0.5, 0.7, 0.9):
+        yield np.flatnonzero(rng.random(mesh.n_triangles) < density)
+    for _ in range(6):
+        # small random sets near one spot, as void modification sees them
+        c = rng.integers(0, mesh.n_triangles)
+        near = np.argsort(np.abs(np.arange(mesh.n_triangles) - c))[:60]
+        yield rng.choice(near, size=int(rng.integers(5, 40)), replace=False)
+
+    def ring(i0, i1, j0, j1, w=1):
+        return np.setdiff1d(block_ids(mesh, i0, i1, j0, j1),
+                            block_ids(mesh, i0 + w, i1 - w, j0 + w, j1 - w))
+
+    yield ring(4, 8, 4, 8)
+    yield ring(3, 12, 2, 9, w=2)
+    yield np.setdiff1d(ring(4, 9, 4, 9), cell_tris(mesh, 6, 4))  # opened
+    # a ring without its corner cells: four sides pinched at corners
+    corners = [cell_tris(mesh, i, j) for i in (4, 9) for j in (4, 9)]
+    yield np.setdiff1d(ring(4, 10, 4, 10), np.concatenate(corners))
+    yield _fan_ring(mesh, 6, 6)
+    yield np.concatenate([_fan_ring(mesh, 4, 4), _fan_ring(mesh, 9, 5)])
+    # nested: a blob in a ring's hole, a ring in a ring's hole, and a
+    # pinched ring in the hole of a thick ring
+    yield np.concatenate([ring(3, 11, 3, 11), block_ids(mesh, 6, 8, 6, 8)])
+    yield np.concatenate([ring(2, 13, 2, 13), ring(5, 10, 5, 10)])
+    yield np.concatenate([ring(2, 13, 2, 13),
+                          np.setdiff1d(block_ids(mesh, 3, 12, 3, 12),
+                                       block_ids(mesh, 5, 10, 5, 10)),
+                          _fan_ring(mesh, 7, 7)])
+    # on the rim: a block in a corner, a U against the rim, a ring touching
+    # it, the frame of the whole mesh, and the mesh without one cell
+    yield block_ids(mesh, 0, 3, 0, 2)
+    yield np.setdiff1d(block_ids(mesh, 3, 8, 0, 4), block_ids(mesh, 4, 7, 0, 3))
+    yield ring(0, 5, 5, 10)
+    yield ring(0, nx, 0, ny)
+    yield ring(0, nx, 0, ny, w=3)
+    yield np.setdiff1d(np.arange(mesh.n_triangles), cell_tris(mesh, 8, 8))
+    yield np.arange(mesh.n_triangles)
+
+
+def test_saturation_matches_bfs_oracle(mesh16, mesh32):
+    # the Euler count of holes, and the saturation it gates, agree with
+    # a breadth-first flood of the complement
+    n_holed = 0
+    for mesh in (mesh16, mesh32):
+        for ids in _saturation_cases(mesh):
+            ts = TriangleSet(mesh, ids)
+            mask = np.zeros(mesh.n_triangles, dtype=bool)
+            mask[ts.ids] = True
+            comps, bounded = bfs_complement(mesh, mask)
+            holes = [c for c, b in zip(comps, bounded) if b]
+            want = np.union1d(ts.ids, np.concatenate([ts.ids] + holes))
+            assert ts.n_holes == len(holes)
+            assert np.array_equal(ts.saturation_ids(), want)
+            assert ts.saturation_ids().dtype == np.int64
+            n_holed += bool(holes)
+    assert n_holed >= 20
+
+
+def test_piece_healable_is_off_rim(mesh16, mesh32):
+    # healable exactly when nonempty and off the rim; such a piece always
+    # has a neighborhood to take healing data from
+    for mesh in (mesh16, mesh32):
+        rim = rim_triangles_by_loop(mesh)
+        for ids in _saturation_cases(mesh):
+            off_rim = len(ids) > 0 and not rim[ids].any()
+            assert _piece_healable(mesh, ids) is off_rim
+            if off_rim:
+                assert len(_neighborhood(mesh, np.unique(ids)))
+            # the saturations, as `_small_saturation` tests them
+            sat = TriangleSet(mesh, ids).saturation_ids()
+            assert _piece_healable(mesh, sat) is bool(
+                len(sat) and not rim[sat].any())
+        for t in range(0, mesh.n_triangles, 7):  # single triangles
+            assert _piece_healable(mesh, [t]) is not rim[t]
