@@ -147,7 +147,7 @@ def cmd_energy(args) -> int:
     mesh = Triangulation.load(args.mesh)
     u = _load_field(mesh, args.field)
     mat = MaterialModel(kappa=args.kappa)
-    rep = static_energy(mesh, u, mat, mesh.params)
+    rep = static_energy(mesh, u, mat)
     print(rep.CSV_HEADER)
     print(rep.csv_row(0, 0.0))
     return 0

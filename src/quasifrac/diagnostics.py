@@ -173,9 +173,8 @@ def run_convergence_study(base_config: RunConfig, refinements: int,
     return study
 
 
-def stability_spot_check(rec, load: LoadProgram, material, params,
-                         n_competitors: int = 50, seed: int = 0,
-                         tol_rel: float = 1e-9) -> bool:
+def stability_spot_check(rec, material, n_competitors: int = 50,
+                         seed: int = 0, tol_rel: float = 1e-9) -> bool:
     """Unilateral minimality probe: random admissible perturbations of the
     step's minimizer (vanishing on the pinned collar) must not lower the
     history energy beyond solver tolerance."""
@@ -183,17 +182,17 @@ def stability_spot_check(rec, load: LoadProgram, material, params,
 
     mesh = rec.mesh
     u = DisplacementField(mesh, rec.u_values)
-    e_star = history_energy(mesh, u, rec.accum_prev_ids, material, params).total
+    e_star = history_energy(mesh, u, rec.accum_prev_ids, material).total
     pinned = mesh.collar_node_mask
     rng = np.random.default_rng(seed)
-    scale = params.eps * max(1.0, float(np.abs(rec.u_values).max()))
+    scale = mesh.params.eps * max(1.0, float(np.abs(rec.u_values).max()))
     tol = tol_rel * max(1.0, abs(e_star))
     for _ in range(n_competitors):
         pert = rng.standard_normal((mesh.n_nodes, 2)) * scale * \
             rng.uniform(1e-3, 1.0)
         pert[pinned] = 0.0
         v = DisplacementField(mesh, rec.u_values + pert)
-        e_v = history_energy(mesh, v, rec.accum_prev_ids, material, params).total
+        e_v = history_energy(mesh, v, rec.accum_prev_ids, material).total
         if e_v < e_star - tol:
             return False
     return True

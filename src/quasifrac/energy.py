@@ -10,6 +10,10 @@ boundary therefore costs more cracked than its capped density says; for a
 fixed field it joins the crack set only where
 kappa |T n omega'| <= eps |T n omega| |e|_C^2, the choice that minimizes
 that energy (choose_crack_set).
+
+Every function reads eps from the mesh's own parameters.  The history of
+a run is its accumulated set of cracked triangles, passed as an array of
+triangle ids on the run's one mesh.
 """
 
 import math
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import DisplacementField, MeshParams, Triangulation
+from .mesh import DisplacementField, Triangulation
 from .trisets import TriangleSet
 
 
@@ -30,10 +34,6 @@ class MeshFieldMismatch(EnergyError):
 
 
 class DegenerateTriangle(EnergyError):
-    pass
-
-
-class InconsistentHistory(EnergyError):
     pass
 
 
@@ -84,46 +84,6 @@ def _g17(x: float) -> str:
     return f"{x:.17g}"
 
 
-class CrackHistory:
-    """Irreversible accumulated crack set of one run, kept by triangle id.
-
-    A run uses one mesh, so an id names one triangle for the whole run.
-    Callers may still pass a mesh of their own, so the history remembers
-    the connectivity it was recorded on and refuses a mesh with other
-    connectivity.
-    """
-
-    def __init__(self):
-        self._ids = np.empty(0, dtype=np.int64)  # in insertion order
-        self._area_prime = []  # |T n omega'| of each id at crack time
-        self._triangles = None  # connectivity the ids refer to
-
-    def add_step(self, tset: TriangleSet):
-        mesh = tset.mesh
-        if self._triangles is None:
-            self._triangles = mesh.triangles
-        _require_connectivity(self._triangles, mesh)
-        new = tset.ids[~np.isin(tset.ids, self._ids)]
-        self._ids = np.concatenate([self._ids, new])
-        self._area_prime.extend(mesh.area_in_omega_prime[new].tolist())
-
-    def resolve_ids(self, mesh: Triangulation) -> np.ndarray:
-        """Sorted ids of the accumulated triangles on `mesh`."""
-        if self._triangles is not None:
-            _require_connectivity(self._triangles, mesh)
-        return np.sort(self._ids)
-
-    def area_in_omega_prime(self) -> float:
-        return float(sum(self._area_prime))
-
-
-def _require_connectivity(triangles, mesh: Triangulation):
-    if triangles is not mesh.triangles and \
-            not np.array_equal(triangles, mesh.triangles):
-        raise InconsistentHistory(
-            "crack history was recorded on a mesh with other connectivity")
-
-
 # ---------------------------------------------------------------------------
 # operations
 
@@ -144,12 +104,12 @@ def _check_field(mesh, u):
 
 
 def static_energy(mesh: Triangulation, u: DisplacementField,
-                  material: MaterialModel, params: MeshParams) -> EnergyReport:
+                  material: MaterialModel) -> EnergyReport:
     """Total truncated energy and its exact split into the elastic part
     plus kappa * |capped region in omega| / eps."""
     _check_field(mesh, u)
     w_omega = mesh.area_in_omega
-    eps = params.eps
+    eps = mesh.params.eps
     sq = _density(u.strains(), material)
     capped = eps * sq >= material.kappa
     elastic = float((w_omega * sq)[~capped].sum())
@@ -161,16 +121,17 @@ def static_energy(mesh: Triangulation, u: DisplacementField,
 
 
 def classify_cracked(mesh: Triangulation, u: DisplacementField,
-                     material: MaterialModel, params: MeshParams) -> TriangleSet:
+                     material: MaterialModel) -> TriangleSet:
     """Triangles whose density is capped, eps |e|_C^2 >= kappa (ties
     crack)."""
     _check_field(mesh, u)
-    cracked = params.eps * _density(u.strains(), material) >= material.kappa
+    eps = mesh.params.eps
+    cracked = eps * _density(u.strains(), material) >= material.kappa
     return TriangleSet(mesh, np.where(cracked)[0])
 
 
 def choose_crack_set(mesh: Triangulation, u: DisplacementField, hist_ids,
-                     material: MaterialModel, params: MeshParams) -> TriangleSet:
+                     material: MaterialModel) -> TriangleSet:
     """Crack set minimizing the history energy of the fixed field u.
 
     The accumulated ids `hist_ids` stay cracked.  Any other triangle joins
@@ -183,7 +144,7 @@ def choose_crack_set(mesh: Triangulation, u: DisplacementField, hist_ids,
     """
     _check_field(mesh, u)
     return _crack_set_of_density(mesh, _density(u.strains(), material),
-                                 hist_ids, material, params)
+                                 hist_ids, material)
 
 
 def _density(strains, material: MaterialModel) -> np.ndarray:
@@ -192,43 +153,39 @@ def _density(strains, material: MaterialModel) -> np.ndarray:
 
 
 def _crack_set_of_density(mesh: Triangulation, sq, hist_ids,
-                          material: MaterialModel,
-                          params: MeshParams) -> TriangleSet:
+                          material: MaterialModel) -> TriangleSet:
     """choose_crack_set for the per-triangle density sq = C e : e."""
     w_omega = mesh.area_in_omega
     w_prime = mesh.area_in_omega_prime
-    kappa, eps = material.kappa, params.eps
+    kappa, eps = material.kappa, mesh.params.eps
     cracked = np.where(w_omega == w_prime, eps * sq >= kappa,
                        kappa * w_prime <= eps * sq * w_omega)
     cracked[np.asarray(hist_ids, dtype=np.int64)] = True
     return TriangleSet(mesh, np.where(cracked)[0])
 
 
-def history_energy(mesh: Triangulation, u: DisplacementField, history,
-                   material: MaterialModel, params: MeshParams) -> EnergyReport:
+def history_energy(mesh: Triangulation, u: DisplacementField, hist_ids,
+                   material: MaterialModel) -> EnergyReport:
     """History-dependent energy: elastic integral off the crack set, plus
     kappa/eps times the cracked area inside the enclosing rectangle.  The
-    crack set is the accumulated one plus every other triangle whose
-    cracking does not raise this energy (choose_crack_set): a saturated
-    triangle straddling the body boundary stays elastic while its elastic
-    energy is below kappa/eps times its area in the enclosing rectangle."""
-    _check_field(mesh, u)
-    hist_ids = _history_ids(mesh, history)
-    s = choose_crack_set(mesh, u, hist_ids, material, params)
-    return energy_given_crack_set(mesh, u, s.ids, material, params)
+    crack set is the accumulated one (ids `hist_ids`) plus every other
+    triangle whose cracking does not raise this energy (choose_crack_set):
+    a saturated triangle straddling the body boundary stays elastic while
+    its elastic energy is below kappa/eps times its area in the enclosing
+    rectangle."""
+    s = choose_crack_set(mesh, u, hist_ids, material)
+    return energy_given_crack_set(mesh, u, s.ids, material)
 
 
 def energy_given_crack_set(mesh: Triangulation, u: DisplacementField, s_ids,
-                           material: MaterialModel, params: MeshParams,
-                           ) -> EnergyReport:
+                           material: MaterialModel) -> EnergyReport:
     """Energy with an explicit crack set (no self-classification)."""
     return _energy_of_density(mesh, _density(u.strains(), material), s_ids,
-                              material, params)
+                              material)
 
 
 def _energy_of_density(mesh: Triangulation, sq, s_ids,
-                       material: MaterialModel,
-                       params: MeshParams) -> EnergyReport:
+                       material: MaterialModel) -> EnergyReport:
     """energy_given_crack_set for the per-triangle density sq = C e : e."""
     w_omega = mesh.area_in_omega
     w_prime = mesh.area_in_omega_prime
@@ -237,18 +194,8 @@ def _energy_of_density(mesh: Triangulation, sq, s_ids,
     s_mask[s_ids] = True
     elastic = float((w_omega[~s_mask] * sq[~s_mask]).sum())
     cracked_area = float(w_prime[s_mask].sum())
-    crack = material.kappa * cracked_area / params.eps
+    crack = material.kappa * cracked_area / mesh.params.eps
     return EnergyReport(total=elastic + crack, elastic_part=elastic,
                         crack_part=crack, cracked_area=cracked_area,
                         n_cracked=int(len(s_ids)))
 
-
-def _history_ids(mesh: Triangulation, history) -> np.ndarray:
-    if history is None:
-        return np.empty(0, dtype=np.int64)
-    if isinstance(history, CrackHistory):
-        return history.resolve_ids(mesh)
-    if isinstance(history, TriangleSet):
-        _require_connectivity(history.mesh.triangles, mesh)
-        return history.ids
-    return np.asarray(sorted(history), dtype=np.int64)

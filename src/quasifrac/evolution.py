@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import CrackHistory, MaterialModel, EnergyReport
+from .energy import MaterialModel, EnergyReport
 from .mesh import (
     DisplacementField,
     Domain,
@@ -194,10 +194,12 @@ def run_evolution(domain: Domain, params: MeshParams, material: MaterialModel,
         opts = SolveOptions()
 
     mesh = build_background_mesh(domain, params)
-    history = CrackHistory()
-    if precrack_ids is not None and len(precrack_ids):
-        history.add_step(TriangleSet(mesh, np.asarray(precrack_ids,
-                                                      dtype=np.int64)))
+    # the accumulated cracked triangles, sorted, and their area in omega'
+    # summed in the order they cracked
+    accum_ids = np.empty(0, dtype=np.int64)
+    if precrack_ids is not None:
+        accum_ids = TriangleSet(mesh, precrack_ids).ids
+    area_prime = sum(mesh.area_in_omega_prime[accum_ids].tolist(), 0.0)
 
     header = {
         "eps": params.eps,
@@ -229,17 +231,18 @@ def run_evolution(domain: Domain, params: MeshParams, material: MaterialModel,
                 shift = DisplacementField(
                     mesh, prev_u.values + bc.values - bc_prev.values)
             try:
-                res = minimize_step(mesh, history, bc, material, params, opts,
+                res = minimize_step(mesh, accum_ids, bc, material, opts,
                                     prev_u=prev_u, shift_field=shift)
             except SolverError as exc:
                 trace.aborted = True
                 trace.abort_reason = f"step {k}: {exc}"
                 return trace
 
-            accum_prev = history.resolve_ids(mesh)
-            history.add_step(res.cracked_now)
-            accum_ids = history.resolve_ids(mesh)
-            new_ids = np.setdiff1d(accum_ids, accum_prev)
+            accum_prev = accum_ids
+            new_ids = np.setdiff1d(res.cracked_now.ids, accum_prev)
+            accum_ids = np.union1d(accum_prev, new_ids)
+            area_prime = sum(mesh.area_in_omega_prime[new_ids].tolist(),
+                             area_prime)
 
             mod = modify_voids(TriangleSet(mesh, accum_ids), res.u, vm)
             tmod_ids = mod.t_mod.ids
@@ -249,7 +252,7 @@ def run_evolution(domain: Domain, params: MeshParams, material: MaterialModel,
                 k=k, t=t, mesh=mesh, u_values=res.u.values.copy(),
                 energy=res.energy, new_crack_ids=new_ids,
                 accum_prev_ids=accum_prev, accum_ids=accum_ids,
-                accum_area_prime=history.area_in_omega_prime(),
+                accum_area_prime=area_prime,
                 amod_ids=mod.a_mod.ids, tmod_ids=tmod_ids,
                 kn_length_raw=kn_raw, kn_length_half=0.5 * kn_raw,
                 kn_components=mod.stats.get("n_components", 0),

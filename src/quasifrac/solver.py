@@ -26,6 +26,10 @@ initial-vector values the solve copies instead of computing: the free
 dofs of nodes in no weighted triangle and the gauge dofs.  A hit is
 therefore bitwise the field a new solve would give, and each distinct
 system is solved once per step.
+
+The history is the sorted id array of the accumulated cracked triangles,
+and eps is the mesh's own; the start from the previous state is the
+history set itself.
 """
 
 import ctypes
@@ -41,14 +45,12 @@ import numpy as np
 from .energy import (
     MaterialModel,
     EnergyReport,
-    choose_crack_set,
     _check_field,
     _crack_set_of_density,
     _density,
     _energy_of_density,
-    _history_ids,
 )
-from .mesh import DisplacementField, MeshParams, Triangulation
+from .mesh import DisplacementField, Triangulation
 from .trisets import (TriangleSet, _edge_graph, _split_by_label,
                       component_labels)
 
@@ -320,9 +322,10 @@ def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
                   extra_pinned_nodes=None) -> DisplacementField:
     """Minimizer of the active elastic energy with collar pinned to bc.
 
-    `active` is a TriangleSet or id array of triangles whose energy counts;
-    collar triangles are pinned through their nodes regardless, and
-    `extra_pinned_nodes` may pin further nodes to bc.  Note the energy
+    `active` holds the ids of the triangles whose energy counts, in any
+    order and with repeats counted once; collar triangles are pinned
+    through their nodes regardless, and `extra_pinned_nodes` may pin
+    further nodes to bc.  Note the energy
     weights are the areas inside the body rectangle, so the partially
     weighted fringe along its boundary is softer than the interior and the
     minimizer of an affine load is affine only once that fringe is pinned
@@ -341,9 +344,9 @@ def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
     and back-substitutes.  Any other system drops the kept factor before
     it is assembled, so at most one factor exists at a time.
     """
-    active_ids = active.ids if isinstance(active, TriangleSet) else \
-        np.asarray(sorted(active), dtype=np.int64)
-    active_ids = active_ids[mesh.area_in_omega[active_ids] > 0.0]
+    mask = np.zeros(mesh.n_triangles, dtype=bool)
+    mask[np.asarray(active, dtype=np.int64)] = True
+    active_ids = np.flatnonzero(mask & (mesh.area_in_omega > 0.0))
     n = 2 * mesh.n_nodes
     pinned_nodes = mesh.collar_node_mask
     if extra_pinned_nodes is not None and len(extra_pinned_nodes):
@@ -405,13 +408,13 @@ def _set_key(ids) -> bytes:
     return np.asarray(ids, dtype=np.int64).tobytes()
 
 
-def _evaluate(mesh, u, strains, hist_ids, material, params):
+def _evaluate(mesh, u, strains, hist_ids, material):
     """Candidate (u, report, crack set) of a field with strains `strains`:
     its history energy under its optimal crack set."""
     _check_field(mesh, u)
     sq = _density(strains, material)
-    s = _crack_set_of_density(mesh, sq, hist_ids, material, params)
-    return u, _energy_of_density(mesh, sq, s.ids, material, params), s
+    s = _crack_set_of_density(mesh, sq, hist_ids, material)
+    return u, _energy_of_density(mesh, sq, s.ids, material), s
 
 
 def _better(cand, other) -> bool:
@@ -440,12 +443,11 @@ class _FrozenSolves:
     give; any other lookup solves.
     """
 
-    def __init__(self, mesh, bc, hist_ids, material, params):
+    def __init__(self, mesh, bc, hist_ids, material):
         self.mesh = mesh
         self.bc = bc
         self.hist_ids = hist_ids
         self.material = material
-        self.params = params
         self._memo = {}  # set key -> (copied dofs, their bytes, candidate)
 
     def candidate(self, s_ids, x0):
@@ -463,19 +465,20 @@ class _FrozenSolves:
         u = solve_elastic(self.mesh, np.flatnonzero(~frozen), self.bc,
                           self.material, x0=x0)
         strains = u.strains()
-        cand = _evaluate(self.mesh, u, strains, self.hist_ids, self.material,
-                         self.params)
+        cand = _evaluate(self.mesh, u, strains, self.hist_ids, self.material)
         self._memo[key] = (u._copied, x_init[u._copied].tobytes(), cand)
         return cand, strains
 
 
-def minimize_step(mesh: Triangulation, history, bc: DisplacementField,
-                  material: MaterialModel, params: MeshParams,
-                  opts: SolveOptions,
+def minimize_step(mesh: Triangulation, hist_ids, bc: DisplacementField,
+                  material: MaterialModel, opts: SolveOptions,
                   prev_u: Optional[DisplacementField] = None,
                   shift_field: Optional[DisplacementField] = None,
                   ) -> SolveResult:
     """Alternate minimization of the history energy over nodal fields.
+
+    `hist_ids` are the sorted ids of the accumulated cracked triangles,
+    and eps is the mesh's own.
 
     Each start freezes a cracked set, solves the elastic complement,
     reclassifies, and repeats until the set stabilizes or cycles.  The
@@ -484,7 +487,9 @@ def minimize_step(mesh: Triangulation, history, bc: DisplacementField,
     where kappa |T n omega'| <= eps |T n omega| |e|_C^2, so like the solve
     it never raises the energy, and a saturated triangle straddling the
     body boundary stays elastic while that is cheaper.  Starts cover the
-    pure-elastic solution, the crack set of the previous state,
+    pure-elastic solution, the crack set of the previous state (the
+    history set itself: the history holds the previous step's crack set,
+    so under the previous field no other triangle cracks),
     the shifted previous state (previous field plus boundary increment,
     whose energy is also scored directly so the step never regresses behind
     that competitor), a greedy ladder cracking only the most strained
@@ -502,10 +507,10 @@ def minimize_step(mesh: Triangulation, history, bc: DisplacementField,
     with the same iterations and energies, and each distinct system is
     solved once.
     """
-    hist_ids = _history_ids(mesh, history)
+    hist_ids = np.asarray(hist_ids, dtype=np.int64)
     rng = np.random.default_rng(opts.seed)
     crackable = np.setdiff1d(np.where(~mesh.collar_mask)[0], hist_ids)
-    solves = _FrozenSolves(mesh, bc, hist_ids, material, params)
+    solves = _FrozenSolves(mesh, bc, hist_ids, material)
     x_init = prev_u.values.ravel().copy() if prev_u is not None else None
 
     # pure elastic solve: a candidate in itself and the seed of the ladder
@@ -519,14 +524,13 @@ def minimize_step(mesh: Triangulation, history, bc: DisplacementField,
     starts = [cand[2].ids]
     if shift_field is not None:
         sc = _evaluate(mesh, shift_field, shift_field.strains(), hist_ids,
-                       material, params)
+                       material)
         if _better(sc, best):
             best = sc
             best_converged = False
         starts.append(sc[2].ids)
     if prev_u is not None:
-        starts.append(choose_crack_set(mesh, prev_u, hist_ids, material,
-                                       params).ids)
+        starts.append(hist_ids)
     if len(fresh):
         sq = (strains[fresh] ** 2).sum(axis=1)
         order = fresh[np.argsort(-sq, kind="stable")]

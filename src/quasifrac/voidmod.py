@@ -548,15 +548,16 @@ def _peel_round(W: TriangleSet, vm: VoidModParams):
 # triangle healing
 
 
-def heal_triangles(H: TriangleSet, u: DisplacementField, vm: VoidModParams,
-                   stats: Optional[dict] = None):
+def heal_triangles(H: TriangleSet, u: DisplacementField,
+                   stats: Optional[dict] = None) -> TriangleSet:
     """Drop member triangles exposing two or more edges that own a vertex
     exclusive to them (no other member shares it); one simultaneous pass.
 
     The strain of a dropped triangle is already determined by continuity
     along the two shared edges with its good neighbors, so the field needs
-    no modification; the induced amplification is measured and reported.
-    Triangles at the outer boundary of the triangulated region are kept.
+    no modification; the induced amplification is measured and reported,
+    which is all `u` is read for.  Triangles at the outer boundary of the
+    triangulated region are kept.
 
     The test runs on whole arrays: the members' neighbor rows, and the
     number of members at each node (1 marks an exclusive vertex).  Strains
@@ -565,7 +566,7 @@ def heal_triangles(H: TriangleSet, u: DisplacementField, vm: VoidModParams,
     """
     mesh = H.mesh
     if not len(H):
-        return H, u
+        return H
     ratios = stats.setdefault("tri_heal_ratios", []) if stats is not None else []
     ids = H.ids
     nbs = mesh.tri_neighbors[ids]
@@ -578,7 +579,7 @@ def heal_triangles(H: TriangleSet, u: DisplacementField, vm: VoidModParams,
             & (owners[mesh.triangles[ids]] == 1).any(axis=1))
     removal = ids[drop]
     if not len(removal):
-        return H, u
+        return H
     if stats is not None:
         exposed = ~member_nb[drop]
         nb_energy = np.zeros(exposed.shape)
@@ -589,7 +590,7 @@ def heal_triangles(H: TriangleSet, u: DisplacementField, vm: VoidModParams,
         ratios.extend(np.divide(num, den, out=np.zeros_like(num),
                                 where=den != 0.0).tolist())
         stats["healed_triangles"] = stats.get("healed_triangles", 0) + len(removal)
-    return H.difference(removal), u
+    return H.difference(removal)
 
 
 def _unfill_exposed(H: TriangleSet, filled) -> TriangleSet:
@@ -661,7 +662,7 @@ def modify_voids(A: TriangleSet, u: DisplacementField,
             break
         w, u_mod = _remove_pieces(w, u_mod, pieces, work)
 
-    a_mod, u_mod = heal_triangles(w, u_mod, vm, stats=work)
+    a_mod = heal_triangles(w, u_mod, stats=work)
     a_mod = _unfill_exposed(a_mod, filled)
 
     t_mod = TriangleSet(mesh, np.intersect1d(A.ids, a_mod.ids))

@@ -25,10 +25,10 @@ import scipy.sparse as sp
 from quasifrac._kernels import _clip_area_rect, point_seg_dist
 from quasifrac.mesh import MeshError
 from quasifrac.solver import assemble_stiffness, solve_elastic
-from quasifrac.trisets import TriangleSet, closure_components_minus_vertex
+from quasifrac.trisets import closure_components_minus_vertex
 
 
-def exhaustive_minimum(mesh, bc, hist_ids, material, params):
+def exhaustive_minimum(mesh, bc, hist_ids, material):
     """Minimum history energy over all crack patterns.
 
     Every subset S of triangles is frozen, the elastic complement solved,
@@ -53,7 +53,7 @@ def exhaustive_minimum(mesh, bc, hist_ids, material, params):
         strains = v.strains()
         sq = np.einsum("mi,ij,mj->m", strains, material.elasticity, strains)
         elastic = w_omega * sq
-        crack = material.kappa * w_prime / params.eps
+        crack = material.kappa * w_prime / mesh.params.eps
         cracked = in_hist | (crack <= elastic)
         e = float(elastic[~cracked].sum() + crack[cracked].sum())
         if best is None or e < best:
@@ -392,8 +392,7 @@ def dense_of_band(band):
 
 def kkt_residual(mesh, active, u, material, extra_pinned_nodes=None) -> float:
     """Norm of the reduced gradient at u relative to the load norm."""
-    active_ids = active.ids if isinstance(active, TriangleSet) else \
-        np.asarray(sorted(active), dtype=np.int64)
+    active_ids = np.unique(np.asarray(active, dtype=np.int64))
     k = scipy_csr(assemble_stiffness(mesh, active_ids, material)[0])
     x = u.values.ravel()
     g = k @ x

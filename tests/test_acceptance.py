@@ -158,7 +158,7 @@ def test_criterion_2_split_identity(mesh32):
     for _ in range(1000):
         vals = rng.standard_normal((mesh32.n_nodes, 2)) * rng.uniform(0.001, 0.4)
         u = DisplacementField(mesh32, vals)
-        rep = static_energy(mesh32, u, mat, params)
+        rep = static_energy(mesh32, u, mat)
         assert rep.total == rep.elastic_part + rep.crack_part
         s = u.strains()
         sq = (s * s).sum(axis=1)
@@ -293,7 +293,6 @@ def test_criterion_6_filled_triangles_interior(voidmod_suite, nesting_suite):
 
 def test_criterion_7_solver_oracle():
     from _oracles import exhaustive_minimum
-    from quasifrac.energy import CrackHistory
     from quasifrac.mesh import Domain, build_background_mesh, interpolate
     from quasifrac.solver import minimize_step
 
@@ -327,13 +326,9 @@ def test_criterion_7_solver_oracle():
         assert mesh.n_triangles <= 12
         opts = SolveOptions(multi_starts=8, seed=k)
         bc = interpolate(mesh, g, 1.0)
-        hist = CrackHistory()
         hist_ids = np.asarray(pre, dtype=np.int64)
-        if len(hist_ids):
-            hist.add_step(TriangleSet(mesh, hist_ids))
-        res = minimize_step(mesh, hist, bc, MaterialModel(), params, opts)
-        e_oracle = exhaustive_minimum(mesh, bc, hist_ids, MaterialModel(),
-                                      params)
+        res = minimize_step(mesh, hist_ids, bc, MaterialModel(), opts)
+        e_oracle = exhaustive_minimum(mesh, bc, hist_ids, MaterialModel())
         worst = max(worst, abs(res.energy.total - e_oracle))
         assert res.energy.total <= e_oracle + 1e-9
     elapsed = time.time() - t0

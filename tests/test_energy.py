@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from quasifrac.energy import (
-    CrackHistory,
     DegenerateTriangle,
     EnergyError,
-    InconsistentHistory,
     MaterialModel,
     MeshFieldMismatch,
     choose_crack_set,
@@ -23,7 +21,6 @@ from quasifrac.mesh import (
     Triangulation,
     interpolate,
 )
-from quasifrac.trisets import TriangleSet
 from conftest import AffineLoad, block_ids, make_mesh
 
 
@@ -82,7 +79,7 @@ def test_triangle_strain_degenerate():
 
 def test_static_energy_zero(mesh16):
     mat = MaterialModel()
-    rep = static_energy(mesh16, _uniform_field(mesh16), mat, mesh16.params)
+    rep = static_energy(mesh16, _uniform_field(mesh16), mat)
     assert rep.total == 0.0
     assert rep.cracked_area == 0.0
 
@@ -93,7 +90,7 @@ def test_static_energy_below_cap(mesh16):
     a = math.sqrt(0.5 / params.eps)
     mat = MaterialModel(kappa=1.0)
     u = _uniform_field(mesh16, a11=a)
-    rep = static_energy(mesh16, u, mat, params)
+    rep = static_energy(mesh16, u, mat)
     assert rep.crack_part == 0.0
     assert rep.total == pytest.approx(a * a * mesh16.domain.omega_area, rel=1e-12)
 
@@ -103,7 +100,7 @@ def test_static_energy_cap_active(mesh16):
     a = math.sqrt(2.0 / params.eps)  # eps |e|^2 = 2 kappa
     mat = MaterialModel(kappa=1.0)
     u = _uniform_field(mesh16, a11=a)
-    rep = static_energy(mesh16, u, mat, params)
+    rep = static_energy(mesh16, u, mat)
     assert rep.elastic_part == 0.0
     area = mesh16.domain.omega_area
     assert rep.total == pytest.approx(area / params.eps, rel=1e-12)
@@ -120,7 +117,7 @@ def test_split_identity_random_fields(mesh32):
         vals = rng.standard_normal((mesh32.n_nodes, 2)) * \
             rng.uniform(0.001, 0.3)
         u = DisplacementField(mesh32, vals)
-        rep = static_energy(mesh32, u, mat, params)
+        rep = static_energy(mesh32, u, mat)
         assert rep.total == rep.elastic_part + rep.crack_part
         s = u.strains()
         sq = (s * s).sum(axis=1)
@@ -129,16 +126,15 @@ def test_split_identity_random_fields(mesh32):
 
 
 def test_frame_invariance(mesh16):
-    params = mesh16.params
     mat = MaterialModel()
     rng = np.random.default_rng(11)
     vals = rng.standard_normal((mesh16.n_nodes, 2)) * 0.05
     u = DisplacementField(mesh16, vals)
-    base = static_energy(mesh16, u, mat, params)
+    base = static_energy(mesh16, u, mat)
     w = 0.3
     rigid = np.array([0.7, -0.2]) + mesh16.nodes @ np.array([[0.0, -w], [w, 0.0]]).T
     u2 = DisplacementField(mesh16, vals + rigid)
-    shifted = static_energy(mesh16, u2, mat, params)
+    shifted = static_energy(mesh16, u2, mat)
     assert shifted.total == pytest.approx(base.total, rel=1e-12, abs=1e-12)
     s1, s2 = u.strains(), u2.strains()
     assert np.abs(s1 - s2).max() < 1e-12
@@ -157,10 +153,10 @@ def test_classify_boundary_case():
     assert np.all(s[:, 0] == h)  # bitwise exact on the integer lattice
     kappa = params.eps * (h * h)  # same product the classifier forms
     mat = MaterialModel(kappa=kappa)
-    cracked = classify_cracked(mesh, u, mat, params)
+    cracked = classify_cracked(mesh, u, mat)
     assert len(cracked) == mesh.n_triangles  # ties classify cracked
     mat_above = MaterialModel(kappa=np.nextafter(kappa, np.inf))
-    assert len(classify_cracked(mesh, u, mat_above, params)) == 0
+    assert len(classify_cracked(mesh, u, mat_above)) == 0
 
 
 def test_classify_off_grid_mesh_by_density_alone():
@@ -173,12 +169,12 @@ def test_classify_off_grid_mesh_by_density_alone():
     assert not mesh.is_background.any()
     u = DisplacementField(mesh, np.zeros((3, 2)))
     mat = MaterialModel()
-    assert len(classify_cracked(mesh, u, mat, params)) == 0
-    assert len(choose_crack_set(mesh, u, [], mat, params)) == 0
+    assert len(classify_cracked(mesh, u, mat)) == 0
+    assert len(choose_crack_set(mesh, u, [], mat)) == 0
     # a field whose capped density saturates cracks it
     u = DisplacementField(mesh, np.array([[0.0, 0.0], [3.0, 0.0],
                                           [1.5, 0.0]]))
-    assert classify_cracked(mesh, u, mat, params).ids.tolist() == [0]
+    assert classify_cracked(mesh, u, mat).ids.tolist() == [0]
 
 
 def test_history_energy_empty_matches_static(mesh16):
@@ -186,9 +182,8 @@ def test_history_energy_empty_matches_static(mesh16):
     mat = MaterialModel()
     a = math.sqrt(0.2 / params.eps)
     u = _uniform_field(mesh16, a11=a)
-    hist = CrackHistory()
-    rep = history_energy(mesh16, u, hist, mat, params)
-    static = static_energy(mesh16, u, mat, params)
+    rep = history_energy(mesh16, u, [], mat)
+    static = static_energy(mesh16, u, mat)
     assert rep.elastic_part == pytest.approx(static.elastic_part, rel=1e-12)
     assert rep.crack_part == 0.0
 
@@ -197,9 +192,7 @@ def test_history_energy_full_history(mesh16):
     params = mesh16.params
     mat = MaterialModel(kappa=1.0)
     u = _uniform_field(mesh16, a11=0.1)
-    hist = CrackHistory()
-    hist.add_step(TriangleSet(mesh16, np.arange(mesh16.n_triangles)))
-    rep = history_energy(mesh16, u, hist, mat, params)
+    rep = history_energy(mesh16, u, np.arange(mesh16.n_triangles), mat)
     assert rep.elastic_part == 0.0
     prime_area = float(mesh16.area_in_omega_prime.sum())
     assert rep.crack_part == pytest.approx(prime_area / params.eps, rel=1e-12)
@@ -217,9 +210,7 @@ def test_history_energy_hand_sum():
     a = 0.3
     u = _uniform_field(mesh, a11=a)
     star = 3
-    hist = CrackHistory()
-    hist.add_step(TriangleSet(mesh, [star]))
-    rep = history_energy(mesh, u, hist, mat, params)
+    rep = history_energy(mesh, u, [star], mat)
     w = mesh.area_in_omega
     expect_elastic = a * a * float(w.sum() - w[star])
     expect_crack = float(mesh.area_in_omega_prime[star]) / eps
@@ -243,7 +234,7 @@ def test_history_energy_fringe_crack_choice():
     u = _uniform_field(mesh, a11=h)
     sq = (u.strains() ** 2).sum(axis=1)
     mat = MaterialModel(kappa=params.eps * (h * h))
-    assert len(classify_cracked(mesh, u, mat, params)) == mesh.n_triangles
+    assert len(classify_cracked(mesh, u, mat)) == mesh.n_triangles
     w = mesh.area_in_omega
     w_prime = mesh.area_in_omega_prime
     fringe = np.where((w > 0.0) & (w < w_prime))[0]
@@ -251,7 +242,7 @@ def test_history_energy_fringe_crack_choice():
     assert len(fringe) and len(interior)
     # cracking a fringe triangle would raise the energy
     assert np.all(mat.kappa * w_prime[fringe] / eps > w[fringe] * sq[fringe])
-    rep = history_energy(mesh, u, CrackHistory(), mat, params)
+    rep = history_energy(mesh, u, [], mat)
     assert rep.n_cracked == len(interior)
     assert rep.cracked_area == pytest.approx(float(w_prime[interior].sum()),
                                              rel=1e-12)
@@ -259,38 +250,23 @@ def test_history_energy_fringe_crack_choice():
     assert rep.elastic_part == pytest.approx(float((w[kept] * sq[kept]).sum()),
                                              rel=1e-12)
     # a fringe triangle in the history is charged as cracked all the same
-    hist = CrackHistory()
-    hist.add_step(TriangleSet(mesh, fringe[:1]))
-    rep_h = history_energy(mesh, u, hist, mat, params)
+    rep_h = history_energy(mesh, u, fringe[:1], mat)
     assert rep_h.n_cracked == len(interior) + 1
 
 
 def test_history_monotone(mesh16):
-    params = mesh16.params
     mat = MaterialModel()
     rng = np.random.default_rng(5)
     u = DisplacementField(mesh16, rng.standard_normal((mesh16.n_nodes, 2)) * 0.02)
     small = rng.choice(mesh16.n_triangles, 30, replace=False)
     big = np.union1d(small, rng.choice(mesh16.n_triangles, 60, replace=False))
-    h1, h2 = CrackHistory(), CrackHistory()
-    h1.add_step(TriangleSet(mesh16, small))
-    h2.add_step(TriangleSet(mesh16, big))
-    r1 = history_energy(mesh16, u, h1, mat, params)
-    r2 = history_energy(mesh16, u, h2, mat, params)
+    r1 = history_energy(mesh16, u, small, mat)
+    r2 = history_energy(mesh16, u, big, mat)
     assert r2.elastic_part <= r1.elastic_part + 1e-15
     assert r2.crack_part >= r1.crack_part - 1e-15
-
-
-def test_history_inconsistent(mesh16, mesh32):
-    mat = MaterialModel()
-    hist = CrackHistory()
-    hist.add_step(TriangleSet(mesh32, [5]))  # finer-mesh triangle
-    u = _uniform_field(mesh16)
-    with pytest.raises(InconsistentHistory):
-        history_energy(mesh16, u, hist, mat, mesh16.params)
 
 
 def test_mesh_field_mismatch(mesh16, mesh32):
     u = _uniform_field(mesh32)
     with pytest.raises(MeshFieldMismatch):
-        static_energy(mesh16, u, MaterialModel(), mesh16.params)
+        static_energy(mesh16, u, MaterialModel())

@@ -59,15 +59,14 @@ def test_subcritical_matches_pure_elastic():
     trace = run_from_config(cfg)
     assert not trace.aborted
     # no crack ever forms, and each step energy equals the fresh elastic solve
-    from quasifrac.energy import CrackHistory
     from quasifrac.mesh import build_background_mesh, interpolate
     from quasifrac.solver import minimize_step
     mesh = build_background_mesh(cfg.domain(), cfg.mesh_params())
     for rec in trace.steps:
         assert len(rec.accum_ids) == 0
         bc = interpolate(mesh, cfg.load(), rec.t)
-        fresh = minimize_step(mesh, CrackHistory(), bc, cfg.material(),
-                              cfg.mesh_params(), cfg.solve_options())
+        fresh = minimize_step(mesh, [], bc, cfg.material(),
+                              cfg.solve_options())
         assert rec.energy.total == pytest.approx(fresh.energy.total, abs=1e-9)
 
 
@@ -89,14 +88,35 @@ def test_cracking_run_irreversible_and_nested():
     assert grew  # the load actually drives crack growth
 
 
+def test_history_is_crack_set_of_its_field():
+    # the accumulated set holds the step's crack set, so under its own
+    # field the history cracks nothing more: the previous-state start of
+    # the next step is the history itself
+    from quasifrac.energy import choose_crack_set
+    from quasifrac.mesh import DisplacementField
+    cfg = parse_config(
+        "eps = 0.03125\nn_steps = 8\namplitude = 3.2\nload = opening\n"
+        "precrack = 0.0 0.5 0.45 0.5 0.06\nseed = 1\nmulti_starts = 3\n")
+    trace = run_from_config(cfg)
+    assert not trace.aborted
+    assert len(trace.steps[-1].accum_ids) > len(trace.steps[0].accum_ids)
+    for rec in trace.steps:
+        mesh = rec.mesh
+        u = DisplacementField(mesh, rec.u_values)
+        s = choose_crack_set(mesh, u, rec.accum_ids, cfg.material())
+        assert np.array_equal(s.ids, rec.accum_ids)
+        assert np.array_equal(rec.accum_ids, np.unique(rec.accum_ids))
+        assert rec.accum_area_prime == pytest.approx(
+            float(mesh.area_in_omega_prime[rec.accum_ids].sum()), rel=1e-12)
+
+
 def test_stability_spot_check():
     cfg = parse_config(
         "eps = 0.0625\nn_steps = 4\namplitude = 1.2\nload = opening\n"
         "precrack = 0.0 0.5 0.3 0.5 0.05\nseed = 1\n")
     trace = run_from_config(cfg)
     for rec in trace.steps[:: max(1, len(trace.steps) // 3)]:
-        assert stability_spot_check(rec, cfg.load(), cfg.material(),
-                                    cfg.mesh_params(), n_competitors=20,
+        assert stability_spot_check(rec, cfg.material(), n_competitors=20,
                                     seed=5)
 
 

@@ -11,7 +11,6 @@ from quasifrac import solver
 from quasifrac._kernels import cg_deflated
 from quasifrac.config import parse_config
 from quasifrac.energy import (
-    CrackHistory,
     MaterialModel,
     choose_crack_set,
     classify_cracked,
@@ -28,7 +27,6 @@ from quasifrac.solver import (
     minimize_step,
     solve_elastic,
 )
-from quasifrac.trisets import TriangleSet
 from conftest import AffineLoad, block_ids, make_mesh
 from _oracles import coo_stiffness, dense_of_band, kkt_residual, scipy_csr
 
@@ -49,8 +47,7 @@ def strip_mesh(n_cells=4, width=1):
 def test_solve_elastic_zero_bc(mesh16):
     mat = MaterialModel()
     bc = interpolate(mesh16, AffineLoad(), 1.0)
-    u = solve_elastic(mesh16, TriangleSet(mesh16, np.arange(mesh16.n_triangles)),
-                      bc, mat)
+    u = solve_elastic(mesh16, np.arange(mesh16.n_triangles), bc, mat)
     assert np.abs(u.values).max() == 0.0
 
 
@@ -59,7 +56,7 @@ def test_solve_elastic_affine_with_fringe_pinned(mesh16):
     # affine field exactly and the reduced gradient vanishes
     mat = MaterialModel()
     bc = interpolate(mesh16, AffineLoad(0.2, 0.05, 0.0, -0.3), 1.0)
-    allt = TriangleSet(mesh16, np.arange(mesh16.n_triangles))
+    allt = np.arange(mesh16.n_triangles)
     extra = _fringe_nodes(mesh16)
     u = solve_elastic(mesh16, allt, bc, mat, extra_pinned_nodes=extra)
     assert np.abs(u.values - bc.values).max() < 1e-10
@@ -71,7 +68,7 @@ def test_solve_elastic_relaxed_is_optimal(mesh16):
     # stationary and no worse than the affine competitor
     mat = MaterialModel()
     bc = interpolate(mesh16, AffineLoad(0.0, 0.0, 0.0, 0.5), 1.0)
-    allt = TriangleSet(mesh16, np.arange(mesh16.n_triangles))
+    allt = np.arange(mesh16.n_triangles)
     u = solve_elastic(mesh16, allt, bc, mat)
     assert kkt_residual(mesh16, allt, u, mat) < 1e-10
     w = mesh16.area_in_omega
@@ -98,7 +95,7 @@ def test_solve_elastic_uniaxial_strip_closed_form():
             return out
 
     bc = interpolate(mesh, Uniaxial(), 1.0)
-    allt = TriangleSet(mesh, np.arange(mesh.n_triangles))
+    allt = np.arange(mesh.n_triangles)
     extra = _fringe_nodes(mesh)
     u = solve_elastic(mesh, allt, bc, mat, extra_pinned_nodes=extra)
     w = mesh.area_in_omega
@@ -123,26 +120,41 @@ def test_solve_elastic_floating_component_gauge(mesh32):
     assert np.abs(s[island]).max() < 1e-8
 
 
+def test_solve_elastic_counts_repeated_ids_once():
+    # an active triangle listed twice, or out of order, is assembled once:
+    # the field is bitwise that of the sorted deduplicated ids
+    g = AffineLoad(0.0, 0.0, 0.0, 0.4)
+    mat = MaterialModel()
+    mesh = make_mesh(1 / 16)
+    active = np.setdiff1d(np.arange(mesh.n_triangles),
+                          block_ids(mesh, 4, 10, 11, 12))
+    inner = active[(mesh.area_in_omega[active] > 0.0)
+                   & ~mesh.collar_mask[active]]
+    twice = np.random.default_rng(4).choice(inner, 40, replace=False)
+    want = solve_elastic(mesh, active, interpolate(mesh, g, 1.0), mat)
+    for ids in (np.concatenate([active, twice]), active[::-1].tolist()):
+        other = make_mesh(1 / 16)
+        got = solve_elastic(other, ids, interpolate(other, g, 1.0), mat)
+        assert got.values.tobytes() == want.values.tobytes()
+
+
 def test_minimize_step_subcritical_fixed_point(mesh16):
-    params = mesh16.params
     mat = MaterialModel(kappa=1.0)
     bc = interpolate(mesh16, AffineLoad(0.0, 0.0, 0.0, 0.3), 1.0)
-    res = minimize_step(mesh16, CrackHistory(), bc, mat, params,
-                        SolveOptions(multi_starts=2))
+    res = minimize_step(mesh16, [], bc, mat, SolveOptions(multi_starts=2))
     assert res.converged
     assert len(res.cracked_now) == 0
     # fixed-point self-consistency
-    cls = classify_cracked(mesh16, res.u, mat, params)
+    cls = classify_cracked(mesh16, res.u, mat)
     assert set(cls.ids) <= set(res.cracked_now.ids)
 
 
 def test_minimize_step_full_history(mesh16):
     params = mesh16.params
     mat = MaterialModel(kappa=1.0)
-    hist = CrackHistory()
-    hist.add_step(TriangleSet(mesh16, np.arange(mesh16.n_triangles)))
+    hist = np.arange(mesh16.n_triangles)
     bc = interpolate(mesh16, AffineLoad(0.0, 0.0, 0.0, 0.3), 1.0)
-    res = minimize_step(mesh16, hist, bc, mat, params, SolveOptions(multi_starts=2))
+    res = minimize_step(mesh16, hist, bc, mat, SolveOptions(multi_starts=2))
     assert res.energy.elastic_part == pytest.approx(0.0, abs=1e-12)
     prime = float(mesh16.area_in_omega_prime.sum())
     assert res.energy.crack_part == pytest.approx(prime / params.eps, rel=1e-12)
@@ -150,10 +162,9 @@ def test_minimize_step_full_history(mesh16):
 
 def test_minimize_step_energy_history_monotone(mesh16):
     # recorded outer-iteration energies of the winning start never increase
-    params = mesh16.params
     mat = MaterialModel(kappa=1.0)
     bc = interpolate(mesh16, AffineLoad(0.0, 0.0, 0.0, 1.8), 1.0)
-    res = minimize_step(mesh16, CrackHistory(), bc, mat, params,
+    res = minimize_step(mesh16, [], bc, mat,
                         SolveOptions(multi_starts=4, seed=2))
     e = res.energy_history
     for a, b in zip(e, e[1:]):
@@ -161,23 +172,21 @@ def test_minimize_step_energy_history_monotone(mesh16):
     # the solver's crack choice for the result adds nothing outside
     # cracked_now (plain classification may also mark saturated fringe
     # triangles whose cracking would raise the energy)
-    cls = choose_crack_set(mesh16, res.u, np.empty(0, dtype=np.int64), mat,
-                           params)
+    cls = choose_crack_set(mesh16, res.u, np.empty(0, dtype=np.int64), mat)
     assert set(cls.ids) <= set(res.cracked_now.ids)
 
 
 def test_minimize_step_matches_oracle_small():
     from _oracles import exhaustive_minimum
     mesh = strip_mesh(n_cells=4)
-    params = mesh.params
     mat = MaterialModel(kappa=1.0)
     opts = SolveOptions(multi_starts=8, seed=3)
     for amp in (0.6, 1.5, 3.0):
         g = AffineLoad(a11=amp)
         bc = interpolate(mesh, g, 1.0)
-        res = minimize_step(mesh, CrackHistory(), bc, mat, params, opts)
+        res = minimize_step(mesh, [], bc, mat, opts)
         e_oracle = exhaustive_minimum(mesh, bc, np.empty(0, dtype=np.int64),
-                                      mat, params)
+                                      mat)
         assert res.energy.total == pytest.approx(e_oracle, abs=1e-9)
 
 
@@ -256,8 +265,7 @@ def test_frozen_solves_memo_keys_copied_dofs(monkeypatch, eps):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(solver, "solve_elastic", counting)
-    solves = solver._FrozenSolves(mesh, bc, np.empty(0, dtype=np.int64), mat,
-                                  mesh.params)
+    solves = solver._FrozenSolves(mesh, bc, np.empty(0, dtype=np.int64), mat)
     first, _ = solves.candidate(frozen, None)
     assert len(calls) == 1
     x_node = bc.values.ravel().copy()

@@ -63,6 +63,21 @@ def test_benchmark_wrap_targets_exist():
     assert not missing, f"benchmark wrap targets absent: {missing}"
 
 
+def test_no_function_takes_mesh_and_params():
+    # a mesh holds its own params; a second copy could only disagree
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                names = {arg.arg for arg in a.posonlyargs + a.args
+                         + a.kwonlyargs}
+                if {"mesh", "params"} <= names:
+                    found.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert not found, "functions taking both mesh and params:\n" + \
+        "\n".join(found)
+
+
 def _mutable_globals(module):
     """Names a module binds to a dict, list or set (dunder names aside)."""
     return sorted(name for name, value in vars(module).items()
