@@ -232,7 +232,7 @@ def run_evolution(domain: Domain, params: MeshParams, material: MaterialModel,
                     mesh, prev_u.values + bc.values - bc_prev.values)
             try:
                 res = minimize_step(mesh, accum_ids, bc, material, opts,
-                                    prev_u=prev_u, shift_field=shift)
+                                    shift_field=shift)
             except SolverError as exc:
                 trace.aborted = True
                 trace.abort_reason = f"step {k}: {exc}"

@@ -468,7 +468,7 @@ class Triangulation:
             return Triangulation.from_dict(json.load(f))
 
 
-@dataclass
+@dataclass(slots=True)
 class DisplacementField:
     """Continuous piecewise-affine field given by one value per mesh node."""
 

@@ -3,13 +3,13 @@
 The inner subproblem (crack set frozen) is a linear elastic solve with
 collar nodes pinned to the boundary program.  The zero-energy motions
 left after pinning (pieces of the active region that float, or hinge on
-a single node) are fixed by `_gauge_pins`, which holds exactly as many
-dofs as there are such motions at their initial values, so every reduced
-system is symmetric positive definite.  The path uses numpy and LAPACK
-alone: each system is summed onto the mesh's cached stiffness pattern
-(`assemble_stiffness`), its free-free block is renumbered in the mesh's
-band order (`Triangulation.band_order`) and its upper triangle scattered
-into band storage (`CSRMatrix.band_block`), and every such block is
+a single node) are fixed by `_gauge_pins`, which pins exactly one dof per
+such motion to its bc value, so every reduced system is symmetric positive
+definite.  The path uses numpy and LAPACK alone: each system is summed
+onto the mesh's cached stiffness pattern (`assemble_stiffness`), its
+free-free block is renumbered in the mesh's band order
+(`Triangulation.band_order`) and its upper triangle scattered into band
+storage (`CSRMatrix.band_block`), and every such block is
 factored the same way, by `_factor`: LAPACK's band Cholesky `dpbtrf`,
 solved by `dpbtrs`.  SciPy's LAPACK extension is loaded alone, with its
 bundled OpenBLAS held to one thread, so results are independent of the
@@ -21,11 +21,9 @@ loop alternates solve / reclassify until the cracked set stabilizes;
 multi-starts guard against the nonconvexity of the truncated density.
 Within one step the later starts often replay an earlier trajectory, so
 every solve of the step goes through a memo (`_FrozenSolves`, freed when
-the step returns).  Its key is the frozen crack set plus the
-initial-vector values the solve copies instead of computing: the free
-dofs of nodes in no weighted triangle and the gauge dofs.  A hit is
-therefore bitwise the field a new solve would give, and each distinct
-system is solved once per step.
+the step returns).  A solve depends only on its reduced system and bc, so
+the memo keys on the frozen crack set alone, a hit is bitwise the field a
+new solve would give, and each distinct system is solved once per step.
 
 The history is the sorted id array of the accumulated cracked triangles,
 and eps is the mesh's own; the start from the previous state is the
@@ -307,18 +305,15 @@ def _factor(band):
 @dataclass
 class _DirectSystem:
     """Reduced system of a solve: stiffness matrix, free dofs in the
-    mesh's band order, the dofs copied from the initial vector and the
-    Cholesky factor of the free-free block."""
+    mesh's band order and the Cholesky factor of the free-free block."""
 
     k: CSRMatrix
     free_idx: np.ndarray
-    copied: np.ndarray
     factor: _BandFactor
 
 
 def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
                   material: MaterialModel,
-                  x0: Optional[np.ndarray] = None,
                   extra_pinned_nodes=None) -> DisplacementField:
     """Minimizer of the active elastic energy with collar pinned to bc.
 
@@ -333,10 +328,9 @@ def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
     minimizer unique.  Raises SingularSystem when the reduced system cannot
     be factored or its solve leaves a large residual.
 
-    The result depends on the initial vector (x0, or bc where x0 is None)
-    only through the dofs listed in its `_copied` attribute, which keep
-    their initial values: the unpinned dofs of nodes in no weighted
-    triangle, and the gauge dofs.
+    The result depends only on the reduced system and bc: every dof the
+    solve does not compute keeps its bc value.  Those are the pinned dofs,
+    the dofs of nodes in no weighted active triangle, and the gauge dofs.
 
     The reduced system is fixed by the elasticity, the weighted active ids
     and the pinned nodes.  The mesh keeps the factor of its latest system,
@@ -347,51 +341,37 @@ def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
     mask = np.zeros(mesh.n_triangles, dtype=bool)
     mask[np.asarray(active, dtype=np.int64)] = True
     active_ids = np.flatnonzero(mask & (mesh.area_in_omega > 0.0))
-    n = 2 * mesh.n_nodes
     pinned_nodes = mesh.collar_node_mask
     if extra_pinned_nodes is not None and len(extra_pinned_nodes):
         pinned_nodes = pinned_nodes.copy()
         pinned_nodes[np.asarray(extra_pinned_nodes, dtype=np.int64)] = True
 
-    x = np.empty(n)
-    if x0 is not None:
-        x[:] = np.asarray(x0, dtype=float).ravel()
-    else:
-        x[0::2] = bc.values[:, 0]
-        x[1::2] = bc.values[:, 1]
-    x[0::2] = np.where(pinned_nodes, bc.values[:, 0], x[0::2])
-    x[1::2] = np.where(pinned_nodes, bc.values[:, 1], x[1::2])
-
     key = (material.elasticity.tobytes(), active_ids.tobytes(),
            pinned_nodes.tobytes())
     if mesh.factor_slot is not None and mesh.factor_slot[0] == key:
-        return _direct_solve(mesh, mesh.factor_slot[1], x)
+        return _direct_solve(mesh, mesh.factor_slot[1], bc)
     # forget the kept factor before the next one is built
     mesh.factor_slot = None
 
     k, asm_ids = assemble_stiffness(mesh, active_ids, material)
-    unpinned = np.repeat(~pinned_nodes, 2)
     # nodes outside every weighted triangle stay put
-    touched = k.diagonal() > 0.0
-    free = unpinned & touched
+    free = np.repeat(~pinned_nodes, 2) & (k.diagonal() > 0.0)
     gauge = _gauge_pins(mesh, asm_ids, pinned_nodes)
     free[gauge] = False
     order = mesh.band_order
     free_idx = order[free[order]]
-    system = _DirectSystem(k, free_idx,
-                           np.union1d(np.flatnonzero(unpinned & ~touched), gauge),
-                           _factor(k.band_block(free_idx)))
+    system = _DirectSystem(k, free_idx, _factor(k.band_block(free_idx)))
     mesh.factor_slot = (key, system)
-    return _direct_solve(mesh, system, x)
+    return _direct_solve(mesh, system, bc)
 
 
-def _direct_solve(mesh, system: _DirectSystem, x) -> DisplacementField:
-    """Solve the reduced system for the free dofs of x, whose other dofs
-    hold their pinned or copied values."""
+def _direct_solve(mesh, system: _DirectSystem, bc) -> DisplacementField:
+    """The field that solves the reduced system for the free dofs and
+    holds its bc values elsewhere."""
     free_idx = system.free_idx
-    x_pin = x.copy()
-    x_pin[free_idx] = 0.0
-    rhs = -(system.k @ x_pin)[free_idx]
+    x = bc.values.ravel().copy()
+    x[free_idx] = 0.0
+    rhs = -(system.k @ x)[free_idx]
     x[free_idx] = system.factor.solve(rhs)
     # the reduced residual kff y - rhs, read off the full product
     res = float(np.linalg.norm((system.k @ x)[free_idx]))
@@ -399,9 +379,7 @@ def _direct_solve(mesh, system: _DirectSystem, x) -> DisplacementField:
     if res > 1e-6 * ref:
         raise SingularSystem(
             f"direct solve residual {res / ref:.3e} too large")
-    out = DisplacementField(mesh, np.column_stack([x[0::2], x[1::2]]))
-    out._copied = system.copied
-    return out
+    return DisplacementField(mesh, x.reshape(-1, 2))
 
 
 def _set_key(ids) -> bytes:
@@ -434,13 +412,9 @@ class _FrozenSolves:
     """The elastic solves of one minimize_step call, memoized by frozen
     crack set.
 
-    A solve with crack set S frozen depends only on S, on bc and on the
-    values its initial vector (x0, or bc where x0 is None) holds at the
-    dofs the solve copies instead of computing (solve_elastic's
-    `_copied`).  Per set the memo keeps the candidate of the latest solve
-    with those values.  A lookup whose initial vector holds the same bytes
-    there is served from the memo, bitwise the candidate a new solve would
-    give; any other lookup solves.
+    A solve with crack set S frozen depends only on S and bc
+    (solve_elastic), so the memo keeps one candidate per set, and a lookup
+    of a set solved before is bitwise the candidate a new solve would give.
     """
 
     def __init__(self, mesh, bc, hist_ids, material):
@@ -448,31 +422,27 @@ class _FrozenSolves:
         self.bc = bc
         self.hist_ids = hist_ids
         self.material = material
-        self._memo = {}  # set key -> (copied dofs, their bytes, candidate)
+        self._memo = {}  # set key -> candidate
 
-    def candidate(self, s_ids, x0):
-        """_evaluate tuple of the field solved from x0 with s_ids frozen,
-        and that field's strains when it was solved now (None when it
-        came from the memo)."""
+    def candidate(self, s_ids):
+        """_evaluate tuple of the field solved with s_ids frozen, and that
+        field's strains when it was solved now (None when it came from the
+        memo)."""
         key = _set_key(s_ids)
-        x_init = self.bc.values.ravel() if x0 is None else \
-            np.asarray(x0, dtype=float).ravel()
-        held = self._memo.get(key)
-        if held is not None and x_init[held[0]].tobytes() == held[1]:
-            return held[2], None
+        if key in self._memo:
+            return self._memo[key], None
         frozen = np.zeros(self.mesh.n_triangles, dtype=bool)
         frozen[np.asarray(s_ids, dtype=np.int64)] = True
         u = solve_elastic(self.mesh, np.flatnonzero(~frozen), self.bc,
-                          self.material, x0=x0)
+                          self.material)
         strains = u.strains()
         cand = _evaluate(self.mesh, u, strains, self.hist_ids, self.material)
-        self._memo[key] = (u._copied, x_init[u._copied].tobytes(), cand)
+        self._memo[key] = cand
         return cand, strains
 
 
 def minimize_step(mesh: Triangulation, hist_ids, bc: DisplacementField,
                   material: MaterialModel, opts: SolveOptions,
-                  prev_u: Optional[DisplacementField] = None,
                   shift_field: Optional[DisplacementField] = None,
                   ) -> SolveResult:
     """Alternate minimization of the history energy over nodal fields.
@@ -487,34 +457,32 @@ def minimize_step(mesh: Triangulation, hist_ids, bc: DisplacementField,
     where kappa |T n omega'| <= eps |T n omega| |e|_C^2, so like the solve
     it never raises the energy, and a saturated triangle straddling the
     body boundary stays elastic while that is cheaper.  Starts cover the
-    pure-elastic solution, the crack set of the previous state (the
-    history set itself: the history holds the previous step's crack set,
-    so under the previous field no other triangle cracks),
-    the shifted previous state (previous field plus boundary increment,
-    whose energy is also scored directly so the step never regresses behind
-    that competitor), a greedy ladder cracking only the most strained
-    triangles of the elastic solution, and seeded random crack sets.  The
-    best iterate is returned with its crack set as `cracked_now` (history
-    included); its energy is the history energy under that optimal crack
-    set.  Best means lowest energy, then smallest cracked area, then the
-    nodal values compared in order by value (see _better), so -0.0 and
-    0.0 tie.
+    pure-elastic solution; given `shift_field` (the previous field plus
+    the boundary increment), the shifted previous state, whose energy is
+    also scored directly so the step never regresses behind that
+    competitor, and the crack set of the previous state (the history set
+    itself: the history holds the previous step's crack set, so under the
+    previous field no other triangle cracks); a greedy ladder cracking
+    only the most strained triangles of the elastic solution; and seeded
+    random crack sets.  The best iterate is returned with its crack set as
+    `cracked_now` (history included); its energy is the history energy
+    under that optimal crack set.  Best means lowest energy, then smallest
+    cracked area, then the nodal values compared in order by value (see
+    _better), so -0.0 and 0.0 tie.
 
     Every solve of the call goes through one memo (_FrozenSolves), keyed
-    by the frozen crack set and the initial-vector values the solve
-    copies; the pure-elastic solve enters it with the history set.  A
-    start that replays an earlier trajectory walks it through memo hits,
-    with the same iterations and energies, and each distinct system is
-    solved once.
+    by the frozen crack set; the pure-elastic solve enters it with the
+    history set.  A start that replays an earlier trajectory walks it
+    through memo hits, with the same iterations and energies, and each
+    distinct system is solved once.
     """
     hist_ids = np.asarray(hist_ids, dtype=np.int64)
     rng = np.random.default_rng(opts.seed)
     crackable = np.setdiff1d(np.where(~mesh.collar_mask)[0], hist_ids)
     solves = _FrozenSolves(mesh, bc, hist_ids, material)
-    x_init = prev_u.values.ravel().copy() if prev_u is not None else None
 
     # pure elastic solve: a candidate in itself and the seed of the ladder
-    cand, strains = solves.candidate(hist_ids, x_init)
+    cand, strains = solves.candidate(hist_ids)
     best = cand
     best_hist = [cand[1].total]
     best_iters = 1
@@ -529,7 +497,10 @@ def minimize_step(mesh: Triangulation, hist_ids, bc: DisplacementField,
             best = sc
             best_converged = False
         starts.append(sc[2].ids)
-    if prev_u is not None:
+        # the previous state's crack set: its walk is the elastic
+        # candidate's followed by start 0's, all memo hits, so it never
+        # wins, but it holds a multi_starts slot that a ladder start would
+        # otherwise take
         starts.append(hist_ids)
     if len(fresh):
         sq = (strains[fresh] ** 2).sum(axis=1)
@@ -546,18 +517,15 @@ def minimize_step(mesh: Triangulation, hist_ids, bc: DisplacementField,
     for s0 in starts:
         s_ids = np.asarray(s0, dtype=np.int64)
         seen = {_set_key(s_ids)}
-        x_warm = x_init
         traj = []
         converged = False
         iters = 0
         local_best = None
         for _ in range(opts.max_outer):
             iters += 1
-            cand, _ = solves.candidate(s_ids, x_warm)
-            u, rep, s = cand
-            x_warm = u.values.ravel().copy()
-            s_new = s.ids
-            traj.append(rep.total)
+            cand, _ = solves.candidate(s_ids)
+            s_new = cand[2].ids
+            traj.append(cand[1].total)
             if local_best is None or _better(cand, local_best):
                 local_best = cand
             if np.array_equal(s_new, s_ids):

@@ -284,44 +284,26 @@ def _extend_field(mesh: Triangulation, u: DisplacementField, z_ids,
     z_ids = np.asarray(z_ids, dtype=np.int64)
     data_ids = np.asarray(data_ids, dtype=np.int64)
     znodes = _nodes_of(mesh, z_ids)
-    dnodes = _nodes_of(mesh, data_ids)
-    free = np.setdiff1d(znodes, dnodes)
-    if not len(free):
+    shared = np.isin(znodes, _nodes_of(mesh, data_ids))
+    if shared.all():
         return u
     out = u.copy()
-    local = {int(v): i for i, v in enumerate(znodes)}
+    local = np.searchsorted(znodes, mesh.triangles[z_ids])
+    dof = (2 * local[:, :, None] + np.arange(2)).reshape(len(z_ids), 6)
+    b = mesh.b_matrices[z_ids]
+    ke = np.swapaxes(b, 1, 2) @ b * mesh.areas[z_ids][:, None, None]
     n = 2 * len(znodes)
     k = np.zeros((n, n))
-    bmats = mesh.b_matrices
-    areas = mesh.areas
-    for t in z_ids:
-        tri = mesh.triangles[t]
-        ke = bmats[t].T @ bmats[t] * areas[t]
-        dof = np.empty(6, dtype=np.int64)
-        for j in range(3):
-            dof[2 * j] = 2 * local[int(tri[j])]
-            dof[2 * j + 1] = 2 * local[int(tri[j])] + 1
-        k[np.ix_(dof, dof)] += ke
-    x = np.zeros(n)
-    pinned = np.zeros(n, dtype=bool)
-    shared = set(int(w) for w in np.intersect1d(znodes, dnodes))
-    for v in znodes:
-        i = local[int(v)]
-        x[2 * i] = u.values[v, 0]
-        x[2 * i + 1] = u.values[v, 1]
-        if int(v) in shared:
-            pinned[2 * i] = pinned[2 * i + 1] = True
-    f_idx = np.where(~pinned)[0]
-    p_idx = np.where(pinned)[0]
-    if len(f_idx):
-        kff = k[np.ix_(f_idx, f_idx)]
-        rhs = -k[np.ix_(f_idx, p_idx)] @ x[p_idx] if len(p_idx) else np.zeros(len(f_idx))
-        sol, *_ = np.linalg.lstsq(kff, rhs, rcond=None)
-        x[f_idx] = sol
-    for v in free:
-        i = local[int(v)]
-        out.values[v, 0] = x[2 * i]
-        out.values[v, 1] = x[2 * i + 1]
+    # summed in id order, as a loop over the triangles would
+    np.add.at(k, (dof[:, :, None], dof[:, None, :]), ke)
+    x = u.values[znodes].ravel()
+    pinned = np.repeat(shared, 2)
+    f_idx = np.flatnonzero(~pinned)
+    p_idx = np.flatnonzero(pinned)
+    kff = k[np.ix_(f_idx, f_idx)]
+    rhs = -k[np.ix_(f_idx, p_idx)] @ x[p_idx] if len(p_idx) else np.zeros(len(f_idx))
+    x[f_idx] = np.linalg.lstsq(kff, rhs, rcond=None)[0]
+    out.values[znodes[~shared]] = x.reshape(-1, 2)[~shared]
     return out
 
 
@@ -671,11 +653,11 @@ def modify_voids(A: TriangleSet, u: DisplacementField,
     heal_ratios = work.get("heal_ratios", []) + work.get("tri_heal_ratios", [])
 
     # changed region and reference energy inside the inner window
-    changed_tris = _changed_triangles(mesh, u, u_mod)
     window = _inner_window(mesh, vm)
     if window is not None:
         wx0, wy0, wx1, wy1 = window
         w_in = clip_areas_rect(mesh.nodes, mesh.triangles, wx0, wy0, wx1, wy1)
+        changed_tris = _changed_triangles(mesh, u, u_mod)
         changed_area = float(w_in[changed_tris].sum()) if len(changed_tris) else 0.0
         energy_out = _frob_strain_energy(mesh, u_mod, np.flatnonzero(~a_mod.mask),
                                          weights=w_in)

@@ -12,7 +12,7 @@ from quasifrac.config import load_config, parse_config
 from quasifrac.diagnostics import stability_spot_check
 from quasifrac.energy import MaterialModel
 from quasifrac.evolution import LoadProgram, eta_schedule, run_evolution
-from quasifrac.mesh import MeshParams
+from quasifrac.mesh import MeshParams, interpolate
 from quasifrac.runner import run_from_config
 from quasifrac.solver import SolveOptions
 from quasifrac.voidmod import VoidModParams
@@ -59,7 +59,7 @@ def test_subcritical_matches_pure_elastic():
     trace = run_from_config(cfg)
     assert not trace.aborted
     # no crack ever forms, and each step energy equals the fresh elastic solve
-    from quasifrac.mesh import build_background_mesh, interpolate
+    from quasifrac.mesh import build_background_mesh
     from quasifrac.solver import minimize_step
     mesh = build_background_mesh(cfg.domain(), cfg.mesh_params())
     for rec in trace.steps:
@@ -155,17 +155,19 @@ def test_ramp_reuses_factor_and_releases_it(counted_factor):
     assert all(rec.mesh.factor_slot is None for rec in trace.steps)
 
 
+CRACK64 = ("eps = 0.015625\nn_steps = 16\namplitude = 3.2\nload = opening\n"
+           "precrack = 0.0 0.5 0.45 0.5 0.06\nseed = 1\nmulti_starts = 3\n")
+
+
 def test_crack64_solves_each_system_once_per_step(monkeypatch,
                                                   counted_factor):
     # the eps 1/64 crack ladder level: later starts of a step replay earlier
     # trajectories, which the step's memo serves, so no step solves one
-    # system twice from the same copied initial values.  Re-solving every
+    # active set twice.  Re-solving every
     # replayed system made 124 solves, 56 of them in the crack-growth step,
     # and 104 factorizations; keeping a factor only from a system's second
     # solve made 53
-    cfg = parse_config("eps = 0.015625\nn_steps = 16\namplitude = 3.2\n"
-                       "load = opening\nprecrack = 0.0 0.5 0.45 0.5 0.06\n"
-                       "seed = 1\nmulti_starts = 3\n")
+    cfg = parse_config(CRACK64)
     steps = []
     real_solve, real_step = solver.solve_elastic, evolution.minimize_step
 
@@ -173,12 +175,9 @@ def test_crack64_solves_each_system_once_per_step(monkeypatch,
         steps.append([])
         return real_step(*args, **kwargs)
 
-    def solve(mesh, active, bc, material, x0=None, **kwargs):
-        u = real_solve(mesh, active, bc, material, x0=x0, **kwargs)
-        x_init = bc.values.ravel() if x0 is None else x0
-        steps[-1].append((np.asarray(active).tobytes(),
-                          x_init[u._copied].tobytes()))
-        return u
+    def solve(mesh, active, *args, **kwargs):
+        steps[-1].append(np.asarray(active).tobytes())
+        return real_solve(mesh, active, *args, **kwargs)
 
     monkeypatch.setattr(evolution, "minimize_step", step)
     monkeypatch.setattr(solver, "solve_elastic", solve)
@@ -188,6 +187,26 @@ def test_crack64_solves_each_system_once_per_step(monkeypatch,
     assert max(map(len, steps)) < 56
     assert sum(map(len, steps)) < 124
     assert 0 < len(counted_factor) <= 47
+
+
+def test_history_nodes_follow_load():
+    # a node whose triangles all lie in the history is in no weighted
+    # active triangle of any solve, so every step's field holds the load
+    # there, not a value carried over from an earlier step
+    cfg = parse_config(CRACK64)
+    trace = run_from_config(cfg)
+    assert not trace.aborted
+    load = cfg.load()
+    for rec in trace.steps:
+        mesh = rec.mesh
+        in_hist = np.zeros(mesh.n_triangles, dtype=bool)
+        in_hist[rec.accum_prev_ids] = True
+        outside = np.zeros(mesh.n_nodes, dtype=bool)
+        outside[mesh.triangles[~in_hist]] = True
+        nodes = np.flatnonzero(~outside & ~mesh.collar_node_mask)
+        assert len(nodes) > 0
+        bc = interpolate(mesh, load, rec.t)
+        assert np.abs(rec.u_values[nodes] - bc.values[nodes]).max() <= 1e-12
 
 
 def test_crack32_run_loads_no_sparse_linalg():

@@ -180,6 +180,13 @@ def test_field_shape_mismatch(mesh16):
         DisplacementField(mesh16, np.zeros((3, 2)))
 
 
+def test_field_rejects_undeclared_attribute(mesh16):
+    # a field is its mesh and its values; nothing rides along on it
+    u = DisplacementField(mesh16, np.zeros((mesh16.n_nodes, 2)))
+    with pytest.raises(AttributeError):
+        u._copied = np.arange(3)
+
+
 def _oracle_meshes(mesh16, mesh32):
     """mesh16, mesh32, mesh16 with one interior node nudged off the
     lattice, and the two criterion-7 strips."""

@@ -246,10 +246,10 @@ def test_solve_elastic_changed_system_drops_factor(change, counted_factor):
 # the per-step solve memo
 
 @pytest.mark.parametrize("eps", [1 / 16, 1 / 64])
-def test_frozen_solves_memo_keys_copied_dofs(monkeypatch, eps):
+def test_frozen_solves_memo_keys_frozen_set(monkeypatch, eps):
     # freezing every triangle around an interior node leaves it in no
-    # weighted triangle, so the solve copies its initial value; a new
-    # value there must be solved again, and the result equals a fresh solve
+    # weighted triangle, so it carries its bc value; a set asked for again
+    # is served from the memo, bitwise the field a fresh solve gives
     mesh = make_mesh(eps)
     node = int(np.argmin(np.hypot(mesh.nodes[:, 0] - 0.5,
                                   mesh.nodes[:, 1] - 0.5)))
@@ -266,30 +266,20 @@ def test_frozen_solves_memo_keys_copied_dofs(monkeypatch, eps):
 
     monkeypatch.setattr(solver, "solve_elastic", counting)
     solves = solver._FrozenSolves(mesh, bc, np.empty(0, dtype=np.int64), mat)
-    first, _ = solves.candidate(frozen, None)
+    first, strains = solves.candidate(frozen)
+    assert strains is not None and len(calls) == 1
+    assert first[0].values[node].tobytes() == bc.values[node].tobytes()
+    served, strains = solves.candidate(list(frozen))
+    assert served is first and strains is None
     assert len(calls) == 1
-    x_node = bc.values.ravel().copy()
-    x_node[2 * node] += 0.25
-    moved, strains = solves.candidate(frozen, x_node)
-    assert strains is not None and len(calls) == 2
-    assert moved[0].values[node, 0] == x_node[2 * node]
-    assert solves.candidate(frozen, x_node.copy())[0] is moved
+    # another set is solved
+    solves.candidate(frozen[1:])
     assert len(calls) == 2
 
-    # a touched free dof is computed, so a new initial value there is
-    # served from the memo
-    other = int(np.setdiff1d(mesh.triangles[frozen], [node])[0])
-    x_other = x_node.copy()
-    x_other[2 * other + 1] += 0.25
-    served, _ = solves.candidate(frozen, x_other)
-    assert served is moved
-    assert len(calls) == 2
-
+    new = make_mesh(eps)
     active = np.setdiff1d(np.arange(mesh.n_triangles), frozen)
-    for cand, x0 in ((first, None), (moved, x_node), (served, x_other)):
-        new = make_mesh(eps)
-        fresh = real(new, active, interpolate(new, g, 1.0), mat, x0=x0)
-        assert cand[0].values.tobytes() == fresh.values.tobytes()
+    fresh = real(new, active, interpolate(new, g, 1.0), mat)
+    assert served[0].values.tobytes() == fresh.values.tobytes()
 
 
 # the gauge: exactly one held dof per zero-energy motion
@@ -329,7 +319,7 @@ def test_solve_elastic_vertex_attached_island(request, mesh_name):
 
 def test_solve_elastic_hinged_triangle():
     # criterion 7's strip with only triangle 5 active: it hangs on one
-    # collar node, so one dof holds its rotation at the initial value
+    # collar node, so one dof holds its rotation at its bc value
     mesh = strip_mesh(n_cells=4)
     mat = MaterialModel()
     bc = interpolate(mesh, AffineLoad(a11=1.5), 1.0)
@@ -338,16 +328,25 @@ def test_solve_elastic_hinged_triangle():
     k, _ = solver.assemble_stiffness(mesh, [5], mat)
     fields = []
     for turn in (0.0, 0.3):
-        x0 = bc.values.ravel().copy()
-        x0[gauge] += turn
-        u = solve_elastic(mesh, [5], bc, mat, x0=x0)
+        values = bc.values.copy()
+        values.ravel()[gauge] += turn
+        u = solve_elastic(mesh, [5], DisplacementField(mesh, values), mat)
         # the minimum energy is zero, so the gradient vanishes outright
         assert np.abs(k @ u.values.ravel()).max() < 1e-12
-        assert np.isin(gauge, u._copied).all()
-        assert u.values.ravel()[gauge] == x0[gauge]
+        assert u.values.ravel()[gauge] == values.ravel()[gauge]
         fields.append(u)
     # the two fields differ by a rotation about the hinge
-    assert np.abs(fields[0].values - fields[1].values).max() > 0.1
+    tri = mesh.triangles[5]
+    hinge = tri[mesh.collar_node_mask[tri]]
+    assert len(hinge) == 1
+    diff = fields[1].values - fields[0].values
+    rel = mesh.nodes[tri] - mesh.nodes[hinge]
+    turn = np.column_stack([-rel[:, 1], rel[:, 0]])
+    omega = float((turn * diff[tri]).sum() / (turn * turn).sum())
+    assert abs(omega) > 0.1
+    assert np.abs(diff[tri] - omega * turn).max() < 1e-12
+    diff[tri] = 0.0
+    assert not diff.any()
 
 
 def _null_dim(mesh, active, pinned):
