@@ -1,16 +1,22 @@
 """Hot numeric kernels in numpy.
 
-Array kernels (strain matrices, triangle-rectangle clipped areas and a
-Jacobi-preconditioned conjugate gradient) take whole triangle or dof
-arrays.  The scalar geometry helpers (point-segment distance, polygon
-area, convex polygon clipping and segment length inside a rectangle)
-serve the mesh validator and the clipped crack-curve length.  The solver
-factors every elastic system directly, so the conjugate gradient serves
-only as an independent minimizer in tests and as a target of the
-benchmark's span tracer.
+Array kernels take whole triangle arrays: the hat-function gradient table
+of a mesh and the 3x6 strain blocks built from it, strains of a nodal
+field, and triangle-rectangle clipped areas.  Each fixes its own
+summation order, so its results are bitwise the same whatever the numpy
+build; the strain kernel and the clipped areas sum in the order of the
+einsum and of the one-polygon clipping loop they replaced.  The scalar
+geometry helpers (point-segment distance, polygon area, convex polygon
+clipping and segment length inside a rectangle) serve the mesh validator
+and the clipped crack-curve length.  `cg_deflated`, a Jacobi-
+preconditioned conjugate gradient, has no program caller: the solver
+tests use it as an independent minimizer, and the benchmark's span
+tracer wraps it by name.
 """
 
 import numpy as np
+
+SHEAR = np.sqrt(2.0) / 2.0  # Mandel factor of each shear gradient
 
 
 # ---------------------------------------------------------------------------
@@ -25,43 +31,65 @@ def tri_signed_areas(nodes, tris):
                   - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
 
 
-def strain_b_matrices(nodes, tris):
-    """Per-triangle 3x6 matrices mapping nodal dofs to Mandel strain.
-
-    Strain vector convention (Mandel): [e11, e22, sqrt(2)*e12], so the
-    Euclidean norm of the vector equals the Frobenius norm of the tensor.
-    Dof order per triangle: (u0x, u0y, u1x, u1y, u2x, u2y).  Returns
-    (bmats, signed areas); degenerate triangles get zero matrices.
+def strain_gradients(nodes, tris):
+    """Per-triangle gradients of the three vertex hat functions, as one
+    contiguous (6, m) table: rows gx0, gx1, gx2, gy0, gy1, gy2, so the
+    strain of a field is e11 = sum_j gx_j u_jx, e22 = sum_j gy_j u_jy and
+    sqrt(2) e12 = sum_j (s gy_j) u_jx + (s gx_j) u_jy with s = sqrt(2)/2.
+    Degenerate triangles get zero gradients.
     """
     a = nodes[tris[:, 0]]
     b = nodes[tris[:, 1]]
     c = nodes[tris[:, 2]]
     det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-    areas = 0.5 * det
     safe = np.where(det == 0.0, 1.0, det)
-    gx = np.stack([(b[:, 1] - c[:, 1]) / safe,
-                   (c[:, 1] - a[:, 1]) / safe,
-                   (a[:, 1] - b[:, 1]) / safe], axis=1)
-    gy = np.stack([(c[:, 0] - b[:, 0]) / safe,
-                   (a[:, 0] - c[:, 0]) / safe,
-                   (b[:, 0] - a[:, 0]) / safe], axis=1)
-    gx[det == 0.0] = 0.0
-    gy[det == 0.0] = 0.0
-    m = tris.shape[0]
-    s2 = np.sqrt(2.0) / 2.0
-    bmats = np.zeros((m, 3, 6))
+    grads = np.stack([b[:, 1] - c[:, 1], c[:, 1] - a[:, 1], a[:, 1] - b[:, 1],
+                      c[:, 0] - b[:, 0], a[:, 0] - c[:, 0], b[:, 0] - a[:, 0]])
+    grads /= safe
+    grads[:, det == 0.0] = 0.0
+    return grads
+
+
+def strain_blocks(grads, ids):
+    """The 3x6 matrices of triangles `ids` mapping nodal dofs to Mandel
+    strain [e11, e22, sqrt(2) e12], whose Euclidean norm is the Frobenius
+    norm of the strain tensor.  Dof order per triangle: (u0x, u0y, u1x,
+    u1y, u2x, u2y)."""
+    g = np.take(grads, ids, axis=1)
+    blocks = np.zeros((len(ids), 3, 6))
     for j in range(3):
-        bmats[:, 0, 2 * j] = gx[:, j]
-        bmats[:, 1, 2 * j + 1] = gy[:, j]
-        bmats[:, 2, 2 * j] = s2 * gy[:, j]
-        bmats[:, 2, 2 * j + 1] = s2 * gx[:, j]
-    return bmats, areas
+        blocks[:, 0, 2 * j] = g[j]
+        blocks[:, 1, 2 * j + 1] = g[3 + j]
+        blocks[:, 2, 2 * j] = SHEAR * g[3 + j]
+        blocks[:, 2, 2 * j + 1] = SHEAR * g[j]
+    return blocks
 
 
-def strains_from_values(bmats, tris, values):
-    """Mandel strain vectors of a nodal field, one row per triangle."""
-    dofs = values[tris].reshape(tris.shape[0], 6)
-    return np.einsum("mij,mj->mi", bmats, dofs)
+def strains_from_values(grads, tris, values):
+    """Mandel strain rows [e11, e22, sqrt(2) e12] of a nodal field, one
+    per triangle of `tris`, whose gradients are the columns of `grads`.
+
+    Each component is an x-dof sum plus a y-dof sum, each summed in
+    vertex order, then 0.0 is added; that is the order of an einsum of
+    the 3x6 blocks with the dofs, bit for bit, signed zeros included.
+    """
+    u = np.take(values, tris.T, axis=0)
+    ux, uy = u[:, :, 0], u[:, :, 1]
+    gx, gy = grads[:3], grads[3:]
+    out = np.empty((len(tris), 3))
+    out[:, 0] = _vertex_sum(gx, ux)
+    out[:, 1] = _vertex_sum(gy, uy)
+    out[:, 2] = _vertex_sum(SHEAR * gy, ux) + _vertex_sum(SHEAR * gx, uy)
+    out += 0.0  # a zero sum reads 0.0, never -0.0
+    return out
+
+
+def _vertex_sum(g, u):
+    """g0 u0 + g1 u1 + g2 u2 per column, summed in that order."""
+    s = g[0] * u[0]
+    s += g[1] * u[1]
+    s += g[2] * u[2]
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -73,60 +101,71 @@ def clip_areas_rect(nodes, tris, x0, y0, x1, y1):
 
     Triangles inside the rectangle take their shoelace area and triangles
     wholly beyond one side take 0.0, exactly what clipping would give them;
-    only the triangles straddling a side are clipped.
+    the triangles straddling a side are clipped together (_clip_areas).
     """
-    p = nodes[tris]
-    xs, ys = p[:, :, 0], p[:, :, 1]
-    lo_x, hi_x = xs.min(axis=1), xs.max(axis=1)
-    lo_y, hi_y = ys.min(axis=1), ys.max(axis=1)
+    x = np.take(nodes[:, 0], tris.T)
+    y = np.take(nodes[:, 1], tris.T)
+    lo_x, hi_x = np.minimum.reduce(x), np.maximum.reduce(x)
+    lo_y, hi_y = np.minimum.reduce(y), np.maximum.reduce(y)
     inside = (lo_x >= x0) & (hi_x <= x1) & (lo_y >= y0) & (hi_y <= y1)
     beyond = (hi_x < x0) | (lo_x > x1) | (hi_y < y0) | (lo_y > y1)
-    cross = [xs[:, j] * ys[:, (j + 1) % 3] - xs[:, (j + 1) % 3] * ys[:, j]
-             for j in range(3)]
-    # summed in the clipping loop's order, so the areas agree bit for bit
+    cross = [x[j] * y[(j + 1) % 3] - x[(j + 1) % 3] * y[j] for j in range(3)]
+    # summed in the clipping's order, so the areas agree bit for bit
     out = np.where(inside, np.abs((cross[0] + cross[1]) + cross[2]) * 0.5, 0.0)
-    for i in np.where(~inside & ~beyond)[0]:
-        out[i] = _clip_area_rect(p[i], x0, y0, x1, y1)
+    cut = np.flatnonzero(~inside & ~beyond)
+    out[cut] = _clip_areas(x[:, cut].T, y[:, cut].T, x0, y0, x1, y1)
     return out
 
 
-def _clip_area_rect(pts, x0, y0, x1, y1):
-    """Sutherland-Hodgman clip of one triangle against the rectangle."""
-    poly = [(pts[k, 0], pts[k, 1]) for k in range(3)]
-    for side in range(4):
-        if not poly:
-            break
-        res = []
-        for j, cur in enumerate(poly):
-            nxt = poly[(j + 1) % len(poly)]
-            if side == 0:
-                ins_c, ins_n = cur[0] >= x0, nxt[0] >= x0
-            elif side == 1:
-                ins_c, ins_n = cur[0] <= x1, nxt[0] <= x1
-            elif side == 2:
-                ins_c, ins_n = cur[1] >= y0, nxt[1] >= y0
-            else:
-                ins_c, ins_n = cur[1] <= y1, nxt[1] <= y1
-            if ins_c:
-                res.append(cur)
-            if ins_c != ins_n:
-                if side == 0:
-                    t = (x0 - cur[0]) / (nxt[0] - cur[0])
-                elif side == 1:
-                    t = (x1 - cur[0]) / (nxt[0] - cur[0])
-                elif side == 2:
-                    t = (y0 - cur[1]) / (nxt[1] - cur[1])
-                else:
-                    t = (y1 - cur[1]) / (nxt[1] - cur[1])
-                res.append((cur[0] + t * (nxt[0] - cur[0]),
-                            cur[1] + t * (nxt[1] - cur[1])))
-        poly = res
-    area = 0.0
-    for j in range(len(poly)):
-        a = poly[j]
-        b = poly[(j + 1) % len(poly)]
-        area += a[0] * b[1] - b[0] * a[1]
-    return abs(area) * 0.5
+def _clip_areas(px, py, x0, y0, x1, y1):
+    """Sutherland-Hodgman clip of the triangles with vertex coordinates
+    px, py (k, 3) against the rectangle, all at once.
+
+    Polygons are padded rows of vertex coordinates with a vertex count
+    each.  The sides are clipped in the order x >= x0, x <= x1, y >= y0,
+    y <= y1; against each, every vertex in turn is kept if inside, and
+    followed by the crossing point when its edge to the next vertex
+    crosses the side.  The shoelace terms are summed in vertex order, so
+    each area is bitwise what one polygon clipped at a time gives.
+    """
+    n = np.full(len(px), 3)
+    for on_x, bound, lower in ((True, x0, True), (True, x1, False),
+                               (False, y0, True), (False, y1, False)):
+        live = np.arange(px.shape[1]) < n[:, None]
+        nxt = _successor(n, px.shape[1])
+        c = px if on_x else py
+        ins = live & ((c >= bound) if lower else (c <= bound))
+        crossing = live & (ins != np.take_along_axis(ins, nxt, axis=1))
+        emit = ins.astype(np.int64) + crossing
+        at = np.cumsum(emit, axis=1) - emit  # output slot of each vertex
+        n = emit.sum(axis=1)
+        qx = np.zeros((len(px), max(int(n.max(initial=0)), 1)))
+        qy = np.zeros_like(qx)
+        r, k = np.nonzero(ins)
+        qx[r, at[r, k]] = px[r, k]
+        qy[r, at[r, k]] = py[r, k]
+        r, k = np.nonzero(crossing)
+        ax, ay = px[r, k], py[r, k]
+        bx, by = px[r, nxt[r, k]], py[r, nxt[r, k]]
+        t = (bound - ax) / (bx - ax) if on_x else (bound - ay) / (by - ay)
+        qx[r, at[r, k] + ins[r, k]] = ax + t * (bx - ax)
+        qy[r, at[r, k] + ins[r, k]] = ay + t * (by - ay)
+        px, py = qx, qy
+    nxt = _successor(n, px.shape[1])
+    bx = np.take_along_axis(px, nxt, axis=1)
+    by = np.take_along_axis(py, nxt, axis=1)
+    area = np.zeros(len(px))
+    for k in range(px.shape[1]):
+        term = px[:, k] * by[:, k] - bx[:, k] * py[:, k]
+        area += np.where(k < n, term, 0.0)
+    return np.abs(area) * 0.5
+
+
+def _successor(n, width):
+    """Column of the next vertex around each of `width` padded columns of
+    polygons with n vertices (0 past the last)."""
+    j = np.arange(width)
+    return np.where(j + 1 < n[:, None], j + 1, 0)
 
 
 # ---------------------------------------------------------------------------

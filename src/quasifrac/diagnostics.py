@@ -53,15 +53,19 @@ class BalanceReport:
         return "\n".join(lines) + "\n"
 
 
-def _step_power(rec, load: LoadProgram, t_mid: float) -> float:
-    """Integral of e(u_k) : e(dg/dt)(t_mid) over the body minus the crack."""
+def _step_power(rec, strains, load: LoadProgram, t_mid: float) -> float:
+    """Integral of e(u_k) : e(dg/dt)(t_mid) over the body minus the crack,
+    for the strains `strains` of step k's field."""
     mesh = rec.mesh
-    strains = DisplacementField(mesh, rec.u_values).strains()
     e_load = load.dt_strain_mandel(t_mid)
     mask = np.ones(mesh.n_triangles, dtype=bool)
     mask[rec.accum_ids] = False
     w = mesh.area_in_omega[mask]
     return float((w * (strains[mask] @ e_load)).sum())
+
+
+def _strains(rec):
+    return DisplacementField(rec.mesh, rec.u_values).strains()
 
 
 def check_energy_balance(trace: EvolutionTrace, load: LoadProgram,
@@ -80,13 +84,15 @@ def check_energy_balance(trace: EvolutionTrace, load: LoadProgram,
     rhs_pc = np.zeros(n)
     if n:
         e0 = steps[0].energy.total
+        strains = _strains(steps[0])
         for k in range(1, n):
             lhs[k] = steps[k].energy.total - e0
             t0, t1 = steps[k - 1].t, steps[k].t
             dt = t1 - t0
             t_mid = 0.5 * (t0 + t1)
-            p_prev = _step_power(steps[k - 1], load, t_mid)
-            p_new = _step_power(steps[k], load, t_mid)
+            prev_strains, strains = strains, _strains(steps[k])
+            p_prev = _step_power(steps[k - 1], prev_strains, load, t_mid)
+            p_new = _step_power(steps[k], strains, load, t_mid)
             rhs[k] = rhs[k - 1] + dt * (p_prev + p_new)        # 2 * trapezoid
             rhs_pc[k] = rhs_pc[k - 1] + 2.0 * dt * p_prev      # left rectangle
     slack = rhs - lhs

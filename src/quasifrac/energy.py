@@ -148,8 +148,20 @@ def choose_crack_set(mesh: Triangulation, u: DisplacementField, hist_ids,
 
 
 def _density(strains, material: MaterialModel) -> np.ndarray:
-    """C e : e per triangle for Mandel strain rows `strains`."""
-    return np.einsum("mi,ij,mj->m", strains, material.elasticity, strains)
+    """C e : e per triangle for Mandel strain rows `strains`: the terms
+    (e_i C_ij) e_j summed in row-major order.
+
+    The first term is never -0.0 (C_00 > 0), so neither is any partial
+    sum, and a term with C_ij = 0 is a signed zero that leaves the sum's
+    bits unchanged for finite strains; those terms are skipped.
+    """
+    c = material.elasticity
+    e = strains.T
+    out = (e[0] * c[0, 0]) * e[0]
+    for i, j in zip(*np.nonzero(c)):
+        if i or j:
+            out += (e[i] * c[i, j]) * e[j]
+    return out
 
 
 def _crack_set_of_density(mesh: Triangulation, sq, hist_ids,

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ._kernels import (clip_areas_rect, clip_poly_convex, point_seg_dist,
-                       poly_area, strain_b_matrices, strains_from_values,
+                       poly_area, strain_gradients, strains_from_values,
                        tri_signed_areas)
 
 
@@ -157,7 +157,7 @@ class Triangulation:
 
     Nodes are (n,2) float64, triangles (m,3) int32 in counterclockwise
     order.  Derived tables (edges, adjacency, clipped areas, strain
-    matrices) are built lazily and cached; instances are safe to share.
+    gradients) are built lazily and cached; instances are safe to share.
     """
 
     def __init__(self, nodes, triangles, domain: Domain, params: MeshParams,
@@ -203,13 +203,13 @@ class Triangulation:
     def edge_table(self):
         """(edges (e,2) sorted pairs, tri_edges (m,3), edge_tris (e,2), -1 pad)."""
         m = self.n_triangles
-        raw = np.stack([
-            self.triangles[:, [0, 1]],
-            self.triangles[:, [1, 2]],
-            self.triangles[:, [2, 0]],
-        ], axis=1).reshape(-1, 2)
-        raw = np.sort(raw, axis=1)
-        edges, inv = np.unique(raw, axis=0, return_inverse=True)
+        # edge k of a triangle joins its vertices k and k+1 (mod 3); edges
+        # are keyed a*n + b with a < b, so sorted keys are sorted pairs
+        t = self.triangles
+        nxt = t[:, [1, 2, 0]]
+        keys = np.minimum(t, nxt) * self.n_nodes + np.maximum(t, nxt)
+        keys, inv = np.unique(keys, return_inverse=True)
+        edges = np.column_stack(np.divmod(keys, self.n_nodes))
         tri_edges = inv.reshape(m, 3)
         # occurrences t*3+k grouped by edge, each group in (t, k) order
         flat = tri_edges.ravel()
@@ -282,12 +282,10 @@ class Triangulation:
         return tri_ids[indptr[v]:indptr[v + 1]]
 
     @cached_property
-    def strain_setup(self):
-        return strain_b_matrices(self.nodes, self.triangles)
-
-    @property
-    def b_matrices(self):
-        return self.strain_setup[0]
+    def strain_gradients(self):
+        """(6, m) hat-function gradients gx0, gx1, gx2, gy0, gy1, gy2 of
+        each triangle (see _kernels.strain_gradients)."""
+        return strain_gradients(self.nodes, self.triangles)
 
     @cached_property
     def area_in_omega(self):
@@ -487,8 +485,8 @@ class DisplacementField:
 
     def strains(self):
         """Mandel strain [e11, e22, sqrt(2) e12] per triangle."""
-        bmats, _ = self.mesh.strain_setup
-        return strains_from_values(bmats, self.mesh.triangles, self.values)
+        return strains_from_values(self.mesh.strain_gradients,
+                                   self.mesh.triangles, self.values)
 
 
 # ---------------------------------------------------------------------------

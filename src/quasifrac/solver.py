@@ -40,6 +40,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from ._kernels import strain_blocks
 from .energy import (
     MaterialModel,
     EnergyReport,
@@ -144,7 +145,7 @@ def assemble_stiffness(mesh: Triangulation, active_ids, material: MaterialModel)
     slot = np.take(pattern.slot, active_ids)
     weighted = slot >= 0
     ids = active_ids[weighted]
-    bmats = np.take(mesh.b_matrices, ids, axis=0)
+    bmats = strain_blocks(mesh.strain_gradients, ids)
     ke = np.swapaxes(bmats, 1, 2) @ (material.elasticity @ bmats)
     ke *= mesh.area_in_omega[ids][:, None, None]
     at = np.take(pattern.scatter, slot[weighted], axis=0).astype(np.intp)

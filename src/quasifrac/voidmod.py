@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import clip_areas_rect, strains_from_values
+from ._kernels import clip_areas_rect, strain_blocks, strains_from_values
 from .mesh import DisplacementField, Triangulation
 from .trisets import TriangleSet, component_labels
 
@@ -290,7 +290,7 @@ def _extend_field(mesh: Triangulation, u: DisplacementField, z_ids,
     out = u.copy()
     local = np.searchsorted(znodes, mesh.triangles[z_ids])
     dof = (2 * local[:, :, None] + np.arange(2)).reshape(len(z_ids), 6)
-    b = mesh.b_matrices[z_ids]
+    b = strain_blocks(mesh.strain_gradients, z_ids)
     ke = np.swapaxes(b, 1, 2) @ b * mesh.areas[z_ids][:, None, None]
     n = 2 * len(znodes)
     k = np.zeros((n, n))
@@ -311,8 +311,8 @@ def _tri_strain_energy(mesh: Triangulation, u: DisplacementField, ids,
                        weights=None) -> np.ndarray:
     """Weighted squared Frobenius strain of each triangle in ids (area
     weights by default)."""
-    s = strains_from_values(mesh.b_matrices[ids], mesh.triangles[ids],
-                            u.values)
+    s = strains_from_values(np.take(mesh.strain_gradients, ids, axis=1),
+                            mesh.triangles[ids], u.values)
     w = mesh.areas[ids] if weights is None else weights[ids]
     return w * (s * s).sum(axis=1)
 

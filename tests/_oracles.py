@@ -6,23 +6,26 @@ helpers integrate loads directly, the component oracle floods triangle
 sets breadth-first over adjacency read straight from the vertex triples,
 the rim oracle counts the owners of each edge from the vertex triples,
 the collar oracle measures each triangle's distance to the body
-rectangle one triangle at a time with scalar segment predicates, the clipped-area and background oracles
-take one triangle at a time, the pre-crack oracle measures one triangle
+rectangle one triangle at a time with scalar segment predicates, the
+clipped-area, strain, density and background oracles take one triangle
+at a time, the pre-crack oracle measures one triangle
 center at a time, the filled-boundary oracle finds a set's boundary edges
 from its vertex triples, the edge-table and coordinate-key oracles fill one
-triangle at a time, point location scans every triangle, the
+triangle at a time and a second edge-table oracle runs a row-wise
+np.unique of vertex pairs, point location scans every triangle, the
 stiffness oracle converts the element blocks from COO to CSR with SciPy,
 the separating-piece oracle splits the home closure component at every
 vertex of boundary degree four or more, and the triangle-healing oracle
 tests one member triangle at a time against the whole-mesh strains.
 """
 
+import math
 from collections import deque
 
 import numpy as np
 import scipy.sparse as sp
 
-from quasifrac._kernels import _clip_area_rect, point_seg_dist
+from quasifrac._kernels import point_seg_dist, strain_blocks
 from quasifrac.mesh import MeshError
 from quasifrac.solver import assemble_stiffness, solve_elastic
 from quasifrac.trisets import closure_components_minus_vertex
@@ -251,11 +254,90 @@ def collar_mask_by_distance(mesh):
                      for t in mesh.triangles], dtype=bool)
 
 
+def clip_area_by_loop(pts, x0, y0, x1, y1):
+    """Sutherland-Hodgman clip of one triangle (3x2 vertex array) against
+    the rectangle, one vertex at a time."""
+    poly = [(pts[k, 0], pts[k, 1]) for k in range(3)]
+    for side in range(4):
+        if not poly:
+            break
+        res = []
+        for j, cur in enumerate(poly):
+            nxt = poly[(j + 1) % len(poly)]
+            if side == 0:
+                ins_c, ins_n = cur[0] >= x0, nxt[0] >= x0
+            elif side == 1:
+                ins_c, ins_n = cur[0] <= x1, nxt[0] <= x1
+            elif side == 2:
+                ins_c, ins_n = cur[1] >= y0, nxt[1] >= y0
+            else:
+                ins_c, ins_n = cur[1] <= y1, nxt[1] <= y1
+            if ins_c:
+                res.append(cur)
+            if ins_c != ins_n:
+                if side == 0:
+                    t = (x0 - cur[0]) / (nxt[0] - cur[0])
+                elif side == 1:
+                    t = (x1 - cur[0]) / (nxt[0] - cur[0])
+                elif side == 2:
+                    t = (y0 - cur[1]) / (nxt[1] - cur[1])
+                else:
+                    t = (y1 - cur[1]) / (nxt[1] - cur[1])
+                res.append((cur[0] + t * (nxt[0] - cur[0]),
+                            cur[1] + t * (nxt[1] - cur[1])))
+        poly = res
+    area = 0.0
+    for j in range(len(poly)):
+        a = poly[j]
+        b = poly[(j + 1) % len(poly)]
+        area += a[0] * b[1] - b[0] * a[1]
+    return abs(area) * 0.5
+
+
 def clip_areas_by_loop(mesh, rect):
     """Area of each triangle inside the rectangle, every triangle clipped."""
     x0, y0, x1, y1 = rect
-    return np.array([_clip_area_rect(mesh.nodes[t], x0, y0, x1, y1)
+    return np.array([clip_area_by_loop(mesh.nodes[t], x0, y0, x1, y1)
                      for t in mesh.triangles])
+
+
+def strains_by_loop(mesh, values):
+    """Mandel strain rows of a nodal field, one triangle at a time in
+    Python floats: hat-function gradients from the vertex coordinates
+    (zero on a degenerate triangle), then each component as its x-dof sum
+    plus its y-dof sum, each in vertex order, plus 0.0."""
+    s = math.sqrt(2.0) / 2.0
+    out = np.empty((mesh.n_triangles, 3))
+    for t, tri in enumerate(mesh.triangles.tolist()):
+        (ax, ay), (bx, by), (cx, cy) = mesh.nodes[tri].tolist()
+        det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        if det == 0.0:
+            gx = gy = (0.0, 0.0, 0.0)
+        else:
+            gx = ((by - cy) / det, (cy - ay) / det, (ay - by) / det)
+            gy = ((cx - bx) / det, (ax - cx) / det, (bx - ax) / det)
+        ux, uy = values[tri, 0].tolist(), values[tri, 1].tolist()
+        out[t, 0] = (gx[0] * ux[0] + gx[1] * ux[1] + gx[2] * ux[2]) + 0.0
+        out[t, 1] = (gy[0] * uy[0] + gy[1] * uy[1] + gy[2] * uy[2]) + 0.0
+        shear_x = s * gy[0] * ux[0] + s * gy[1] * ux[1] + s * gy[2] * ux[2]
+        shear_y = s * gx[0] * uy[0] + s * gx[1] * uy[1] + s * gx[2] * uy[2]
+        out[t, 2] = (shear_x + shear_y) + 0.0
+    return out
+
+
+def density_by_loop(strains, elasticity):
+    """C e : e of each strain row, its nine terms (e_i C_ij) e_j summed in
+    row-major order in Python floats."""
+    c = elasticity.tolist()
+    out = np.empty(len(strains))
+    for t, e in enumerate(strains.tolist()):
+        acc = (e[0] * c[0][0]) * e[0]
+        for i in range(3):
+            for j in range(3):
+                if i or j:
+                    acc += (e[i] * c[i][j]) * e[j]
+        out[t] = acc
+    return out
 
 
 def is_background_by_loop(mesh):
@@ -314,6 +396,17 @@ def edge_tables_by_loop(mesh):
     return np.asarray(edges, dtype=np.int64), edge_tris
 
 
+def edge_table_by_unique(mesh):
+    """(edges, tri_edges): the sorted node pairs of the mesh edges, found
+    by a row-wise np.unique of each triangle's sorted vertex pairs, and
+    the edge of each (triangle, slot)."""
+    t = mesh.triangles
+    raw = np.sort(np.stack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]],
+                           axis=1).reshape(-1, 2), axis=1)
+    edges, inv = np.unique(raw, axis=0, return_inverse=True)
+    return edges, inv.reshape(-1, 3)
+
+
 def tri_keys_by_loop(mesh):
     """Sorted rounded coordinate keys of each triangle, one vertex at a
     time with Python's round."""
@@ -361,7 +454,7 @@ def coo_stiffness(mesh, active_ids, material):
     n = 2 * mesh.n_nodes
     if not len(ids):
         return sp.csr_matrix((n, n)), ids
-    bmats = mesh.b_matrices[ids]
+    bmats = strain_blocks(mesh.strain_gradients, ids)
     cb = np.einsum("ab,mbj->maj", material.elasticity, bmats)
     ke = np.einsum("mai,maj->mij", bmats, cb) * w[:, None, None]
     tris = mesh.triangles[ids]

@@ -8,6 +8,7 @@ from quasifrac.energy import (
     EnergyError,
     MaterialModel,
     MeshFieldMismatch,
+    _density,
     choose_crack_set,
     classify_cracked,
     history_energy,
@@ -22,6 +23,7 @@ from quasifrac.mesh import (
     interpolate,
 )
 from conftest import AffineLoad, block_ids, make_mesh
+from _oracles import density_by_loop
 
 
 def _uniform_field(mesh, a11=0.0, a12=0.0, a21=0.0, a22=0.0):
@@ -270,3 +272,26 @@ def test_mesh_field_mismatch(mesh16, mesh32):
     u = _uniform_field(mesh32)
     with pytest.raises(MeshFieldMismatch):
         static_energy(mesh16, u, MaterialModel())
+
+
+@pytest.mark.parametrize("elasticity", [
+    np.eye(3),
+    # non-isotropic, with zero and negative couplings
+    np.array([[2.0, 0.3, 0.0], [0.3, 1.5, -0.2], [0.0, -0.2, 1.0]]),
+    np.array([[1.7, -0.4, 0.25], [-0.4, 0.9, 0.1], [0.25, 0.1, 2.3]]),
+])
+def test_density_matches_per_triangle_loop(elasticity):
+    # rows of comparable entries, where the summation order shows, then
+    # rows of mixed magnitudes and signed zeros
+    rng = np.random.default_rng(11)
+    strains = rng.normal(size=(600, 3))
+    strains[300:] *= 10.0 ** rng.integers(-6, 6, size=(300, 3))
+    zero = rng.random(strains.shape) < 0.3
+    zero[:300] = False
+    strains[zero] = rng.choice([0.0, -0.0], size=zero.sum())
+    strains[:4] = [[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [-0.0, 0.0, -0.0],
+                   [0.0, -0.0, 0.0]]
+    mat = MaterialModel(elasticity=elasticity)
+    got = _density(strains, mat)
+    assert got.tobytes() == density_by_loop(strains, elasticity).tobytes()
+    assert got[:4].tobytes() == np.zeros(4).tobytes()

@@ -15,14 +15,18 @@ from quasifrac.mesh import (
     check_admissible,
     interpolate,
 )
+from quasifrac._kernels import clip_areas_rect, strains_from_values
 from conftest import STD_DOMAIN, AffineLoad
 from _oracles import (
+    clip_area_by_loop,
     clip_areas_by_loop,
     collar_mask_by_distance,
     containing_triangle,
+    edge_table_by_unique,
     edge_tables_by_loop,
     field_at,
     is_background_by_loop,
+    strains_by_loop,
     tri_keys_by_loop,
 )
 
@@ -227,6 +231,82 @@ def test_clip_areas_match_clipping_every_triangle(mesh16, mesh32):
             straddlers += int(((expected > 0.0)
                                & (expected < mesh.areas)).sum())
     assert straddlers > 0
+
+
+def test_clip_areas_match_scalar_clip_on_random_triangles():
+    # random triangles about the unit square, in either orientation:
+    # small ones sitting over a corner or a side, wholly inside or outside,
+    # large ones holding several corners, and degenerate ones (a repeated
+    # vertex, or three collinear vertices)
+    rng = np.random.default_rng(7)
+    corners = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)
+    tris = [corners[rng.integers(4, size=200)][:, None]
+            + rng.normal(scale=0.05, size=(200, 3, 2)),
+            rng.uniform(-0.5, 1.5, size=(300, 3, 2)),
+            rng.uniform(0.1, 0.9, size=(50, 3, 2)),
+            rng.uniform(1.2, 2.0, size=(50, 3, 2)),
+            rng.uniform(-3.0, 4.0, size=(100, 3, 2))]
+    a, b = rng.uniform(-0.5, 1.5, size=(2, 60, 2))
+    tris.append(np.stack([a, a, b], axis=1))
+    tris.append(np.stack([a, 0.5 * (a + b), b], axis=1))
+    pts = np.concatenate(tris)
+    nodes = pts.reshape(-1, 2)
+    triangles = np.arange(len(nodes)).reshape(-1, 3)
+    got = clip_areas_rect(nodes, triangles, 0.0, 0.0, 1.0, 1.0)
+    want = np.array([clip_area_by_loop(p, 0.0, 0.0, 1.0, 1.0) for p in pts])
+    assert got.tobytes() == want.tobytes()
+    full = 0.5 * np.abs(
+        (pts[:, 1, 0] - pts[:, 0, 0]) * (pts[:, 2, 1] - pts[:, 0, 1])
+        - (pts[:, 1, 1] - pts[:, 0, 1]) * (pts[:, 2, 0] - pts[:, 0, 0]))
+    assert (want == 0.0).sum() > 100
+    assert np.isclose(want, full, rtol=1e-12).sum() > 50
+    assert ((want > 1e-6) & (want < full * (1 - 1e-6))).sum() > 300
+    # a large triangle holding all four corners clips to the square
+    big = np.array([[-2.0, -1.0], [4.0, -1.0], [0.5, 5.0]])
+    assert clip_areas_rect(big, np.array([[0, 1, 2]]), 0.0, 0.0, 1.0,
+                           1.0)[0] == 1.0
+
+
+def _perturbed_mesh(mesh16):
+    """mesh16 with its interior nodes moved off the lattice and one extra
+    degenerate triangle on three collinear bottom-row nodes."""
+    rng = np.random.default_rng(3)
+    nodes = mesh16.nodes.copy()
+    lo, hi = nodes.min(axis=0), nodes.max(axis=0)
+    inner = ((nodes > lo) & (nodes < hi)).all(axis=1)
+    nodes[inner] += rng.uniform(-0.2, 0.2, size=(inner.sum(), 2)) \
+        * mesh16.params.grid_spacing
+    tris = np.vstack([mesh16.triangles, [[0, 1, 2]]])
+    return Triangulation(nodes, tris, mesh16.domain, mesh16.params)
+
+
+def test_strains_match_per_triangle_loop(mesh16):
+    mesh = _perturbed_mesh(mesh16)
+    assert mesh.areas[-1] == 0.0 and mesh.areas[:-1].min() > 0.0
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=(mesh.n_nodes, 2)) \
+        * 10.0 ** rng.integers(-4, 4, size=(mesh.n_nodes, 2))
+    # signed zeros: the degenerate triangle's products are all -0.0
+    values[rng.random(values.shape) < 0.1] = -0.0
+    values[:3] = -1.5
+    got = DisplacementField(mesh, values).strains()
+    want = strains_by_loop(mesh, values)
+    assert got.tobytes() == want.tobytes()
+    assert got[-1].tobytes() == np.zeros(3).tobytes()
+    # the strains of a subset of the triangles, as void modification takes
+    # them, are the same rows
+    ids = np.array([5, 0, 17, mesh.n_triangles - 1])
+    part = strains_from_values(np.take(mesh.strain_gradients, ids, axis=1),
+                               mesh.triangles[ids], values)
+    assert part.tobytes() == want[ids].tobytes()
+
+
+def test_edge_table_matches_row_unique(mesh16, mesh32):
+    for mesh in _oracle_meshes(mesh16, mesh32) + [_perturbed_mesh(mesh16)]:
+        edges, tri_edges = edge_table_by_unique(mesh)
+        assert mesh.edges.tobytes() == edges.tobytes()
+        assert mesh.edges.shape == edges.shape
+        assert mesh.tri_edges.tobytes() == tri_edges.tobytes()
 
 
 def test_mesh_tables_match_loops(mesh16, mesh32):

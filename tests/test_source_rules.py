@@ -46,6 +46,20 @@ def test_no_scipy_sparse_imports():
     assert not found, "scipy.sparse imports:\n" + "\n".join(found)
 
 
+def test_no_einsum():
+    # an einsum's summation order is a detail of the numpy build; each
+    # kernel states and fixes its own
+    sample = ast.parse("import numpy as np\nfrom numpy import einsum\n"
+                       "np.einsum('i,i', a, b)\n")
+    assert [name for _, name in _named(sample)].count("einsum") == 2
+    found = [f"{path.name}:{line}"
+             for path in sorted(SRC.glob("*.py"))
+             for line, name in _named(ast.parse(path.read_text(
+                 encoding="utf-8")))
+             if name == "einsum"]
+    assert not found, "einsum in the package:\n" + "\n".join(found)
+
+
 def test_benchmark_wrap_targets_exist():
     # the benchmark's span tracer wraps program functions and mesh tables by
     # name; loading it does not install it
