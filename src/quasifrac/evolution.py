@@ -122,6 +122,8 @@ class StepRecord:
     converged: bool
     tmod_nested: bool
     mod_stats: dict = field(default_factory=dict)
+    factored_systems: int = 0
+    factored_rows: int = 0
 
     def summary(self) -> dict:
         return {
@@ -142,6 +144,8 @@ class StepRecord:
             "outer_iters": self.outer_iters,
             "converged": self.converged,
             "tmod_nested": self.tmod_nested,
+            "factored_systems": self.factored_systems,
+            "factored_rows": self.factored_rows,
         }
 
 
@@ -259,6 +263,8 @@ def run_evolution(domain: Domain, params: MeshParams, material: MaterialModel,
                 amod_area=mod.stats.get("area_Amod", 0.0),
                 outer_iters=res.outer_iters, converged=res.converged,
                 tmod_nested=nested, mod_stats=mod.stats,
+                factored_systems=res.factored_systems,
+                factored_rows=res.factored_rows,
             )
             trace.steps.append(rec)
             prev_tmod_ids = tmod_ids

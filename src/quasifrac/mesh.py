@@ -176,9 +176,10 @@ class Triangulation:
         self.domain = domain
         self.params = params
         self.grid_shape = grid_shape  # (nx, ny, origin_x, origin_y) for grid family
-        # (system key, direct system) of the latest elastic system factored
-        # on this mesh, or None, owned by solver.solve_elastic; the one
-        # mutable attribute, and not part of the mesh's value
+        # the intact reference factor and the latest elastic system factored
+        # on this mesh (solver._FactorSlot), or None, owned by
+        # solver.solve_elastic; the one mutable attribute, and not part of
+        # the mesh's value
         self.factor_slot = None
         self.nodes.setflags(write=False)
         self.triangles.setflags(write=False)

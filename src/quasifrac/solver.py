@@ -8,22 +8,34 @@ such motion to its bc value, so every reduced system is symmetric positive
 definite.  The path uses numpy and LAPACK alone: each system is summed
 onto the mesh's cached stiffness pattern (`assemble_stiffness`), its
 free-free block is renumbered in the mesh's band order
-(`Triangulation.band_order`) and its upper triangle scattered into band
-storage (`CSRMatrix.band_block`), and every such block is
-factored the same way, by `_factor`: LAPACK's band Cholesky `dpbtrf`,
-solved by `dpbtrs`.  SciPy's LAPACK extension is loaded alone, with its
-bundled OpenBLAS held to one thread, so results are independent of the
-thread count; no part of `scipy.sparse` or `scipy.linalg` is imported.
-The mesh keeps the factor of its latest system
-(`Triangulation.factor_slot`) and reuses it while the system repeats; any
-other system drops it first, so at most one factor is kept.  The outer
-loop alternates solve / reclassify until the cracked set stabilizes;
-multi-starts guard against the nonconvexity of the truncated density.
-Within one step the later starts often replay an earlier trajectory, so
-every solve of the step goes through a memo (`_FrozenSolves`, freed when
-the step returns).  A solve depends only on its reduced system and bc, so
-the memo keys on the frozen crack set alone, a hit is bitwise the field a
-new solve would give, and each distinct system is solved once per step.
+(`Triangulation.band_order`), and every band is factored the same way, by
+`_factor`: LAPACK's band Cholesky `dpbtrf`.  SciPy's LAPACK extension is
+loaded alone, with its bundled OpenBLAS held to one thread, so results are
+independent of the thread count; no part of `scipy.sparse` or
+`scipy.linalg` is imported.
+
+Every system of a run equals the mesh's intact system (every weighted
+triangle active, the collar pinned) outside a window of band rows around
+the crack.  So each mesh factors its intact system once per elasticity,
+in two halves that overlap at its middle row (`_intact_reference`), and a
+system factors only its window: the Schur complement of the window
+against the reference's rows above and below it, read off the
+reference's bands (`_twisted_factor`).  The reference is fixed per mesh,
+so a factor is a function of its system alone.  It also keeps the element
+blocks of the weighted triangles, which every system assembles from.  The
+mesh keeps the reference and the factor of its latest system
+(`Triangulation.factor_slot`) and reuses the factor while the system
+repeats; any other system drops it first, so at most one system factor is
+kept.
+
+The outer loop alternates solve / reclassify until the cracked set
+stabilizes; multi-starts guard against the nonconvexity of the truncated
+density.  Within one step the later starts often replay an earlier
+trajectory, so every solve of the step goes through a memo
+(`_FrozenSolves`, freed when the step returns).  A solve depends only on
+its reduced system and bc, so the memo keys on the frozen crack set alone,
+a hit is bitwise the field a new solve would give, and each distinct
+system is solved once per step.
 
 The history is the sorted id array of the accumulated cracked triangles,
 and eps is the mesh's own; the start from the previous state is the
@@ -81,6 +93,8 @@ class SolveResult:
     outer_iters: int
     converged: bool
     energy_history: list = field(default_factory=list)
+    factored_systems: int = 0   # systems the step factored
+    factored_rows: int = 0      # band rows those factorizations took
 
 
 class CSRMatrix(NamedTuple):
@@ -111,26 +125,46 @@ class CSRMatrix(NamedTuple):
         out[self.rows[on]] = self.data[on]
         return out
 
-    def band_block(self, order):
+    def band_block(self, order, kd=0):
         """LAPACK upper band storage of the submatrix on the dofs `order`,
         renumbered in that order: a (kd + 1, n) Fortran-ordered array
         holding entry (i, j), i <= j <= i + kd, at [kd + i - j, j], where
-        kd is the submatrix's half-bandwidth.  The upper triangle is
-        scattered straight from the rows."""
-        n = len(order)
-        new = np.full(self.shape[0], -1, dtype=np.intp)
-        new[order] = np.arange(n)
-        i, j = np.take(new, self.rows), np.take(new, self.indices)
-        upper = (i >= 0) & (j >= i)
-        i, j = i[upper], j[upper]
-        kd = int((j - i).max(initial=0))
-        band = np.zeros((n, kd + 1))
+        kd is the larger of the submatrix's half-bandwidth and `kd`.  The
+        upper triangle is scattered straight from the rows of `order`."""
+        i, j, data = self._upper(order)
+        kd = max(int((j - i).max(initial=0)), kd)
+        band = np.zeros((len(order), kd + 1))
         # [kd + i - j, j] of the transpose is flat position (j + 1) kd + i
-        band.ravel()[(j + 1) * kd + i] = self.data[upper]
+        band.ravel()[(j + 1) * kd + i] = data
         return band.T
 
+    def _upper(self, order):
+        """(i, j, value) of the upper triangle of the submatrix on the dofs
+        `order`, renumbered in that order, read from those dofs' rows."""
+        order = np.asarray(order, dtype=np.intp)
+        new = np.full(self.shape[0], -1, dtype=np.intp)
+        new[order] = np.arange(len(order))
+        start = np.take(self.indptr, order).astype(np.intp)
+        count = np.take(self.indptr, order + 1) - start
+        at = np.repeat(start - np.cumsum(count) + count, count) + \
+            np.arange(count.sum())
+        i = np.repeat(np.arange(len(order)), count)
+        j = np.take(new, np.take(self.indices, at))
+        upper = j >= i
+        return i[upper], j[upper], np.take(self.data, at)[upper]
 
-def assemble_stiffness(mesh: Triangulation, active_ids, material: MaterialModel):
+
+def _element_blocks(mesh: Triangulation, ids, material: MaterialModel):
+    """Element blocks B^T C B |T n omega| of the triangles `ids`, each
+    computed from its own triangle alone."""
+    ke = strain_blocks(mesh.strain_gradients, ids)
+    ke = np.swapaxes(ke, 1, 2) @ (material.elasticity @ ke)
+    ke *= mesh.area_in_omega[ids][:, None, None]
+    return ke
+
+
+def assemble_stiffness(mesh: Triangulation, active_ids, material: MaterialModel,
+                       blocks=None):
     """The matrix of the quadratic form sum_T |T n omega| |e(v)|_C^2 over
     the active triangles of positive weight, as a CSRMatrix over all
     2 n_nodes dofs, and the ids of those triangles in the given order.
@@ -138,22 +172,25 @@ def assemble_stiffness(mesh: Triangulation, active_ids, material: MaterialModel)
     Element blocks B^T C B |T n omega| are summed onto the mesh's stiffness
     pattern (Triangulation.stiffness_pattern) in the order of the ids, and
     only the entries some active triangle touches are kept, so the matrix
-    has the structure a COO to CSR conversion of the blocks gives.
+    has the structure a COO to CSR conversion of the blocks gives.  The
+    blocks are taken from `blocks` when given: those of every weighted
+    triangle under `material`, in the pattern's slot order, as the intact
+    reference keeps them (bitwise the blocks computed here).
     """
     pattern = mesh.stiffness_pattern
     active_ids = np.asarray(active_ids, dtype=np.int64)
     slot = np.take(pattern.slot, active_ids)
     weighted = slot >= 0
     ids = active_ids[weighted]
-    bmats = strain_blocks(mesh.strain_gradients, ids)
-    ke = np.swapaxes(bmats, 1, 2) @ (material.elasticity @ bmats)
-    ke *= mesh.area_in_omega[ids][:, None, None]
     at = np.take(pattern.scatter, slot[weighted], axis=0).astype(np.intp)
     at = at.ravel()
+    ke = _element_blocks(mesh, ids, material) if blocks is None else \
+        np.take(blocks, slot[weighted], axis=0)
     nnz = len(pattern.indices)
     data = np.bincount(at, ke.ravel(), minlength=nnz).astype(float, copy=False)
     keep = np.zeros(nnz, dtype=bool)
     keep[at] = True
+    del at, ke  # freed before the matrix is built
     rows = pattern.rows[keep]
     indptr = np.zeros(len(pattern.indptr), dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=len(indptr) - 1), out=indptr[1:])
@@ -303,6 +340,162 @@ def _factor(band):
     return _BandFactor(u)
 
 
+def _free_dofs(mesh, k, asm_ids, pinned_nodes):
+    """Mask of the dofs a system with stiffness matrix `k` solves for:
+    those of unpinned nodes in some weighted active triangle (the sorted
+    ids `asm_ids`), less the gauge dofs."""
+    free = np.repeat(~pinned_nodes, 2) & (k.diagonal() > 0.0)
+    free[_gauge_pins(mesh, asm_ids, pinned_nodes)] = False
+    return free
+
+
+class _IntactReference(NamedTuple):
+    """Cholesky factor of a mesh's intact system under one elasticity:
+    every weighted triangle active, the collar pinned, free dofs `free_idx`
+    in band order, half-bandwidth kd.  It is factored in two overlapping
+    parts split at the middle row m: `top` factors rows [0, m + kd) and
+    `bottom` the reversal of rows [m - kd, n), both in upper band storage.
+    Row i of the reversal is row n - 1 - i.  `blocks` are the element
+    blocks of the weighted triangles, which every system assembles from."""
+
+    elasticity: bytes
+    blocks: np.ndarray
+    free_idx: np.ndarray
+    pos: np.ndarray       # row of each dof in free_idx, -1 for the others
+    kd: int
+    m: int
+    top: np.ndarray
+    bottom: np.ndarray
+
+    @property
+    def rows(self) -> int:
+        return self.top.shape[1] + self.bottom.shape[1]
+
+
+def _intact_reference(mesh, material):
+    """The mesh's _IntactReference under the elasticity of `material`."""
+    weighted = np.flatnonzero(mesh.area_in_omega > 0.0)
+    blocks = _element_blocks(mesh, weighted, material)
+    k, asm_ids = assemble_stiffness(mesh, weighted, material, blocks)
+    order = mesh.band_order
+    free_idx = order[_free_dofs(mesh, k, asm_ids,
+                                mesh.collar_node_mask)[order]]
+    i, j, _ = k._upper(free_idx)
+    kd = int((j - i).max(initial=0))
+    n = len(free_idx)
+    m = n // 2
+    pos = np.full(k.shape[0], -1, dtype=np.intp)
+    pos[free_idx] = np.arange(n)
+    top = _factor(k.band_block(free_idx[:m + kd], kd)).u
+    bottom = _factor(k.band_block(free_idx[max(m - kd, 0):][::-1], kd)).u
+    return _IntactReference(material.elasticity.tobytes(), blocks, free_idx,
+                            pos, kd, m, top, bottom)
+
+
+def _coupling(u, end, cols, kd):
+    """Dense block of the band factor `u` (upper storage, half-bandwidth
+    kd) on rows [end - kd, end) (those >= 0) and columns `cols` >= end."""
+    rows = np.arange(max(end - kd, 0), end)
+    d = kd + rows[:, None] - cols
+    return np.where(d >= 0, u[np.maximum(d, 0), cols], 0.0)
+
+
+def _subtract_gram(band, g, first):
+    """Subtract g^T g from the diagonal block of the band matrix `band`
+    (upper storage) whose first row is `first`."""
+    if g.size:
+        kd, k = band.shape[0] - 1, g.shape[1]
+        # shifted[j, kd + i] is entry (i, j) of g^T g, which the band holds
+        # at [kd + i - j, first + j]: column first + j of the band is
+        # shifted[j, j:j + kd + 1], zero where i < 0
+        shifted = np.zeros((k, kd + k))
+        shifted[:, kd:] = (g.T @ g).T
+        band.T[first:first + k] -= np.lib.stride_tricks.sliding_window_view(
+            shifted.ravel(), kd + 1)[::kd + k + 1]
+
+
+class _TwistedFactor(NamedTuple):
+    """Cholesky factor of a reduced system whose free dofs are, in order,
+    the reference's rows [0, s), the window's dofs and the reference's
+    rows [t, n), where the system equals the intact one outside the
+    window.  Eliminating the two outer parts first, with the reference's
+    factors of rows [0, s) (T) and of the reversed rows [t, n) (B), leaves
+    the window's Schur complement, factored as `window`.  `top` is
+    T^-T times the coupling of [0, s) to the window: nonzero only on the
+    last kd rows of [0, s) and the window's first dofs, which the
+    reference's band holds.  `bottom` is the same block of B."""
+
+    ref: _IntactReference
+    s: int
+    t: int
+    window: _BandFactor
+    top: np.ndarray
+    bottom: np.ndarray
+
+    @property
+    def rows(self) -> int:
+        return self.window.u.shape[1]
+
+    def solve(self, b):
+        tbtrs = _lapack().dtbtrs
+        s, w = self.s, self.rows
+        top, bottom = self.ref.top[:, :s], self.ref.bottom[:, :len(b) - s - w]
+        gt, gb = self.top, self.bottom
+        # forward: the outer parts, then the window's right-hand side
+        yt = tbtrs(top, b[:s], trans="T")[0]
+        yb = tbtrs(bottom, b[s + w:][::-1], trans="T")[0]
+        z = b[s:s + w].copy()
+        z[:gt.shape[1]] -= (gt * yt[s - len(gt):, None]).sum(axis=0)
+        z[w - gb.shape[1]:] -= (gb * yb[len(yb) - len(gb):, None]).sum(axis=0)
+        x = self.window.solve(z)
+        # backward: the outer parts given the window
+        yt[s - len(gt):] -= (gt * x[:gt.shape[1]]).sum(axis=1)
+        yb[len(yb) - len(gb):] -= (gb * x[w - gb.shape[1]:]).sum(axis=1)
+        return np.concatenate([tbtrs(top, yt)[0], x,
+                               tbtrs(bottom, yb)[0][::-1]])
+
+
+def _twisted_factor(mesh, ref, k, active_mask, free):
+    """Free dofs in band order and _TwistedFactor of the system with
+    stiffness matrix `k`, active triangles `active_mask` and free dofs
+    `free`.
+
+    The window is the span [s, t) of reference rows where the system
+    differs from the intact one: the dofs of weighted inactive triangles,
+    and the reference's free dofs that the system pins or drops.  It starts
+    at or before the middle row m and ends at or after it, so each
+    reference part covers its side, and spans at least kd rows, so the two
+    outer parts never couple.  A system that frees a dof the intact one
+    does not (a gauge dof of the intact system) takes the whole band as its
+    window.
+    """
+    n, kd = len(ref.free_idx), ref.kd
+    if (free & (ref.pos < 0)).any():
+        order = mesh.band_order
+        s, t, window = 0, n, order[free[order]]
+    else:
+        inactive = mesh.triangles[~active_mask & (mesh.area_in_omega > 0.0)]
+        rows = np.take(ref.pos, (2 * inactive[:, :, None]
+                                 + np.arange(2)).ravel())
+        rows = np.concatenate([rows[rows >= 0],
+                               np.flatnonzero(~free[ref.free_idx])])
+        # the span of the changed rows and of row m
+        s = int(rows.min(initial=ref.m))
+        t = int(rows.max(initial=ref.m - 1)) + 1
+        s = max(0, min(s, t - kd))
+        t = min(n, max(t, s + kd))
+        window = ref.free_idx[s:t][free[ref.free_idx[s:t]]]
+    band = k.band_block(window, kd)
+    at = ref.pos[window]
+    gt = _coupling(ref.top, s, at[at < s + kd], kd)
+    gb = _coupling(ref.bottom, n - t, n - 1 - at[at >= t - kd], kd)
+    _subtract_gram(band, gt, 0)
+    _subtract_gram(band, gb, len(window) - gb.shape[1])
+    factor = _TwistedFactor(ref, s, t, _factor(band), gt, gb)
+    free_idx = np.concatenate([ref.free_idx[:s], window, ref.free_idx[t:]])
+    return free_idx, factor
+
+
 @dataclass
 class _DirectSystem:
     """Reduced system of a solve: stiffness matrix, free dofs in the
@@ -310,7 +503,17 @@ class _DirectSystem:
 
     k: CSRMatrix
     free_idx: np.ndarray
-    factor: _BandFactor
+    factor: _TwistedFactor
+
+
+class _FactorSlot(NamedTuple):
+    """What a mesh keeps between solves (Triangulation.factor_slot): the
+    intact reference of the latest elasticity, and the key and
+    _DirectSystem of the latest system factored, or None."""
+
+    reference: _IntactReference
+    key: Optional[tuple]
+    system: Optional[_DirectSystem]
 
 
 def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
@@ -334,10 +537,15 @@ def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
     the dofs of nodes in no weighted active triangle, and the gauge dofs.
 
     The reduced system is fixed by the elasticity, the weighted active ids
-    and the pinned nodes.  The mesh keeps the factor of its latest system,
-    and a solve that repeats that system only builds the right-hand side
-    and back-substitutes.  Any other system drops the kept factor before
-    it is assembled, so at most one factor exists at a time.
+    and the pinned nodes.  It equals the mesh's intact system (every
+    weighted triangle active, the collar pinned) outside a window of band
+    rows, and only that window is factored, against the intact system's
+    factor, which the mesh keeps per elasticity (see _twisted_factor).  So
+    a factor is a function of its system alone, whatever was solved
+    before.  The mesh also keeps the factor of its latest system, and a
+    solve that repeats that system only builds the right-hand side and
+    back-substitutes.  Any other system drops the kept factor before it is
+    assembled, so at most one system factor exists at a time.
     """
     mask = np.zeros(mesh.n_triangles, dtype=bool)
     mask[np.asarray(active, dtype=np.int64)] = True
@@ -347,22 +555,26 @@ def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
         pinned_nodes = pinned_nodes.copy()
         pinned_nodes[np.asarray(extra_pinned_nodes, dtype=np.int64)] = True
 
-    key = (material.elasticity.tobytes(), active_ids.tobytes(),
-           pinned_nodes.tobytes())
-    if mesh.factor_slot is not None and mesh.factor_slot[0] == key:
-        return _direct_solve(mesh, mesh.factor_slot[1], bc)
-    # forget the kept factor before the next one is built
-    mesh.factor_slot = None
+    elasticity = material.elasticity.tobytes()
+    key = (elasticity, active_ids.tobytes(), pinned_nodes.tobytes())
+    slot = mesh.factor_slot
+    if slot is not None and slot.key == key:
+        return _direct_solve(mesh, slot.system, bc)
+    ref = slot.reference if slot is not None and \
+        slot.reference.elasticity == elasticity else None
+    # forget the kept factor, and a reference of another elasticity, before
+    # the next is built; the reference is built before the system exists
+    mesh.factor_slot = slot = None
+    if ref is None:
+        ref = _intact_reference(mesh, material)
+    mesh.factor_slot = _FactorSlot(ref, None, None)
 
-    k, asm_ids = assemble_stiffness(mesh, active_ids, material)
+    k, asm_ids = assemble_stiffness(mesh, active_ids, material, ref.blocks)
     # nodes outside every weighted triangle stay put
-    free = np.repeat(~pinned_nodes, 2) & (k.diagonal() > 0.0)
-    gauge = _gauge_pins(mesh, asm_ids, pinned_nodes)
-    free[gauge] = False
-    order = mesh.band_order
-    free_idx = order[free[order]]
-    system = _DirectSystem(k, free_idx, _factor(k.band_block(free_idx)))
-    mesh.factor_slot = (key, system)
+    free = _free_dofs(mesh, k, asm_ids, pinned_nodes)
+    free_idx, factor = _twisted_factor(mesh, ref, k, mask, free)
+    system = _DirectSystem(k, free_idx, factor)
+    mesh.factor_slot = _FactorSlot(ref, key, system)
     return _direct_solve(mesh, system, bc)
 
 
@@ -416,6 +628,9 @@ class _FrozenSolves:
     A solve with crack set S frozen depends only on S and bc
     (solve_elastic), so the memo keeps one candidate per set, and a lookup
     of a set solved before is bitwise the candidate a new solve would give.
+    After each new solve the mesh's factor slot tells whether it factored
+    its system, and how many band rows that took, the intact reference's
+    included when the solve built it.
     """
 
     def __init__(self, mesh, bc, hist_ids, material):
@@ -424,6 +639,8 @@ class _FrozenSolves:
         self.hist_ids = hist_ids
         self.material = material
         self._memo = {}  # set key -> candidate
+        self.factored_systems = 0
+        self.factored_rows = 0
 
     def candidate(self, s_ids):
         """_evaluate tuple of the field solved with s_ids frozen, and that
@@ -434,8 +651,18 @@ class _FrozenSolves:
             return self._memo[key], None
         frozen = np.zeros(self.mesh.n_triangles, dtype=bool)
         frozen[np.asarray(s_ids, dtype=np.int64)] = True
+        # the kept system's key and reference, not the system itself, which
+        # the solve frees before it assembles the next
+        kept = self.mesh.factor_slot
+        kept = (None, None) if kept is None else (kept.key, kept.reference)
         u = solve_elastic(self.mesh, np.flatnonzero(~frozen), self.bc,
                           self.material)
+        slot = self.mesh.factor_slot
+        if slot.key != kept[0]:
+            self.factored_systems += 1
+            self.factored_rows += slot.system.factor.rows
+            if slot.reference is not kept[1]:
+                self.factored_rows += slot.reference.rows
         strains = u.strains()
         cand = _evaluate(self.mesh, u, strains, self.hist_ids, self.material)
         self._memo[key] = cand
@@ -479,7 +706,6 @@ def minimize_step(mesh: Triangulation, hist_ids, bc: DisplacementField,
     """
     hist_ids = np.asarray(hist_ids, dtype=np.int64)
     rng = np.random.default_rng(opts.seed)
-    crackable = np.setdiff1d(np.where(~mesh.collar_mask)[0], hist_ids)
     solves = _FrozenSolves(mesh, bc, hist_ids, material)
 
     # pure elastic solve: a candidate in itself and the seed of the ladder
@@ -510,7 +736,13 @@ def minimize_step(mesh: Triangulation, hist_ids, bc: DisplacementField,
         while j < len(order) and len(starts) < opts.multi_starts:
             starts.append(np.union1d(hist_ids, order[:j]))
             j *= 2
-    while len(starts) < opts.multi_starts and len(crackable):
+    crackable = None  # built for the first random start
+    while len(starts) < opts.multi_starts:
+        if crackable is None:
+            crackable = np.setdiff1d(np.flatnonzero(~mesh.collar_mask),
+                                     hist_ids)
+        if not len(crackable):
+            break
         k = int(rng.integers(1, max(2, len(crackable) // 4 + 2)))
         pick = rng.choice(crackable, size=min(k, len(crackable)), replace=False)
         starts.append(np.union1d(hist_ids, pick))
@@ -546,4 +778,6 @@ def minimize_step(mesh: Triangulation, hist_ids, bc: DisplacementField,
     u, rep, s_best = best
     return SolveResult(u=u, energy=rep, cracked_now=s_best,
                        outer_iters=best_iters, converged=best_converged,
-                       energy_history=best_hist)
+                       energy_history=best_hist,
+                       factored_systems=solves.factored_systems,
+                       factored_rows=solves.factored_rows)

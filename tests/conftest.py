@@ -25,17 +25,42 @@ def mesh32():
     return make_mesh(1 / 32)
 
 
+class FactorCalls(list):
+    """The band rows of each factorization of a reduced system, one entry
+    per system.  The two half-factorizations of a mesh's intact reference
+    are not among them: `references` holds one (mesh, elasticity bytes)
+    entry per reference build and `reference_rows` the rows it factored."""
+
+    def __init__(self):
+        super().__init__()
+        self.references = []
+        self.reference_rows = 0
+
+
 @pytest.fixture()
 def counted_factor(monkeypatch):
-    """List that gains one entry per factorization of a reduced system."""
-    calls = []
-    factor = solver._factor
+    """FactorCalls of the solves made while the test runs."""
+    calls = FactorCalls()
+    factor, build = solver._factor, solver._intact_reference
+    building = []
 
     def counting(band):
-        calls.append(1)
+        if building:
+            calls.reference_rows += band.shape[1]
+        else:
+            calls.append(band.shape[1])
         return factor(band)
 
+    def reference(mesh, material):
+        calls.references.append((mesh, material.elasticity.tobytes()))
+        building.append(True)
+        try:
+            return build(mesh, material)
+        finally:
+            building.pop()
+
     monkeypatch.setattr(solver, "_factor", counting)
+    monkeypatch.setattr(solver, "_intact_reference", reference)
     return calls
 
 

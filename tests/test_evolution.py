@@ -146,12 +146,14 @@ def test_run_keeps_history_by_id():
 def test_ramp_reuses_factor_and_releases_it(counted_factor):
     # a crack-free ramp repeats one reduced system, whose factor is kept
     # from its first solve (12 factorizations when every solve
-    # factorizes), and the returned meshes keep no factor
+    # factorizes), and the returned meshes keep no factor; the intact
+    # reference is built once and counted apart
     cfg = parse_config("eps = 0.015625\nn_steps = 4\namplitude = 0.4\n"
                        "load = stretch\nseed = 0\nmulti_starts = 2\n")
     trace = run_from_config(cfg)
     assert not trace.aborted
     assert 0 < len(counted_factor) <= 5
+    assert len(counted_factor.references) == 1
     assert all(rec.mesh.factor_slot is None for rec in trace.steps)
 
 
@@ -166,7 +168,9 @@ def test_crack64_solves_each_system_once_per_step(monkeypatch,
     # active set twice.  Re-solving every
     # replayed system made 124 solves, 56 of them in the crack-growth step,
     # and 104 factorizations; keeping a factor only from a system's second
-    # solve made 53
+    # solve made 53.  Each system factors only its window against the
+    # mesh's intact reference, built once: factoring every system whole
+    # took 188,356 band rows
     cfg = parse_config(CRACK64)
     steps = []
     real_solve, real_step = solver.solve_elastic, evolution.minimize_step
@@ -187,6 +191,14 @@ def test_crack64_solves_each_system_once_per_step(monkeypatch,
     assert max(map(len, steps)) < 56
     assert sum(map(len, steps)) < 124
     assert 0 < len(counted_factor) <= 47
+    meshes = {id(mesh) for mesh, _ in counted_factor.references}
+    assert len(counted_factor.references) == len(meshes) == 1
+    assert sum(counted_factor) <= 35000
+    # trace.json reports the same counts per step, the reference included
+    assert sum(rec.factored_systems for rec in trace.steps) == \
+        len(counted_factor)
+    assert sum(rec.factored_rows for rec in trace.steps) == \
+        sum(counted_factor) + counted_factor.reference_rows
 
 
 def test_history_nodes_follow_load():

@@ -212,9 +212,11 @@ def test_solve_elastic_reuses_factor_bitwise(counted_factor):
                           block_ids(mesh, 30, 34, 33, 35))
     out = [_solve(mesh, active, g, mat).values.tobytes()
            for g in LOADS + LOADS]
-    # the first solve keeps its factor, the rest reuse it
+    # the first solve keeps its factor, the rest reuse it; the intact
+    # reference is built once, before it
     assert len(counted_factor) == 1
-    assert mesh.factor_slot[1] is not None
+    assert len(counted_factor.references) == 1
+    assert mesh.factor_slot.system is not None
     for g, values in zip(LOADS + LOADS, out):
         assert values == _fresh_values(active, g, mat)
 
@@ -227,7 +229,7 @@ def test_solve_elastic_changed_system_drops_factor(change, counted_factor):
                           block_ids(mesh, 30, 34, 33, 35))
     for g in LOADS:
         _solve(mesh, active, g, mat)
-    old_key, old_system = mesh.factor_slot
+    _, old_key, old_system = mesh.factor_slot
     pins = None
     if change == "active":
         active = np.setdiff1d(active, block_ids(mesh, 34, 35, 33, 35))
@@ -236,10 +238,13 @@ def test_solve_elastic_changed_system_drops_factor(change, counted_factor):
     else:
         mat = MaterialModel(elasticity=np.diag([2.0, 1.0, 1.0]))
     u = _solve(mesh, active, LOADS[0], mat, pins)
-    # the changed system is factored and kept in place of the old one
+    # the changed system is factored and kept in place of the old one; a
+    # new elasticity also builds its own intact reference
     assert len(counted_factor) == 2
-    assert mesh.factor_slot[0] != old_key
-    assert mesh.factor_slot[1] is not old_system
+    assert len(counted_factor.references) == (2 if change == "material"
+                                               else 1)
+    assert mesh.factor_slot.key != old_key
+    assert mesh.factor_slot.system is not old_system
     assert u.values.tobytes() == _fresh_values(active, LOADS[0], mat, pins)
 
 
@@ -425,6 +430,14 @@ def test_assemble_matches_coo_oracle(mesh16):
             x = np.random.default_rng(len(ids)).standard_normal(k.shape[0])
             assert (k @ x).tobytes() == (kk @ x).tobytes()
             assert k.diagonal().tobytes() == kk.diagonal().tobytes()
+            # the element blocks the intact reference keeps give bitwise
+            # the same matrix
+            weighted = np.flatnonzero(mesh.area_in_omega > 0.0)
+            kept, kept_ids = solver.assemble_stiffness(
+                mesh, active, mat,
+                solver._element_blocks(mesh, weighted, mat))
+            assert np.array_equal(kept_ids, ids)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(kept, k))
 
 
 def test_band_block_is_scipy_submatrix(mesh16):
@@ -476,33 +489,163 @@ def test_band_order_follows_short_side(width, height):
 
 # the factorization
 
-def test_factor_matches_dense_solve(monkeypatch):
-    # the band Cholesky solves a system of the eps 1/64 crack run as a
-    # dense solve does, and the block is no wider than the mesh's band
-    cfg = parse_config("eps = 0.015625\nload = opening\n"
-                       "precrack = 0.0 0.5 0.45 0.5 0.06\n")
-    mesh = make_mesh(1 / 64)
-    active = np.setdiff1d(np.arange(mesh.n_triangles), cfg.precrack_ids(mesh))
-    captured = []
-    real = solver._factor
-
-    def capture(band):
-        captured.append(band.copy(order="F"))
-        factor = real(band)
-        captured.append(factor)
-        return factor
-
-    monkeypatch.setattr(solver, "_factor", capture)
-    solve_elastic(mesh, active, interpolate(mesh, cfg.load(), 0.5),
-                  MaterialModel())
-    band, factor = captured
-    assert band.shape[1] > 3000
-    assert band.shape[0] - 1 <= _mesh_half_bandwidth(mesh)
-    kff = dense_of_band(band)
-    rhs = np.random.default_rng(1).standard_normal(kff.shape[0])
+def _dense_oracle(mesh, active, mat=None, pins=None):
+    """The kept factor of the system solved with `active` and `pins`,
+    checked against a dense solve of the whole reduced system: its free
+    dofs are the system's own in band order, and it solves as the dense
+    matrix does."""
+    if mat is None:
+        mat = MaterialModel()
+    _solve(mesh, active, LOADS[0], mat, pins)
+    system = mesh.factor_slot.system
+    dofs = system.free_idx
+    pinned = mesh.collar_node_mask.copy()
+    if pins is not None:
+        pinned[pins] = True
+    mask = np.zeros(mesh.n_triangles, dtype=bool)
+    mask[active] = True
+    _, asm_ids = solver.assemble_stiffness(
+        mesh, np.flatnonzero(mask & (mesh.area_in_omega > 0.0)), mat)
+    free = solver._free_dofs(mesh, system.k, asm_ids, pinned)
+    order = mesh.band_order
+    assert np.array_equal(dofs, order[free[order]])
+    kff = scipy_csr(system.k)[dofs][:, dofs].toarray()
+    rhs = np.random.default_rng(1).standard_normal(len(dofs))
     ref = np.linalg.solve(kff, rhs)
-    err = np.linalg.norm(factor.solve(rhs) - ref) / np.linalg.norm(ref)
+    err = np.linalg.norm(system.factor.solve(rhs) - ref) / \
+        np.linalg.norm(ref)
     assert err <= 1e-12
+    return system.factor
+
+
+def test_factor_matches_dense_solve():
+    # the factor of a system of the eps 1/32 crack run solves as a dense
+    # solve of its whole reduced system does; only a window of it is
+    # factored, no wider than the mesh's band
+    cfg = parse_config("eps = 0.03125\nload = opening\n"
+                       "precrack = 0.0 0.5 0.45 0.5 0.06\n")
+    mesh = make_mesh(1 / 32)
+    active = np.setdiff1d(np.arange(mesh.n_triangles), cfg.precrack_ids(mesh))
+    factor = _dense_oracle(mesh, active)
+    ref = factor.ref
+    assert factor.window.u.shape[0] - 1 == ref.kd <= \
+        _mesh_half_bandwidth(mesh)
+    assert 0 < factor.s <= ref.m <= factor.t < len(ref.free_idx)
+    assert factor.rows < len(ref.free_idx) / 2
+
+
+def test_intact_system_factor():
+    # the intact system (every triangle active, no extra pins) differs from
+    # its reference nowhere: its window is kd rows next to the middle row
+    mesh = make_mesh(1 / 32)
+    factor = _dense_oracle(mesh, np.arange(mesh.n_triangles))
+    ref = factor.ref
+    assert (factor.s, factor.t) == (ref.m - ref.kd, ref.m)
+    assert factor.rows == ref.kd
+    assert ref.top.shape == (ref.kd + 1, ref.m + ref.kd)
+    assert ref.bottom.shape == (ref.kd + 1, len(ref.free_idx) - ref.m
+                                + ref.kd)
+
+
+def _node_at(mesh, x, y):
+    return int(np.argmin(np.hypot(mesh.nodes[:, 0] - x, mesh.nodes[:, 1] - y)))
+
+
+def _box_ids(mesh, x0, x1, y0, y1):
+    """Ids of the triangles whose centroid lies in [x0, x1] x [y0, y1]."""
+    c = mesh.nodes[mesh.triangles].mean(axis=1)
+    return np.flatnonzero((c[:, 0] >= x0) & (c[:, 0] <= x1)
+                          & (c[:, 1] >= y0) & (c[:, 1] <= y1))
+
+
+def _window_case(mesh, case):
+    """(active ids, extra pinned nodes) of a system whose window lies where
+    `case` says (band rows run up the plate)."""
+    allt = np.arange(mesh.n_triangles)
+    if case == "top":
+        return np.setdiff1d(allt, _box_ids(mesh, 0.3, 0.7, 0.1, 0.2)), None
+    if case == "bottom":
+        return np.setdiff1d(allt, _box_ids(mesh, 0.3, 0.7, 0.8, 0.9)), None
+    if case == "middle":
+        return np.setdiff1d(allt, _box_ids(mesh, 0.2, 0.8, 0.4, 0.6)), None
+    if case == "narrow":
+        return allt, [_node_at(mesh, 0.5, 0.5)]
+    if case == "whole":
+        # the triangles of the first and the last reference row's nodes
+        ref = mesh.factor_slot.reference
+        ends = ref.free_idx[[0, -1]] // 2
+        return np.setdiff1d(allt, np.flatnonzero(
+            np.isin(mesh.triangles, ends).any(axis=1))), None
+    if case == "dropped":
+        node = _node_at(mesh, 0.5, 0.5)
+        return np.setdiff1d(allt, np.flatnonzero(
+            (mesh.triangles == node).any(axis=1))), None
+    if case == "gauge":
+        # a floating island inside a frozen ring
+        ring = np.setdiff1d(_box_ids(mesh, 0.3, 0.7, 0.3, 0.7),
+                            _box_ids(mesh, 0.42, 0.58, 0.42, 0.58))
+        return np.setdiff1d(allt, ring), None
+    assert case == "pins"
+    return allt, np.unique(mesh.triangles[_box_ids(mesh, 0.2, 0.8, 0.3,
+                                                   0.35)])
+
+
+@pytest.mark.parametrize("case", ["top", "bottom", "middle", "narrow",
+                                  "whole", "dropped", "gauge", "pins"])
+def test_window_factor_matches_dense_solve(case):
+    mesh = make_mesh(1 / 32)
+    _solve(mesh, np.arange(mesh.n_triangles), LOADS[0], MaterialModel())
+    active, pins = _window_case(mesh, case)
+    factor = _dense_oracle(mesh, active, pins=pins)
+    ref = factor.ref
+    n, m, kd, s, t = len(ref.free_idx), ref.m, ref.kd, factor.s, factor.t
+    assert s <= m <= t and t - s >= kd
+    if case == "top":
+        assert s < m - kd and t == m
+    elif case == "bottom":
+        assert s == m and t > m + kd
+    elif case == "middle":
+        assert s < m < t and t - s < n / 2
+    elif case == "narrow":
+        assert t - s == kd
+    elif case == "whole":
+        assert (s, t) == (0, n)
+    elif case == "gauge":
+        assert 0 < len(solver._gauge_pins(
+            mesh, np.sort(active), mesh.collar_node_mask))
+
+
+def test_window_whole_band_when_system_frees_intact_gauge_dof():
+    # a collar narrower than one cell holds no collar triangle, so the
+    # intact system floats and is gauged; pinning two nodes frees its gauge
+    # dofs, and such a system is factored as a whole band
+    mesh = make_mesh(1 / 8, domain=Domain((0.0, 0.0, 1.0, 1.0),
+                                          (-0.01, -0.01, 1.01, 1.01)))
+    allt = np.arange(mesh.n_triangles)
+    _solve(mesh, allt, LOADS[0], MaterialModel())
+    ref = mesh.factor_slot.reference
+    assert len(ref.free_idx) == 2 * mesh.n_nodes - 3
+    pins = [_node_at(mesh, 0.0, 0.0), _node_at(mesh, 1.0, 1.0)]
+    factor = _dense_oracle(mesh, allt, pins=pins)
+    assert (factor.s, factor.t) == (0, len(ref.free_idx))
+    assert factor.rows == 2 * mesh.n_nodes - 4
+
+
+def test_factor_depends_only_on_its_system():
+    # solving the same systems in two orders, on fresh meshes, gives
+    # bitwise the same fields: no factor depends on what came before
+    cases = ["top", "gauge", "pins", "bottom", "middle"]
+
+    def fields(order):
+        mesh = make_mesh(1 / 32)
+        out = {}
+        for case in order:
+            active, pins = _window_case(mesh, case)
+            out[case] = _solve(mesh, active, LOADS[1], MaterialModel(),
+                               pins).values.tobytes()
+        return out
+
+    assert fields(cases) == fields(cases[::-1])
 
 
 def test_lapack_holds_bundled_openblas_to_one_thread():

@@ -60,6 +60,20 @@ def test_no_einsum():
     assert not found, "einsum in the package:\n" + "\n".join(found)
 
 
+def test_one_band_factorization_call():
+    # every band, the intact reference's halves included, is factored by
+    # the one dpbtrf call in solver._factor
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs = list(_defs(tree, path.stem))
+        for line, name in _named(tree):
+            if name == "dpbtrf":
+                found.append([qual for qual, first, last in defs
+                              if first <= line <= last][-1:])
+    assert found == [["solver._factor"]], found
+
+
 def test_benchmark_wrap_targets_exist():
     # the benchmark's span tracer wraps program functions and mesh tables by
     # name; loading it does not install it
