@@ -10,7 +10,7 @@ from .config import ConfigError, load_config
 from .diagnostics import check_energy_balance, run_convergence_study
 from .energy import MaterialModel, static_energy
 from .mesh import DisplacementField, Triangulation, check_admissible
-from .runner import run_from_config, write_outputs
+from .runner import run_from_config, thread_cap, write_outputs
 from .trisets import TriangleSet
 from .voidmod import VoidModParams, modify_voids
 from .vtkio import boundary_polyline, export_polyline_vtp
@@ -118,6 +118,11 @@ def cmd_study(args) -> int:
         cfg = load_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        thread_cap()
+    except ValueError as exc:
+        print(f"environment error: {exc}", file=sys.stderr)
         return 2
     study = run_convergence_study(cfg, args.refine, progress=args.progress)
     from pathlib import Path

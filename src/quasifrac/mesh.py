@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -131,33 +131,15 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-class StiffnessPattern(NamedTuple):
-    """Entries of the stiffness matrix that the triangles of positive weight
-    can touch, over the 2 n_nodes dofs (dof 2v+c is component c of node v),
-    in the canonical CSR order: rows ascending, columns sorted within a
-    row.  Index arrays are int32.
-
-    slot:      (m,) row of each triangle in `scatter`, -1 for zero weight
-    scatter:   (w, 36) pattern position of each entry of a triangle's 6x6
-               element block, in its dof order (u0x, u0y, u1x, ..., u2y)
-    indptr:    (2 n_nodes + 1,) row pointers
-    indices:   (nnz,) column of each entry
-    rows:      (nnz,) row of each entry
-    """
-
-    slot: np.ndarray
-    scatter: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-    rows: np.ndarray
-
-
 class Triangulation:
-    """Immutable conforming triangle mesh of the enclosing rectangle.
+    """Conforming triangle mesh of the enclosing rectangle.
 
-    Nodes are (n,2) float64, triangles (m,3) int32 in counterclockwise
-    order.  Derived tables (edges, adjacency, clipped areas, strain
-    gradients) are built lazily and cached; instances are safe to share.
+    Nodes are (n,2) float64, triangles (m,3) int64 in counterclockwise
+    order, both read-only.  Derived tables (edges, adjacency, clipped
+    areas, strain gradients, the band order of the dofs) are built lazily
+    and cached.  The one mutable attribute, `factor_slot`, holds the
+    solver's factors and is not part of the mesh's value, so one mesh
+    serves one solve at a time.
     """
 
     def __init__(self, nodes, triangles, domain: Domain, params: MeshParams,
@@ -293,40 +275,6 @@ class Triangulation:
         """|T `intersect` omega| per triangle."""
         x0, y0, x1, y1 = self.domain.omega
         return clip_areas_rect(self.nodes, self.triangles, x0, y0, x1, y1)
-
-    @cached_property
-    def stiffness_pattern(self):
-        """Sparsity pattern of the stiffness matrix summed over every
-        triangle of positive weight |T n omega| (see StiffnessPattern)."""
-        weighted = np.flatnonzero(self.area_in_omega > 0.0)
-        nn = self.n_nodes
-        tris = self.triangles[weighted]
-        # the node pairs (a, b) of each triangle, each distinct pair once
-        pairs, pair_of = np.unique(
-            (tris[:, :, None] * nn + tris[:, None, :]).ravel(),
-            return_inverse=True)
-        a, b = np.divmod(pairs, nn)
-        deg = np.bincount(a, minlength=nn)
-        # dof rows 2a and 2a+1 each hold 2b and 2b+1 for every pair (a, b):
-        # entry (2a+s, 2b+t) of pair k sits at 2k + 2 first[a] + s*2deg[a] + t
-        first = np.cumsum(deg) - deg
-        base = (2 * np.arange(len(pairs)) + 2 * first[a]).astype(np.int32)
-        width = (2 * deg[a]).astype(np.int32)
-        s = np.arange(2, dtype=np.int32)[:, None]
-        t = np.arange(2, dtype=np.int32)
-        at = base[:, None, None] + width[:, None, None] * s + t
-        nnz = 4 * len(pairs)
-        indices = np.empty(nnz, dtype=np.int32)
-        indices[at] = (2 * b)[:, None, None] + t
-        indptr = np.zeros(2 * nn + 1, dtype=np.int32)
-        np.cumsum(np.repeat(2 * deg, 2), out=indptr[1:])
-        rows = np.repeat(np.arange(2 * nn, dtype=np.int32), np.diff(indptr))
-        k = pair_of.reshape(-1, 3, 1, 3, 1)
-        scatter = (base[k] + width[k] * s[:, :, None] + t).reshape(-1, 6, 6)
-        slot = np.full(self.n_triangles, -1, dtype=np.int32)
-        slot[weighted] = np.arange(len(weighted))
-        return StiffnessPattern(slot, scatter.reshape(-1, 36), indptr, indices,
-                                rows)
 
     @cached_property
     def band_order(self):

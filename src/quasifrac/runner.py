@@ -14,12 +14,17 @@ from .trisets import TriangleSet
 
 
 def thread_cap() -> int:
-    """Parallelism cap from FRACTURE_THREADS (default 1)."""
+    """Parallelism cap from FRACTURE_THREADS (default 1).  Raises
+    ValueError, naming the variable, unless it is a positive integer."""
     raw = os.environ.get("FRACTURE_THREADS", "1")
     try:
-        return max(1, int(raw))
+        value = int(raw)
     except ValueError:
-        return 1
+        value = 0
+    if value < 1:
+        raise ValueError(
+            f"FRACTURE_THREADS must be a positive integer, got {raw!r}")
+    return value
 
 
 def run_from_config(cfg: RunConfig, progress: bool = False) -> EvolutionTrace:

@@ -5,28 +5,30 @@ collar nodes pinned to the boundary program.  The zero-energy motions
 left after pinning (pieces of the active region that float, or hinge on
 a single node) are fixed by `_gauge_pins`, which pins exactly one dof per
 such motion to its bc value, so every reduced system is symmetric positive
-definite.  The path uses numpy and LAPACK alone: each system is summed
-onto the mesh's cached stiffness pattern (`assemble_stiffness`), its
-free-free block is renumbered in the mesh's band order
-(`Triangulation.band_order`), and every band is factored the same way, by
-`_factor`: LAPACK's band Cholesky `dpbtrf`.  SciPy's LAPACK extension is
-loaded alone, with its bundled OpenBLAS held to one thread, so results are
-independent of the thread count; no part of `scipy.sparse` or
-`scipy.linalg` is imported.
+definite.  The path uses numpy and LAPACK alone.  The element block
+B^T C B |T n omega| of a triangle is the one form of a system's matrix:
+`assemble_stiffness` sums the blocks of the active triangles straight
+into LAPACK band storage on a dof order (the mesh's band order,
+`Triangulation.band_order`, or a window of it), the solve's products
+multiply the blocks triangle by triangle, and every band is factored the
+same way, by `_factor`: LAPACK's band Cholesky `dpbtrf`.  SciPy's LAPACK
+extension is loaded alone, with its bundled OpenBLAS held to one thread,
+so results are independent of the thread count; no part of
+`scipy.sparse` or `scipy.linalg` is imported.
 
 Every system of a run equals the mesh's intact system (every weighted
 triangle active, the collar pinned) outside a window of band rows around
 the crack.  So each mesh factors its intact system once per elasticity,
 in two halves that overlap at its middle row (`_intact_reference`), and a
-system factors only its window: the Schur complement of the window
-against the reference's rows above and below it, read off the
+system builds and factors only its window: the Schur complement of the
+window against the reference's rows above and below it, read off the
 reference's bands (`_twisted_factor`).  The reference is fixed per mesh,
 so a factor is a function of its system alone.  It also keeps the element
-blocks of the weighted triangles, which every system assembles from.  The
-mesh keeps the reference and the factor of its latest system
-(`Triangulation.factor_slot`) and reuses the factor while the system
-repeats; any other system drops it first, so at most one system factor is
-kept.
+blocks of the weighted triangles, computed once, which every band and
+product is built from.  The mesh keeps the reference and the factor of
+its latest system (`Triangulation.factor_slot`) and reuses the factor
+while the system repeats; any other system drops it first, so at most one
+system factor is kept.
 
 The outer loop alternates solve / reclassify until the cracked set
 stabilizes; multi-starts guard against the nonconvexity of the truncated
@@ -97,63 +99,6 @@ class SolveResult:
     factored_rows: int = 0      # band rows those factorizations took
 
 
-class CSRMatrix(NamedTuple):
-    """Square sparse matrix with a symmetric pattern in SciPy's canonical
-    CSR form (int32 indices, columns sorted within a row, no duplicate
-    entries), with the row of each entry.  Gathers by its int32 index
-    arrays go through np.take, which reads them without converting them
-    first."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    rows: np.ndarray
-
-    @property
-    def shape(self):
-        return len(self.indptr) - 1, len(self.indptr) - 1
-
-    def __matmul__(self, x):
-        """Matrix-vector product, each row summed in column order."""
-        # (bincount returns ints when it has nothing to count)
-        return np.bincount(self.rows, self.data * np.take(x, self.indices),
-                           minlength=self.shape[0]).astype(float, copy=False)
-
-    def diagonal(self):
-        on = self.rows == self.indices
-        out = np.zeros(self.shape[0])
-        out[self.rows[on]] = self.data[on]
-        return out
-
-    def band_block(self, order, kd=0):
-        """LAPACK upper band storage of the submatrix on the dofs `order`,
-        renumbered in that order: a (kd + 1, n) Fortran-ordered array
-        holding entry (i, j), i <= j <= i + kd, at [kd + i - j, j], where
-        kd is the larger of the submatrix's half-bandwidth and `kd`.  The
-        upper triangle is scattered straight from the rows of `order`."""
-        i, j, data = self._upper(order)
-        kd = max(int((j - i).max(initial=0)), kd)
-        band = np.zeros((len(order), kd + 1))
-        # [kd + i - j, j] of the transpose is flat position (j + 1) kd + i
-        band.ravel()[(j + 1) * kd + i] = data
-        return band.T
-
-    def _upper(self, order):
-        """(i, j, value) of the upper triangle of the submatrix on the dofs
-        `order`, renumbered in that order, read from those dofs' rows."""
-        order = np.asarray(order, dtype=np.intp)
-        new = np.full(self.shape[0], -1, dtype=np.intp)
-        new[order] = np.arange(len(order))
-        start = np.take(self.indptr, order).astype(np.intp)
-        count = np.take(self.indptr, order + 1) - start
-        at = np.repeat(start - np.cumsum(count) + count, count) + \
-            np.arange(count.sum())
-        i = np.repeat(np.arange(len(order)), count)
-        j = np.take(new, np.take(self.indices, at))
-        upper = j >= i
-        return i[upper], j[upper], np.take(self.data, at)[upper]
-
-
 def _element_blocks(mesh: Triangulation, ids, material: MaterialModel):
     """Element blocks B^T C B |T n omega| of the triangles `ids`, each
     computed from its own triangle alone."""
@@ -163,38 +108,62 @@ def _element_blocks(mesh: Triangulation, ids, material: MaterialModel):
     return ke
 
 
-def assemble_stiffness(mesh: Triangulation, active_ids, material: MaterialModel,
-                       blocks=None):
-    """The matrix of the quadratic form sum_T |T n omega| |e(v)|_C^2 over
-    the active triangles of positive weight, as a CSRMatrix over all
-    2 n_nodes dofs, and the ids of those triangles in the given order.
+class _Elements(NamedTuple):
+    """Element blocks B^T C B |T n omega| of a mesh's weighted triangles
+    under one elasticity, in id order, and the dofs of each triangle
+    (u0x, u0y, u1x, ..., u2y) among the mesh's `n_dofs`.  A mask `active`
+    over the weighted triangles picks the ones a system counts."""
 
-    Element blocks B^T C B |T n omega| are summed onto the mesh's stiffness
-    pattern (Triangulation.stiffness_pattern) in the order of the ids, and
-    only the entries some active triangle touches are kept, so the matrix
-    has the structure a COO to CSR conversion of the blocks gives.  The
-    blocks are taken from `blocks` when given: those of every weighted
-    triangle under `material`, in the pattern's slot order, as the intact
-    reference keeps them (bitwise the blocks computed here).
+    blocks: np.ndarray   # (w, 6, 6)
+    dofs: np.ndarray     # (w, 6)
+    n_dofs: int
+
+    def sum_onto_dofs(self, active, values):
+        """Per-dof sums of the (w, 6) `values` of the active triangles,
+        each dof's summed in triangle-id order (`values` is overwritten)."""
+        values[~active] = 0.0
+        return np.bincount(self.dofs.ravel(), values.ravel(),
+                           minlength=self.n_dofs)
+
+    def product(self, active, x):
+        """Product of the active triangles' stiffness matrix with x."""
+        y = self.blocks @ np.take(x, self.dofs)[:, :, None]
+        return self.sum_onto_dofs(active, y[:, :, 0])
+
+    def diagonal(self, active):
+        """Diagonal of the active triangles' stiffness matrix."""
+        return self.sum_onto_dofs(
+            active, np.diagonal(self.blocks, axis1=1, axis2=2).copy())
+
+
+def assemble_stiffness(elements: _Elements, active, order, kd):
+    """LAPACK upper band storage of the stiffness matrix of the `active`
+    weighted triangles on the dofs `order`, renumbered in that order: a
+    (kd + 1, n) Fortran-ordered array holding entry (i, j),
+    i <= j <= i + kd, at [kd + i - j, j], where kd is the larger of the
+    matrix's half-bandwidth and `kd`.
+
+    Entry (i, j) sums, in triangle-id order, the block entries (a, b) with
+    a = order[i] and b = order[j], only from the triangles that touch the
+    dofs `order`.  It takes the row dof's side of each block, whose
+    transpose agrees only to roundoff.
     """
-    pattern = mesh.stiffness_pattern
-    active_ids = np.asarray(active_ids, dtype=np.int64)
-    slot = np.take(pattern.slot, active_ids)
-    weighted = slot >= 0
-    ids = active_ids[weighted]
-    at = np.take(pattern.scatter, slot[weighted], axis=0).astype(np.intp)
-    at = at.ravel()
-    ke = _element_blocks(mesh, ids, material) if blocks is None else \
-        np.take(blocks, slot[weighted], axis=0)
-    nnz = len(pattern.indices)
-    data = np.bincount(at, ke.ravel(), minlength=nnz).astype(float, copy=False)
-    keep = np.zeros(nnz, dtype=bool)
-    keep[at] = True
-    del at, ke  # freed before the matrix is built
-    rows = pattern.rows[keep]
-    indptr = np.zeros(len(pattern.indptr), dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=len(indptr) - 1), out=indptr[1:])
-    return CSRMatrix(indptr, pattern.indices[keep], data[keep], rows), ids
+    pos = np.full(elements.n_dofs, -1, dtype=np.intp)
+    pos[order] = np.arange(len(order))
+    p = np.take(pos, elements.dofs)
+    touched = np.flatnonzero(active & (p >= 0).any(axis=1))
+    p = p[touched]
+    i = np.broadcast_to(p[:, :, None], (len(p), 6, 6))
+    j = np.broadcast_to(p[:, None, :], (len(p), 6, 6))
+    upper = (i >= 0) & (i <= j)
+    i, j = i[upper], j[upper]
+    kd = max(int((j - i).max(initial=0)), kd)
+    # [kd + i - j, j] of the transpose is flat position (j + 1) kd + i
+    band = np.bincount((j + 1) * kd + i,
+                       np.take(elements.blocks, touched, axis=0)[upper],
+                       minlength=len(order) * (kd + 1))
+    # (bincount returns ints when it has nothing to count)
+    return band.astype(float, copy=False).reshape(len(order), kd + 1).T
 
 
 def _gauge_pins(mesh: Triangulation, asm_ids, pinned_node_mask):
@@ -330,7 +299,7 @@ class _BandFactor(NamedTuple):
 
 def _factor(band):
     """Cholesky factor of the symmetric positive definite matrix in upper
-    band storage `band` (see CSRMatrix.band_block), computed in place by
+    band storage `band` (see assemble_stiffness), computed in place by
     LAPACK's dpbtrf.  Raises SingularSystem when a leading minor is not
     positive."""
     u, info = _lapack().dpbtrf(band, overwrite_ab=1)
@@ -340,11 +309,11 @@ def _factor(band):
     return _BandFactor(u)
 
 
-def _free_dofs(mesh, k, asm_ids, pinned_nodes):
-    """Mask of the dofs a system with stiffness matrix `k` solves for:
-    those of unpinned nodes in some weighted active triangle (the sorted
-    ids `asm_ids`), less the gauge dofs."""
-    free = np.repeat(~pinned_nodes, 2) & (k.diagonal() > 0.0)
+def _free_dofs(mesh, elements, active, asm_ids, pinned_nodes):
+    """Mask of the dofs a system with active weighted triangles `active`
+    (the sorted ids `asm_ids`) solves for: those of unpinned nodes in some
+    active triangle, less the gauge dofs."""
+    free = np.repeat(~pinned_nodes, 2) & (elements.diagonal(active) > 0.0)
     free[_gauge_pins(mesh, asm_ids, pinned_nodes)] = False
     return free
 
@@ -355,11 +324,11 @@ class _IntactReference(NamedTuple):
     in band order, half-bandwidth kd.  It is factored in two overlapping
     parts split at the middle row m: `top` factors rows [0, m + kd) and
     `bottom` the reversal of rows [m - kd, n), both in upper band storage.
-    Row i of the reversal is row n - 1 - i.  `blocks` are the element
-    blocks of the weighted triangles, which every system assembles from."""
+    Row i of the reversal is row n - 1 - i.  `elements` are the element
+    blocks of the weighted triangles, which every system is built from."""
 
     elasticity: bytes
-    blocks: np.ndarray
+    elements: _Elements
     free_idx: np.ndarray
     pos: np.ndarray       # row of each dof in free_idx, -1 for the others
     kd: int
@@ -375,20 +344,26 @@ class _IntactReference(NamedTuple):
 def _intact_reference(mesh, material):
     """The mesh's _IntactReference under the elasticity of `material`."""
     weighted = np.flatnonzero(mesh.area_in_omega > 0.0)
-    blocks = _element_blocks(mesh, weighted, material)
-    k, asm_ids = assemble_stiffness(mesh, weighted, material, blocks)
+    dofs = 2 * mesh.triangles[weighted][:, :, None] + np.arange(2)
+    elements = _Elements(_element_blocks(mesh, weighted, material),
+                         dofs.reshape(-1, 6), 2 * mesh.n_nodes)
+    everything = np.ones(len(weighted), dtype=bool)
     order = mesh.band_order
-    free_idx = order[_free_dofs(mesh, k, asm_ids,
+    free_idx = order[_free_dofs(mesh, elements, everything, weighted,
                                 mesh.collar_node_mask)[order]]
-    i, j, _ = k._upper(free_idx)
-    kd = int((j - i).max(initial=0))
     n = len(free_idx)
     m = n // 2
-    pos = np.full(k.shape[0], -1, dtype=np.intp)
+    pos = np.full(elements.n_dofs, -1, dtype=np.intp)
     pos[free_idx] = np.arange(n)
-    top = _factor(k.band_block(free_idx[:m + kd], kd)).u
-    bottom = _factor(k.band_block(free_idx[max(m - kd, 0):][::-1], kd)).u
-    return _IntactReference(material.elasticity.tobytes(), blocks, free_idx,
+    # the half-bandwidth: the widest span of a triangle's free dofs' rows
+    p = np.take(pos, elements.dofs)
+    lowest = np.where(p >= 0, p, n).min(axis=1, initial=n)
+    kd = int((p.max(axis=1, initial=-1) - lowest).max(initial=0))
+    top = _factor(assemble_stiffness(elements, everything, free_idx[:m + kd],
+                                     kd)).u
+    bottom = _factor(assemble_stiffness(
+        elements, everything, free_idx[max(m - kd, 0):][::-1], kd)).u
+    return _IntactReference(material.elasticity.tobytes(), elements, free_idx,
                             pos, kd, m, top, bottom)
 
 
@@ -455,10 +430,9 @@ class _TwistedFactor(NamedTuple):
                                tbtrs(bottom, yb)[0][::-1]])
 
 
-def _twisted_factor(mesh, ref, k, active_mask, free):
-    """Free dofs in band order and _TwistedFactor of the system with
-    stiffness matrix `k`, active triangles `active_mask` and free dofs
-    `free`.
+def _twisted_factor(mesh, ref, active, free):
+    """Free dofs in band order and _TwistedFactor of the system with active
+    weighted triangles `active` and free dofs `free`.
 
     The window is the span [s, t) of reference rows where the system
     differs from the intact one: the dofs of weighted inactive triangles,
@@ -474,9 +448,7 @@ def _twisted_factor(mesh, ref, k, active_mask, free):
         order = mesh.band_order
         s, t, window = 0, n, order[free[order]]
     else:
-        inactive = mesh.triangles[~active_mask & (mesh.area_in_omega > 0.0)]
-        rows = np.take(ref.pos, (2 * inactive[:, :, None]
-                                 + np.arange(2)).ravel())
+        rows = np.take(ref.pos, ref.elements.dofs[~active].ravel())
         rows = np.concatenate([rows[rows >= 0],
                                np.flatnonzero(~free[ref.free_idx])])
         # the span of the changed rows and of row m
@@ -485,7 +457,7 @@ def _twisted_factor(mesh, ref, k, active_mask, free):
         s = max(0, min(s, t - kd))
         t = min(n, max(t, s + kd))
         window = ref.free_idx[s:t][free[ref.free_idx[s:t]]]
-    band = k.band_block(window, kd)
+    band = assemble_stiffness(ref.elements, active, window, kd)
     at = ref.pos[window]
     gt = _coupling(ref.top, s, at[at < s + kd], kd)
     gb = _coupling(ref.bottom, n - t, n - 1 - at[at >= t - kd], kd)
@@ -496,24 +468,17 @@ def _twisted_factor(mesh, ref, k, active_mask, free):
     return free_idx, factor
 
 
-@dataclass
-class _DirectSystem:
-    """Reduced system of a solve: stiffness matrix, free dofs in the
-    mesh's band order and the Cholesky factor of the free-free block."""
-
-    k: CSRMatrix
-    free_idx: np.ndarray
-    factor: _TwistedFactor
-
-
 class _FactorSlot(NamedTuple):
     """What a mesh keeps between solves (Triangulation.factor_slot): the
-    intact reference of the latest elasticity, and the key and
-    _DirectSystem of the latest system factored, or None."""
+    intact reference of the latest elasticity, and the key, active weighted
+    triangles (a mask over the reference's), free dofs in band order and
+    factor of the latest system factored, or None."""
 
     reference: _IntactReference
-    key: Optional[tuple]
-    system: Optional[_DirectSystem]
+    key: Optional[tuple] = None
+    active: Optional[np.ndarray] = None
+    free_idx: Optional[np.ndarray] = None
+    factor: Optional[_TwistedFactor] = None
 
 
 def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
@@ -539,17 +504,21 @@ def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
     The reduced system is fixed by the elasticity, the weighted active ids
     and the pinned nodes.  It equals the mesh's intact system (every
     weighted triangle active, the collar pinned) outside a window of band
-    rows, and only that window is factored, against the intact system's
-    factor, which the mesh keeps per elasticity (see _twisted_factor).  So
-    a factor is a function of its system alone, whatever was solved
-    before.  The mesh also keeps the factor of its latest system, and a
-    solve that repeats that system only builds the right-hand side and
-    back-substitutes.  Any other system drops the kept factor before it is
-    assembled, so at most one system factor exists at a time.
+    rows, and only that window is built, from the element blocks the
+    intact system keeps, and factored against the intact system's factor,
+    which the mesh keeps per elasticity (see _twisted_factor).  So a factor
+    is a function of its system alone, whatever was solved before.  The
+    right-hand side and the residual are products with the active element
+    blocks, summed per triangle.  The mesh also keeps the factor of its
+    latest system, and a solve that repeats that system only builds the
+    right-hand side and back-substitutes.  Any other system drops the kept
+    factor before its window is built, so at most one system factor exists
+    at a time.
     """
     mask = np.zeros(mesh.n_triangles, dtype=bool)
     mask[np.asarray(active, dtype=np.int64)] = True
-    active_ids = np.flatnonzero(mask & (mesh.area_in_omega > 0.0))
+    weighted = mesh.area_in_omega > 0.0
+    active_ids = np.flatnonzero(mask & weighted)
     pinned_nodes = mesh.collar_node_mask
     if extra_pinned_nodes is not None and len(extra_pinned_nodes):
         pinned_nodes = pinned_nodes.copy()
@@ -559,7 +528,7 @@ def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
     key = (elasticity, active_ids.tobytes(), pinned_nodes.tobytes())
     slot = mesh.factor_slot
     if slot is not None and slot.key == key:
-        return _direct_solve(mesh, slot.system, bc)
+        return _direct_solve(mesh, slot, bc)
     ref = slot.reference if slot is not None and \
         slot.reference.elasticity == elasticity else None
     # forget the kept factor, and a reference of another elasticity, before
@@ -567,27 +536,26 @@ def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
     mesh.factor_slot = slot = None
     if ref is None:
         ref = _intact_reference(mesh, material)
-    mesh.factor_slot = _FactorSlot(ref, None, None)
+    mesh.factor_slot = _FactorSlot(ref)
 
-    k, asm_ids = assemble_stiffness(mesh, active_ids, material, ref.blocks)
+    active = mask[weighted]
     # nodes outside every weighted triangle stay put
-    free = _free_dofs(mesh, k, asm_ids, pinned_nodes)
-    free_idx, factor = _twisted_factor(mesh, ref, k, mask, free)
-    system = _DirectSystem(k, free_idx, factor)
-    mesh.factor_slot = _FactorSlot(ref, key, system)
-    return _direct_solve(mesh, system, bc)
+    free = _free_dofs(mesh, ref.elements, active, active_ids, pinned_nodes)
+    free_idx, factor = _twisted_factor(mesh, ref, active, free)
+    mesh.factor_slot = _FactorSlot(ref, key, active, free_idx, factor)
+    return _direct_solve(mesh, mesh.factor_slot, bc)
 
 
-def _direct_solve(mesh, system: _DirectSystem, bc) -> DisplacementField:
-    """The field that solves the reduced system for the free dofs and
-    holds its bc values elsewhere."""
-    free_idx = system.free_idx
+def _direct_solve(mesh, slot: _FactorSlot, bc) -> DisplacementField:
+    """The field that solves the kept system for its free dofs and holds
+    its bc values elsewhere."""
+    elements, free_idx = slot.reference.elements, slot.free_idx
     x = bc.values.ravel().copy()
     x[free_idx] = 0.0
-    rhs = -(system.k @ x)[free_idx]
-    x[free_idx] = system.factor.solve(rhs)
+    rhs = -elements.product(slot.active, x)[free_idx]
+    x[free_idx] = slot.factor.solve(rhs)
     # the reduced residual kff y - rhs, read off the full product
-    res = float(np.linalg.norm((system.k @ x)[free_idx]))
+    res = float(np.linalg.norm(elements.product(slot.active, x)[free_idx]))
     ref = float(np.linalg.norm(rhs)) or 1.0
     if res > 1e-6 * ref:
         raise SingularSystem(
@@ -660,7 +628,7 @@ class _FrozenSolves:
         slot = self.mesh.factor_slot
         if slot.key != kept[0]:
             self.factored_systems += 1
-            self.factored_rows += slot.system.factor.rows
+            self.factored_rows += slot.factor.rows
             if slot.reference is not kept[1]:
                 self.factored_rows += slot.reference.rows
         strains = u.strains()

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 
 from quasifrac._kernels import point_seg_dist, strain_blocks
 from quasifrac.mesh import MeshError
-from quasifrac.solver import assemble_stiffness, solve_elastic
+from quasifrac.solver import solve_elastic
 from quasifrac.trisets import closure_components_minus_vertex
 
 
@@ -467,9 +467,37 @@ def coo_stiffness(mesh, active_ids, material):
     return k, ids
 
 
-def scipy_csr(k):
-    """SciPy CSR matrix of the program's CSRMatrix `k`."""
-    return sp.csr_matrix((k.data, k.indices, k.indptr), shape=k.shape)
+def band_by_loop(elements, active, order, kd=0):
+    """Upper band storage of the stiffness matrix of the `active` weighted
+    triangles on the dofs `order`, renumbered in that order, from the
+    reference's element blocks: the entries (a, b) of one triangle's block
+    with a at or before b in `order` are added at a time, in id order; kd
+    is the larger of the widest such pair and `kd`."""
+    row = {int(d): i for i, d in enumerate(order)}
+    entries = []
+    for t in np.flatnonzero(active):
+        for a, da in enumerate(elements.dofs[t]):
+            for b, db in enumerate(elements.dofs[t]):
+                i, j = row.get(int(da)), row.get(int(db))
+                if i is not None and j is not None and i <= j:
+                    entries.append((i, j, elements.blocks[t, a, b]))
+    kd = max([kd] + [j - i for i, j, _ in entries])
+    band = np.zeros((kd + 1, len(order)), order="F")
+    for i, j, value in entries:
+        band[kd + i - j, j] += value
+    return band
+
+
+def band_of_dense(a):
+    """LAPACK upper band storage of the symmetric matrix `a`, entry (i, j),
+    i <= j, at [kd + i - j, j], kd its half-bandwidth."""
+    n = len(a)
+    kd = max([j - i for i in range(n) for j in range(i, n) if a[i][j]] + [0])
+    band = np.zeros((kd + 1, n))
+    for i in range(n):
+        for j in range(i, min(i + kd + 1, n)):
+            band[kd + i - j, j] = a[i][j]
+    return band
 
 
 def dense_of_band(band):
@@ -486,7 +514,7 @@ def dense_of_band(band):
 def kkt_residual(mesh, active, u, material, extra_pinned_nodes=None) -> float:
     """Norm of the reduced gradient at u relative to the load norm."""
     active_ids = np.unique(np.asarray(active, dtype=np.int64))
-    k = scipy_csr(assemble_stiffness(mesh, active_ids, material)[0])
+    k = coo_stiffness(mesh, active_ids, material)[0]
     x = u.values.ravel()
     g = k @ x
     pinned = mesh.collar_node_mask

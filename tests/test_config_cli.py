@@ -316,3 +316,16 @@ def test_cli_study_rejects_negative_refine(tmp_path):
     assert "--refine" in res.stderr
     assert "Traceback" not in res.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-2"])
+def test_cli_study_rejects_bad_thread_count(tmp_path, threads):
+    # a malformed cap is an error naming the variable, not a serial run
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"output_dir = {tmp_path / 'out'}\n")
+    res = _run_cli(["study", "--config", str(cfg), "--refine", "1"],
+                   env={"FRACTURE_THREADS": threads})
+    assert res.returncode == 2
+    assert "FRACTURE_THREADS" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "out").exists()

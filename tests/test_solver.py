@@ -28,7 +28,8 @@ from quasifrac.solver import (
     solve_elastic,
 )
 from conftest import AffineLoad, block_ids, make_mesh
-from _oracles import coo_stiffness, dense_of_band, kkt_residual, scipy_csr
+from _oracles import (band_by_loop, band_of_dense, coo_stiffness,
+                      dense_of_band, kkt_residual)
 
 
 def _fringe_nodes(mesh):
@@ -216,7 +217,7 @@ def test_solve_elastic_reuses_factor_bitwise(counted_factor):
     # reference is built once, before it
     assert len(counted_factor) == 1
     assert len(counted_factor.references) == 1
-    assert mesh.factor_slot.system is not None
+    assert mesh.factor_slot.factor is not None
     for g, values in zip(LOADS + LOADS, out):
         assert values == _fresh_values(active, g, mat)
 
@@ -229,7 +230,7 @@ def test_solve_elastic_changed_system_drops_factor(change, counted_factor):
                           block_ids(mesh, 30, 34, 33, 35))
     for g in LOADS:
         _solve(mesh, active, g, mat)
-    _, old_key, old_system = mesh.factor_slot
+    old = mesh.factor_slot
     pins = None
     if change == "active":
         active = np.setdiff1d(active, block_ids(mesh, 34, 35, 33, 35))
@@ -243,8 +244,8 @@ def test_solve_elastic_changed_system_drops_factor(change, counted_factor):
     assert len(counted_factor) == 2
     assert len(counted_factor.references) == (2 if change == "material"
                                                else 1)
-    assert mesh.factor_slot.key != old_key
-    assert mesh.factor_slot.system is not old_system
+    assert mesh.factor_slot.key != old.key
+    assert mesh.factor_slot.factor is not old.factor
     assert u.values.tobytes() == _fresh_values(active, LOADS[0], mat, pins)
 
 
@@ -310,7 +311,7 @@ def test_solve_elastic_vertex_attached_island(request, mesh_name):
     u = solve_elastic(mesh, active, bc, mat)
     assert kkt_residual(mesh, active, u, mat) < 1e-10
     # the minimum energy, from CG on the ungauged system
-    k = scipy_csr(solver.assemble_stiffness(mesh, active, mat)[0])
+    k = coo_stiffness(mesh, active, mat)[0]
     diag = k.diagonal()
     touched = diag > 0.0
     free = (touched & np.repeat(~mesh.collar_node_mask, 2)).astype(float)
@@ -330,7 +331,7 @@ def test_solve_elastic_hinged_triangle():
     bc = interpolate(mesh, AffineLoad(a11=1.5), 1.0)
     gauge = solver._gauge_pins(mesh, np.array([5]), mesh.collar_node_mask)
     assert len(gauge) == 1
-    k, _ = solver.assemble_stiffness(mesh, [5], mat)
+    k, _ = coo_stiffness(mesh, [5], mat)
     fields = []
     for turn in (0.0, 0.3):
         values = bc.values.copy()
@@ -357,8 +358,7 @@ def test_solve_elastic_hinged_triangle():
 def _null_dim(mesh, active, pinned):
     """Null-space dimension of the dense stiffness on the unpinned dofs of
     the weighted active triangles."""
-    k = scipy_csr(solver.assemble_stiffness(mesh, active, MaterialModel())[0])
-    dense = k.toarray()
+    dense = coo_stiffness(mesh, active, MaterialModel())[0].toarray()
     free = (np.diag(dense) > 0.0) & np.repeat(~pinned, 2)
     lam = np.linalg.eigvalsh(dense[np.ix_(free, free)])
     return int((lam <= 1e-9 * max(lam.max(), 1.0)).sum()) if len(lam) else 0
@@ -378,7 +378,7 @@ def test_gauge_count_is_null_space_dimension(mesh16):
         cases.append((mesh16, np.flatnonzero(keep)))
     dims = []
     for mesh, active in cases:
-        _, ids = solver.assemble_stiffness(mesh, active, MaterialModel())
+        _, ids = coo_stiffness(mesh, active, MaterialModel())
         pinned = mesh.collar_node_mask
         dims.append(_null_dim(mesh, active, pinned))
         assert len(solver._gauge_pins(mesh, ids, pinned)) == dims[-1]
@@ -391,82 +391,55 @@ def test_gauge_count_is_null_space_dimension(mesh16):
 SPD_ELASTICITY = np.array([[2.0, 0.6, 0.1], [0.6, 1.5, 0.2], [0.1, 0.2, 1.1]])
 
 
-def _assembly_cases(mesh16):
-    """(mesh, active ids): random sets at eps 1/16 and 1/64, every triangle,
-    the empty set, and criterion 7's strips."""
+@pytest.mark.parametrize("mesh_name", ["mesh16", "strip"])
+def test_band_matches_loop_oracle(request, mesh_name):
+    # assemble_stiffness sums the reference's blocks into band storage one
+    # triangle at a time in id order, bitwise as the loop oracle does, on
+    # band orders, windows and an order that is not a band order; its band,
+    # diagonal and block product agree with SciPy's COO assembly
+    mesh = strip_mesh(6) if mesh_name == "strip" else \
+        request.getfixturevalue(mesh_name)
     rng = np.random.default_rng(3)
-    cases = []
-    for mesh in (mesh16, make_mesh(1 / 64)):
-        for frac in (0.1, 0.5, 0.9):
-            keep = rng.random(mesh.n_triangles) >= frac
-            cases.append((mesh, rng.permutation(np.flatnonzero(keep))))
-        cases += [(mesh, np.arange(mesh.n_triangles)),
-                  (mesh, np.empty(0, dtype=np.int64))]
-    for n_cells in (4, 6):
-        strip = strip_mesh(n_cells)
-        cases += [(strip, np.arange(strip.n_triangles)), (strip, [5]),
-                  (strip, [2, 5]), (strip, [0, 3, 4, 7])]
-    return cases
-
-
-def test_assemble_matches_coo_oracle(mesh16):
-    # the cached pattern gives SciPy's COO to CSR result: equal structure,
-    # values to roundoff, on one mesh with the material alternating
-    materials = (MaterialModel(), MaterialModel(elasticity=SPD_ELASTICITY))
-    for mesh, active in _assembly_cases(mesh16):
-        for mat in materials + materials:
-            k, ids = solver.assemble_stiffness(mesh, active, mat)
-            ref, ref_ids = coo_stiffness(mesh, active, mat)
-            assert np.array_equal(ids, ref_ids)
-            assert k.shape == ref.shape
-            assert np.array_equal(k.indptr, ref.indptr)
-            assert np.array_equal(k.indices, ref.indices)
-            scale = np.abs(ref.data).max(initial=1.0)
-            assert np.abs(k.data - ref.data).max(initial=0.0) <= 1e-14 * scale
-            assert np.array_equal(k.rows, np.repeat(np.arange(k.shape[0]),
-                                                    np.diff(k.indptr)))
-            # product and diagonal as SciPy computes them
-            kk = scipy_csr(k)
-            x = np.random.default_rng(len(ids)).standard_normal(k.shape[0])
-            assert (k @ x).tobytes() == (kk @ x).tobytes()
-            assert k.diagonal().tobytes() == kk.diagonal().tobytes()
-            # the element blocks the intact reference keeps give bitwise
-            # the same matrix
-            weighted = np.flatnonzero(mesh.area_in_omega > 0.0)
-            kept, kept_ids = solver.assemble_stiffness(
-                mesh, active, mat,
-                solver._element_blocks(mesh, weighted, mat))
-            assert np.array_equal(kept_ids, ids)
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(kept, k))
-
-
-def test_band_block_is_scipy_submatrix(mesh16):
-    k, _ = solver.assemble_stiffness(mesh16, np.arange(mesh16.n_triangles),
-                                     MaterialModel(elasticity=SPD_ELASTICITY))
-    rng = np.random.default_rng(4)
-    order = mesh16.band_order
-    for keep in (rng.random(k.shape[0]) >= 0.2, np.zeros(k.shape[0], bool),
-                 np.ones(k.shape[0], bool)):
-        for dofs in (order[keep[order]], order[keep[order]][::-1]):
-            band = k.band_block(dofs)
-            assert band.flags.f_contiguous
-            ref = scipy_csr(k)[dofs][:, dofs].toarray()
-            dense = dense_of_band(band)
-            # the upper triangle as it is; the lower one mirrors it, which
-            # the roundoff of the element blocks leaves unequal in the last
-            # bits
-            assert np.triu(dense).tobytes() == np.triu(ref).tobytes()
-            scale = np.abs(ref).max(initial=1.0)
-            assert np.abs(dense - ref).max(initial=0.0) <= 1e-14 * scale
-            # the half-bandwidth is the block's own
-            rows, cols = np.nonzero(ref)
-            assert band.shape[0] == (cols - rows).max(initial=0) + 1
+    weighted = mesh.area_in_omega > 0.0
+    masks = [np.zeros(mesh.n_triangles, dtype=bool),
+             np.ones(mesh.n_triangles, dtype=bool)]
+    masks += [rng.random(mesh.n_triangles) >= frac for frac in (0.1, 0.5, 0.9)]
+    order = mesh.band_order
+    n = len(order)
+    orders = [(order, 0), (order[n // 3:2 * n // 3], 60),
+              (order[n // 2:][::-1], 0), (rng.permutation(order), 0)]
+    for mat in (MaterialModel(), MaterialModel(elasticity=SPD_ELASTICITY)):
+        elements = solver._intact_reference(mesh, mat).elements
+        for mask in masks:
+            active = mask[weighted]
+            k = coo_stiffness(mesh, np.flatnonzero(mask), mat)[0]
+            for dofs, kd in orders:
+                band = solver.assemble_stiffness(elements, active, dofs, kd)
+                assert band.flags.f_contiguous
+                want = band_by_loop(elements, active, dofs, kd)
+                assert band.shape == want.shape
+                assert band.tobytes() == want.tobytes()
+                ref = k[dofs][:, dofs].toarray()
+                scale = np.abs(ref).max(initial=1.0)
+                assert np.abs(np.triu(dense_of_band(band) - ref)).max(
+                    initial=0.0) <= 1e-14 * scale
+            x = rng.standard_normal(2 * mesh.n_nodes)
+            bound = (abs(k) @ np.abs(x)).max(initial=0.0)
+            assert np.abs(elements.product(active, x) - k @ x).max() <= \
+                1e-14 * bound
+            diag, want = elements.diagonal(active), k.diagonal()
+            assert np.array_equal(diag > 0.0, want > 0.0)
+            assert np.abs(diag - want).max() <= \
+                1e-14 * np.abs(want).max(initial=1.0)
 
 
 def _mesh_half_bandwidth(mesh):
-    k, _ = solver.assemble_stiffness(mesh, np.arange(mesh.n_triangles),
-                                     MaterialModel())
-    return k.band_block(mesh.band_order).shape[0] - 1
+    """The widest span of band rows among the dofs of a weighted
+    triangle."""
+    row = np.argsort(mesh.band_order)
+    tris = mesh.triangles[mesh.area_in_omega > 0.0]
+    rows = row[2 * tris[:, :, None] + np.arange(2)].reshape(len(tris), 6)
+    return int((rows.max(axis=1) - rows.min(axis=1)).max())
 
 
 @pytest.mark.parametrize("width,height", [(2.0, 1.0), (1.0, 2.0), (1.0, 1.0)])
@@ -497,25 +470,22 @@ def _dense_oracle(mesh, active, mat=None, pins=None):
     if mat is None:
         mat = MaterialModel()
     _solve(mesh, active, LOADS[0], mat, pins)
-    system = mesh.factor_slot.system
-    dofs = system.free_idx
+    slot = mesh.factor_slot
+    dofs = slot.free_idx
     pinned = mesh.collar_node_mask.copy()
     if pins is not None:
         pinned[pins] = True
-    mask = np.zeros(mesh.n_triangles, dtype=bool)
-    mask[active] = True
-    _, asm_ids = solver.assemble_stiffness(
-        mesh, np.flatnonzero(mask & (mesh.area_in_omega > 0.0)), mat)
-    free = solver._free_dofs(mesh, system.k, asm_ids, pinned)
+    k, asm_ids = coo_stiffness(mesh, np.unique(active), mat)
+    free = np.repeat(~pinned, 2) & (k.diagonal() > 0.0)
+    free[solver._gauge_pins(mesh, asm_ids, pinned)] = False
     order = mesh.band_order
     assert np.array_equal(dofs, order[free[order]])
-    kff = scipy_csr(system.k)[dofs][:, dofs].toarray()
+    kff = k[dofs][:, dofs].toarray()
     rhs = np.random.default_rng(1).standard_normal(len(dofs))
     ref = np.linalg.solve(kff, rhs)
-    err = np.linalg.norm(system.factor.solve(rhs) - ref) / \
-        np.linalg.norm(ref)
+    err = np.linalg.norm(slot.factor.solve(rhs) - ref) / np.linalg.norm(ref)
     assert err <= 1e-12
-    return system.factor
+    return slot.factor
 
 
 def test_factor_matches_dense_solve():
@@ -678,12 +648,8 @@ def test_lapack_holds_bundled_openblas_to_one_thread():
                                     [[0.0, 0.0], [0.0, 0.0]]],
                          ids=["rank1", "zero"])
 def test_factor_singular_raises(matrix):
-    import scipy.sparse as sp
-    kk = sp.csr_matrix(np.array(matrix))
-    k = solver.CSRMatrix(kk.indptr, kk.indices, kk.data,
-                         np.repeat(np.arange(2), np.diff(kk.indptr)))
     with pytest.raises(solver.SingularSystem):
-        solver._factor(k.band_block(np.arange(2)))
+        solver._factor(band_of_dense(matrix))
 
 
 def test_rank_ties_on_values_not_bytes(mesh16):

@@ -74,6 +74,32 @@ def test_one_band_factorization_call():
     assert found == [["solver._factor"]], found
 
 
+def test_element_blocks_computed_once_per_reference():
+    # element blocks are computed once per mesh and elasticity, by the
+    # intact reference, and every band and product is built from its copy
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs = list(_defs(tree, path.stem))
+        for line, name in _named(tree):
+            if name == "_element_blocks":
+                found.append([qual for qual, first, last in defs
+                              if first <= line <= last][-1:])
+    assert found == [["solver._intact_reference"]], found
+
+
+def test_no_module_global_looks_traced():
+    # the benchmark counts module globals carrying `__wrapped__` as traced
+    # functions, and an untraced run must count none; numpy's dispatched
+    # functions carry it, so the package reaches them through `np.`
+    modules = [importlib.import_module(f"quasifrac.{path.stem}")
+               for path in sorted(SRC.glob("*.py"))]
+    found = [f"{module.__name__}.{attr}" for module in modules
+             for attr, value in vars(module).items()
+             if callable(value) and hasattr(value, "__wrapped__")]
+    assert not found, f"module globals with __wrapped__: {found}"
+
+
 def test_benchmark_wrap_targets_exist():
     # the benchmark's span tracer wraps program functions and mesh tables by
     # name; loading it does not install it
