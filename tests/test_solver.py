@@ -433,6 +433,93 @@ def test_band_matches_loop_oracle(request, mesh_name):
                 1e-14 * np.abs(want).max(initial=1.0)
 
 
+def _assembly_cases(mesh16):
+    """(mesh, active ids): random sets at eps 1/16 and 1/64, every triangle,
+    the empty set, and criterion 7's strips."""
+    rng = np.random.default_rng(3)
+    cases = []
+    for mesh in (mesh16, make_mesh(1 / 64)):
+        for frac in (0.1, 0.5, 0.9):
+            keep = rng.random(mesh.n_triangles) >= frac
+            cases.append((mesh, rng.permutation(np.flatnonzero(keep))))
+        cases += [(mesh, np.arange(mesh.n_triangles)),
+                  (mesh, np.empty(0, dtype=np.int64))]
+    for n_cells in (4, 6):
+        strip = strip_mesh(n_cells)
+        cases += [(strip, np.arange(strip.n_triangles)), (strip, [5]),
+                  (strip, [2, 5]), (strip, [0, 3, 4, 7])]
+    return cases
+
+
+def _upper_band_of_sparse(k, kd):
+    """Upper band storage, half-bandwidth kd, of the SciPy matrix k, whose
+    upper triangle must lie within it."""
+    k = k.tocoo()
+    upper = k.row <= k.col
+    i, j = k.row[upper], k.col[upper]
+    assert (j - i).max(initial=0) <= kd
+    band = np.zeros((kd + 1, k.shape[0]), order="F")
+    band[kd + i - j, j] = k.data[upper]
+    return band
+
+
+def test_assemble_matches_coo_oracle(mesh16):
+    # the band of the active set on the mesh's band order is SciPy's COO to
+    # CSR result renumbered, its upper triangle to roundoff, on one mesh
+    # with the material alternating; the blocks' product and diagonal are
+    # SciPy's to roundoff
+    materials = (MaterialModel(), MaterialModel(elasticity=SPD_ELASTICITY))
+    references = {}
+    for mesh, active in _assembly_cases(mesh16):
+        weighted = np.flatnonzero(mesh.area_in_omega > 0.0)
+        mask = np.isin(weighted, active)
+        order = mesh.band_order
+        for mat in materials + materials:
+            key = (id(mesh), mat.elasticity.tobytes())
+            if key not in references:
+                references[key] = solver._intact_reference(mesh, mat).elements
+            elements = references[key]
+            ref, ref_ids = coo_stiffness(mesh, active, mat)
+            assert np.array_equal(weighted[mask], np.sort(ref_ids))
+            band = solver.assemble_stiffness(elements, mask, order, 0)
+            assert band.flags.f_contiguous
+            assert band.shape[1] == ref.shape[0]
+            want = _upper_band_of_sparse(ref[order][:, order],
+                                         band.shape[0] - 1)
+            scale = np.abs(ref.data).max(initial=1.0)
+            assert np.abs(band - want).max(initial=0.0) <= 1e-14 * scale
+            x = np.random.default_rng(len(ref_ids)).standard_normal(
+                ref.shape[0])
+            bound = (abs(ref) @ np.abs(x)).max(initial=0.0)
+            assert np.abs(elements.product(mask, x) - ref @ x).max(
+                initial=0.0) <= 1e-14 * bound
+            diag, want = elements.diagonal(mask), ref.diagonal()
+            assert np.array_equal(diag > 0.0, want > 0.0)
+            assert np.abs(diag - want).max(initial=0.0) <= 1e-14 * scale
+
+
+def test_band_block_is_scipy_submatrix(mesh16):
+    # the band on any subset of the band order, forwards or reversed, is
+    # the SciPy submatrix on those dofs, its half-bandwidth the block's own
+    mat = MaterialModel(elasticity=SPD_ELASTICITY)
+    elements = solver._intact_reference(mesh16, mat).elements
+    everything = np.ones(len(elements.dofs), dtype=bool)
+    k = coo_stiffness(mesh16, np.arange(mesh16.n_triangles), mat)[0]
+    rng = np.random.default_rng(4)
+    order = mesh16.band_order
+    for keep in (rng.random(k.shape[0]) >= 0.2, np.zeros(k.shape[0], bool),
+                 np.ones(k.shape[0], bool)):
+        for dofs in (order[keep[order]], order[keep[order]][::-1]):
+            band = solver.assemble_stiffness(elements, everything, dofs, 0)
+            assert band.flags.f_contiguous
+            ref = k[dofs][:, dofs].toarray()
+            dense = dense_of_band(band)
+            scale = np.abs(ref).max(initial=1.0)
+            assert np.abs(dense - ref).max(initial=0.0) <= 1e-14 * scale
+            rows, cols = np.nonzero(ref)
+            assert band.shape[0] == (cols - rows).max(initial=0) + 1
+
+
 def _mesh_half_bandwidth(mesh):
     """The widest span of band rows among the dofs of a weighted
     triangle."""
