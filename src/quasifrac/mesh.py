@@ -251,6 +251,17 @@ class Triangulation:
         return nb
 
     @cached_property
+    def tri_boxes(self):
+        """(order, boxes): the triangle ids in order of the least x of
+        their nodes, and the (4, m) rows xmin, ymin, xmax, ymax of the
+        nodes' bounding box of each triangle in that order, for finding
+        the triangles inside a rectangle."""
+        pts = self.nodes[self.triangles]
+        boxes = np.concatenate([pts.min(axis=1), pts.max(axis=1)], axis=1).T
+        order = np.argsort(boxes[0], kind="stable")
+        return order, np.ascontiguousarray(boxes[:, order])
+
+    @cached_property
     def node_tris(self):
         """CSR node-to-triangle incidence: (indptr, tri_ids)."""
         flat = self.triangles.ravel()

@@ -5,7 +5,9 @@ Two notions of connectivity are first-class and deliberately distinct:
 edge-connectivity (components of the open set, `components`) and
 vertex-connectivity (components of the closure, `closure_components`).
 Complement components are computed in the whole plane: everything beyond
-the triangulated region counts as one unbounded component.  Every
+the triangulated region counts as one unbounded component.  The bounded
+ones, holes, are counted by Euler's formula and labelled only inside the
+node bounding boxes of the closure components that have one.  Every
 connectivity query, here and in the solver's gauging and the boundary
 graph, goes through one numpy labelling function, `component_labels`,
 which names each component by its smallest node index.  Only the search
@@ -70,11 +72,11 @@ class TriangleSet:
 
     @cached_property
     def boundary_edges(self):
-        """Edges with exactly one incident member triangle."""
-        et = self.mesh.edge_tris
-        in0 = self.mask[et[:, 0]]
-        in1 = (et[:, 1] >= 0) & self.mask[np.maximum(et[:, 1], 0)]
-        return np.where(in0 ^ in1)[0]
+        """Sorted ids of the edges with exactly one incident member
+        triangle: those that occur once among the members' own edges."""
+        edges, count = np.unique(self.mesh.tri_edges[self.ids],
+                                 return_counts=True)
+        return edges[count == 1]
 
     @cached_property
     def boundary_length(self) -> float:
@@ -103,13 +105,15 @@ class TriangleSet:
 
     @cached_property
     def complement_components(self):
-        """Connected components of the plane minus the closure.
+        """Connected components of the plane minus the closure, all of them
+        labelled over the whole mesh.
 
         Returns (comps, bounded) where comps is a list of id arrays over
         non-member triangles.  The unbounded component (reached through the
         outside of the triangulated region) carries bounded=False; an empty
         id array stands for the pure outside when no non-member triangle
-        touches it.
+        touches it.  Void modification reads only the bounded ones, from
+        `holes`.
         """
         return complement_components(self.mesh, self.mask)
 
@@ -120,28 +124,36 @@ class TriangleSet:
         The closure K of the members is a planar complex with V vertices,
         E edges, F triangles and b0 components (`closure_components`).
         By Alexander duality the plane minus K has b0 - (V - E + F)
-        bounded components.  When the triangulated region is a closed
-        disk, as the background grid's rectangle is, these are exactly
-        the bounded entries of `complement_components`.
+        bounded components: the sum over the closure components K_c of
+        their own holes, 1 - (V_c - E_c + F_c) (`hole_counts`).  When the
+        triangulated region is a closed disk, as the background grid's
+        rectangle is, these are exactly the bounded entries of
+        `complement_components`.
         """
-        if not len(self.ids):
-            return 0
-        verts = np.unique(self.mesh.triangles[self.ids])
-        edges = np.unique(self.mesh.tri_edges[self.ids])
-        euler = len(verts) - len(edges) + len(self.ids)
-        return len(self.closure_components) - euler
+        return int(self._hole_counts.sum())
+
+    @cached_property
+    def _hole_counts(self):
+        return hole_counts(self.mesh, self.closure_components)
+
+    @cached_property
+    def holes(self):
+        """Bounded complement components as id arrays sorted by min id,
+        labelled only inside the boxes of the closure components with a
+        hole (see `bounded_components`)."""
+        if not self.n_holes:
+            return []
+        holed = [c for c, k in zip(self.closure_components,
+                                   self._hole_counts) if k]
+        return bounded_components(self.mesh, self.mask, holed)
 
     def saturation_ids(self) -> np.ndarray:
         """Member ids plus all triangles in bounded complement components;
-        the complement is labelled only when the Euler count finds a hole
-        (see `n_holes` for the condition on the mesh)."""
-        if not self.n_holes:
+        the complement is labelled only inside the node bounding boxes of
+        the closure components that Euler's formula finds a hole in."""
+        if not self.holes:
             return self.ids
-        comps, bounded = self.complement_components
-        extra = [c for c, b in zip(comps, bounded) if b]
-        if not extra:
-            return self.ids
-        return np.union1d(self.ids, np.concatenate(extra))
+        return np.unique(np.concatenate([self.ids, *self.holes]))
 
 
 def component_labels(n: int, edges) -> np.ndarray:
@@ -233,22 +245,101 @@ def closure_components_minus_vertex(mesh: Triangulation, mask, v: int):
     return _closure_components(mesh, mask, skip=int(v))
 
 
-def complement_components(mesh: Triangulation, mask):
+def _distinct(a) -> np.ndarray:
+    """Sorted distinct values of an int array, as `np.unique` gives them,
+    by one sort and a comparison of neighbors: on the few thousand values
+    of a set's vertices or edges this is several times faster than the
+    hashing `np.unique` does."""
+    a = np.sort(a, axis=None)
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return a[first]
+
+
+def euler_characteristic(mesh: Triangulation, ids) -> int:
+    """V - E + F of the closure of the distinct triangles `ids`."""
+    return (len(_distinct(mesh.triangles[ids]))
+            - len(_distinct(mesh.tri_edges[ids])) + len(ids))
+
+
+def hole_counts(mesh: Triangulation, comps) -> np.ndarray:
+    """1 - (V - E + F), the holes, of each closure component in `comps`,
+    all in one pass: the components share no vertex or edge, so each
+    vertex and edge is counted once, coded with its component's index."""
+    if not comps:
+        return np.zeros(0, dtype=np.int64)
+    sizes = np.array([len(c) for c in comps])
+    ids = np.concatenate(comps)
+    which = np.repeat(np.arange(len(comps)), sizes)[:, None]
+    n_v, n_e = mesh.n_nodes, len(mesh.edges)
+    v = _distinct(which * n_v + mesh.triangles[ids]) // n_v
+    e = _distinct(which * n_e + mesh.tri_edges[ids]) // n_e
+    k = len(comps)
+    return (1 - np.bincount(v, minlength=k) + np.bincount(e, minlength=k)
+            - sizes)
+
+
+def bounded_components(mesh: Triangulation, mask, holed):
+    """Bounded complement components of the member set `mask`, as id
+    arrays sorted by min id, given a list `holed` of closure components
+    that holds every one with a hole.
+
+    The outer boundary of a bounded component lies in one closure
+    component, which then has a hole, so the component lies inside that
+    closure component's node bounding box.  The complement is labelled
+    only over the triangles inside these boxes: a region component that
+    reaches a non-member outside them is not bounded, and every bounded
+    component is a whole region component.
+    """
+    if not holed:
+        return []
+    boxes = []
+    for c in holed:
+        pts = mesh.nodes[mesh.triangles[c]]
+        boxes.append((*pts.min(axis=(0, 1)), *pts.max(axis=(0, 1))))
+    comps, bounded = complement_components(mesh, mask,
+                                           _tris_in_boxes(mesh, boxes))
+    return [c for c, b in zip(comps, bounded) if b]
+
+
+def _tris_in_boxes(mesh: Triangulation, boxes):
+    """Sorted ids of the triangles whose nodes all lie in one of the
+    closed rectangles (x0, y0, x1, y1) of `boxes`; only the triangles
+    whose least x lies in a box's x range are tested."""
+    order, tb = mesh.tri_boxes
+    inside = np.zeros(mesh.n_triangles, dtype=bool)
+    for x0, y0, x1, y1 in boxes:
+        lo = np.searchsorted(tb[0], x0, side="left")
+        hi = np.searchsorted(tb[0], x1, side="right")
+        sub = tb[:, lo:hi]
+        inside[order[lo:hi][(sub[1] >= y0) & (sub[2] <= x1)
+                            & (sub[3] <= y1)]] = True
+    return np.flatnonzero(inside)
+
+
+def complement_components(mesh: Triangulation, mask, region=None):
     """Components of the open complement of the closed member set.
 
     Non-member triangles connect across shared edges; edges on the outer
     boundary of the triangulated region connect to the unbounded outside.
+    `region`, a sorted array of triangle ids, limits the labelling to its
+    non-members; an edge to a non-member outside it then also leads to
+    the outside.  The bounded components inside the region come out as
+    over the whole mesh, and the unbounded entry holds only the region's
+    share of the unbounded component.
     Returns (list of id arrays, list of bounded flags), sorted by min id
     with a possible trailing empty unbounded entry.
     """
-    comp_ids = np.where(~mask)[0]
+    comp_ids = np.where(~mask)[0] if region is None else region[~mask[region]]
     n = len(comp_ids)
     outside = n  # extra node, numbered last so it never names a component
     pos, pairs = _edge_graph(mesh, comp_ids)
-    rim = pos[mesh.edge_tris[mesh.mesh_boundary_edges, 0]]
-    rim = rim[rim >= 0]
+    nb = mesh.tri_neighbors[comp_ids]
+    # a rim edge, or an edge to a non-member left out of the labelling
+    exits = np.flatnonzero(
+        ((nb < 0) | ((pos[nb] < 0) & ~mask[nb])).any(axis=1))
     pairs = np.concatenate(
-        [pairs, np.column_stack([rim, np.full(len(rim), outside)])])
+        [pairs, np.column_stack([exits, np.full(len(exits), outside)])])
     lab = component_labels(n + 1, pairs)
     comps = _split_by_label(comp_ids, lab[:n])
     root_out = lab[outside]

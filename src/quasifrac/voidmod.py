@@ -14,12 +14,15 @@ makes the construction monotone under set inclusion.
 
 The passes cost in proportion to the set, not the mesh: edge-connectivity
 reads the members' rows of the neighbor table, holes are counted by
-Euler's formula on the closure (`TriangleSet.n_holes`), the pieces split
-at one vertex come from one depth-first search per set, a piece is
-healable when it owns no rim triangle, and triangle healing tests all
-members at once.  What still scales with the mesh is the labelling of the
-whole complement when a set does have holes, and the strain energies over
-the complement that the audit statistics report.
+Euler's formula on the closure (`TriangleSet.n_holes`; a connected piece
+needs no closure labelling) and labelled only inside the node bounding
+boxes of the closure components that hold one
+(`trisets.bounded_components`), the pieces split at one vertex come from
+one depth-first search per set, a piece is healable when it owns no rim
+triangle, and triangle healing tests all members at once.  What still
+scales with the mesh is the strain energy over the complement that the
+audit statistics report, taken from the whole mesh's strains in one pass,
+and the clipped areas of the inner window.
 """
 
 import math
@@ -30,7 +33,8 @@ import numpy as np
 
 from ._kernels import clip_areas_rect, strain_blocks, strains_from_values
 from .mesh import DisplacementField, Triangulation
-from .trisets import TriangleSet, component_labels
+from .trisets import (TriangleSet, bounded_components, component_labels,
+                      euler_characteristic)
 
 
 class VoidModError(Exception):
@@ -216,17 +220,12 @@ def _boundary_cycles(H: TriangleSet, comp_of, n_comps, degree):
 
 
 def fill_holes(A: TriangleSet, vm: VoidModParams) -> TriangleSet:
-    """Absorb bounded complement components of area <= eps^2/eta^2; the
-    complement is labelled only when the Euler count finds a hole."""
-    if not A.n_holes:
-        return A
+    """Absorb bounded complement components of area <= eps^2/eta^2; they
+    are labelled only inside the boxes of the closure components that
+    the Euler count finds a hole in (`TriangleSet.holes`)."""
     mesh = A.mesh
-    comps, bounded = A.complement_components
     budget = vm.hole_threshold(mesh.params.eps)
-    fill = []
-    for c, b in zip(comps, bounded):
-        if b and len(c) and float(mesh.areas[c].sum()) <= budget:
-            fill.append(c)
+    fill = [c for c in A.holes if float(mesh.areas[c].sum()) <= budget]
     if not fill:
         return A
     return TriangleSet(mesh, np.union1d(A.ids, np.concatenate(fill)))
@@ -307,22 +306,30 @@ def _extend_field(mesh: Triangulation, u: DisplacementField, z_ids,
     return out
 
 
-def _tri_strain_energy(mesh: Triangulation, u: DisplacementField, ids,
-                       weights=None) -> np.ndarray:
-    """Weighted squared Frobenius strain of each triangle in ids (area
-    weights by default)."""
+def _tri_strain_energy(mesh: Triangulation, u: DisplacementField,
+                       ids) -> np.ndarray:
+    """Area-weighted squared Frobenius strain of each triangle in ids."""
     s = strains_from_values(np.take(mesh.strain_gradients, ids, axis=1),
                             mesh.triangles[ids], u.values)
-    w = mesh.areas[ids] if weights is None else weights[ids]
-    return w * (s * s).sum(axis=1)
+    return mesh.areas[ids] * (s * s).sum(axis=1)
 
 
-def _frob_strain_energy(mesh: Triangulation, u: DisplacementField, ids,
-                        weights=None) -> float:
+def _frob_strain_energy(mesh: Triangulation, u: DisplacementField,
+                        ids) -> float:
     ids = np.asarray(ids, dtype=np.int64)
     if not len(ids):
         return 0.0
-    return float(_tri_strain_energy(mesh, u, ids, weights).sum())
+    return float(_tri_strain_energy(mesh, u, ids).sum())
+
+
+def _complement_strain_energy(u: DisplacementField, member_mask,
+                              weights) -> float:
+    """Weighted squared Frobenius strain summed over the non-members in id
+    order.  The terms come from the whole mesh's strains, which skips
+    gathering the complement's gradients; each is the same as over the
+    complement's ids alone."""
+    s = u.strains()
+    return float((weights * (s * s).sum(axis=1))[~member_mask].sum())
 
 
 def healing_ratio(mesh: Triangulation, u_new: DisplacementField,
@@ -439,10 +446,19 @@ def _sep_piece_candidates(B: TriangleSet, budget: float):
 
 
 def _small_saturation(mesh: Triangulation, p, budget: float):
-    """Saturation of the piece p when it is small and healable, else None."""
+    """Saturation of the piece p when it is small and healable, else None.
+
+    Every piece is closure-connected (a separating-vertex candidate or an
+    edge-component), so its holes number 1 - (V - E + F), counted without
+    labelling its closure; only a piece with a hole gets a mask."""
     if float(mesh.areas[p].sum()) > budget:
         return None  # saturation only grows the piece
-    sat = TriangleSet(mesh, p).saturation_ids()
+    sat = p
+    if euler_characteristic(mesh, p) < 1:
+        mask = np.zeros(mesh.n_triangles, dtype=bool)
+        mask[p] = True
+        sat = np.unique(np.concatenate(
+            [p, *bounded_components(mesh, mask, [p])]))
     if float(mesh.areas[sat].sum()) > budget or not _piece_healable(mesh, sat):
         return None
     return sat
@@ -619,8 +635,7 @@ def modify_voids(A: TriangleSet, u: DisplacementField,
     eps = mesh.params.eps
     sin0 = math.sin(mesh.params.theta0)
     stats = {"area_A": A.area, "eta": vm.eta}
-    energy_in = _frob_strain_energy(mesh, u, np.flatnonzero(~A.mask),
-                                    weights=mesh.area_in_omega)
+    energy_in = _complement_strain_energy(u, A.mask, mesh.area_in_omega)
     stats["energy_in"] = energy_in
 
     if not len(A):
@@ -659,8 +674,7 @@ def modify_voids(A: TriangleSet, u: DisplacementField,
         w_in = clip_areas_rect(mesh.nodes, mesh.triangles, wx0, wy0, wx1, wy1)
         changed_tris = _changed_triangles(mesh, u, u_mod)
         changed_area = float(w_in[changed_tris].sum()) if len(changed_tris) else 0.0
-        energy_out = _frob_strain_energy(mesh, u_mod, np.flatnonzero(~a_mod.mask),
-                                         weights=w_in)
+        energy_out = _complement_strain_energy(u_mod, a_mod.mask, w_in)
     else:
         changed_area = 0.0
         energy_out = 0.0

@@ -163,6 +163,9 @@ TEST_ONLY = (
     ("mesh.ValidationReport.kinds", "violation kinds tests compare"),
     ("mesh.Triangulation.tris_of_node", "one node's fan, for test sets"),
     ("mesh.Triangulation.save", "writes mesh files the CLI tests load"),
+    ("trisets.TriangleSet.saturation_ids",
+     "saturation of any set; void modification saturates connected pieces "
+     "in `_small_saturation`, which tests check against it"),
     ("voidmod.BoundaryGraph.edge_count_identity",
      "edge-count identity of the boundary graph, checked by tests"),
     ("voidmod.BoundaryGraph.d_sum_identity",

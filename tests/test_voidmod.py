@@ -4,16 +4,20 @@ from functools import cached_property
 import numpy as np
 import pytest
 
+from quasifrac import trisets, voidmod
+from quasifrac._kernels import strains_from_values
 from quasifrac.mesh import DisplacementField, Triangulation, interpolate
-from quasifrac.trisets import TriangleSet
+from quasifrac.trisets import TriangleSet, complement_components
 from quasifrac.voidmod import (
     VoidModParams,
     build_boundary_graph,
     fill_holes,
+    _complement_strain_energy,
     _extend_field,
     _neighborhood,
     _piece_healable,
     _sep_piece_candidates,
+    _small_saturation,
     heal_triangles,
     healing_ratio,
     modify_voids,
@@ -537,13 +541,28 @@ def _saturation_cases(mesh):
     yield ring(0, nx, 0, ny, w=3)
     yield np.setdiff1d(np.arange(mesh.n_triangles), cell_tris(mesh, 8, 8))
     yield np.arange(mesh.n_triangles)
+    # holes found inside the boxes of the holed closure components: a
+    # single triangle as the island in a hole; a ring in the notch of a
+    # holed C whose box holds the ring's box; a ring in a mesh corner; the
+    # frame of the mesh split into two holes by a wall; and three rings
+    # nested around a blob, holes inside islands inside holes
+    yield np.concatenate([ring(3, 10, 3, 10, w=2), cell_tris(mesh, 6, 6)[:1]])
+    yield np.concatenate([ring(1, 7, 1, 5), block_ids(mesh, 6, 7, 5, 14),
+                          block_ids(mesh, 1, 7, 13, 14), ring(2, 5, 7, 11)])
+    yield ring(0, 4, 0, 4)
+    yield np.concatenate([ring(0, nx, 0, ny),
+                          block_ids(mesh, nx // 2, nx // 2 + 1, 0, ny)])
+    yield np.concatenate([ring(1, 16, 1, 16), ring(3, 14, 3, 14),
+                          ring(5, 12, 5, 12), block_ids(mesh, 7, 10, 7, 10)])
 
 
 def test_saturation_matches_bfs_oracle(mesh16, mesh32):
-    # the Euler count of holes, and the saturation it gates, agree with
-    # a breadth-first flood of the complement
+    # the Euler count of holes, the holes labelled inside the boxes of the
+    # holed closure components, and the saturation and filled set they
+    # give agree with a breadth-first flood of the whole complement
     n_holed = 0
     for mesh in (mesh16, mesh32):
+        budget = VM.hole_threshold(mesh.params.eps)
         for ids in _saturation_cases(mesh):
             ts = TriangleSet(mesh, ids)
             mask = np.zeros(mesh.n_triangles, dtype=bool)
@@ -552,8 +571,187 @@ def test_saturation_matches_bfs_oracle(mesh16, mesh32):
             holes = [c for c, b in zip(comps, bounded) if b]
             want = np.union1d(ts.ids, np.concatenate([ts.ids] + holes))
             assert ts.n_holes == len(holes)
+            assert len(ts.holes) == len(holes)
+            for got, hole in zip(ts.holes, holes):
+                assert got.dtype == np.int64 and np.array_equal(got, hole)
             assert np.array_equal(ts.saturation_ids(), want)
             assert ts.saturation_ids().dtype == np.int64
+            small = [c for c in holes if float(mesh.areas[c].sum()) <= budget]
+            assert np.array_equal(fill_holes(ts, VM).ids,
+                                  np.unique(np.concatenate([ts.ids, *small])))
+            n_holed += bool(holes)
+    assert n_holed >= 20
+
+
+def _oracle_holes(mesh, ids):
+    mask = np.zeros(mesh.n_triangles, dtype=bool)
+    mask[ids] = True
+    comps, bounded = bfs_complement(mesh, mask)
+    return [c for c, b in zip(comps, bounded) if b]
+
+
+def test_hole_counts_per_closure_component(mesh16):
+    # each closure component's count, taken for all components at once, is
+    # the number of bounded components of the plane minus it alone
+    for ids in _saturation_cases(mesh16):
+        comps = TriangleSet(mesh16, ids).closure_components
+        counts = trisets.hole_counts(mesh16, comps)
+        assert counts.tolist() == [
+            1 - trisets.euler_characteristic(mesh16, c) for c in comps]
+        for c, k in list(zip(comps, counts))[:12]:
+            assert k == len(_oracle_holes(mesh16, c))
+
+
+def test_complement_components_in_region(mesh16):
+    # over any sorted region, the bounded entries are the bounded
+    # components lying wholly inside it, and every labelled non-member is
+    # in exactly one entry; over all ids the result is the whole-mesh one
+    mesh = mesh16
+    m = mesh.n_triangles
+    rng = np.random.default_rng(17)
+    boxes = [(0.2, 0.1, 0.9, 0.6), (-0.25, -0.25, 0.5, 1.25),
+             (-1.0, -1.0, 2.0, 2.0)]
+    regions = [np.arange(m), np.arange(100, 400),
+               np.flatnonzero(rng.random(m) < 0.5)]
+    regions += [trisets._tris_in_boxes(mesh, [b]) for b in boxes]
+    for ids in _saturation_cases(mesh):
+        mask = np.zeros(m, dtype=bool)
+        mask[ids] = True
+        holes = _oracle_holes(mesh, ids)
+        whole = complement_components(mesh, mask)
+        for region in regions:
+            comps, bounded = complement_components(mesh, mask, region)
+            inside = [c.tolist() for c in holes if np.isin(c, region).all()]
+            assert [c.tolist() for c, b in zip(comps, bounded) if b] == inside
+            labelled = np.sort(np.concatenate([region[:0], *comps]))
+            assert np.array_equal(labelled, region[~mask[region]])
+        comps, bounded = complement_components(mesh, mask, np.arange(m))
+        assert bounded == whole[1]
+        assert all(np.array_equal(a, b) for a, b in zip(comps, whole[0]))
+
+
+def test_tris_in_boxes_by_loop(mesh16):
+    # a triangle is in a box when all three of its nodes are
+    boxes = [(0.2, 0.1, 0.9, 0.6), (0.7, 0.7, 1.3, 1.3),
+             (0.31, 0.31, 0.3101, 0.3101)]
+    for some in ([boxes[0]], boxes[:2], boxes):
+        want = [t for t in range(mesh16.n_triangles) if any(
+            all(x0 <= x <= x1 and y0 <= y <= y1
+                for x, y in mesh16.nodes[mesh16.triangles[t]])
+            for x0, y0, x1, y1 in some)]
+        got = trisets._tris_in_boxes(mesh16, some)
+        assert got.dtype == np.int64 and got.tolist() == want
+
+
+def test_small_ring_labels_only_its_box(mesh32, monkeypatch):
+    # a ring's hole is labelled over the ring's box, not the whole mesh
+    labelled = []
+
+    def counting(mesh, mask, region=None):
+        comps, bounded = label(mesh, mask, region)
+        labelled.append(sum(len(c) for c in comps))
+        return comps, bounded
+
+    label = trisets.complement_components
+    monkeypatch.setattr(trisets, "complement_components", counting)
+    hole = block_ids(mesh32, 5, 7, 5, 7)
+    ring = np.setdiff1d(block_ids(mesh32, 4, 8, 4, 8), hole)
+    ts = TriangleSet(mesh32, ring)
+    assert np.array_equal(fill_holes(ts, VM).ids, np.union1d(ring, hole))
+    assert np.array_equal(_small_saturation(mesh32, ring, math.inf),
+                          np.union1d(ring, hole))
+    assert labelled == [len(hole), len(hole)]
+    assert len(hole) < mesh32.n_triangles
+
+
+@pytest.mark.parametrize("name", ["mesh16", "mesh32"])
+def test_small_saturation_matches_set_route(name, request):
+    # on every candidate of `test_sep_candidates_random`'s sets and every
+    # edge-component, the Euler count of a connected piece gives the
+    # saturation of the piece as a set of its own
+    mesh = request.getfixturevalue(name)
+    rng = np.random.default_rng(41)
+    n_holed = 0
+    for _ in range(6):
+        density = rng.uniform(0.05, 0.5)
+        b = TriangleSet(mesh, np.flatnonzero(
+            rng.random(mesh.n_triangles) < density))
+        for p in _sep_piece_candidates(b, math.inf) + b.components:
+            sat = TriangleSet(mesh, p).saturation_ids()
+            n_holed += len(sat) > len(p)
+            for budget in (VM.hole_threshold(mesh.params.eps), math.inf):
+                got = _small_saturation(mesh, p, budget)
+                if (float(mesh.areas[p].sum()) > budget
+                        or float(mesh.areas[sat].sum()) > budget
+                        or not _piece_healable(mesh, sat)):
+                    assert got is None
+                else:
+                    assert got.dtype == np.int64 and np.array_equal(got, sat)
+    assert n_holed >= 3
+
+
+def _per_id_energy(mesh, u, ids, weights):
+    """Weighted squared strain summed over `ids`, from their rows alone."""
+    s = strains_from_values(np.take(mesh.strain_gradients, ids, axis=1),
+                            mesh.triangles[ids], u.values)
+    return float((weights[ids] * (s * s).sum(axis=1)).sum())
+
+
+def test_complement_strain_energy_is_per_id_sum(mesh32):
+    # the audit energies equal the sum over the complement's ids, bit for
+    # bit, and energy_in is that sum under the omega weights
+    rng = np.random.default_rng(29)
+    u = smooth_field(mesh32, 3)
+    weights = rng.random(mesh32.n_triangles)
+    for density in (0.0, 0.1, 0.5, 1.0):
+        ids = np.flatnonzero(rng.random(mesh32.n_triangles) < density)
+        a = TriangleSet(mesh32, ids)
+        out = np.flatnonzero(~a.mask)
+        assert _complement_strain_energy(u, a.mask, weights) == \
+            _per_id_energy(mesh32, u, out, weights)
+        res = modify_voids(a, u, VM)
+        assert res.stats["energy_in"] == _per_id_energy(
+            mesh32, u, out, mesh32.area_in_omega)
+
+
+def test_boundary_edges_match_edge_table_scan(mesh16, mesh32):
+    # the edges met once among the members' own are those with exactly one
+    # member at their two sides in the edge table, rim edges included
+    for mesh in (mesh16, mesh32):
+        et = mesh.edge_tris
+        for ids in _saturation_cases(mesh):
+            ts = TriangleSet(mesh, ids)
+            in0 = ts.mask[et[:, 0]]
+            in1 = (et[:, 1] >= 0) & ts.mask[np.maximum(et[:, 1], 0)]
+            assert ts.boundary_edges.dtype == np.int64
+            assert np.array_equal(ts.boundary_edges, np.where(in0 ^ in1)[0])
+
+
+def test_boundary_graph_labels_whole_complement(mesh16, mesh32, monkeypatch):
+    # the graph's Euler identity checks its bounded faces against an
+    # independent count, so they come from labelling the whole complement,
+    # never from the Euler count or the box-limited labelling
+    def refuse(*args, **kwargs):
+        raise AssertionError("hole count taken from the Euler path")
+
+    def whole_only(mesh, mask, region=None):
+        assert region is None
+        return label(mesh, mask)
+
+    label = trisets.complement_components
+    monkeypatch.setattr(trisets, "complement_components", whole_only)
+    for module in (trisets, voidmod):
+        monkeypatch.setattr(module, "euler_characteristic", refuse)
+        monkeypatch.setattr(module, "bounded_components", refuse)
+    n_holed = 0
+    for mesh in (mesh16, mesh32):
+        for ids in list(_saturation_cases(mesh))[1:]:
+            g = build_boundary_graph(TriangleSet(mesh, ids))
+            holes = _oracle_holes(mesh, ids)
+            assert g.n_bounded_complement == len(holes)
+            assert g.euler_identity()[0] == g.euler_identity()[1]
+            assert g.edge_count_identity()[0] == g.edge_count_identity()[1]
+            assert g.d_sum_identity()[0] == g.d_sum_identity()[1]
             n_holed += bool(holes)
     assert n_holed >= 20
 
