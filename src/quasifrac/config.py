@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import EnergyError, MaterialModel
+from .energy import EnergyError, MaterialModel, _g17
 from .evolution import LoadProgram, eta_schedule
 from .mesh import Domain, MeshParams, Triangulation
 from .solver import SolveOptions
@@ -58,10 +58,6 @@ _SCHEMA = [
     ("export_vtu", ("flag", None, False)),
 ]
 _SCHEMA_MAP = {k: spec for k, spec in _SCHEMA}
-
-
-def _g17(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _parse_value(key, spec, raw, line_no):

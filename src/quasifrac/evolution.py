@@ -244,7 +244,7 @@ def run_evolution(domain: Domain, params: MeshParams, material: MaterialModel,
 
             accum_prev = accum_ids
             new_ids = np.setdiff1d(res.cracked_now.ids, accum_prev)
-            accum_ids = np.union1d(accum_prev, new_ids)
+            accum_ids = res.cracked_now.ids
             area_prime = sum(mesh.area_in_omega_prime[new_ids].tolist(),
                              area_prime)
 

@@ -14,7 +14,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -228,18 +227,6 @@ class Triangulation:
         return np.hypot(d[:, 0], d[:, 1])
 
     @cached_property
-    def mesh_boundary_edges(self):
-        """Edges on the outer boundary of the triangulated region."""
-        return np.where(self.edge_tris[:, 1] < 0)[0]
-
-    @cached_property
-    def tri_on_mesh_boundary(self):
-        """Triangles owning at least one outer-boundary edge."""
-        out = np.zeros(self.n_triangles, dtype=bool)
-        out[self.edge_tris[self.mesh_boundary_edges, 0]] = True
-        return out
-
-    @cached_property
     def tri_neighbors(self):
         """(m,3) edge-neighbor ids, -1 where the edge is on the outer boundary."""
         et = self.edge_tris
@@ -270,10 +257,6 @@ class Triangulation:
         counts = np.bincount(flat, minlength=self.n_nodes)
         indptr = np.concatenate([[0], np.cumsum(counts)])
         return indptr.astype(np.int64), tri_ids.astype(np.int64)
-
-    def tris_of_node(self, v: int):
-        indptr, tri_ids = self.node_tris
-        return tri_ids[indptr[v]:indptr[v + 1]]
 
     @cached_property
     def strain_gradients(self):
@@ -402,22 +385,18 @@ class Triangulation:
             json.dump(self.to_dict(), f)
 
     @staticmethod
-    def from_dict(d, domain: Optional[Domain] = None) -> "Triangulation":
+    def from_dict(d) -> "Triangulation":
+        """Mesh of a mesh-file dict (see `to_dict`); raises MeshError when
+        the file names no domain."""
+        if "domain" not in d:
+            raise MeshError("mesh file has no domain")
         p = d["params"]
         params = MeshParams(theta0=float(p["theta0"]), eps=float(p["eps"]),
                             omega_factor=float(p.get("omega_factor", 1e6)))
-        nodes = np.asarray(d["nodes"], dtype=float)
-        if domain is None:
-            if "domain" in d:
-                domain = Domain.from_dict(d["domain"])
-            else:
-                x0, y0 = nodes.min(axis=0)
-                x1, y1 = nodes.max(axis=0)
-                pad = params.grid_spacing
-                domain = Domain((x0 + pad, y0 + pad, x1 - pad, y1 - pad),
-                                (x0, y0, x1, y1))
         grid_shape = tuple(d["grid_shape"]) if "grid_shape" in d else None
-        return Triangulation(nodes, np.asarray(d["triangles"]), domain, params,
+        return Triangulation(np.asarray(d["nodes"], dtype=float),
+                             np.asarray(d["triangles"]),
+                             Domain.from_dict(d["domain"]), params,
                              grid_shape=grid_shape)
 
     @staticmethod

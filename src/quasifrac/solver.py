@@ -64,7 +64,7 @@ from .energy import (
     _energy_of_density,
 )
 from .mesh import DisplacementField, Triangulation
-from .trisets import (TriangleSet, _edge_graph, _split_by_label,
+from .trisets import (TriangleSet, _distinct, _edge_graph, _split_by_label,
                       component_labels)
 
 
@@ -183,7 +183,7 @@ def _gauge_pins(mesh: Triangulation, asm_ids, pinned_node_mask):
     nn = mesh.n_nodes
     _, pairs = _edge_graph(mesh, ids)
     piece = component_labels(len(ids), pairs)
-    code = np.unique(np.repeat(piece, 3) * nn + mesh.triangles[ids].ravel())
+    code = _distinct(np.repeat(piece, 3) * nn + mesh.triangles[ids].ravel())
     p, v = np.divmod(code, nn)  # (piece, node) incidences
     fixed = pinned_node_mask.copy()
     while True:
@@ -654,9 +654,11 @@ def minimize_step(mesh: Triangulation, hist_ids, bc: DisplacementField,
     it never raises the energy, and a saturated triangle straddling the
     body boundary stays elastic while that is cheaper.  Starts cover the
     pure-elastic solution; given `shift_field` (the previous field plus
-    the boundary increment), the shifted previous state, whose energy is
-    also scored directly so the step never regresses behind that
-    competitor, and the crack set of the previous state (the history set
+    the boundary increment), the crack set of the shifted previous state,
+    whose first iterate is never worse than that state (the solve with
+    its crack set frozen cannot raise the elastic energy, nor the
+    reclassification the history energy), so the step never regresses
+    behind it, and the crack set of the previous state (the history set
     itself: the history holds the previous step's crack set, so under the
     previous field no other triangle cracks); a greedy ladder cracking
     only the most strained triangles of the elastic solution; and seeded
@@ -688,9 +690,6 @@ def minimize_step(mesh: Triangulation, hist_ids, bc: DisplacementField,
     if shift_field is not None:
         sc = _evaluate(mesh, shift_field, shift_field.strains(), hist_ids,
                        material)
-        if _better(sc, best):
-            best = sc
-            best_converged = False
         starts.append(sc[2].ids)
         # the previous state's crack set: its walk is the elastic
         # candidate's followed by start 0's, all memo hits, so it never
@@ -702,7 +701,7 @@ def minimize_step(mesh: Triangulation, hist_ids, bc: DisplacementField,
         order = fresh[np.argsort(-sq, kind="stable")]
         j = 1
         while j < len(order) and len(starts) < opts.multi_starts:
-            starts.append(np.union1d(hist_ids, order[:j]))
+            starts.append(_distinct(np.concatenate([hist_ids, order[:j]])))
             j *= 2
     crackable = None  # built for the first random start
     while len(starts) < opts.multi_starts:
@@ -713,7 +712,7 @@ def minimize_step(mesh: Triangulation, hist_ids, bc: DisplacementField,
             break
         k = int(rng.integers(1, max(2, len(crackable) // 4 + 2)))
         pick = rng.choice(crackable, size=min(k, len(crackable)), replace=False)
-        starts.append(np.union1d(hist_ids, pick))
+        starts.append(_distinct(np.concatenate([hist_ids, pick])))
 
     for s0 in starts:
         s_ids = np.asarray(s0, dtype=np.int64)

@@ -12,6 +12,8 @@ connectivity query, here and in the solver's gauging and the boundary
 graph, goes through one numpy labelling function, `component_labels`,
 which names each component by its smallest node index.  Only the search
 for cut vertices in void modification walks its small graph depth-first.
+Every dedupe of ids in the package goes through one function, `_distinct`;
+`np.unique` is called only for an inverse or counts.
 """
 
 from dataclasses import dataclass, field
@@ -31,7 +33,7 @@ class TriangleSet:
     ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     def __post_init__(self):
-        ids = np.unique(np.asarray(self.ids, dtype=np.int64))
+        ids = _distinct(np.asarray(self.ids, dtype=np.int64))
         if len(ids) and (ids[0] < 0 or ids[-1] >= self.mesh.n_triangles):
             raise ValueError("triangle id out of range")
         self.ids = ids
@@ -65,10 +67,6 @@ class TriangleSet:
     def area(self) -> float:
         """Full area of the member triangles."""
         return float(self.mesh.areas[self.ids].sum())
-
-    @cached_property
-    def area_in_omega_prime(self) -> float:
-        return float(self.mesh.area_in_omega_prime[self.ids].sum())
 
     @cached_property
     def boundary_edges(self):
@@ -146,14 +144,6 @@ class TriangleSet:
         holed = [c for c, k in zip(self.closure_components,
                                    self._hole_counts) if k]
         return bounded_components(self.mesh, self.mask, holed)
-
-    def saturation_ids(self) -> np.ndarray:
-        """Member ids plus all triangles in bounded complement components;
-        the complement is labelled only inside the node bounding boxes of
-        the closure components that Euler's formula finds a hole in."""
-        if not self.holes:
-            return self.ids
-        return np.unique(np.concatenate([self.ids, *self.holes]))
 
 
 def component_labels(n: int, edges) -> np.ndarray:
@@ -246,10 +236,11 @@ def closure_components_minus_vertex(mesh: Triangulation, mask, v: int):
 
 
 def _distinct(a) -> np.ndarray:
-    """Sorted distinct values of an int array, as `np.unique` gives them,
-    by one sort and a comparison of neighbors: on the few thousand values
-    of a set's vertices or edges this is several times faster than the
-    hashing `np.unique` does."""
+    """Sorted distinct values of an int array of any shape, as `np.unique`
+    gives them, by one sort and a comparison of neighbors: on the few
+    thousand values of a set's vertices or edges this is several times
+    faster than the hashing `np.unique` does.  The package's one dedupe
+    (a union is the `_distinct` of a concatenation)."""
     a = np.sort(a, axis=None)
     first = np.ones(len(a), dtype=bool)
     first[1:] = a[1:] != a[:-1]
@@ -291,8 +282,6 @@ def bounded_components(mesh: Triangulation, mask, holed):
     reaches a non-member outside them is not bounded, and every bounded
     component is a whole region component.
     """
-    if not holed:
-        return []
     boxes = []
     for c in holed:
         pts = mesh.nodes[mesh.triangles[c]]
@@ -343,7 +332,7 @@ def complement_components(mesh: Triangulation, mask, region=None):
     lab = component_labels(n + 1, pairs)
     comps = _split_by_label(comp_ids, lab[:n])
     root_out = lab[outside]
-    bounded = (np.unique(lab[:n]) != root_out).tolist()
+    bounded = (_distinct(lab[:n]) != root_out).tolist()
     if root_out == outside:
         comps.append(np.empty(0, dtype=np.int64))
         bounded.append(False)

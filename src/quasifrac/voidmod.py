@@ -19,10 +19,11 @@ needs no closure labelling) and labelled only inside the node bounding
 boxes of the closure components that hold one
 (`trisets.bounded_components`), the pieces split at one vertex come from
 one depth-first search per set, a piece is healable when it owns no rim
-triangle, and triangle healing tests all members at once.  What still
-scales with the mesh is the strain energy over the complement that the
-audit statistics report, taken from the whole mesh's strains in one pass,
-and the clipped areas of the inner window.
+triangle (no -1 in its rows of the neighbor table), and triangle healing
+tests all members at once.  What still scales with the mesh is the strain
+energy over the complement that the audit statistics report, taken from
+the whole mesh's strains in one pass, and the clipped areas of the inner
+window.
 """
 
 import math
@@ -33,8 +34,8 @@ import numpy as np
 
 from ._kernels import clip_areas_rect, strain_blocks, strains_from_values
 from .mesh import DisplacementField, Triangulation
-from .trisets import (TriangleSet, bounded_components, component_labels,
-                      euler_characteristic)
+from .trisets import (TriangleSet, _distinct, bounded_components,
+                      component_labels, euler_characteristic)
 
 
 class VoidModError(Exception):
@@ -106,14 +107,6 @@ class BoundaryGraph:
         return (lhs, rhs)
 
 
-def _boundary_degrees(tset: TriangleSet):
-    mesh = tset.mesh
-    be = tset.boundary_edges
-    pairs = mesh.edges[be]
-    deg = np.bincount(pairs.ravel(), minlength=mesh.n_nodes)
-    return be, deg
-
-
 def _boundary_members(tset: TriangleSet):
     """(boundary edges, the member triangle owning each)."""
     be = tset.boundary_edges
@@ -127,7 +120,8 @@ def build_boundary_graph(H: TriangleSet) -> BoundaryGraph:
     if not len(H):
         raise VoidModError("boundary graph of an empty set")
     mesh = H.mesh
-    be, deg = _boundary_degrees(H)
+    be = H.boundary_edges
+    deg = np.bincount(mesh.edges[be].ravel(), minlength=mesh.n_nodes)
     verts = np.where(deg > 0)[0]
     degree = {int(v): int(deg[v]) for v in verts}
     v2l = {}
@@ -228,18 +222,11 @@ def fill_holes(A: TriangleSet, vm: VoidModParams) -> TriangleSet:
     fill = [c for c in A.holes if float(mesh.areas[c].sum()) <= budget]
     if not fill:
         return A
-    return TriangleSet(mesh, np.union1d(A.ids, np.concatenate(fill)))
+    return TriangleSet(mesh, np.concatenate([A.ids, *fill]))
 
 
 # ---------------------------------------------------------------------------
 # healing primitives
-
-
-def _nodes_of(mesh: Triangulation, ids) -> np.ndarray:
-    ids = np.asarray(ids, dtype=np.int64)
-    if not len(ids):
-        return np.empty(0, dtype=np.int64)
-    return np.unique(mesh.triangles[ids].ravel())
 
 
 def _node_fans(mesh: Triangulation, nodes):
@@ -254,8 +241,8 @@ def _node_fans(mesh: Triangulation, nodes):
 
 def _neighborhood(mesh: Triangulation, z_ids) -> np.ndarray:
     """Triangles outside Z whose closure meets the closure of Z."""
-    _, fan = _node_fans(mesh, _nodes_of(mesh, z_ids))
-    fan = np.unique(fan)
+    _, fan = _node_fans(mesh, _distinct(mesh.triangles[z_ids]))
+    fan = _distinct(fan)
     return fan[~np.isin(fan, z_ids)]
 
 
@@ -268,7 +255,7 @@ def _piece_healable(mesh: Triangulation, z_ids) -> bool:
     it has a boundary edge, and as that edge is not on the rim, the
     triangle across it lies outside the piece."""
     z_ids = np.asarray(z_ids, dtype=np.int64)
-    return len(z_ids) > 0 and not mesh.tri_on_mesh_boundary[z_ids].any()
+    return len(z_ids) > 0 and not (mesh.tri_neighbors[z_ids] < 0).any()
 
 
 def _extend_field(mesh: Triangulation, u: DisplacementField, z_ids,
@@ -282,8 +269,8 @@ def _extend_field(mesh: Triangulation, u: DisplacementField, z_ids,
     """
     z_ids = np.asarray(z_ids, dtype=np.int64)
     data_ids = np.asarray(data_ids, dtype=np.int64)
-    znodes = _nodes_of(mesh, z_ids)
-    shared = np.isin(znodes, _nodes_of(mesh, data_ids))
+    znodes = _distinct(mesh.triangles[z_ids])
+    shared = np.isin(znodes, _distinct(mesh.triangles[data_ids]))
     if shared.all():
         return u
     out = u.copy()
@@ -317,8 +304,6 @@ def _tri_strain_energy(mesh: Triangulation, u: DisplacementField,
 def _frob_strain_energy(mesh: Triangulation, u: DisplacementField,
                         ids) -> float:
     ids = np.asarray(ids, dtype=np.int64)
-    if not len(ids):
-        return 0.0
     return float(_tri_strain_energy(mesh, u, ids).sum())
 
 
@@ -335,7 +320,8 @@ def _complement_strain_energy(u: DisplacementField, member_mask,
 def healing_ratio(mesh: Triangulation, u_new: DisplacementField,
                   u_old: DisplacementField, z_ids, data_ids) -> float:
     """||e(u_new)||^2 over Z plus data, relative to ||e(u_old)||^2 on data."""
-    num = _frob_strain_energy(mesh, u_new, np.union1d(z_ids, data_ids))
+    num = _frob_strain_energy(mesh, u_new,
+                              _distinct(np.concatenate([z_ids, data_ids])))
     den = _frob_strain_energy(mesh, u_old, data_ids)
     if den == 0.0:
         return 0.0
@@ -369,7 +355,7 @@ def _sep_piece_candidates(B: TriangleSet, budget: float):
     # (vertex, component) incidences; junctions touch two or more components
     flat = np.concatenate(comps)
     sizes = np.array([len(c) for c in comps])
-    code = np.unique(mesh.triangles[flat] * n_c
+    code = _distinct(mesh.triangles[flat] * n_c
                      + np.repeat(np.arange(n_c), sizes)[:, None])
     vert, comp = np.divmod(code, n_c)
     first = np.r_[True, vert[1:] != vert[:-1]]
@@ -457,7 +443,7 @@ def _small_saturation(mesh: Triangulation, p, budget: float):
     if euler_characteristic(mesh, p) < 1:
         mask = np.zeros(mesh.n_triangles, dtype=bool)
         mask[p] = True
-        sat = np.unique(np.concatenate(
+        sat = _distinct(np.concatenate(
             [p, *bounded_components(mesh, mask, [p])]))
     if float(mesh.areas[sat].sum()) > budget or not _piece_healable(mesh, sat):
         return None
@@ -504,8 +490,6 @@ def remove_separating_small(B: TriangleSet, u: DisplacementField,
     """Remove maximal small pieces hanging at separating vertices (and
     whole small closure components), healing the field over each; pieces
     touching the outer boundary of the triangulated region are kept."""
-    if not len(B):
-        return B, u
     stats = {} if stats is None else stats
     stats.setdefault("sep_removed", 0)
     keep = _maximal_small_pieces(B, vm)
@@ -520,8 +504,8 @@ def remove_separating_small(B: TriangleSet, u: DisplacementField,
 
 def _touch_points(mesh: Triangulation, piece_ids, other_mask) -> int:
     """Number of the piece's nodes that a triangle in other_mask shares."""
-    k, fan = _node_fans(mesh, _nodes_of(mesh, piece_ids))
-    return len(np.unique(k[other_mask[fan]]))
+    k, fan = _node_fans(mesh, _distinct(mesh.triangles[piece_ids]))
+    return len(_distinct(k[other_mask[fan]]))
 
 
 def _peel_round(W: TriangleSet, vm: VoidModParams):
@@ -630,21 +614,15 @@ def modify_voids(A: TriangleSet, u: DisplacementField,
                  vm: VoidModParams) -> ModResult:
     """Full void-modification pipeline producing A_mod, u_mod, and audit
     statistics (areas, boundary length, component count, healing
-    amplification, and the measured constants of the sharp bound)."""
+    amplification, and the measured constants of the sharp bound).  An
+    empty A takes the same path: the sets come out empty, the field
+    unchanged, and the stats carry the same keys as for any other A."""
     mesh = A.mesh
     eps = mesh.params.eps
     sin0 = math.sin(mesh.params.theta0)
     stats = {"area_A": A.area, "eta": vm.eta}
     energy_in = _complement_strain_energy(u, A.mask, mesh.area_in_omega)
     stats["energy_in"] = energy_in
-
-    if not len(A):
-        empty = TriangleSet(mesh)
-        stats.update(area_Amod=0.0, perim_Amod=0.0, n_components=0,
-                     healed_triangle_count=0, removed_component_count=0,
-                     energy_out=energy_in, c_eta=0.0, c_perimeter=0.0,
-                     c_components=0.0, max_heal_ratio=0.0, changed_area=0.0)
-        return ModResult(empty, u, empty, np.empty(0, dtype=np.int64), stats)
 
     b = fill_holes(A, vm)
     filled = np.setdiff1d(b.ids, A.ids)

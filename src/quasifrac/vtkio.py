@@ -4,6 +4,7 @@ polyline sets) for visualization of meshes, fields, and crack curves."""
 import numpy as np
 
 from .mesh import Triangulation
+from .trisets import _distinct
 
 
 class IoError(Exception):
@@ -142,7 +143,7 @@ def boundary_polyline(tset) -> tuple:
     be = tset.boundary_edges
     if not len(be):
         return np.zeros((0, 2)), []
-    used = np.unique(mesh.edges[be].ravel())
+    used = _distinct(mesh.edges[be])
     remap = {int(v): i for i, v in enumerate(used)}
     pts = mesh.nodes[used]
     segs = [(remap[int(mesh.edges[e, 0])], remap[int(mesh.edges[e, 1])])

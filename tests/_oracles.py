@@ -542,8 +542,10 @@ def sep_pieces_by_vertex(B):
     closure = B.closure_components
     pieces = [tuple(int(t) for t in c) for c in closure]
     comp_of = {int(t): i for i, c in enumerate(closure) for t in c}
+    indptr, tri_ids = mesh.node_tris
     for v in np.where(deg >= 4)[0]:
-        incident = [int(t) for t in mesh.tris_of_node(v) if B.mask[t]]
+        incident = [int(t) for t in tri_ids[indptr[v]:indptr[v + 1]]
+                    if B.mask[t]]
         if not incident:
             continue
         sub = np.zeros(mesh.n_triangles, dtype=bool)

@@ -177,6 +177,10 @@ def test_mesh_file_with_notch_rejected(mesh16):
     data["domain"]["notch"] = [[0.4, 0.4], [0.6, 0.4], [0.5, 0.6]]
     with pytest.raises(ValueError, match="notch"):
         Triangulation.from_dict(data)
+    # a file without a domain is refused rather than given a guessed one
+    del data["domain"]
+    with pytest.raises(MeshError, match="domain"):
+        Triangulation.from_dict(data)
 
 
 def test_field_shape_mismatch(mesh16):

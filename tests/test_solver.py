@@ -14,6 +14,7 @@ from quasifrac.energy import (
     MaterialModel,
     choose_crack_set,
     classify_cracked,
+    history_energy,
 )
 from quasifrac.mesh import (
     DisplacementField,
@@ -27,6 +28,7 @@ from quasifrac.solver import (
     minimize_step,
     solve_elastic,
 )
+from quasifrac.trisets import TriangleSet
 from conftest import AffineLoad, block_ids, make_mesh
 from _oracles import (band_by_loop, band_of_dense, coo_stiffness,
                       dense_of_band, kkt_residual)
@@ -189,6 +191,61 @@ def test_minimize_step_matches_oracle_small():
         e_oracle = exhaustive_minimum(mesh, bc, np.empty(0, dtype=np.int64),
                                       mat)
         assert res.energy.total == pytest.approx(e_oracle, abs=1e-9)
+
+
+def _opening_step():
+    """(mesh, bc) of the opening load at amplitude 3.2, t = 1, eps 1/16."""
+    cfg = parse_config("eps = 0.0625\namplitude = 3.2\nload = opening\n")
+    mesh = build_background_mesh(cfg.domain(), cfg.mesh_params())
+    return mesh, interpolate(mesh, cfg.load(), 1.0)
+
+
+def test_minimize_step_shifted_state_fixed_point():
+    # the start from the shifted state's crack set is never worse than the
+    # shifted state; when that state is the step's own minimizer, the
+    # walk returns it as a converged fixed point
+    mesh, bc = _opening_step()
+    mat = MaterialModel()
+    opts = SolveOptions(multi_starts=3, seed=1)
+    first = minimize_step(mesh, [], bc, mat, opts)
+    second = minimize_step(mesh, [], bc, mat, opts, shift_field=first.u)
+    shifted = history_energy(mesh, first.u, np.empty(0, dtype=np.int64), mat)
+    assert second.energy.total <= shifted.total
+    assert second.converged
+    assert second.u.values.tobytes() == first.u.values.tobytes()
+
+
+def test_minimize_step_cycling_exit(monkeypatch):
+    # a walk whose crack sets alternate between a and b stops at the
+    # repeat, unconverged, and returns the best iterate it saw
+    mesh, bc = _opening_step()
+    mat = MaterialModel()
+    opts = SolveOptions(multi_starts=1, seed=1)
+    fixed = minimize_step(mesh, [], bc, mat, opts)
+    a = fixed.cracked_now.ids
+    b = a[:-1]
+    # the elastic solve leads to a, and the walk from a alternates
+    lead = {solver._set_key([]): a, solver._set_key(a): b,
+            solver._set_key(b): a}
+    real = solver._FrozenSolves.candidate
+    walk = []
+
+    def alternating(self, s_ids):
+        (u, rep, _), strains = real(self, s_ids)
+        walk.append((u, rep))
+        return (u, rep, TriangleSet(mesh, lead[solver._set_key(s_ids)])), \
+            strains
+
+    monkeypatch.setattr(solver._FrozenSolves, "candidate", alternating)
+    res = minimize_step(mesh, [], bc, mat, opts)
+    assert len(walk) == 3
+    (u_a, rep_a), (u_b, rep_b) = walk[1:]
+    assert not res.converged
+    assert res.outer_iters == 2
+    assert res.energy_history == [rep_a.total, rep_b.total]
+    # the first iterate is the better one, not the last
+    assert rep_a.total < rep_b.total
+    assert res.energy is rep_a and res.u is u_a
 
 
 # factor reuse on the eps 1/64 mesh

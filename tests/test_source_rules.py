@@ -60,6 +60,37 @@ def test_no_einsum():
     assert not found, "einsum in the package:\n" + "\n".join(found)
 
 
+def _dedupe_calls(tree):
+    """(line, name) of every call of `unique` without `return_inverse` or
+    `return_counts`, and of every call of `union1d`."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else \
+            getattr(func, "id", None)
+        wants = {k.arg for k in node.keywords} & {"return_inverse",
+                                                   "return_counts"}
+        if name == "union1d" or (name == "unique" and not wants):
+            yield node.lineno, name
+
+
+def test_no_unique_without_inverse_or_counts():
+    # ids are deduped by trisets._distinct, one sort and a neighbor
+    # comparison; a bare np.unique of ints hashes, several times slower
+    sample = ast.parse(
+        "import numpy as np\nfrom numpy import union1d\nnp.unique(a)\n"
+        "np.unique(a, axis=0)\nnp.unique(a, return_inverse=True)\n"
+        "np.unique(a, return_counts=True)\nnp.union1d(a, b)\n"
+        "union1d(a, b)\n")
+    assert [line for line, _ in _dedupe_calls(sample)] == [3, 4, 7, 8]
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted(SRC.glob("*.py"))
+             for line, name in _dedupe_calls(ast.parse(path.read_text(
+                 encoding="utf-8")))]
+    assert not found, "dedupes outside _distinct:\n" + "\n".join(found)
+
+
 def test_one_band_factorization_call():
     # every band, the intact reference's halves included, is factored by
     # the one dpbtrf call in solver._factor
@@ -161,11 +192,7 @@ TEST_ONLY = (
      "minimality probe of a step; `study` does not report it yet"),
     ("energy.triangle_strain", "one triangle's strain tensor, for tests"),
     ("mesh.ValidationReport.kinds", "violation kinds tests compare"),
-    ("mesh.Triangulation.tris_of_node", "one node's fan, for test sets"),
     ("mesh.Triangulation.save", "writes mesh files the CLI tests load"),
-    ("trisets.TriangleSet.saturation_ids",
-     "saturation of any set; void modification saturates connected pieces "
-     "in `_small_saturation`, which tests check against it"),
     ("voidmod.BoundaryGraph.edge_count_identity",
      "edge-count identity of the boundary graph, checked by tests"),
     ("voidmod.BoundaryGraph.d_sum_identity",

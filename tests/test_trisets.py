@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from quasifrac.mesh import Domain, MeshParams, build_background_mesh
 from quasifrac.trisets import (
     TriangleSet,
     closure_components_minus_vertex,
@@ -79,7 +82,8 @@ def test_components_ring_with_hole(mesh16):
     comps, bounded = tset.complement_components
     assert bounded.count(True) == 1
     assert np.array_equal(comps[bounded.index(True)], np.sort(hole))
-    assert np.array_equal(tset.saturation_ids(), np.union1d(ring, hole))
+    assert len(tset.holes) == 1
+    assert np.array_equal(tset.holes[0], np.sort(hole))
 
 
 def test_components_empty_and_full(mesh16):
@@ -94,3 +98,36 @@ def test_components_empty_and_full(mesh16):
     assert len(tset.components) == 1 and len(tset.closure_components) == 1
     comps, bounded = tset.complement_components
     assert bounded == [False] and len(comps) == 1 and not len(comps[0])
+
+
+def _unit_grid():
+    """Background grid of unit cells on the square [0, 4]^2."""
+    return build_background_mesh(Domain((0.5, 0.5, 3.5, 3.5),
+                                        (0.0, 0.0, 4.0, 4.0)),
+                                 MeshParams(theta0=math.pi / 4,
+                                            eps=1 / math.sqrt(2)))
+
+
+@pytest.mark.parametrize("piece, rect, want", [
+    # the square [1, 3]^2: the left and top sides lie wholly outside; the
+    # bottom side is cut at x = 1.5 and the right side at y = 2.25
+    ("square", (1.5, 0.5, 5.0, 2.25), 0.5 + 1.0 + 1.0 + 0.25),
+    # sides lying along the rectangle's sides count; the next bottom edge
+    # meets the rectangle in one point
+    ("square", (1.0, 1.0, 2.0, 2.0), 2.0),
+    ("square", (3.5, 0.0, 5.0, 5.0), 0.0),   # every edge left of it
+    ("square", (-1.0, -1.0, 0.5, 5.0), 0.0),  # every edge right of it
+    ("square", (0.0, 0.0, 4.0, 4.0), 8.0),
+    # the triangle (1, 1), (2, 1), (2, 2): x >= 1.5 keeps half its bottom,
+    # its right side and half its diagonal
+    ("triangle", (1.5, 0.0, 5.0, 5.0), 0.5 + 1.0 + 0.5 * math.sqrt(2.0)),
+])
+def test_boundary_length_in_rect(piece, rect, want):
+    mesh = _unit_grid()
+    ids = block_ids(mesh, 1, 3, 1, 3) if piece == "square" else \
+        [cell_tris(mesh, 1, 1)[0]]
+    tset = TriangleSet(mesh, ids)
+    assert tset.boundary_length == pytest.approx(
+        8.0 if piece == "square" else 2.0 + math.sqrt(2.0), abs=1e-12)
+    assert tset.boundary_length_in_rect(rect) == pytest.approx(want,
+                                                               abs=1e-12)

@@ -35,6 +35,11 @@ def zero_field(mesh):
     return DisplacementField(mesh, np.zeros((mesh.n_nodes, 2)))
 
 
+def _fan(mesh, v):
+    """The triangles at node v."""
+    return voidmod._node_fans(mesh, np.array([v]))[1]
+
+
 def smooth_field(mesh, seed=0, scale=0.05):
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1, 1, size=6)
@@ -231,7 +236,7 @@ def test_sep_candidates_pinch_at_mesh_rim(mesh16):
     # two triangles meeting only at a node on the left rim of the mesh
     v = int(np.flatnonzero((mesh16.nodes[:, 0] == mesh16.nodes[:, 0].min())
                            & (mesh16.nodes[:, 1] > 0.5))[0])
-    fan = [int(t) for t in mesh16.tris_of_node(v)]
+    fan = _fan(mesh16, v).tolist()
     pair = [(s, t) for s in fan for t in fan if s < t and len(
         np.intersect1d(mesh16.triangles[s], mesh16.triangles[t])) == 1]
     assert pair
@@ -367,9 +372,35 @@ def test_heal_triangles_matches_loop_oracle(mesh16, mesh32):
 
 
 def test_modify_voids_empty(mesh16):
-    res = modify_voids(TriangleSet(mesh16), zero_field(mesh16), VM)
-    assert len(res.a_mod) == 0
-    assert res.stats["perim_Amod"] == 0.0
+    # an empty set takes the general path: empty sets, the field as it
+    # was, the stats of a nonempty input and no energy without a window
+    u = smooth_field(mesh16, 1)
+    res = modify_voids(TriangleSet(mesh16), u, VM)
+    assert len(res.a_mod) == len(res.t_mod) == len(res.filled) == 0
+    assert res.u_mod.values.tobytes() == u.values.tobytes()
+    band = modify_voids(TriangleSet(mesh16, block_ids(mesh16, 1, 15, 7, 8)),
+                        u, VM)
+    assert sorted(res.stats) == sorted(band.stats)
+    assert res.stats["window"] is None
+    assert res.stats["energy_out"] == 0.0
+    assert res.stats["perim_Amod"] == 0.0 and res.stats["n_components"] == 0
+
+
+def test_modify_voids_empty_in_window():
+    # with a nonempty inner window, an empty set's energy_out is the
+    # field's energy over the whole window
+    mesh = make_mesh(1 / 64, omega_factor=6)
+    u = smooth_field(mesh, 6)
+    res = modify_voids(TriangleSet(mesh), u, VoidModParams(eta=0.4))
+    window = res.stats["window"]
+    assert window is not None
+    assert res.u_mod.values.tobytes() == u.values.tobytes()
+    assert res.stats["changed_area"] == 0.0
+    strains = u.strains()
+    want = float((clip_areas_by_loop(mesh, window)
+                  * (strains ** 2).sum(axis=1)).sum())
+    assert res.stats["energy_out"] == pytest.approx(want, rel=1e-12)
+    assert 0.0 < res.stats["energy_out"] < res.stats["energy_in"]
 
 
 def test_modify_voids_band(mesh16):
@@ -437,7 +468,7 @@ def test_modify_voids_inner_window(eps_inv, eta):
     margin = 2 * 6 * eps + eps / eta ** 3
     window = (-0.25 + margin, -0.25 + margin, 1.25 - margin, 1.25 - margin)
     center = int(np.argmin(np.hypot(*(mesh.nodes - 0.5).T)))
-    fan = mesh.tris_of_node(center)
+    fan = _fan(mesh, center)
     # a one-cell band across the plate, kept because it reaches the rim
     band = block_ids(mesh, 0, mesh.grid_shape[0], eps_inv // 3,
                      eps_inv // 3 + 1)
@@ -485,7 +516,7 @@ def _fan_ring(mesh, i, j):
     triangle in between, which leaves those three as single-triangle
     holes."""
     v = j * (mesh.grid_shape[0] + 1) + i
-    fan = [int(t) for t in mesh.tris_of_node(v)]
+    fan = _fan(mesh, v).tolist()
     rows = mesh.triangles[fan]
     # the fan in angular order around v
     c = mesh.nodes[rows].mean(axis=1) - mesh.nodes[v]
@@ -558,8 +589,8 @@ def _saturation_cases(mesh):
 
 def test_saturation_matches_bfs_oracle(mesh16, mesh32):
     # the Euler count of holes, the holes labelled inside the boxes of the
-    # holed closure components, and the saturation and filled set they
-    # give agree with a breadth-first flood of the whole complement
+    # holed closure components, and the filled set they give agree with a
+    # breadth-first flood of the whole complement
     n_holed = 0
     for mesh in (mesh16, mesh32):
         budget = VM.hole_threshold(mesh.params.eps)
@@ -569,13 +600,10 @@ def test_saturation_matches_bfs_oracle(mesh16, mesh32):
             mask[ts.ids] = True
             comps, bounded = bfs_complement(mesh, mask)
             holes = [c for c, b in zip(comps, bounded) if b]
-            want = np.union1d(ts.ids, np.concatenate([ts.ids] + holes))
             assert ts.n_holes == len(holes)
             assert len(ts.holes) == len(holes)
             for got, hole in zip(ts.holes, holes):
                 assert got.dtype == np.int64 and np.array_equal(got, hole)
-            assert np.array_equal(ts.saturation_ids(), want)
-            assert ts.saturation_ids().dtype == np.int64
             small = [c for c in holes if float(mesh.areas[c].sum()) <= budget]
             assert np.array_equal(fill_holes(ts, VM).ids,
                                   np.unique(np.concatenate([ts.ids, *small])))
@@ -588,6 +616,12 @@ def _oracle_holes(mesh, ids):
     mask[ids] = True
     comps, bounded = bfs_complement(mesh, mask)
     return [c for c, b in zip(comps, bounded) if b]
+
+
+def _oracle_saturation(mesh, ids):
+    """Sorted ids of the set plus its holes, by the flood oracle."""
+    return np.unique(np.concatenate(
+        [np.asarray(ids, dtype=np.int64), *_oracle_holes(mesh, ids)]))
 
 
 def test_hole_counts_per_closure_component(mesh16):
@@ -668,7 +702,8 @@ def test_small_ring_labels_only_its_box(mesh32, monkeypatch):
 def test_small_saturation_matches_set_route(name, request):
     # on every candidate of `test_sep_candidates_random`'s sets and every
     # edge-component, the Euler count of a connected piece gives the
-    # saturation of the piece as a set of its own
+    # saturation of the piece as a set of its own, as the flood oracle
+    # finds it
     mesh = request.getfixturevalue(name)
     rng = np.random.default_rng(41)
     n_holed = 0
@@ -677,7 +712,7 @@ def test_small_saturation_matches_set_route(name, request):
         b = TriangleSet(mesh, np.flatnonzero(
             rng.random(mesh.n_triangles) < density))
         for p in _sep_piece_candidates(b, math.inf) + b.components:
-            sat = TriangleSet(mesh, p).saturation_ids()
+            sat = _oracle_saturation(mesh, p)
             n_holed += len(sat) > len(p)
             for budget in (VM.hole_threshold(mesh.params.eps), math.inf):
                 got = _small_saturation(mesh, p, budget)
@@ -767,7 +802,7 @@ def test_piece_healable_is_off_rim(mesh16, mesh32):
             if off_rim:
                 assert len(_neighborhood(mesh, np.unique(ids)))
             # the saturations, as `_small_saturation` tests them
-            sat = TriangleSet(mesh, ids).saturation_ids()
+            sat = _oracle_saturation(mesh, ids)
             assert _piece_healable(mesh, sat) is bool(
                 len(sat) and not rim[sat].any())
         for t in range(0, mesh.n_triangles, 7):  # single triangles
