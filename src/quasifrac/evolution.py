@@ -243,8 +243,10 @@ def run_evolution(domain: Domain, params: MeshParams, material: MaterialModel,
                 return trace
 
             accum_prev = accum_ids
-            new_ids = np.setdiff1d(res.cracked_now.ids, accum_prev)
+            was = np.zeros(mesh.n_triangles, dtype=bool)
+            was[accum_prev] = True
             accum_ids = res.cracked_now.ids
+            new_ids = accum_ids[~was[accum_ids]]
             area_prime = sum(mesh.area_in_omega_prime[new_ids].tolist(),
                              area_prime)
 

@@ -683,7 +683,9 @@ def minimize_step(mesh: Triangulation, hist_ids, bc: DisplacementField,
     best = cand
     best_hist = [cand[1].total]
     best_iters = 1
-    fresh = np.setdiff1d(cand[2].ids, hist_ids)
+    in_hist = np.zeros(mesh.n_triangles, dtype=bool)
+    in_hist[hist_ids] = True
+    fresh = cand[2].ids[~in_hist[cand[2].ids]]
     best_converged = len(fresh) == 0
 
     starts = [cand[2].ids]
@@ -706,8 +708,7 @@ def minimize_step(mesh: Triangulation, hist_ids, bc: DisplacementField,
     crackable = None  # built for the first random start
     while len(starts) < opts.multi_starts:
         if crackable is None:
-            crackable = np.setdiff1d(np.flatnonzero(~mesh.collar_mask),
-                                     hist_ids)
+            crackable = np.flatnonzero(~mesh.collar_mask & ~in_hist)
         if not len(crackable):
             break
         k = int(rng.integers(1, max(2, len(crackable) // 4 + 2)))

@@ -13,7 +13,8 @@ graph, goes through one numpy labelling function, `component_labels`,
 which names each component by its smallest node index.  Only the search
 for cut vertices in void modification walks its small graph depth-first.
 Every dedupe of ids in the package goes through one function, `_distinct`;
-`np.unique` is called only for an inverse or counts.
+`np.unique` is called only for an inverse or counts, and a difference or
+intersection of id sets is taken by mask selection.
 """
 
 from dataclasses import dataclass, field
@@ -47,8 +48,11 @@ class TriangleSet:
         return bool(np.isin(t, self.ids))
 
     def difference(self, other) -> "TriangleSet":
-        oids = other.ids if isinstance(other, TriangleSet) else np.asarray(other)
-        return TriangleSet(self.mesh, np.setdiff1d(self.ids, oids))
+        oids = other.ids if isinstance(other, TriangleSet) else \
+            np.asarray(other, dtype=np.int64)
+        drop = np.zeros(self.mesh.n_triangles, dtype=bool)
+        drop[oids] = True
+        return TriangleSet(self.mesh, self.ids[~drop[self.ids]])
 
     def issubset(self, other) -> bool:
         oids = other.ids if isinstance(other, TriangleSet) else np.asarray(other)
@@ -217,8 +221,8 @@ def _closure_components(mesh: Triangulation, mask, skip=-1):
     if not len(ids):
         return []
     tris = mesh.triangles[ids]
-    verts, inv = np.unique(tris, return_inverse=True)
-    inv = inv.reshape(tris.shape)
+    verts = _distinct(tris)
+    inv = np.searchsorted(verts, tris)
     tri_of = np.repeat(np.arange(len(ids)), 3).reshape(tris.shape)
     keep = tris != skip
     pairs = np.column_stack([tri_of[keep], len(ids) + inv[keep]])
@@ -247,16 +251,11 @@ def _distinct(a) -> np.ndarray:
     return a[first]
 
 
-def euler_characteristic(mesh: Triangulation, ids) -> int:
-    """V - E + F of the closure of the distinct triangles `ids`."""
-    return (len(_distinct(mesh.triangles[ids]))
-            - len(_distinct(mesh.tri_edges[ids])) + len(ids))
-
-
 def hole_counts(mesh: Triangulation, comps) -> np.ndarray:
-    """1 - (V - E + F), the holes, of each closure component in `comps`,
-    all in one pass: the components share no vertex or edge, so each
-    vertex and edge is counted once, coded with its component's index."""
+    """1 - (V - E + F), the holes, of each closure-connected piece in
+    `comps`, all in one pass: each vertex and edge is coded with its
+    piece's index, so pieces may overlap (as the candidates of void
+    modification do) and each counts its own."""
     if not comps:
         return np.zeros(0, dtype=np.int64)
     sizes = np.array([len(c) for c in comps])

@@ -20,10 +20,12 @@ boxes of the closure components that hold one
 (`trisets.bounded_components`), the pieces split at one vertex come from
 one depth-first search per set, a piece is healable when it owns no rim
 triangle (no -1 in its rows of the neighbor table), and triangle healing
-tests all members at once.  What still scales with the mesh is the strain
-energy over the complement that the audit statistics report, taken from
-the whole mesh's strains in one pass, and the clipped areas of the inner
-window.
+tests all members at once.  Each pass works on all its pieces together:
+the candidates of a pass are tested in one batch (`_small_saturations`,
+`_touch_counts`), and every piece a pass removes is healed in one batch
+(`_remove_pieces`).  What still scales with the mesh is the clipped
+areas of the inner window and the audit energies over the complement,
+whose strains are evaluated only on the triangles of positive weight.
 """
 
 import math
@@ -35,7 +37,7 @@ import numpy as np
 from ._kernels import clip_areas_rect, strain_blocks, strains_from_values
 from .mesh import DisplacementField, Triangulation
 from .trisets import (TriangleSet, _distinct, bounded_components,
-                      component_labels, euler_characteristic)
+                      component_labels, hole_counts)
 
 
 class VoidModError(Exception):
@@ -239,58 +241,17 @@ def _node_fans(mesh: Triangulation, nodes):
     return k, tri_ids[np.arange(len(k)) + (start - np.cumsum(count) + count)[k]]
 
 
-def _neighborhood(mesh: Triangulation, z_ids) -> np.ndarray:
-    """Triangles outside Z whose closure meets the closure of Z."""
-    _, fan = _node_fans(mesh, _distinct(mesh.triangles[z_ids]))
-    fan = _distinct(fan)
-    return fan[~np.isin(fan, z_ids)]
-
-
 def _piece_healable(mesh: Triangulation, z_ids) -> bool:
     """Gate: the piece is nonempty and owns no edge of the mesh rim.
 
     In a planar tiling (triangles meeting edge to edge, each edge in at
-    most two of them) such a piece always has a nonempty `_neighborhood`
-    to take healing data from: the union of its triangles is bounded, so
-    it has a boundary edge, and as that edge is not on the rim, the
-    triangle across it lies outside the piece."""
+    most two of them) such a piece always has a nonempty neighborhood (the
+    triangles outside it that share a vertex with it) to take healing data
+    from: the union of its triangles is bounded, so it has a boundary edge,
+    and as that edge is not on the rim, the triangle across it lies outside
+    the piece."""
     z_ids = np.asarray(z_ids, dtype=np.int64)
     return len(z_ids) > 0 and not (mesh.tri_neighbors[z_ids] < 0).any()
-
-
-def _extend_field(mesh: Triangulation, u: DisplacementField, z_ids,
-                  data_ids) -> DisplacementField:
-    """Extend u elastically over the piece Z from the data triangles.
-
-    The symmetric-gradient energy over Z is minimized with the nodes shared
-    with the data pinned (a minimum-norm solve fixes any leftover rigid
-    freedom).  This is the energy `healing_ratio` reports, so no other
-    extension with the same pinned nodes scores lower.
-    """
-    z_ids = np.asarray(z_ids, dtype=np.int64)
-    data_ids = np.asarray(data_ids, dtype=np.int64)
-    znodes = _distinct(mesh.triangles[z_ids])
-    shared = np.isin(znodes, _distinct(mesh.triangles[data_ids]))
-    if shared.all():
-        return u
-    out = u.copy()
-    local = np.searchsorted(znodes, mesh.triangles[z_ids])
-    dof = (2 * local[:, :, None] + np.arange(2)).reshape(len(z_ids), 6)
-    b = strain_blocks(mesh.strain_gradients, z_ids)
-    ke = np.swapaxes(b, 1, 2) @ b * mesh.areas[z_ids][:, None, None]
-    n = 2 * len(znodes)
-    k = np.zeros((n, n))
-    # summed in id order, as a loop over the triangles would
-    np.add.at(k, (dof[:, :, None], dof[:, None, :]), ke)
-    x = u.values[znodes].ravel()
-    pinned = np.repeat(shared, 2)
-    f_idx = np.flatnonzero(~pinned)
-    p_idx = np.flatnonzero(pinned)
-    kff = k[np.ix_(f_idx, f_idx)]
-    rhs = -k[np.ix_(f_idx, p_idx)] @ x[p_idx] if len(p_idx) else np.zeros(len(f_idx))
-    x[f_idx] = np.linalg.lstsq(kff, rhs, rcond=None)[0]
-    out.values[znodes[~shared]] = x.reshape(-1, 2)[~shared]
-    return out
 
 
 def _tri_strain_energy(mesh: Triangulation, u: DisplacementField,
@@ -301,31 +262,20 @@ def _tri_strain_energy(mesh: Triangulation, u: DisplacementField,
     return mesh.areas[ids] * (s * s).sum(axis=1)
 
 
-def _frob_strain_energy(mesh: Triangulation, u: DisplacementField,
-                        ids) -> float:
-    ids = np.asarray(ids, dtype=np.int64)
-    return float(_tri_strain_energy(mesh, u, ids).sum())
-
-
 def _complement_strain_energy(u: DisplacementField, member_mask,
                               weights) -> float:
     """Weighted squared Frobenius strain summed over the non-members in id
-    order.  The terms come from the whole mesh's strains, which skips
-    gathering the complement's gradients; each is the same as over the
-    complement's ids alone."""
-    s = u.strains()
-    return float((weights * (s * s).sum(axis=1))[~member_mask].sum())
-
-
-def healing_ratio(mesh: Triangulation, u_new: DisplacementField,
-                  u_old: DisplacementField, z_ids, data_ids) -> float:
-    """||e(u_new)||^2 over Z plus data, relative to ||e(u_old)||^2 on data."""
-    num = _frob_strain_energy(mesh, u_new,
-                              _distinct(np.concatenate([z_ids, data_ids])))
-    den = _frob_strain_energy(mesh, u_old, data_ids)
-    if den == 0.0:
-        return 0.0
-    return num / den
+    order.  Strains are evaluated only where the weight is positive; the
+    other terms are +0.0, as a zero weight times a finite square gives, so
+    the sum has the terms, order and bits of the sum over the complement's
+    ids alone."""
+    mesh = u.mesh
+    ids = np.flatnonzero(weights > 0.0)
+    s = strains_from_values(np.take(mesh.strain_gradients, ids, axis=1),
+                            mesh.triangles[ids], u.values)
+    terms = np.zeros(mesh.n_triangles)
+    terms[ids] = weights[ids] * (s * s).sum(axis=1)
+    return float(terms[~member_mask].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +295,7 @@ def _sep_piece_candidates(B: TriangleSet, budget: float):
     a contiguous slice of visit order, and the rest of its tree is the
     remaining part.  Prefix sums of the components' areas along visit order
     rule out parts that are far too large; the others are decided on their
-    sorted ids, as `_small_saturation` sums them.
+    sorted ids, as `_small_saturations` sums them.
     """
     mesh = B.mesh
     comps = B.components
@@ -431,23 +381,38 @@ def _sep_piece_candidates(B: TriangleSet, budget: float):
     return [unique[k] for k in sorted(unique)]
 
 
-def _small_saturation(mesh: Triangulation, p, budget: float):
-    """Saturation of the piece p when it is small and healable, else None.
+def _small_saturations(mesh: Triangulation, pieces, budget: float):
+    """Saturation of each piece when it is small and healable, else None.
 
-    Every piece is closure-connected (a separating-vertex candidate or an
-    edge-component), so its holes number 1 - (V - E + F), counted without
-    labelling its closure; only a piece with a hole gets a mask."""
-    if float(mesh.areas[p].sum()) > budget:
-        return None  # saturation only grows the piece
-    sat = p
-    if euler_characteristic(mesh, p) < 1:
+    Every piece is nonempty and closure-connected (a separating-vertex
+    candidate or an edge-component), so its holes number 1 - (V - E + F);
+    the holes of all pieces that pass the area test are counted in one
+    pass (`hole_counts`, which allows pieces to overlap), and the rim test
+    of the pieces without one is one `reduceat` over their rows of the
+    neighbor table.  Only a piece with a hole gets a mask and a hole
+    labelling."""
+    out = [None] * len(pieces)
+    # per piece: its bits decide the comparison, and saturation only grows
+    small = [i for i, p in enumerate(pieces)
+             if float(mesh.areas[p].sum()) <= budget]
+    if not small:
+        return out
+    cand = [pieces[i] for i in small]
+    sizes = np.array([len(p) for p in cand])
+    on_rim = (mesh.tri_neighbors[np.concatenate(cand)] < 0).any(axis=1)
+    rim = np.logical_or.reduceat(on_rim, np.cumsum(sizes) - sizes)
+    for i, p, holes, r in zip(small, cand, hole_counts(mesh, cand), rim):
+        if not holes:
+            out[i] = None if r else p
+            continue
         mask = np.zeros(mesh.n_triangles, dtype=bool)
         mask[p] = True
         sat = _distinct(np.concatenate(
             [p, *bounded_components(mesh, mask, [p])]))
-    if float(mesh.areas[sat].sum()) > budget or not _piece_healable(mesh, sat):
-        return None
-    return sat
+        if (float(mesh.areas[sat].sum()) <= budget
+                and _piece_healable(mesh, sat)):
+            out[i] = sat
+    return out
 
 
 def _maximal_small_pieces(B: TriangleSet, vm: VoidModParams):
@@ -455,14 +420,18 @@ def _maximal_small_pieces(B: TriangleSet, vm: VoidModParams):
     that are small and healable and lie in no other such piece."""
     mesh = B.mesh
     budget = vm.hole_threshold(mesh.params.eps)
-    small = []
-    for p in _sep_piece_candidates(B, budget):
-        sat = _small_saturation(mesh, p, budget)
-        if sat is not None:
-            small.append((p, sat))
+    cands = _sep_piece_candidates(B, budget)
+    small = [(p, sat) for p, sat in zip(
+        cands, _small_saturations(mesh, cands, budget)) if sat is not None]
     sets = [frozenset(p.tolist()) for p, _ in small]
     return [pair for pair, s in zip(small, sets)
             if not any(s < other for other in sets)]
+
+
+def _bounds(keys, n):
+    """Slice bounds of keys 0..n-1 in the sorted key array `keys`: key k
+    occupies [bounds[k], bounds[k + 1])."""
+    return np.r_[0, np.cumsum(np.bincount(keys, minlength=n))]
 
 
 def _remove_pieces(W: TriangleSet, u: DisplacementField, pieces,
@@ -470,19 +439,88 @@ def _remove_pieces(W: TriangleSet, u: DisplacementField, pieces,
     """Remove the (piece, saturation) pairs from W and heal u over each
     closure component of the removed saturations, with the data taken from
     its neighborhood minus what W keeps; counts the pieces and healing
-    ratios in stats."""
+    ratios in stats.
+
+    Each component's extension minimizes the strain energy over it with
+    its nodes on a data triangle pinned (a minimum-norm solve fixes any
+    leftover rigid freedom), and its ratio is ||e(u_new)||^2 over the
+    component plus its data relative to ||e(u_old)||^2 on the data (0.0
+    when that is 0.0).  All components are healed in one batch, which
+    gives the field and ratios of healing them one after another in any
+    order: the components share no vertex, and a data triangle lies
+    outside the kept set and outside every component, so a data triangle
+    of one component that touches another is data for that one too, and
+    its nodes are pinned in both.  No extension thus moves a node that
+    another component's extension or ratio reads.  The neighborhoods come
+    from one pass over the node fans, keyed by (component, triangle); the
+    element blocks from one `strain_blocks` call; only the dense assembly
+    (in id order) and the `lstsq` run per component, and only where a
+    node is free.
+    """
     mesh = W.mesh
+    m, n_nodes = mesh.n_triangles, mesh.n_nodes
     rest = W.difference(np.concatenate([p for p, _ in pieces]))
     region = TriangleSet(mesh, np.concatenate([sat for _, sat in pieces]))
+    comps = region.closure_components
+    sizes = np.array([len(c) for c in comps])
+    flat = np.concatenate(comps)
+    which = np.repeat(np.arange(len(comps)), sizes)
+    # (component, node) pairs in that order, and the triangles at each node
+    comp_of, nodes = np.divmod(
+        _distinct(which[:, None] * n_nodes + mesh.triangles[flat]), n_nodes)
+    k, fan = _node_fans(mesh, nodes)
+    is_data = ~region.mask[fan] & ~rest.mask[fan]
+    pinned = np.zeros(len(nodes), dtype=bool)
+    pinned[k[is_data]] = True
+    data_comp, data = np.divmod(
+        _distinct(comp_of[k[is_data]] * m + fan[is_data]), m)
+
+    out = u
+    free = np.flatnonzero(np.bincount(comp_of[~pinned], minlength=len(comps)))
+    if len(free):
+        out = u.copy()
+        node_at = _bounds(comp_of, len(comps))
+        ext = np.concatenate([comps[c] for c in free])
+        b = strain_blocks(mesh.strain_gradients, ext)
+        ke = np.swapaxes(b, 1, 2) @ b * mesh.areas[ext][:, None, None]
+        at = 0
+        for c in free.tolist():
+            z_ids = comps[c]
+            znodes = nodes[node_at[c]:node_at[c + 1]]
+            shared = pinned[node_at[c]:node_at[c + 1]]
+            local = np.searchsorted(znodes, mesh.triangles[z_ids])
+            dof = (2 * local[:, :, None] + np.arange(2)).reshape(len(z_ids), 6)
+            n = 2 * len(znodes)
+            kz = np.zeros((n, n))
+            # summed in id order, as a loop over the triangles would
+            np.add.at(kz, (dof[:, :, None], dof[:, None, :]),
+                      ke[at:at + len(z_ids)])
+            at += len(z_ids)
+            x = u.values[znodes].ravel()
+            fixed = np.repeat(shared, 2)
+            f_idx = np.flatnonzero(~fixed)
+            p_idx = np.flatnonzero(fixed)
+            kff = kz[np.ix_(f_idx, f_idx)]
+            rhs = -kz[np.ix_(f_idx, p_idx)] @ x[p_idx] if len(p_idx) \
+                else np.zeros(len(f_idx))
+            x[f_idx] = np.linalg.lstsq(kff, rhs, rcond=None)[0]
+            out.values[znodes[~shared]] = x.reshape(-1, 2)[~shared]
+
+    # ratios: the new field on each component's sorted piece-plus-data
+    # ids, the old one on its data ids, each summed over its own slice
+    num_comp, num_ids = np.divmod(
+        np.sort(np.concatenate([which * m + flat, data_comp * m + data])), m)
+    num = _tri_strain_energy(mesh, out, num_ids)
+    den = _tri_strain_energy(mesh, u, data)
+    num_at = _bounds(num_comp, len(comps)).tolist()
+    den_at = _bounds(data_comp, len(comps)).tolist()
     ratios = stats.setdefault("heal_ratios", [])
-    for zc in region.closure_components:
-        nz = _neighborhood(mesh, zc)
-        data = nz[~rest.mask[nz]]
-        before = u
-        u = _extend_field(mesh, u, zc, data)
-        ratios.append(healing_ratio(mesh, u, before, zc, data))
+    for c in range(len(comps)):
+        d = float(den[den_at[c]:den_at[c + 1]].sum())
+        ratios.append(0.0 if d == 0.0 else
+                      float(num[num_at[c]:num_at[c + 1]].sum()) / d)
     stats["sep_removed"] = stats.get("sep_removed", 0) + len(pieces)
-    return rest, u
+    return rest, out
 
 
 def remove_separating_small(B: TriangleSet, u: DisplacementField,
@@ -502,10 +540,17 @@ def remove_separating_small(B: TriangleSet, u: DisplacementField,
 # modification 3: iterated peeling of two-touch small pieces
 
 
-def _touch_points(mesh: Triangulation, piece_ids, other_mask) -> int:
-    """Number of the piece's nodes that a triangle in other_mask shares."""
-    k, fan = _node_fans(mesh, _distinct(mesh.triangles[piece_ids]))
-    return len(_distinct(k[other_mask[fan]]))
+def _touch_counts(mesh: Triangulation, comps):
+    """Per component of a list that partitions a set, the number of its
+    nodes that a triangle of another component shares: those where two or
+    more components meet."""
+    sizes = np.array([len(c) for c in comps])
+    which = np.repeat(np.arange(len(comps)), sizes)
+    node, comp = np.divmod(_distinct(
+        mesh.triangles[np.concatenate(comps)] * len(comps) + which[:, None]),
+        len(comps))
+    meets = np.bincount(node, minlength=mesh.n_nodes)[node] >= 2
+    return np.bincount(comp[meets], minlength=len(comps))
 
 
 def _peel_round(W: TriangleSet, vm: VoidModParams):
@@ -514,15 +559,13 @@ def _peel_round(W: TriangleSet, vm: VoidModParams):
     single-vertex-separated pieces."""
     mesh = W.mesh
     budget = vm.hole_threshold(mesh.params.eps)
+    comps = W.components
+    sats = _small_saturations(mesh, comps, budget)
     removal = []
-    for c in W.components:
-        sat = _small_saturation(mesh, c, budget)
-        if sat is None:
-            continue
-        rest = W.mask.copy()
-        rest[c] = False
-        if _touch_points(mesh, c, rest) <= 2:
-            removal.append((c, sat))
+    if any(sat is not None for sat in sats):
+        touch = _touch_counts(mesh, comps)
+        removal = [(c, sat) for c, sat, k in zip(comps, sats, touch.tolist())
+                   if sat is not None and k <= 2]
     return removal + _maximal_small_pieces(W, vm)
 
 
@@ -625,7 +668,7 @@ def modify_voids(A: TriangleSet, u: DisplacementField,
     stats["energy_in"] = energy_in
 
     b = fill_holes(A, vm)
-    filled = np.setdiff1d(b.ids, A.ids)
+    filled = b.ids[~A.mask[b.ids]]
 
     work = {}
     b_sep, u_mod = remove_separating_small(b, u, vm, stats=work)
@@ -640,7 +683,7 @@ def modify_voids(A: TriangleSet, u: DisplacementField,
     a_mod = heal_triangles(w, u_mod, stats=work)
     a_mod = _unfill_exposed(a_mod, filled)
 
-    t_mod = TriangleSet(mesh, np.intersect1d(A.ids, a_mod.ids))
+    t_mod = TriangleSet(mesh, A.ids[a_mod.mask[A.ids]])
     perim = a_mod.boundary_length
     n_comp = len(a_mod.components)
     heal_ratios = work.get("heal_ratios", []) + work.get("tri_heal_ratios", [])

@@ -15,8 +15,11 @@ triangle at a time and a second edge-table oracle runs a row-wise
 np.unique of vertex pairs, point location scans every triangle, the
 stiffness oracle converts the element blocks from COO to CSR with SciPy,
 the separating-piece oracle splits the home closure component at every
-vertex of boundary degree four or more, and the triangle-healing oracle
-tests one member triangle at a time against the whole-mesh strains.
+vertex of boundary degree four or more, the triangle-healing oracle
+tests one member triangle at a time against the whole-mesh strains, the
+field-healing oracle extends the field over one closure component after
+another, and the candidate oracles test one piece at a time, with holes
+from a flood of the piece's box and touch points from its node fans.
 """
 
 import math
@@ -25,7 +28,8 @@ from collections import deque
 import numpy as np
 import scipy.sparse as sp
 
-from quasifrac._kernels import point_seg_dist, strain_blocks
+from quasifrac._kernels import (point_seg_dist, strain_blocks,
+                                strains_from_values)
 from quasifrac.mesh import MeshError
 from quasifrac.solver import solve_elastic
 from quasifrac.trisets import closure_components_minus_vertex
@@ -126,40 +130,92 @@ def filled_boundary_edges(mesh, member_ids, filled_ids):
     return sum(len(ts) == 1 and ts[0] in filled for ts in owners.values())
 
 
-def bfs_complement(mesh, mask):
-    """(components, bounded flags) of the non-member triangles in the plane.
+class ComplementFlood:
+    """Breadth-first flood of the non-member triangles of one mesh, with
+    the per-mesh tables built once: each triangle's vertex triple, the
+    owners of each of its edges, and its node bounding box.
 
-    Non-members sharing an edge are adjacent, and a non-member with an edge
-    that no other mesh triangle has touches the outside, one extra node.
-    The component holding the outside is the unbounded one; it is an empty
-    trailing entry when no non-member touches the outside.
+    Non-members sharing an edge are adjacent, and a non-member with an
+    edge that no other mesh triangle has touches the outside, one extra
+    node.  A flood limited to a box takes only the non-members whose nodes
+    all lie in it, and an edge to a non-member outside them leads to the
+    outside too (the box's frame counts as outside).
     """
-    out = -1
-    tris = [tuple(int(x) for x in row) for row in mesh.triangles]
-    owners = {}
-    for t, (a, b, c) in enumerate(tris):
-        for e in ((a, b), (b, c), (c, a)):
-            owners.setdefault(frozenset(e), []).append(t)
 
-    def sides(t):
-        a, b, c = tris[t]
-        return [owners[frozenset(e)] for e in ((a, b), (b, c), (c, a))]
+    def __init__(self, mesh):
+        self.mesh = mesh
+        self.tris = [tuple(int(x) for x in row) for row in mesh.triangles]
+        owners = {}
+        for t, (a, b, c) in enumerate(self.tris):
+            for e in ((a, b), (b, c), (c, a)):
+                owners.setdefault(frozenset(e), []).append(t)
+        self.sides = [[owners[frozenset(e)] for e in ((a, b), (b, c), (c, a))]
+                      for a, b, c in self.tris]
+        self.rim = np.array([any(len(o) == 1 for o in sides)
+                             for sides in self.sides], dtype=bool)
+        pts = mesh.nodes[mesh.triangles]
+        self.lo, self.hi = pts.min(axis=1), pts.max(axis=1)
 
-    free = [t for t in range(len(tris)) if not mask[t]]
-    rim = [t for t in free if any(len(o) == 1 for o in sides(t))]
-    on_rim = set(rim)
+    def components(self, mask, box=None):
+        """(components, bounded flags) of the non-member triangles in the
+        plane, or in the closed box (x0, y0, x1, y1).  The component holding
+        the outside is the unbounded one; it is an empty trailing entry when
+        no flooded non-member touches the outside."""
+        out = -1
+        free = ~mask
+        if box is not None:
+            x0, y0, x1, y1 = box
+            free &= ((self.lo[:, 0] >= x0) & (self.lo[:, 1] >= y0)
+                     & (self.hi[:, 0] <= x1) & (self.hi[:, 1] <= y1))
+        free = np.flatnonzero(free).tolist()
+        flooded = set(free)
 
-    def adjacent(t):
-        if t == out:
-            return rim
-        nbrs = [s for o in sides(t) for s in o if s != t and not mask[s]]
-        return nbrs + [out] if t in on_rim else nbrs
+        def exits(t):
+            return any(len(o) == 1 or any(s != t and s not in flooded
+                                          and not mask[s] for s in o)
+                       for o in self.sides[t])
 
-    comps, bounded = [], []
-    for c in _flood(free + [out], adjacent):
-        bounded.append(c[0] != out)
-        comps.append(c[c != out])
-    return comps, bounded
+        rim = [t for t in free if exits(t)]
+        on_rim = set(rim)
+
+        def adjacent(t):
+            if t == out:
+                return rim
+            nbrs = [s for o in self.sides[t] for s in o
+                    if s != t and s in flooded]
+            return nbrs + [out] if t in on_rim else nbrs
+
+        comps, bounded = [], []
+        for c in _flood(free + [out], adjacent):
+            bounded.append(c[0] != out)
+            comps.append(c[c != out])
+        return comps, bounded
+
+    def holes(self, ids):
+        """Bounded complement components of the triangles `ids` as a set of
+        their own, flooded inside the node bounding box of `ids` grown by
+        one grid cell."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if not len(ids):
+            return []
+        mask = np.zeros(self.mesh.n_triangles, dtype=bool)
+        mask[ids] = True
+        h = self.mesh.params.grid_spacing
+        box = (*(self.lo[ids].min(axis=0) - h),
+               *(self.hi[ids].max(axis=0) + h))
+        comps, bounded = self.components(mask, box)
+        return [c for c, b in zip(comps, bounded) if b]
+
+    def saturation(self, ids):
+        """Sorted ids of the set plus its holes."""
+        return np.unique(np.concatenate(
+            [np.asarray(ids, dtype=np.int64), *self.holes(ids)]))
+
+
+def bfs_complement(mesh, mask):
+    """(components, bounded flags) of the non-member triangles in the plane,
+    flooded over the whole mesh (see ComplementFlood)."""
+    return ComplementFlood(mesh).components(mask)
 
 
 def _orient(ax, ay, bx, by, cx, cy):
@@ -585,3 +641,141 @@ def heal_triangles_by_loop(H, u):
                   for s in exposed)
         ratios.append(0.0 if den == 0.0 else num / den)
     return np.setdiff1d(H.ids, removal), ratios
+
+
+def neighborhood(mesh, z_ids):
+    """Triangles outside Z whose closure meets the closure of Z."""
+    indptr, tri_ids = mesh.node_tris
+    fan = np.unique(np.concatenate(
+        [tri_ids[indptr[v]:indptr[v + 1]]
+         for v in np.unique(mesh.triangles[z_ids])]))
+    return fan[~np.isin(fan, z_ids)]
+
+
+def extend_field(mesh, u, z_ids, data_ids):
+    """Extend u elastically over the piece Z from the data triangles, one
+    piece at a time.
+
+    The symmetric-gradient energy over Z is minimized with the nodes shared
+    with the data pinned (a minimum-norm solve fixes any leftover rigid
+    freedom).  The field object itself comes back when no node is free.
+    """
+    z_ids = np.asarray(z_ids, dtype=np.int64)
+    data_ids = np.asarray(data_ids, dtype=np.int64)
+    znodes = np.unique(mesh.triangles[z_ids])
+    shared = np.isin(znodes, np.unique(mesh.triangles[data_ids]))
+    if shared.all():
+        return u
+    out = u.copy()
+    local = np.searchsorted(znodes, mesh.triangles[z_ids])
+    dof = (2 * local[:, :, None] + np.arange(2)).reshape(len(z_ids), 6)
+    b = strain_blocks(mesh.strain_gradients, z_ids)
+    ke = np.swapaxes(b, 1, 2) @ b * mesh.areas[z_ids][:, None, None]
+    n = 2 * len(znodes)
+    k = np.zeros((n, n))
+    np.add.at(k, (dof[:, :, None], dof[:, None, :]), ke)
+    x = u.values[znodes].ravel()
+    pinned = np.repeat(shared, 2)
+    f_idx = np.flatnonzero(~pinned)
+    p_idx = np.flatnonzero(pinned)
+    kff = k[np.ix_(f_idx, f_idx)]
+    rhs = -k[np.ix_(f_idx, p_idx)] @ x[p_idx] if len(p_idx) \
+        else np.zeros(len(f_idx))
+    x[f_idx] = np.linalg.lstsq(kff, rhs, rcond=None)[0]
+    out.values[znodes[~shared]] = x.reshape(-1, 2)[~shared]
+    return out
+
+
+def frob_strain_energy(mesh, u, ids):
+    """Area-weighted squared Frobenius strain summed over the ids."""
+    ids = np.asarray(ids, dtype=np.int64)
+    s = strains_from_values(np.take(mesh.strain_gradients, ids, axis=1),
+                            mesh.triangles[ids], u.values)
+    return float((mesh.areas[ids] * (s * s).sum(axis=1)).sum())
+
+
+def healing_ratio(mesh, u_new, u_old, z_ids, data_ids):
+    """||e(u_new)||^2 over Z plus data, relative to ||e(u_old)||^2 on data."""
+    num = frob_strain_energy(mesh, u_new, np.union1d(z_ids, data_ids))
+    den = frob_strain_energy(mesh, u_old, data_ids)
+    if den == 0.0:
+        return 0.0
+    return num / den
+
+
+def remove_pieces_by_loop(W, u, pieces):
+    """(kept ids, field, ratios) of removing the (piece, saturation) pairs
+    from W, healing u over one closure component of the removed
+    saturations after another, each from its neighborhood minus what W
+    keeps; the components come from the breadth-first flood."""
+    mesh = W.mesh
+    kept = np.setdiff1d(W.ids, np.concatenate([p for p, _ in pieces]))
+    in_kept = np.zeros(mesh.n_triangles, dtype=bool)
+    in_kept[kept] = True
+    region = np.zeros(mesh.n_triangles, dtype=bool)
+    region[np.concatenate([sat for _, sat in pieces])] = True
+    ratios = []
+    for zc in bfs_components(mesh, region, "closure"):
+        nz = neighborhood(mesh, zc)
+        data = nz[~in_kept[nz]]
+        before = u
+        u = extend_field(mesh, u, zc, data)
+        ratios.append(healing_ratio(mesh, u, before, zc, data))
+    return kept, u, ratios
+
+
+def touch_points(mesh, piece_ids, other_mask):
+    """Number of the piece's nodes that a triangle in other_mask shares,
+    one node fan at a time."""
+    indptr, tri_ids = mesh.node_tris
+    return sum(bool(other_mask[tri_ids[indptr[v]:indptr[v + 1]]].any())
+               for v in np.unique(mesh.triangles[piece_ids]))
+
+
+def small_saturation_by_flood(flood, p, budget):
+    """Saturation of the piece p when it and its saturation have area <=
+    budget and the saturation owns no rim triangle, else None; the holes
+    from the box-limited flood."""
+    mesh = flood.mesh
+    if float(mesh.areas[p].sum()) > budget:
+        return None
+    sat = flood.saturation(p)
+    if float(mesh.areas[sat].sum()) > budget or flood.rim[sat].any():
+        return None
+    return sat
+
+
+def maximal_small_pieces_by_piece(B, budget, flood):
+    """(piece, saturation) pairs of the single-vertex split pieces of B
+    (sep_pieces_by_vertex) that are small and healable and lie in no other
+    such piece, tested one piece at a time."""
+    small = []
+    for p in sep_pieces_by_vertex(B):
+        sat = small_saturation_by_flood(flood, p, budget)
+        if sat is not None:
+            small.append((p, sat))
+    return [(p, sat) for p, sat in small
+            if not any(set(p.tolist()) < set(q.tolist()) for q, _ in small)]
+
+
+def peel_round_by_piece(W, budget, flood):
+    """(piece, saturation) pairs of one peeling round, one edge-component
+    at a time: the small healable ones with at most two nodes shared with
+    the rest of W, then the maximal small split pieces."""
+    removal = []
+    for c in bfs_components(W.mesh, W.mask, "edge"):
+        sat = small_saturation_by_flood(flood, c, budget)
+        if sat is None:
+            continue
+        rest = W.mask.copy()
+        rest[c] = False
+        if touch_points(W.mesh, c, rest) <= 2:
+            removal.append((c, sat))
+    return removal + maximal_small_pieces_by_piece(W, budget, flood)
+
+
+def euler_characteristic(mesh, ids):
+    """V - E + F of the closure of the distinct triangles `ids`, one piece
+    at a time."""
+    return (len(np.unique(mesh.triangles[ids]))
+            - len(np.unique(mesh.tri_edges[ids])) + len(ids))

@@ -60,9 +60,13 @@ def test_no_einsum():
     assert not found, "einsum in the package:\n" + "\n".join(found)
 
 
+SET_OPS = ("union1d", "setdiff1d", "intersect1d")
+
+
 def _dedupe_calls(tree):
     """(line, name) of every call of `unique` without `return_inverse` or
-    `return_counts`, and of every call of `union1d`."""
+    `return_counts`, and of every call of `union1d`, `setdiff1d` or
+    `intersect1d`."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -71,24 +75,28 @@ def _dedupe_calls(tree):
             getattr(func, "id", None)
         wants = {k.arg for k in node.keywords} & {"return_inverse",
                                                    "return_counts"}
-        if name == "union1d" or (name == "unique" and not wants):
+        if name in SET_OPS or (name == "unique" and not wants):
             yield node.lineno, name
 
 
 def test_no_unique_without_inverse_or_counts():
     # ids are deduped by trisets._distinct, one sort and a neighbor
-    # comparison; a bare np.unique of ints hashes, several times slower
+    # comparison, and a difference or intersection of id sets is taken by
+    # mask selection; a bare np.unique of ints hashes, several times
+    # slower, and numpy's set functions run it on ids already distinct
     sample = ast.parse(
         "import numpy as np\nfrom numpy import union1d\nnp.unique(a)\n"
         "np.unique(a, axis=0)\nnp.unique(a, return_inverse=True)\n"
         "np.unique(a, return_counts=True)\nnp.union1d(a, b)\n"
-        "union1d(a, b)\n")
-    assert [line for line, _ in _dedupe_calls(sample)] == [3, 4, 7, 8]
+        "union1d(a, b)\nnp.setdiff1d(a, b)\nnp.intersect1d(a, b)\n"
+        "np.isin(a, b)\n")
+    assert [line for line, _ in _dedupe_calls(sample)] == [3, 4, 7, 8, 9, 10]
     found = [f"{path.name}:{line}: {name}"
              for path in sorted(SRC.glob("*.py"))
              for line, name in _dedupe_calls(ast.parse(path.read_text(
                  encoding="utf-8")))]
-    assert not found, "dedupes outside _distinct:\n" + "\n".join(found)
+    assert not found, "dedupes outside _distinct and set functions:\n" + \
+        "\n".join(found)
 
 
 def test_one_band_factorization_call():

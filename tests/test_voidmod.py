@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from quasifrac import trisets, voidmod
-from quasifrac._kernels import strains_from_values
+from quasifrac._kernels import clip_areas_rect, strains_from_values
 from quasifrac.mesh import DisplacementField, Triangulation, interpolate
 from quasifrac.trisets import TriangleSet, complement_components
 from quasifrac.voidmod import (
@@ -13,19 +13,23 @@ from quasifrac.voidmod import (
     build_boundary_graph,
     fill_holes,
     _complement_strain_energy,
-    _extend_field,
-    _neighborhood,
+    _inner_window,
+    _maximal_small_pieces,
+    _peel_round,
     _piece_healable,
+    _remove_pieces,
     _sep_piece_candidates,
-    _small_saturation,
+    _small_saturations,
     heal_triangles,
-    healing_ratio,
     modify_voids,
     remove_separating_small,
 )
 from conftest import AffineLoad, block_ids, cell_tris, make_mesh
-from _oracles import (bfs_complement, clip_areas_by_loop,
-                      filled_boundary_edges, heal_triangles_by_loop,
+from _oracles import (ComplementFlood, bfs_complement, clip_areas_by_loop,
+                      euler_characteristic, filled_boundary_edges,
+                      heal_triangles_by_loop, healing_ratio,
+                      maximal_small_pieces_by_piece, neighborhood,
+                      peel_round_by_piece, remove_pieces_by_loop,
                       rim_triangles_by_loop, sep_pieces_by_vertex)
 
 VM = VoidModParams(eta=0.2)
@@ -267,7 +271,8 @@ def test_heal_component_affine_reproduction(mesh16):
         np.arange(mesh16.n_triangles), z.ids)].ravel())
     strictly_inner = np.setdiff1d(inner, outer)
     broken.values[strictly_inner] = 7.0  # garbage inside the void
-    healed = _extend_field(mesh16, broken, z.ids, _neighborhood(mesh16, z.ids))
+    # a one-component batch: the whole neighborhood is data
+    _, healed = _remove_pieces(z, broken, [(z.ids, z.ids)], {})
     assert np.allclose(healed.values[strictly_inner],
                        u.values[strictly_inner], atol=1e-9)
 
@@ -277,7 +282,7 @@ def test_heal_component_rigid_motion(mesh16):
     w = 0.4
     rigid = np.array([0.3, -0.1]) + mesh16.nodes @ np.array([[0, -w], [w, 0.0]]).T
     u = DisplacementField(mesh16, rigid)
-    healed = _extend_field(mesh16, u, z.ids, _neighborhood(mesh16, z.ids))
+    _, healed = _remove_pieces(z, u, [(z.ids, z.ids)], {})
     s = healed.strains()
     assert np.abs(s[z.ids]).max() < 1e-10
 
@@ -293,9 +298,90 @@ def test_heal_component_two_point_pinch_ratio(mesh16):
     assert len(np.intersect1d(znodes, ynodes)) == 2
     u = smooth_field(mesh16, seed=4)
     before = u.copy()
-    data = np.setdiff1d(_neighborhood(mesh16, z.ids), np.asarray(y_ids))
-    healed = _extend_field(mesh16, u, z.ids, data)
-    assert np.isfinite(healing_ratio(mesh16, healed, before, z.ids, data))
+    data = np.setdiff1d(neighborhood(mesh16, z.ids), np.asarray(y_ids))
+    # a one-component batch in which W keeps Y, so Y is no data
+    stats = {}
+    _, healed = _remove_pieces(
+        TriangleSet(mesh16, np.concatenate([z.ids, y_ids])), u,
+        [(z.ids, z.ids)], stats)
+    assert np.isfinite(stats["heal_ratios"][0])
+    assert stats["heal_ratios"] == [
+        healing_ratio(mesh16, healed, before, z.ids, data)]
+
+
+def _assert_heals_as_loop(W, u, pieces):
+    """_remove_pieces gives the sequential oracle's kept ids, field bits
+    and ratios, and hands back the field object itself when the oracle
+    does; returns (kept set, field)."""
+    stats = {}
+    rest, got = _remove_pieces(W, u, pieces, stats)
+    kept, want, ratios = remove_pieces_by_loop(W, u, pieces)
+    assert np.array_equal(rest.ids, kept)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert (got is u) == (want is u)
+    assert stats["heal_ratios"] == ratios
+    assert stats["sep_removed"] == len(pieces)
+    return rest, got
+
+
+def _heal_batch_cases(mesh):
+    """Seeded random sets with a few 2x2-cell blocks strewn in, each with
+    an inner node that no data triangle pins."""
+    rng = np.random.default_rng(61)
+    nx, ny = mesh.grid_shape[:2]
+    for density in (0.02, 0.05, 0.1, 0.2, 0.35):
+        ids = np.flatnonzero(rng.random(mesh.n_triangles) < density)
+        corners = zip(rng.integers(1, nx - 3, 4), rng.integers(1, ny - 3, 4))
+        yield np.concatenate(
+            [ids, *[block_ids(mesh, i, i + 2, j, j + 2) for i, j in corners]])
+
+
+@pytest.mark.parametrize("name", ["mesh16", "mesh32"])
+def test_remove_pieces_matches_sequential_oracle(name, request):
+    # remove_separating_small and one peel pass heal all their pieces in
+    # one batch; one component after another gives the same bits
+    mesh = request.getfixturevalue(name)
+    peeled = 0
+    for k, ids in enumerate(_heal_batch_cases(mesh)):
+        b = TriangleSet(mesh, ids)
+        u = smooth_field(mesh, seed=k)
+        pieces = _maximal_small_pieces(b, VM)
+        assert pieces
+        rest, got = _assert_heals_as_loop(b, u, pieces)
+        b_sep, u_sep = remove_separating_small(b, u, VM)
+        assert np.array_equal(b_sep.ids, rest.ids) and u_sep is not u
+        assert u_sep.values.tobytes() == got.values.tobytes()
+        pieces = _peel_round(b_sep, VM)
+        if pieces:
+            _assert_heals_as_loop(b_sep, u_sep, pieces)
+            peeled += 1
+    assert peeled >= 2
+
+
+def test_remove_pieces_batch_edge_cases(mesh16):
+    u = smooth_field(mesh16, seed=9)
+    # two blocks one cell apart: the triangles between them touch both,
+    # so each is data for both components
+    a = block_ids(mesh16, 4, 6, 4, 6)
+    c = block_ids(mesh16, 7, 9, 4, 6)
+    shared = np.intersect1d(neighborhood(mesh16, a), neighborhood(mesh16, c))
+    assert len(shared)
+    pair = TriangleSet(mesh16, np.concatenate([a, c]))
+    _, healed = _assert_heals_as_loop(pair, u, [(np.sort(a), np.sort(a)),
+                                               (np.sort(c), np.sort(c))])
+    assert len(np.flatnonzero(np.any(healed.values != u.values, axis=1))) == 2
+    # one triangle: every node lies on a data triangle, so nothing moves
+    # and the field object comes back
+    t = np.asarray(cell_tris(mesh16, 10, 10)[:1])
+    _, same = _assert_heals_as_loop(TriangleSet(mesh16, t), u, [(t, t)])
+    assert same is u
+    # a block inside a kept block: no data, every node free, ratio 0.0
+    inner = np.sort(block_ids(mesh16, 6, 8, 6, 8))
+    big = TriangleSet(mesh16, block_ids(mesh16, 3, 11, 3, 11))
+    stats = {}
+    _remove_pieces(big, u, [(inner, inner)], stats)
+    assert stats["heal_ratios"] == [0.0]
+    _assert_heals_as_loop(big, u, [(inner, inner)])
 
 
 def test_heal_triangles_isolated(mesh16):
@@ -618,12 +704,6 @@ def _oracle_holes(mesh, ids):
     return [c for c, b in zip(comps, bounded) if b]
 
 
-def _oracle_saturation(mesh, ids):
-    """Sorted ids of the set plus its holes, by the flood oracle."""
-    return np.unique(np.concatenate(
-        [np.asarray(ids, dtype=np.int64), *_oracle_holes(mesh, ids)]))
-
-
 def test_hole_counts_per_closure_component(mesh16):
     # each closure component's count, taken for all components at once, is
     # the number of bounded components of the plane minus it alone
@@ -631,9 +711,51 @@ def test_hole_counts_per_closure_component(mesh16):
         comps = TriangleSet(mesh16, ids).closure_components
         counts = trisets.hole_counts(mesh16, comps)
         assert counts.tolist() == [
-            1 - trisets.euler_characteristic(mesh16, c) for c in comps]
+            1 - euler_characteristic(mesh16, c) for c in comps]
         for c, k in list(zip(comps, counts))[:12]:
             assert k == len(_oracle_holes(mesh16, c))
+
+
+@pytest.mark.parametrize("name", ["mesh16", "mesh32"])
+def test_hole_counts_of_overlapping_pieces(name, request):
+    # the candidate pieces of a set overlap; coded per piece, each one's
+    # count is its own 1 - (V - E + F)
+    mesh = request.getfixturevalue(name)
+    rng = np.random.default_rng(41)
+    n_holed = 0
+    for _ in range(6):
+        b = TriangleSet(mesh, np.flatnonzero(
+            rng.random(mesh.n_triangles) < rng.uniform(0.05, 0.5)))
+        pieces = _sep_piece_candidates(b, math.inf) + b.components
+        counts = trisets.hole_counts(mesh, pieces)
+        assert counts.tolist() == [1 - euler_characteristic(mesh, p)
+                                   for p in pieces]
+        n_holed += int((counts > 0).sum())
+    assert n_holed >= 3
+
+
+@pytest.mark.parametrize("name", ["mesh16", "mesh32"])
+def test_candidate_batch_matches_per_piece_oracle(name, request):
+    # on `test_sep_candidates_random`'s sets, the batched candidate tests
+    # give the pieces and saturations of testing one piece at a time
+    mesh = request.getfixturevalue(name)
+    flood = ComplementFlood(mesh)
+    budget = VM.hole_threshold(mesh.params.eps)
+    rng = np.random.default_rng(41)
+    found = 0
+    for _ in range(6):
+        density = rng.uniform(0.05, 0.5)
+        b = TriangleSet(mesh, np.flatnonzero(
+            rng.random(mesh.n_triangles) < density))
+        for got, want in ((_maximal_small_pieces(b, VM),
+                           maximal_small_pieces_by_piece(b, budget, flood)),
+                          (_peel_round(b, VM),
+                           peel_round_by_piece(b, budget, flood))):
+            assert len(got) == len(want)
+            for (p, sat), (q, want_sat) in zip(got, want):
+                assert np.array_equal(p, q) and np.array_equal(sat, want_sat)
+            found += len(got)
+    assert found >= 20
 
 
 def test_complement_components_in_region(mesh16):
@@ -692,7 +814,7 @@ def test_small_ring_labels_only_its_box(mesh32, monkeypatch):
     ring = np.setdiff1d(block_ids(mesh32, 4, 8, 4, 8), hole)
     ts = TriangleSet(mesh32, ring)
     assert np.array_equal(fill_holes(ts, VM).ids, np.union1d(ring, hole))
-    assert np.array_equal(_small_saturation(mesh32, ring, math.inf),
+    assert np.array_equal(_small_saturations(mesh32, [ring], math.inf)[0],
                           np.union1d(ring, hole))
     assert labelled == [len(hole), len(hole)]
     assert len(hole) < mesh32.n_triangles
@@ -705,17 +827,23 @@ def test_small_saturation_matches_set_route(name, request):
     # saturation of the piece as a set of its own, as the flood oracle
     # finds it
     mesh = request.getfixturevalue(name)
+    flood = ComplementFlood(mesh)
     rng = np.random.default_rng(41)
     n_holed = 0
     for _ in range(6):
         density = rng.uniform(0.05, 0.5)
         b = TriangleSet(mesh, np.flatnonzero(
             rng.random(mesh.n_triangles) < density))
-        for p in _sep_piece_candidates(b, math.inf) + b.components:
-            sat = _oracle_saturation(mesh, p)
+        pieces = _sep_piece_candidates(b, math.inf) + b.components
+        # all pieces of a set in one batch, overlapping ones included
+        batches = {budget: _small_saturations(mesh, pieces, budget)
+                   for budget in (VM.hole_threshold(mesh.params.eps),
+                                  math.inf)}
+        for i, p in enumerate(pieces):
+            sat = flood.saturation(p)
             n_holed += len(sat) > len(p)
-            for budget in (VM.hole_threshold(mesh.params.eps), math.inf):
-                got = _small_saturation(mesh, p, budget)
+            for budget, sats in batches.items():
+                got = sats[i]
                 if (float(mesh.areas[p].sum()) > budget
                         or float(mesh.areas[sat].sum()) > budget
                         or not _piece_healable(mesh, sat)):
@@ -749,6 +877,41 @@ def test_complement_strain_energy_is_per_id_sum(mesh32):
             mesh32, u, out, mesh32.area_in_omega)
 
 
+def _whole_mesh_energy(u, member_mask, weights):
+    """The weighted squared strain over the complement, from the strains
+    of every triangle."""
+    s = u.strains()
+    return float((weights * (s * s).sum(axis=1))[~member_mask].sum())
+
+
+def test_complement_strain_energy_on_weighted_triangles():
+    # the strains are taken only where the weight is positive; the sum is
+    # the whole-mesh formula's bit for bit, under the omega weights, under
+    # the inner window's, where most weights are 0.0, and under a window
+    # whose sides lie a thousandth of a cell beyond grid lines, so that the
+    # slivers it clips weigh next to nothing
+    mesh = make_mesh(1 / 64, omega_factor=6)
+    vm = VoidModParams(eta=0.4)
+    wx0, wy0, wx1, wy1 = _inner_window(mesh, vm)
+    w_in = clip_areas_rect(mesh.nodes, mesh.triangles, wx0, wy0, wx1, wy1)
+    d = 1e-3 * mesh.params.grid_spacing
+    xs, ys = np.unique(mesh.nodes[:, 0]), np.unique(mesh.nodes[:, 1])
+    w_sliver = clip_areas_rect(
+        mesh.nodes, mesh.triangles, xs[np.searchsorted(xs, wx0)] - d,
+        ys[np.searchsorted(ys, wy0)] - d, xs[np.searchsorted(xs, wx1) - 1] + d,
+        ys[np.searchsorted(ys, wy1) - 1] + d)
+    assert (w_in == 0.0).mean() > 0.5 and (mesh.area_in_omega == 0.0).any()
+    assert w_sliver[w_sliver > 0.0].min() < 1e-2 * mesh.areas.max()
+    rng = np.random.default_rng(7)
+    for k, density in enumerate((0.0, 0.05, 0.3, 0.8, 1.0)):
+        u = smooth_field(mesh, seed=k)
+        mask = rng.random(mesh.n_triangles) < density
+        for weights in (mesh.area_in_omega, w_in, w_sliver):
+            got = _complement_strain_energy(u, mask, weights)
+            assert got == _whole_mesh_energy(u, mask, weights)
+            assert (got > 0.0) is (density < 1.0)
+
+
 def test_boundary_edges_match_edge_table_scan(mesh16, mesh32):
     # the edges met once among the members' own are those with exactly one
     # member at their two sides in the edge table, rim edges included
@@ -776,7 +939,7 @@ def test_boundary_graph_labels_whole_complement(mesh16, mesh32, monkeypatch):
     label = trisets.complement_components
     monkeypatch.setattr(trisets, "complement_components", whole_only)
     for module in (trisets, voidmod):
-        monkeypatch.setattr(module, "euler_characteristic", refuse)
+        monkeypatch.setattr(module, "hole_counts", refuse)
         monkeypatch.setattr(module, "bounded_components", refuse)
     n_holed = 0
     for mesh in (mesh16, mesh32):
@@ -796,13 +959,14 @@ def test_piece_healable_is_off_rim(mesh16, mesh32):
     # has a neighborhood to take healing data from
     for mesh in (mesh16, mesh32):
         rim = rim_triangles_by_loop(mesh)
+        flood = ComplementFlood(mesh)
         for ids in _saturation_cases(mesh):
             off_rim = len(ids) > 0 and not rim[ids].any()
             assert _piece_healable(mesh, ids) is off_rim
             if off_rim:
-                assert len(_neighborhood(mesh, np.unique(ids)))
-            # the saturations, as `_small_saturation` tests them
-            sat = _oracle_saturation(mesh, ids)
+                assert len(neighborhood(mesh, np.unique(ids)))
+            # the saturations, as `_small_saturations` tests them
+            sat = flood.saturation(ids)
             assert _piece_healable(mesh, sat) is bool(
                 len(sat) and not rim[sat].any())
         for t in range(0, mesh.n_triangles, 7):  # single triangles
