@@ -1,14 +1,15 @@
 """Hot numeric kernels in numpy.
 
-Array kernels take whole triangle arrays: the hat-function gradient table
-of a mesh and the 3x6 strain blocks built from it, strains of a nodal
-field, and triangle-rectangle clipped areas.  Each fixes its own
-summation order, so its results are bitwise the same whatever the numpy
-build; the strain kernel and the clipped areas sum in the order of the
-einsum and of the one-polygon clipping loop they replaced.  The scalar
-geometry helpers (point-segment distance, polygon area, convex polygon
-clipping and segment length inside a rectangle) serve the mesh validator
-and the clipped crack-curve length.  `cg_deflated`, a Jacobi-
+Array kernels take whole triangle or edge arrays: the hat-function
+gradient table of a mesh and the 3x6 strain blocks built from it, strains
+of a nodal field, triangle-rectangle clipped areas and segment-rectangle
+clipped lengths.  Each fixes its own summation order, so its results are
+bitwise the same whatever the numpy build; the strain kernel and the
+clipped areas sum in the order of the einsum and of the one-polygon
+clipping loop they replaced, and each clipped length is bitwise what a
+scalar Liang-Barsky clip gives.  The scalar geometry helpers
+(point-segment distance, polygon area and convex polygon clipping) serve
+the mesh validator.  `cg_deflated`, a Jacobi-
 preconditioned conjugate gradient, has no program caller: the solver
 tests use it as an independent minimizer, and the benchmark's span
 tracer wraps it by name.
@@ -93,7 +94,7 @@ def _vertex_sum(g, u):
 
 
 # ---------------------------------------------------------------------------
-# polygon clipping (triangle vs axis-aligned rectangle)
+# clipping triangles and segments to an axis-aligned rectangle
 
 
 def clip_areas_rect(nodes, tris, x0, y0, x1, y1):
@@ -168,6 +169,32 @@ def _successor(n, width):
     return np.where(j + 1 < n[:, None], j + 1, 0)
 
 
+def clip_lengths_rect(nodes, edges, x0, y0, x1, y1):
+    """Length of each segment (a, b) of `edges`, a (k, 2) array of node
+    indices, inside [x0,x1]x[y0,y1].
+
+    Liang-Barsky on all segments at once: the sides x >= x0, x <= x1,
+    y >= y0, y <= y1, in that order, narrow the parameter range [t0, t1]
+    of the segments that enter or leave through them, with the divisions
+    and comparisons of the one-segment clip.  That clip stops at a side
+    that leaves the range empty; here the range stays empty, since t0 only
+    grows and t1 only shrinks, and the length comes out 0.0 as well.  So
+    every length is bitwise the one-segment clip's.  A segment parallel to
+    a side is cut off only when it lies beyond it.
+    """
+    ax, ay = nodes[edges[:, 0], 0], nodes[edges[:, 0], 1]
+    dx, dy = nodes[edges[:, 1], 0] - ax, nodes[edges[:, 1], 1] - ay
+    t0, t1 = np.zeros(len(edges)), np.ones(len(edges))
+    beyond = np.zeros(len(edges), dtype=bool)
+    for p, q in ((-dx, ax - x0), (dx, x1 - ax), (-dy, ay - y0), (dy, y1 - ay)):
+        beyond |= (p == 0.0) & (q < 0.0)
+        r = q / np.where(p == 0.0, 1.0, p)
+        t0 = np.where((p < 0.0) & (r > t0), r, t0)
+        t1 = np.where((p > 0.0) & (r < t1), r, t1)
+    span = t1 - t0
+    return np.where(beyond | ~(span > 0.0), 0.0, np.hypot(dx, dy) * span)
+
+
 # ---------------------------------------------------------------------------
 # scalar geometry helpers
 
@@ -223,31 +250,6 @@ def clip_poly_convex(subject, clip):
                     out.append((cur[0] + t * (nxt[0] - cur[0]),
                                 cur[1] + t * (nxt[1] - cur[1])))
     return out
-
-
-def segment_clip_rect_length(a, b, rect) -> float:
-    """Length of segment ab inside [x0,x1]x[y0,y1] (Liang-Barsky)."""
-    x0, y0, x1, y1 = rect
-    dx = b[0] - a[0]
-    dy = b[1] - a[1]
-    t0, t1 = 0.0, 1.0
-    for p, q in ((-dx, a[0] - x0), (dx, x1 - a[0]), (-dy, a[1] - y0), (dy, y1 - a[1])):
-        if p == 0.0:
-            if q < 0.0:
-                return 0.0
-            continue
-        r = q / p
-        if p < 0.0:
-            if r > t1:
-                return 0.0
-            if r > t0:
-                t0 = r
-        else:
-            if r < t0:
-                return 0.0
-            if r < t1:
-                t1 = r
-    return float(np.hypot(dx, dy) * max(0.0, t1 - t0))
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,6 @@ from .trisets import TriangleSet
 from .voidmod import VoidModParams, modify_voids
 
 
-PRESETS = ("stretch", "shear", "opening")
-
-
 @dataclass
 class LoadProgram:
     """Time-parameterized boundary displacement g(t, x) on the enclosing

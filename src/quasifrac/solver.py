@@ -695,8 +695,11 @@ def minimize_step(mesh: Triangulation, hist_ids, bc: DisplacementField,
         starts.append(sc[2].ids)
         # the previous state's crack set: its walk is the elastic
         # candidate's followed by start 0's, all memo hits, so it never
-        # wins, but it holds a multi_starts slot that a ladder start would
-        # otherwise take
+        # wins.  It stays because it fills the third multi_starts slot at
+        # every step after the first; a ladder or random start in that
+        # slot took the crack ladder at eps 1/64 from 47 to 99
+        # factorizations and changed its outputs (final K/2 1.2466 ->
+        # 1.3064)
         starts.append(hist_ids)
     if len(fresh):
         sq = (strains[fresh] ** 2).sum(axis=1)

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import segment_clip_rect_length
+from ._kernels import clip_lengths_rect
 from .mesh import Triangulation
 
 
@@ -85,13 +85,13 @@ class TriangleSet:
         return float(self.mesh.edge_lengths[self.boundary_edges].sum())
 
     def boundary_length_in_rect(self, rect) -> float:
-        """Boundary length clipped to an axis-aligned rectangle."""
-        total = 0.0
-        for e in self.boundary_edges:
-            a, b = self.mesh.edges[e]
-            total += segment_clip_rect_length(self.mesh.nodes[a],
-                                              self.mesh.nodes[b], rect)
-        return total
+        """Boundary length clipped to an axis-aligned rectangle: the
+        edges' clipped lengths added one after another in edge order (a
+        cumulative sum, not the pairwise summation of `sum`)."""
+        lengths = clip_lengths_rect(self.mesh.nodes,
+                                    self.mesh.edges[self.boundary_edges],
+                                    *rect)
+        return float(np.cumsum(lengths)[-1]) if len(lengths) else 0.0
 
     # -- connectivity ---------------------------------------------------------
 

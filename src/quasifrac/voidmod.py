@@ -673,11 +673,10 @@ def modify_voids(A: TriangleSet, u: DisplacementField,
     work = {}
     b_sep, u_mod = remove_separating_small(b, u, vm, stats=work)
 
+    # every piece a round returns is a nonempty part of w, and the round
+    # removes it, so each round shrinks w and the rounds end
     w = b_sep
-    for _ in range(1000):
-        pieces = _peel_round(w, vm)
-        if not pieces:
-            break
+    while pieces := _peel_round(w, vm):
         w, u_mod = _remove_pieces(w, u_mod, pieces, work)
 
     a_mod = heal_triangles(w, u_mod, stats=work)

@@ -38,114 +38,82 @@ def export_vtu(mesh: Triangulation, point_data: dict, cell_data: dict,
             raise IoError(f"cell array {name!r} has {len(arr)} entries, "
                           f"mesh has {m} cells")
 
-    pts3 = np.zeros((n, 3))
-    pts3[:, :2] = mesh.nodes
-    out = []
-    out.append('<?xml version="1.0"?>')
-    out.append('<VTKFile type="UnstructuredGrid" version="0.1" '
-               'byte_order="LittleEndian">')
-    out.append("  <UnstructuredGrid>")
-    out.append(f'    <Piece NumberOfPoints="{n}" NumberOfCells="{m}">')
-    out.append("      <Points>")
-    out.append('        <DataArray type="Float64" NumberOfComponents="3" '
-               'format="ascii">')
-    out.append("          " + _fmt(pts3))
-    out.append("        </DataArray>")
-    out.append("      </Points>")
-    out.append("      <Cells>")
-    out.append('        <DataArray type="Int64" Name="connectivity" '
-               'format="ascii">')
-    out.append("          " + _fmt_int(mesh.triangles))
-    out.append("        </DataArray>")
-    out.append('        <DataArray type="Int64" Name="offsets" format="ascii">')
-    out.append("          " + _fmt_int(3 * np.arange(1, m + 1)))
-    out.append("        </DataArray>")
-    out.append('        <DataArray type="UInt8" Name="types" format="ascii">')
-    out.append("          " + " ".join(["5"] * m))
-    out.append("        </DataArray>")
-    out.append("      </Cells>")
-
-    out.append("      <PointData>")
+    points = []
     for name in sorted(point_data):
         arr = np.asarray(point_data[name], dtype=float)
         if arr.ndim == 2 and arr.shape[1] == 2:
-            padded = np.zeros((n, 3))
-            padded[:, :2] = arr
-            arr = padded
+            arr = _pad3(arr)
         ncomp = 1 if arr.ndim == 1 else arr.shape[1]
-        out.append(f'        <DataArray type="Float64" Name="{name}" '
-                   f'NumberOfComponents="{ncomp}" format="ascii">')
-        out.append("          " + _fmt(arr))
-        out.append("        </DataArray>")
-    out.append("      </PointData>")
-
-    out.append("      <CellData>")
-    for name in sorted(cell_data):
-        arr = np.asarray(cell_data[name], dtype=float)
-        out.append(f'        <DataArray type="Float64" Name="{name}" '
-                   f'NumberOfComponents="1" format="ascii">')
-        out.append("          " + _fmt(arr))
-        out.append("        </DataArray>")
-    out.append("      </CellData>")
-
-    out.append("    </Piece>")
-    out.append("  </UnstructuredGrid>")
-    out.append("</VTKFile>")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(out) + "\n")
+        points.append(("Float64", name, ncomp, arr))
+    cells = [("Float64", name, 1, cell_data[name]) for name in sorted(cell_data)]
+    _write_vtk(path, "UnstructuredGrid",
+               {"NumberOfPoints": n, "NumberOfCells": m},
+               [("Points", [("Float64", None, 3, _pad3(mesh.nodes))]),
+                ("Cells", [("Int64", "connectivity", None, mesh.triangles),
+                           ("Int64", "offsets", None, 3 * np.arange(1, m + 1)),
+                           ("UInt8", "types", None, np.full(m, 5))]),
+                ("PointData", points),
+                ("CellData", cells)])
 
 
 def export_polyline_vtp(points, segments, path) -> None:
     """Write a set of line segments as VTK PolyData.
 
-    `points` is (n,2); `segments` an iterable of (i, j) index pairs.  An
-    empty segment list yields a valid file with zero lines.
+    `points` is (n,2); `segments` a (k,2) array or sequence of index
+    pairs.  An empty segment list yields a valid file with zero lines.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    segs = [(int(a), int(b)) for a, b in segments]
-    n = len(points)
-    pts3 = np.zeros((n, 3))
-    if n:
-        pts3[:, :2] = points
-    out = []
-    out.append('<?xml version="1.0"?>')
-    out.append('<VTKFile type="PolyData" version="0.1" '
-               'byte_order="LittleEndian">')
-    out.append("  <PolyData>")
-    out.append(f'    <Piece NumberOfPoints="{n}" NumberOfVerts="0" '
-               f'NumberOfLines="{len(segs)}" NumberOfStrips="0" '
-               'NumberOfPolys="0">')
-    out.append("      <Points>")
-    out.append('        <DataArray type="Float64" NumberOfComponents="3" '
-               'format="ascii">')
-    out.append("          " + (_fmt(pts3) if n else ""))
-    out.append("        </DataArray>")
-    out.append("      </Points>")
-    out.append("      <Lines>")
-    out.append('        <DataArray type="Int64" Name="connectivity" '
-               'format="ascii">')
-    out.append("          " + _fmt_int([i for s in segs for i in s]))
-    out.append("        </DataArray>")
-    out.append('        <DataArray type="Int64" Name="offsets" format="ascii">')
-    out.append("          " + _fmt_int(2 * np.arange(1, len(segs) + 1)))
-    out.append("        </DataArray>")
-    out.append("      </Lines>")
-    out.append("    </Piece>")
-    out.append("  </PolyData>")
-    out.append("</VTKFile>")
+    segs = np.asarray(segments, dtype=np.int64).reshape(-1, 2)
+    _write_vtk(path, "PolyData",
+               {"NumberOfPoints": len(points), "NumberOfVerts": 0,
+                "NumberOfLines": len(segs), "NumberOfStrips": 0,
+                "NumberOfPolys": 0},
+               [("Points", [("Float64", None, 3, _pad3(points))]),
+                ("Lines", [("Int64", "connectivity", None, segs),
+                           ("Int64", "offsets", None,
+                            2 * np.arange(1, len(segs) + 1))])])
+
+
+def _pad3(xy):
+    """(n,2) coordinates as (n,3) with a zero third column."""
+    out = np.zeros((len(xy), 3))
+    out[:, :2] = xy
+    return out
+
+
+def _write_vtk(path, kind, counts, sections) -> None:
+    """Write one ascii VTK XML file: a `kind` dataset of one piece with the
+    attributes `counts`, holding the (tag, arrays) pairs of `sections`.
+    Each array is (type, name, components, values), name or components
+    None leaving that attribute out; Float64 values are written with 17
+    significant digits, others as integers."""
+    attrs = " ".join(f'{k}="{v}"' for k, v in counts.items())
+    out = ['<?xml version="1.0"?>',
+           f'<VTKFile type="{kind}" version="0.1" byte_order="LittleEndian">',
+           f"  <{kind}>",
+           f"    <Piece {attrs}>"]
+    for tag, arrays in sections:
+        out.append(f"      <{tag}>")
+        for dtype, name, ncomp, values in arrays:
+            head = f'type="{dtype}"'
+            if name is not None:
+                head += f' Name="{name}"'
+            if ncomp is not None:
+                head += f' NumberOfComponents="{ncomp}"'
+            text = _fmt(values) if dtype == "Float64" else _fmt_int(values)
+            out += [f'        <DataArray {head} format="ascii">',
+                    "          " + text,
+                    "        </DataArray>"]
+        out.append(f"      </{tag}>")
+    out += ["    </Piece>", f"  </{kind}>", "</VTKFile>"]
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(out) + "\n")
 
 
 def boundary_polyline(tset) -> tuple:
-    """(points, segments) of a triangle set's boundary edges."""
-    mesh = tset.mesh
-    be = tset.boundary_edges
-    if not len(be):
-        return np.zeros((0, 2)), []
-    used = _distinct(mesh.edges[be])
-    remap = {int(v): i for i, v in enumerate(used)}
-    pts = mesh.nodes[used]
-    segs = [(remap[int(mesh.edges[e, 0])], remap[int(mesh.edges[e, 1])])
-            for e in be]
-    return pts, segs
+    """(points, segments) of a triangle set's boundary edges: the distinct
+    end nodes in index order, and per boundary edge its two positions
+    among them as a (k,2) int array."""
+    ends = tset.mesh.edges[tset.boundary_edges]
+    used = _distinct(ends)
+    return tset.mesh.nodes[used], np.searchsorted(used, ends)

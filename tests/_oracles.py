@@ -8,7 +8,9 @@ the rim oracle counts the owners of each edge from the vertex triples,
 the collar oracle measures each triangle's distance to the body
 rectangle one triangle at a time with scalar segment predicates, the
 clipped-area, strain, density and background oracles take one triangle
-at a time, the pre-crack oracle measures one triangle
+at a time, the clipped-length oracle clips one segment at a time and the
+polyline oracle numbers the curve's nodes through a dict, the pre-crack
+oracle measures one triangle
 center at a time, the filled-boundary oracle finds a set's boundary edges
 from its vertex triples, the edge-table and coordinate-key oracles fill one
 triangle at a time and a second edge-table oracle runs a row-wise
@@ -355,6 +357,54 @@ def clip_areas_by_loop(mesh, rect):
     x0, y0, x1, y1 = rect
     return np.array([clip_area_by_loop(mesh.nodes[t], x0, y0, x1, y1)
                      for t in mesh.triangles])
+
+
+def segment_clip_rect_length(a, b, rect) -> float:
+    """Length of segment ab inside [x0,x1]x[y0,y1] (Liang-Barsky), one
+    segment at a time."""
+    x0, y0, x1, y1 = rect
+    dx = b[0] - a[0]
+    dy = b[1] - a[1]
+    t0, t1 = 0.0, 1.0
+    for p, q in ((-dx, a[0] - x0), (dx, x1 - a[0]), (-dy, a[1] - y0), (dy, y1 - a[1])):
+        if p == 0.0:
+            if q < 0.0:
+                return 0.0
+            continue
+        r = q / p
+        if p < 0.0:
+            if r > t1:
+                return 0.0
+            if r > t0:
+                t0 = r
+        else:
+            if r < t0:
+                return 0.0
+            if r < t1:
+                t1 = r
+    return float(np.hypot(dx, dy) * max(0.0, t1 - t0))
+
+
+def boundary_length_in_rect_by_loop(tset, rect) -> float:
+    """Clipped boundary length of a triangle set, one edge after another."""
+    total = 0.0
+    for e in tset.boundary_edges:
+        a, b = tset.mesh.edges[e]
+        total += segment_clip_rect_length(tset.mesh.nodes[a],
+                                          tset.mesh.nodes[b], rect)
+    return total
+
+
+def boundary_polyline_by_dict(tset):
+    """(points, segments) of a set's boundary edges, its nodes numbered
+    through a dict in sorted order."""
+    mesh = tset.mesh
+    used = sorted({int(v) for e in tset.boundary_edges for v in mesh.edges[e]})
+    remap = {v: i for i, v in enumerate(used)}
+    pts = mesh.nodes[np.array(used, dtype=np.int64)].reshape(-1, 2)
+    segs = [(remap[int(mesh.edges[e, 0])], remap[int(mesh.edges[e, 1])])
+            for e in tset.boundary_edges]
+    return pts, segs
 
 
 def strains_by_loop(mesh, values):

@@ -257,3 +257,44 @@ def test_no_dead_code():
         "functions no program path names; delete them or list in TEST_ONLY"
     assert sorted(set(listed) - set(unnamed)) == [], \
         "TEST_ONLY entries that are gone or now have a program caller"
+
+
+def _module_bindings(tree):
+    """(name, first line, last line) of every name the module body binds by
+    assignment, class or import; functions are `test_no_dead_code`'s."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        elif isinstance(node, ast.ClassDef):
+            names = [node.name]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [(a.asname or a.name).split(".")[0] for a in node.names]
+        else:
+            continue
+        for name in names:
+            if not (name.startswith("__") and name.endswith("__")):
+                yield name, node.lineno, node.end_lineno
+
+
+def test_no_unread_module_names():
+    # every module-level constant, class and import of the package is read
+    # by the program or the benchmark outside its own statement
+    sample = ast.parse("import os, numpy as np\nfrom . import mesh\n"
+                       "A, (B, C) = 1, (2, 3)\nD: int = 4\nclass E:\n"
+                       "    F = 5\n__all__ = []\ndef g():\n    pass\n")
+    assert [(name, first) for name, first, _ in _module_bindings(sample)] \
+        == [("os", 1), ("np", 1), ("mesh", 2), ("A", 3), ("B", 3),
+            ("C", 3), ("D", 4), ("E", 5)]
+    paths = sorted(SRC.glob("*.py")) + sorted((REPO / "qfbench").glob("*.py"))
+    named = {p: list(_named(ast.parse(p.read_text(encoding="utf-8"))))
+             for p in paths}
+    unread = [f"{path.stem}.{name}"
+              for path in sorted(SRC.glob("*.py"))
+              for name, first, last in _module_bindings(
+                  ast.parse(path.read_text(encoding="utf-8")))
+              if not any(n == name and not (p == path and first <= line <= last)
+                         for p, found in named.items() for line, n in found)]
+    assert not unread, f"module-level names nothing reads: {unread}"

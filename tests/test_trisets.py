@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from quasifrac._kernels import clip_lengths_rect
 from quasifrac.mesh import Domain, MeshParams, build_background_mesh
 from quasifrac.trisets import (
     TriangleSet,
@@ -10,7 +11,12 @@ from quasifrac.trisets import (
     component_labels,
 )
 
-from _oracles import bfs_complement, bfs_components
+from _oracles import (
+    bfs_complement,
+    bfs_components,
+    boundary_length_in_rect_by_loop,
+    segment_clip_rect_length,
+)
 from conftest import block_ids, cell_tris
 
 
@@ -131,3 +137,50 @@ def test_boundary_length_in_rect(piece, rect, want):
         8.0 if piece == "square" else 2.0 + math.sqrt(2.0), abs=1e-12)
     assert tset.boundary_length_in_rect(rect) == pytest.approx(want,
                                                                abs=1e-12)
+
+
+def _clip_rects(mesh, rng):
+    """Rectangles that cut edges, hold them, miss them, and whose sides
+    run along axis-parallel edges (sides taken from node coordinates)."""
+    lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
+    xs, ys = np.unique(mesh.nodes[:, 0]), np.unique(mesh.nodes[:, 1])
+    rects = [mesh.domain.omega, mesh.domain.omega_prime,
+             (*(lo - 1.0), *(hi + 1.0)), (*(hi + 0.5), *(hi + 1.0)),
+             (xs[3], ys[5], xs[-4], ys[-6]), (xs[0], ys[0], xs[7], ys[2])]
+    for _ in range(4):
+        x0, x1 = np.sort(rng.uniform(lo[0], hi[0], 2))
+        y0, y1 = np.sort(rng.uniform(lo[1], hi[1], 2))
+        rects.append((x0, y0, x1, y1))
+    return [tuple(float(v) for v in r) for r in rects]
+
+
+@pytest.mark.parametrize("name", ["mesh16", "mesh32"])
+def test_clip_lengths_match_scalar_clip(request, name):
+    mesh = request.getfixturevalue(name)
+    rng = np.random.default_rng(17)
+    sets = [rng.choice(mesh.n_triangles, size=k, replace=False)
+            for k in (1, 40, mesh.n_triangles // 4, mesh.n_triangles // 2)]
+    sets.append(np.arange(mesh.n_triangles))  # every rim edge
+    ends = mesh.nodes[mesh.edges]
+    full = np.hypot(*(ends[:, 1] - ends[:, 0]).T)
+    flat = (ends[:, 0, 0] == ends[:, 1, 0]) | (ends[:, 0, 1] == ends[:, 1, 1])
+    cut = held = missed = on_side = 0
+    for rect in _clip_rects(mesh, rng):
+        # every edge of the mesh, one segment at a time
+        got = clip_lengths_rect(mesh.nodes, mesh.edges, *rect)
+        want = np.array([segment_clip_rect_length(a, b, rect)
+                         for a, b in ends])
+        assert got.tobytes() == want.tobytes()
+        cut += int(((want > 0.0) & (want < full)).sum())
+        held += int((want == full).sum())
+        missed += int((want == 0.0).sum())
+        side = np.isin(ends[:, :, 0], rect[::2]).all(axis=1) \
+            | np.isin(ends[:, :, 1], rect[1::2]).all(axis=1)
+        on_side += int((flat & side & (want > 0.0)).sum())
+        for ids in sets:
+            tset = TriangleSet(mesh, ids)
+            assert tset.boundary_length_in_rect(rect) == \
+                boundary_length_in_rect_by_loop(tset, rect)
+    assert min(cut, held, missed, on_side) > 0, (cut, held, missed, on_side)
+    assert TriangleSet(mesh, []).boundary_length_in_rect(
+        mesh.domain.omega) == 0.0

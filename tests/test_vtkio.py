@@ -13,6 +13,7 @@ from quasifrac.vtkio import (
     export_polyline_vtp,
     export_vtu,
 )
+from _oracles import boundary_polyline_by_dict
 from conftest import block_ids, make_mesh
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -45,9 +46,7 @@ def test_vtu_size_mismatch(tmp_path):
 def test_empty_polyline(tmp_path):
     path = tmp_path / "empty.vtp"
     export_polyline_vtp(np.zeros((0, 2)), [], path)
-    text = path.read_text()
-    assert 'NumberOfLines="0"' in text
-    assert "</VTKFile>" in text
+    assert path.read_bytes() == (GOLDEN / "empty.vtp").read_bytes()
 
 
 def test_boundary_polyline_roundtrip(tmp_path, mesh16):
@@ -55,8 +54,24 @@ def test_boundary_polyline_roundtrip(tmp_path, mesh16):
     pts, segs = boundary_polyline(tset)
     assert len(segs) == len(tset.boundary_edges)
     export_polyline_vtp(pts, segs, tmp_path / "b.vtp")
-    text = (tmp_path / "b.vtp").read_text()
-    assert f'NumberOfLines="{len(segs)}"' in text
+    assert (tmp_path / "b.vtp").read_bytes() == \
+        (GOLDEN / "block16.vtp").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["mesh16", "mesh32"])
+def test_boundary_polyline_matches_dict_numbering(request, name):
+    mesh = request.getfixturevalue(name)
+    rng = np.random.default_rng(29)
+    sets = [[], [0], np.arange(mesh.n_triangles)]
+    sets += [rng.choice(mesh.n_triangles, size=k, replace=False)
+             for k in (30, mesh.n_triangles // 3)]
+    for ids in sets:
+        tset = TriangleSet(mesh, ids)
+        pts, segs = boundary_polyline(tset)
+        want_pts, want_segs = boundary_polyline_by_dict(tset)
+        assert pts.tobytes() == want_pts.tobytes()
+        assert segs.dtype == np.int64 and segs.shape == (len(want_segs), 2)
+        assert segs.tolist() == [list(s) for s in want_segs]
 
 
 def test_export_budget_10k(tmp_path):
