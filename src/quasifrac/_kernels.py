@@ -2,14 +2,15 @@
 
 Array kernels take whole triangle or edge arrays: the hat-function
 gradient table of a mesh and the 3x6 strain blocks built from it, strains
-of a nodal field, triangle-rectangle clipped areas and segment-rectangle
-clipped lengths.  Each fixes its own summation order, so its results are
-bitwise the same whatever the numpy build; the strain kernel and the
-clipped areas sum in the order of the einsum and of the one-polygon
-clipping loop they replaced, and each clipped length is bitwise what a
-scalar Liang-Barsky clip gives.  The scalar geometry helpers
-(point-segment distance, polygon area and convex polygon clipping) serve
-the mesh validator.  `cg_deflated`, a Jacobi-
+of a nodal field, clipped areas of triangles, segment-rectangle clipped
+lengths and point-segment distances.  One polygon clipper, `clip_areas`,
+clips triangles against the sides of a rectangle (`clip_areas_rect`) or
+of other triangles (`triangle_sides`, for the mesh validator).  Each
+kernel fixes its own summation order, so its results are bitwise the same
+whatever the numpy build; the strain kernel and the clipped areas sum in
+the order of the einsum and of the one-polygon clipping loop they
+replaced, and each clipped length and distance is bitwise what the
+scalar Liang-Barsky clip or projection gives.  `cg_deflated`, a Jacobi-
 preconditioned conjugate gradient, has no program caller: the solver
 tests use it as an independent minimizer, and the benchmark's span
 tracer wraps it by name.
@@ -94,7 +95,7 @@ def _vertex_sum(g, u):
 
 
 # ---------------------------------------------------------------------------
-# clipping triangles and segments to an axis-aligned rectangle
+# clipping triangles to convex regions and segments to a rectangle
 
 
 def clip_areas_rect(nodes, tris, x0, y0, x1, y1):
@@ -102,7 +103,9 @@ def clip_areas_rect(nodes, tris, x0, y0, x1, y1):
 
     Triangles inside the rectangle take their shoelace area and triangles
     wholly beyond one side take 0.0, exactly what clipping would give them;
-    the triangles straddling a side are clipped together (_clip_areas).
+    the triangles straddling a side are clipped together (clip_areas)
+    against the sides x >= x0, x <= x1, y >= y0, y <= y1, in that order,
+    each crossed where t = (bound - a) / (b - a) along its coordinate.
     """
     x = np.take(nodes[:, 0], tris.T)
     y = np.take(nodes[:, 1], tris.T)
@@ -114,30 +117,58 @@ def clip_areas_rect(nodes, tris, x0, y0, x1, y1):
     # summed in the clipping's order, so the areas agree bit for bit
     out = np.where(inside, np.abs((cross[0] + cross[1]) + cross[2]) * 0.5, 0.0)
     cut = np.flatnonzero(~inside & ~beyond)
-    out[cut] = _clip_areas(x[:, cut].T, y[:, cut].T, x0, y0, x1, y1)
+    sides = ((lambda qx, qy: (qx >= x0, qx), lambda a, b: (x0 - a) / (b - a)),
+             (lambda qx, qy: (qx <= x1, qx), lambda a, b: (x1 - a) / (b - a)),
+             (lambda qx, qy: (qy >= y0, qy), lambda a, b: (y0 - a) / (b - a)),
+             (lambda qx, qy: (qy <= y1, qy), lambda a, b: (y1 - a) / (b - a)))
+    out[cut] = clip_areas(x[:, cut].T, y[:, cut].T, sides)
     return out
 
 
-def _clip_areas(px, py, x0, y0, x1, y1):
-    """Sutherland-Hodgman clip of the triangles with vertex coordinates
-    px, py (k, 3) against the rectangle, all at once.
+def triangle_sides(qx, qy):
+    """The three edges of the counterclockwise triangles with vertex
+    coordinates qx, qy (k, 3), one clip region per polygon, as the sides
+    of `clip_areas`: for the edge from a to b, a vertex p has the value
+    s = (b - a) x (p - a), lies inside when s >= 0.0, and the edge from
+    p to q crosses where t = s_p / (s_p - s_q), whose divisor is never 0
+    since one of s_p, s_q is negative and the other not."""
+    def side(k):
+        ax, ay = qx[:, k, None], qy[:, k, None]
+        ex = qx[:, (k + 1) % 3, None] - ax
+        ey = qy[:, (k + 1) % 3, None] - ay
 
-    Polygons are padded rows of vertex coordinates with a vertex count
-    each.  The sides are clipped in the order x >= x0, x <= x1, y >= y0,
-    y <= y1; against each, every vertex in turn is kept if inside, and
-    followed by the crossing point when its edge to the next vertex
-    crosses the side.  The shoelace terms are summed in vertex order, so
-    each area is bitwise what one polygon clipped at a time gives.
+        def test(px, py):
+            s = ex * (py - ay) - ey * (px - ax)
+            return s >= 0.0, s
+        return test, lambda sp, sq: sp / (sp - sq)
+    return [side(k) for k in range(3)]
+
+
+def clip_areas(px, py, sides):
+    """Sutherland-Hodgman clip of the triangles with vertex coordinates
+    px, py (k, 3), each against its own convex region, all at once; the
+    package's one polygon clipper.
+
+    `sides` lists the region's sides in clipping order, each a pair
+    (test, crossing): test(qx, qy) takes the (k, w) vertex coordinates and
+    gives which vertices lie inside and a value per vertex, and
+    crossing(va, vb) gives, from the values at the ends, the parameter t
+    where the edge from vertex a to vertex b crosses the side.  Polygons
+    are padded rows of vertex coordinates with a vertex count each.
+    Against each side, every vertex in turn is kept if inside, and
+    followed by the crossing point a + t (b - a) when its edge to the next
+    vertex crosses the side.  The shoelace terms are summed in vertex
+    order, so each area is bitwise what one polygon clipped at a time
+    gives.
     """
     n = np.full(len(px), 3)
-    for on_x, bound, lower in ((True, x0, True), (True, x1, False),
-                               (False, y0, True), (False, y1, False)):
+    for test, crossing in sides:
         live = np.arange(px.shape[1]) < n[:, None]
         nxt = _successor(n, px.shape[1])
-        c = px if on_x else py
-        ins = live & ((c >= bound) if lower else (c <= bound))
-        crossing = live & (ins != np.take_along_axis(ins, nxt, axis=1))
-        emit = ins.astype(np.int64) + crossing
+        inside, value = test(px, py)
+        ins = live & inside
+        cut = live & (ins != np.take_along_axis(ins, nxt, axis=1))
+        emit = ins.astype(np.int64) + cut
         at = np.cumsum(emit, axis=1) - emit  # output slot of each vertex
         n = emit.sum(axis=1)
         qx = np.zeros((len(px), max(int(n.max(initial=0)), 1)))
@@ -145,10 +176,10 @@ def _clip_areas(px, py, x0, y0, x1, y1):
         r, k = np.nonzero(ins)
         qx[r, at[r, k]] = px[r, k]
         qy[r, at[r, k]] = py[r, k]
-        r, k = np.nonzero(crossing)
+        r, k = np.nonzero(cut)
         ax, ay = px[r, k], py[r, k]
         bx, by = px[r, nxt[r, k]], py[r, nxt[r, k]]
-        t = (bound - ax) / (bx - ax) if on_x else (bound - ay) / (by - ay)
+        t = crossing(value[r, k], value[r, nxt[r, k]])
         qx[r, at[r, k] + ins[r, k]] = ax + t * (bx - ax)
         qy[r, at[r, k] + ins[r, k]] = ay + t * (by - ay)
         px, py = qx, qy
@@ -196,60 +227,22 @@ def clip_lengths_rect(nodes, edges, x0, y0, x1, y1):
 
 
 # ---------------------------------------------------------------------------
-# scalar geometry helpers
+# point-segment distance
 
 
 def point_seg_dist(px, py, ax, ay, bx, by):
+    """Distance from each point p to the segment from a to b, all
+    broadcast together: p's projection onto the segment's line, clipped to
+    its ends; a segment of length zero gives the distance to a."""
     ux, uy = bx - ax, by - ay
     wx, wy = px - ax, py - ay
-    dot = ux * wx + uy * wy
     len2 = ux * ux + uy * uy
-    if len2 <= 0.0:
-        return np.sqrt(wx * wx + wy * wy)
-    t = dot / len2
-    if t < 0.0:
-        t = 0.0
-    elif t > 1.0:
-        t = 1.0
+    # where len2 is 0, u is too small for t u to move a off its place
+    t = np.clip((ux * wx + uy * wy) / np.where(len2 > 0.0, len2, 1.0),
+                0.0, 1.0)
     dx = px - (ax + t * ux)
     dy = py - (ay + t * uy)
     return np.sqrt(dx * dx + dy * dy)
-
-
-def poly_area(pts) -> float:
-    """Shoelace area (absolute) of a polygon given as an (n,2) sequence."""
-    pts = np.asarray(pts, dtype=float)
-    if len(pts) < 3:
-        return 0.0
-    x, y = pts[:, 0], pts[:, 1]
-    return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))) / 2.0
-
-
-def clip_poly_convex(subject, clip):
-    """Sutherland-Hodgman clip of `subject` against convex CCW `clip`."""
-    out = [tuple(p) for p in subject]
-    clip = [tuple(p) for p in clip]
-    n = len(clip)
-    for i in range(n):
-        if not out:
-            return []
-        a = clip[i]
-        b = clip[(i + 1) % n]
-        inp = out
-        out = []
-        for j, cur in enumerate(inp):
-            nxt = inp[(j + 1) % len(inp)]
-            side_c = (b[0] - a[0]) * (cur[1] - a[1]) - (b[1] - a[1]) * (cur[0] - a[0])
-            side_n = (b[0] - a[0]) * (nxt[1] - a[1]) - (b[1] - a[1]) * (nxt[0] - a[0])
-            if side_c >= 0.0:
-                out.append(cur)
-            if (side_c >= 0.0) != (side_n >= 0.0):
-                denom = side_c - side_n
-                if denom != 0.0:
-                    t = side_c / denom
-                    out.append((cur[0] + t * (nxt[0] - cur[0]),
-                                cur[1] + t * (nxt[1] - cur[1])))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import point_seg_dist
 from .energy import EnergyError, MaterialModel, _g17
 from .evolution import LoadProgram, eta_schedule
 from .mesh import Domain, MeshParams, Triangulation
@@ -215,17 +216,7 @@ class RunConfig:
             return np.empty(0, dtype=np.int64)
         x1, y1, x2, y2, width = pc
         centers = mesh.nodes[mesh.triangles].mean(axis=1)
-        ux, uy = x2 - x1, y2 - y1
-        wx, wy = centers[:, 0] - x1, centers[:, 1] - y1
-        len2 = ux * ux + uy * uy
-        if len2 <= 0.0:
-            dist = np.sqrt(wx * wx + wy * wy)
-        else:
-            # projection onto the segment, clipped to its ends
-            t = np.clip((ux * wx + uy * wy) / len2, 0.0, 1.0)
-            dx = centers[:, 0] - (x1 + t * ux)
-            dy = centers[:, 1] - (y1 + t * uy)
-            dist = np.sqrt(dx * dx + dy * dy)
+        dist = point_seg_dist(centers[:, 0], centers[:, 1], x1, y1, x2, y2)
         return np.flatnonzero(dist <= 0.5 * width).astype(np.int64)
 
     # -- serialization -----------------------------------------------------

@@ -17,8 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import (clip_areas_rect, clip_poly_convex, point_seg_dist,
-                       poly_area, strain_gradients, strains_from_values,
+from ._kernels import (clip_areas, clip_areas_rect, point_seg_dist,
+                       strain_gradients, strains_from_values, triangle_sides,
                        tri_signed_areas)
 
 
@@ -531,54 +531,52 @@ def check_admissible(mesh: Triangulation) -> ValidationReport:
 
 
 def _check_overlaps(mesh: Triangulation, rep: ValidationReport):
-    """Detect pairwise improper intersections with a bbox hash."""
-    nodes = mesh.nodes
-    tris = mesh.triangles
-    tol = mesh.params.point_tol
-    h = mesh.params.grid_spacing
-    x0 = nodes[:, 0].min()
-    y0 = nodes[:, 1].min()
-    cells = {}
-    for t in range(len(tris)):
-        pts = nodes[tris[t]]
-        ci0 = int((pts[:, 0].min() - x0) // h)
-        ci1 = int((pts[:, 0].max() - x0) // h)
-        cj0 = int((pts[:, 1].min() - y0) // h)
-        cj1 = int((pts[:, 1].max() - y0) // h)
-        for ci in range(ci0, ci1 + 1):
-            for cj in range(cj0, cj1 + 1):
-                cells.setdefault((ci, cj), []).append(t)
-    seen = set()
-    area_tol = tol * mesh.params.eps  # tolerance on intersection area
-    for lst in cells.values():
-        for ii in range(len(lst)):
-            for jj in range(ii + 1, len(lst)):
-                a, b = lst[ii], lst[jj]
-                if (a, b) in seen:
-                    continue
-                seen.add((a, b))
-                pa = nodes[tris[a]]
-                pb = nodes[tris[b]]
-                inter = clip_poly_convex(pa, pb)
-                if poly_area(inter) > area_tol:
-                    rep.add("overlap", (a, b), "positive intersection area")
-                    continue
-                if _tjunction(pa, pb, tol) or _tjunction(pb, pa, tol):
-                    rep.add("overlap", (a, b), "partial edge contact")
+    """Report the triangle pairs whose intersection has an area above
+    point_tol * eps, and the rest where a vertex of one lies strictly
+    inside an edge of the other (see _edge_contact).  The pairs tested
+    share a cell of side grid_spacing that both bounding boxes meet,
+    cells counted by floor division from the least node coordinates."""
+    from .trisets import _distinct  # trisets imports this module
+
+    m, tol = mesh.n_triangles, mesh.params.point_tol
+    pts = mesh.nodes[mesh.triangles]
+    lo, hi = (((q - mesh.nodes.min(axis=0)) // mesh.params.grid_spacing)
+              .astype(np.int64) for q in (pts.min(axis=1), pts.max(axis=1)))
+    span = hi - lo + 1
+    # cell * m + triangle for each cell of each triangle's box, sorted
+    tri = np.repeat(np.arange(m), span[:, 0] * span[:, 1])
+    ci, cj = np.divmod(np.arange(len(tri)) - np.searchsorted(tri, tri),
+                       span[tri, 1])
+    rows = int(hi[:, 1].max(initial=0)) + 1
+    cell, tri = np.divmod(np.sort(
+        ((lo[tri, 0] + ci) * rows + lo[tri, 1] + cj) * m + tri), m)
+    # each entry pairs with every later entry of its cell
+    later = np.searchsorted(cell, cell, side="right") - np.arange(len(cell)) - 1
+    first = np.repeat(np.arange(len(cell)), later)
+    second = first + 1 + np.arange(len(first)) - np.searchsorted(first, first)
+    a, b = np.divmod(_distinct(tri[first] * m + tri[second]), m)
+
+    pa, pb = pts[a], pts[b]
+    area = clip_areas(pa[..., 0], pa[..., 1],
+                      triangle_sides(pb[..., 0], pb[..., 1]))
+    positive = area > tol * mesh.params.eps
+    contact = ~positive & (_edge_contact(pa, pb, tol)
+                           | _edge_contact(pb, pa, tol))
+    for i in np.flatnonzero(positive).tolist():
+        rep.add("overlap", (a[i], b[i]), "positive intersection area")
+    for i in np.flatnonzero(contact).tolist():
+        rep.add("overlap", (a[i], b[i]), "partial edge contact")
 
 
-def _tjunction(pa, pb, tol) -> bool:
-    """True if a vertex of pa lies strictly inside an edge of pb."""
-    for p in pa:
-        for k in range(3):
-            a = pb[k]
-            b = pb[(k + 1) % 3]
-            if point_seg_dist(p[0], p[1], a[0], a[1], b[0], b[1]) < tol:
-                da = math.hypot(p[0] - a[0], p[1] - a[1])
-                db = math.hypot(p[0] - b[0], p[1] - b[1])
-                if da > tol and db > tol:
-                    return True
-    return False
+def _edge_contact(pa, pb, tol):
+    """Per pair of triangles (k, 3, 2), whether a vertex of pa lies within
+    tol of an edge of pb and farther than tol from both its ends; all nine
+    vertex-edge combinations at once."""
+    (px, py), (ax, ay), (bx, by) = (np.moveaxis(q, -1, 0) for q in (
+        pa[:, :, None], pb[:, None], pb[:, None, [1, 2, 0]]))
+    return ((point_seg_dist(px, py, ax, ay, bx, by) < tol)
+            & (np.hypot(px - ax, py - ay) > tol)
+            & (np.hypot(px - bx, py - by) > tol)).any(axis=(1, 2))
 
 
 def interpolate(mesh: Triangulation, g, t: float) -> DisplacementField:

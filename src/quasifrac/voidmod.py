@@ -556,7 +556,8 @@ def _touch_counts(mesh: Triangulation, comps):
 def _peel_round(W: TriangleSet, vm: VoidModParams):
     """(piece, saturation) pairs removed in one simultaneous round: small
     edge-components touching the rest in at most two points, plus small
-    single-vertex-separated pieces."""
+    single-vertex-separated pieces, each piece once (a whole small closure
+    component is both)."""
     mesh = W.mesh
     budget = vm.hole_threshold(mesh.params.eps)
     comps = W.components
@@ -566,7 +567,10 @@ def _peel_round(W: TriangleSet, vm: VoidModParams):
         touch = _touch_counts(mesh, comps)
         removal = [(c, sat) for c, sat, k in zip(comps, sats, touch.tolist())
                    if sat is not None and k <= 2]
-    return removal + _maximal_small_pieces(W, vm)
+    once = {}
+    for p, sat in removal + _maximal_small_pieces(W, vm):
+        once.setdefault(tuple(p.tolist()), (p, sat))
+    return list(once.values())
 
 
 # ---------------------------------------------------------------------------

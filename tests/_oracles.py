@@ -7,11 +7,12 @@ sets breadth-first over adjacency read straight from the vertex triples,
 the rim oracle counts the owners of each edge from the vertex triples,
 the collar oracle measures each triangle's distance to the body
 rectangle one triangle at a time with scalar segment predicates, the
-clipped-area, strain, density and background oracles take one triangle
-at a time, the clipped-length oracle clips one segment at a time and the
-polyline oracle numbers the curve's nodes through a dict, the pre-crack
-oracle measures one triangle
-center at a time, the filled-boundary oracle finds a set's boundary edges
+overlap oracle clips and tests one triangle pair of a dict-keyed hash
+grid at a time with a scalar polygon clipper and point-segment distance,
+the clipped-area, strain, density and background oracles take one
+triangle at a time, the clipped-length oracle clips one segment at a time
+and the polyline oracle numbers the curve's nodes through a dict, the
+pre-crack oracle measures one triangle center at a time, the filled-boundary oracle finds a set's boundary edges
 from its vertex triples, the edge-table and coordinate-key oracles fill one
 triangle at a time and a second edge-table oracle runs a row-wise
 np.unique of vertex pairs, point location scans every triangle, the
@@ -30,8 +31,7 @@ from collections import deque
 import numpy as np
 import scipy.sparse as sp
 
-from quasifrac._kernels import (point_seg_dist, strain_blocks,
-                                strains_from_values)
+from quasifrac._kernels import strain_blocks, strains_from_values
 from quasifrac.mesh import MeshError
 from quasifrac.solver import solve_elastic
 from quasifrac.trisets import closure_components_minus_vertex
@@ -249,6 +249,115 @@ def segs_intersect(ax, ay, bx, by, cx, cy, dx, dy):
     if o4 == 0 and _on_seg(cx, cy, dx, dy, bx, by):
         return True
     return False
+
+
+def point_seg_dist(px, py, ax, ay, bx, by):
+    """Distance from point p to segment ab, one point at a time."""
+    ux, uy = bx - ax, by - ay
+    wx, wy = px - ax, py - ay
+    dot = ux * wx + uy * wy
+    len2 = ux * ux + uy * uy
+    if len2 <= 0.0:
+        return np.sqrt(wx * wx + wy * wy)
+    t = dot / len2
+    if t < 0.0:
+        t = 0.0
+    elif t > 1.0:
+        t = 1.0
+    dx = px - (ax + t * ux)
+    dy = py - (ay + t * uy)
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def poly_area(pts) -> float:
+    """Shoelace area (absolute) of a polygon given as an (n,2) sequence."""
+    pts = np.asarray(pts, dtype=float)
+    if len(pts) < 3:
+        return 0.0
+    x, y = pts[:, 0], pts[:, 1]
+    return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))) / 2.0
+
+
+def clip_poly_convex(subject, clip):
+    """Sutherland-Hodgman clip of `subject` against convex CCW `clip`,
+    one vertex at a time."""
+    out = [tuple(p) for p in subject]
+    clip = [tuple(p) for p in clip]
+    n = len(clip)
+    for i in range(n):
+        if not out:
+            return []
+        a = clip[i]
+        b = clip[(i + 1) % n]
+        inp = out
+        out = []
+        for j, cur in enumerate(inp):
+            nxt = inp[(j + 1) % len(inp)]
+            side_c = (b[0] - a[0]) * (cur[1] - a[1]) - (b[1] - a[1]) * (cur[0] - a[0])
+            side_n = (b[0] - a[0]) * (nxt[1] - a[1]) - (b[1] - a[1]) * (nxt[0] - a[0])
+            if side_c >= 0.0:
+                out.append(cur)
+            if (side_c >= 0.0) != (side_n >= 0.0):
+                denom = side_c - side_n
+                if denom != 0.0:
+                    t = side_c / denom
+                    out.append((cur[0] + t * (nxt[0] - cur[0]),
+                                cur[1] + t * (nxt[1] - cur[1])))
+    return out
+
+
+def tjunction(pa, pb, tol) -> bool:
+    """True if a vertex of pa lies strictly inside an edge of pb."""
+    for p in pa:
+        for k in range(3):
+            a = pb[k]
+            b = pb[(k + 1) % 3]
+            if point_seg_dist(p[0], p[1], a[0], a[1], b[0], b[1]) < tol:
+                da = math.hypot(p[0] - a[0], p[1] - a[1])
+                db = math.hypot(p[0] - b[0], p[1] - b[1])
+                if da > tol and db > tol:
+                    return True
+    return False
+
+
+def overlaps_by_pair_loop(mesh, rep):
+    """Add to rep the triangle pairs that meet improperly, one pair at a
+    time: each triangle goes into every cell of a dict-keyed hash grid
+    (cell size grid_spacing) that its bounding box meets, and each pair in
+    a cell is clipped, then tested for partial edge contact."""
+    nodes = mesh.nodes
+    tris = mesh.triangles
+    tol = mesh.params.point_tol
+    h = mesh.params.grid_spacing
+    x0 = nodes[:, 0].min()
+    y0 = nodes[:, 1].min()
+    cells = {}
+    for t in range(len(tris)):
+        pts = nodes[tris[t]]
+        ci0 = int((pts[:, 0].min() - x0) // h)
+        ci1 = int((pts[:, 0].max() - x0) // h)
+        cj0 = int((pts[:, 1].min() - y0) // h)
+        cj1 = int((pts[:, 1].max() - y0) // h)
+        for ci in range(ci0, ci1 + 1):
+            for cj in range(cj0, cj1 + 1):
+                cells.setdefault((ci, cj), []).append(t)
+    seen = set()
+    area_tol = tol * mesh.params.eps  # tolerance on intersection area
+    for lst in cells.values():
+        for ii in range(len(lst)):
+            for jj in range(ii + 1, len(lst)):
+                a, b = lst[ii], lst[jj]
+                if (a, b) in seen:
+                    continue
+                seen.add((a, b))
+                pa = nodes[tris[a]]
+                pb = nodes[tris[b]]
+                inter = clip_poly_convex(pa, pb)
+                if poly_area(inter) > area_tol:
+                    rep.add("overlap", (a, b), "positive intersection area")
+                    continue
+                if tjunction(pa, pb, tol) or tjunction(pb, pa, tol):
+                    rep.add("overlap", (a, b), "partial edge contact")
 
 
 def seg_seg_dist(ax, ay, bx, by, cx, cy, dx, dy):
@@ -811,7 +920,8 @@ def maximal_small_pieces_by_piece(B, budget, flood):
 def peel_round_by_piece(W, budget, flood):
     """(piece, saturation) pairs of one peeling round, one edge-component
     at a time: the small healable ones with at most two nodes shared with
-    the rest of W, then the maximal small split pieces."""
+    the rest of W, then the maximal small split pieces that are not among
+    them already."""
     removal = []
     for c in bfs_components(W.mesh, W.mask, "edge"):
         sat = small_saturation_by_flood(flood, c, budget)
@@ -821,7 +931,9 @@ def peel_round_by_piece(W, budget, flood):
         rest[c] = False
         if touch_points(W.mesh, c, rest) <= 2:
             removal.append((c, sat))
-    return removal + maximal_small_pieces_by_piece(W, budget, flood)
+    listed = [set(c.tolist()) for c, _ in removal]
+    return removal + [(p, sat) for p, sat in maximal_small_pieces_by_piece(
+        W, budget, flood) if set(p.tolist()) not in listed]
 
 
 def euler_characteristic(mesh, ids):

@@ -15,6 +15,8 @@ from quasifrac.config import (
     load_config,
     parse_config,
 )
+from quasifrac.mesh import MeshParams, Triangulation
+from conftest import STD_DOMAIN
 from _oracles import precrack_ids_by_loop
 
 REPO = Path(__file__).resolve().parents[1]
@@ -217,6 +219,43 @@ def test_cli_check_mesh(tmp_path, mesh16):
     assert "admissible" in res.stdout
 
 
+def _unusable_mesh_file(tmp_path, kind):
+    """A mesh file with an edge in three triangles, or one without a
+    domain."""
+    fan = Triangulation([(0, 0), (1, 0), (0.5, 1), (0.5, -1), (0.5, 2)],
+                        [(0, 1, 2), (0, 1, 3), (0, 1, 4)], STD_DOMAIN,
+                        MeshParams(theta0=math.pi / 6, eps=0.5))
+    data = fan.to_dict()
+    if kind == "no-domain":
+        del data["domain"]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(data))
+    return path, fan.n_nodes
+
+
+@pytest.mark.parametrize("command, kind, message", [
+    ("check-mesh", "fan", "edge 0 shared by more than two triangles"),
+    ("voidmod", "fan", "edge 0 shared by more than two triangles"),
+    ("check-mesh", "no-domain", "mesh file has no domain"),
+    ("voidmod", "no-domain", "mesh file has no domain"),
+    ("energy", "no-domain", "mesh file has no domain"),
+])
+def test_cli_reports_unusable_mesh(tmp_path, command, kind, message):
+    # a mesh the command cannot use is an error naming the fault, not a
+    # traceback
+    path, n_nodes = _unusable_mesh_file(tmp_path, kind)
+    ids = tmp_path / "ids.txt"
+    ids.write_text("0 1\n")
+    field = tmp_path / "u.json"
+    field.write_text(json.dumps({"values": [[0.0, 0.0]] * n_nodes}))
+    args = {"check-mesh": [str(path)],
+            "voidmod": ["--mesh", str(path), "--set", str(ids)],
+            "energy": ["--mesh", str(path), "--field", str(field)]}[command]
+    res = _run_cli([command, *args])
+    assert res.returncode == 2
+    assert res.stderr == f"mesh error: {message}\n"
+
+
 def test_cli_voidmod_and_energy(tmp_path, mesh16):
     mesh_path = tmp_path / "m.json"
     mesh16.save(mesh_path)
@@ -251,6 +290,13 @@ def test_cli_study_smoke(tmp_path):
     res = _run_cli(["study", "--config", str(cfg), "--refine", "1"])
     assert res.returncode == 0, res.stderr
     assert (tmp_path / "st" / "convergence.csv").exists()
+    # no crack grows at this amplitude, so the Cauchy check has nothing to
+    # compare, and says so without failing
+    rows = [line.split(",") for line in
+            (tmp_path / "st" / "convergence.csv").read_text().splitlines()]
+    col = rows[0].index("kappa_sin_half_k")
+    assert [float(r[col]) for r in rows[1:]] == [0.0, 0.0]
+    assert "note: crack-energy Cauchy check vacuous" in res.stderr
 
 
 @pytest.mark.parametrize("line, key", [

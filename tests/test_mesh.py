@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from quasifrac import mesh as mesh_module
 from quasifrac.mesh import (
     DisplacementField,
     Domain,
@@ -15,17 +16,20 @@ from quasifrac.mesh import (
     check_admissible,
     interpolate,
 )
-from quasifrac._kernels import clip_areas_rect, strains_from_values
-from conftest import STD_DOMAIN, AffineLoad
+from quasifrac._kernels import (clip_areas, clip_areas_rect,
+                                strains_from_values, triangle_sides)
+from conftest import STD_DOMAIN, AffineLoad, make_mesh
 from _oracles import (
     clip_area_by_loop,
     clip_areas_by_loop,
+    clip_poly_convex,
     collar_mask_by_distance,
     containing_triangle,
     edge_table_by_unique,
     edge_tables_by_loop,
     field_at,
     is_background_by_loop,
+    overlaps_by_pair_loop,
     strains_by_loop,
     tri_keys_by_loop,
 )
@@ -114,6 +118,98 @@ def test_check_admissible_coverage():
     mesh = Triangulation(nodes, tris, dom, params)
     rep = check_admissible(mesh)
     assert "coverage" in rep.kinds()
+
+
+def test_clip_areas_match_scalar_clip_on_triangle_pairs(mesh16):
+    # each triangle of a pair clipped by the other's edges, as the
+    # validator clips them: bitwise the polygon of the scalar clip, its
+    # shoelace terms summed in vertex order.  Mesh neighbors give vertices
+    # on a clipping edge; jittered and random triangles give crossings.
+    rng = np.random.default_rng(11)
+    pairs = [mesh16.nodes[mesh16.triangles[mesh16.edge_tris[
+        mesh16.edge_tris[:, 1] >= 0]]]]
+    for mesh in _jittered_meshes()[2:5]:
+        a = rng.integers(mesh.n_triangles, size=300)
+        b = mesh.tri_neighbors[a, rng.integers(3, size=300)]
+        b = np.where(b >= 0, b, a)
+        pairs.append(mesh.nodes[mesh.triangles[np.stack([a, b], axis=1)]])
+    pts = rng.uniform(0.0, 1.0, size=(400, 2, 3, 2))
+    u, v = pts[:, :, 1] - pts[:, :, 0], pts[:, :, 2] - pts[:, :, 0]
+    flip = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0] < 0.0
+    pts[flip] = pts[flip][:, ::-1]
+    pairs.append(pts)
+    pa, pb = np.concatenate(pairs).transpose(1, 0, 2, 3)
+    got = clip_areas(pa[..., 0], pa[..., 1],
+                     triangle_sides(pb[..., 0], pb[..., 1]))
+    want = []
+    for p, q in zip(pa, pb):
+        poly = clip_poly_convex(p, q)
+        area = 0.0
+        for j, (x, y) in enumerate(poly):
+            nx, ny = poly[(j + 1) % len(poly)]
+            area += x * ny - nx * y
+        want.append(abs(area) * 0.5)
+    want = np.array(want)
+    assert got.tobytes() == want.tobytes()
+    assert (want == 0.0).sum() > 100 and (want > 1e-3).sum() > 100
+
+
+def _jittered_meshes():
+    """Background meshes at eps 1/8 and 1/16 with every node moved by a
+    seeded uniform offset of up to 0.05h to 1.5h in each coordinate (h the
+    grid spacing); the larger offsets turn triangles over, and the mesh
+    then orients them counterclockwise, so they overlap."""
+    out = []
+    for eps in (1 / 8, 1 / 16):
+        base = make_mesh(eps)
+        h = base.params.grid_spacing
+        for seed, jitter in enumerate((0.05, 0.2, 0.5, 1.0, 1.5)):
+            rng = np.random.default_rng(100 * seed + round(1 / eps))
+            nodes = base.nodes + rng.uniform(-jitter, jitter,
+                                             size=base.nodes.shape) * h
+            out.append(Triangulation(nodes, base.triangles, base.domain,
+                                     base.params))
+    return out
+
+
+def _pulled_meshes():
+    """The eps 1/8 background mesh with one interior node pulled onto the
+    far edge of one of its triangles (a horizontal, a vertical and a
+    diagonal one), at 0.3 of the edge's length, then moved off it along
+    the edge's normal by 0 or +-1e-12 eps: the node then lies on, just
+    inside or just beyond the edge of the triangle on its far side."""
+    base = make_mesh(1 / 8)
+    nx = base.grid_shape[0]
+    v = 4 * (nx + 1) + 4  # node (4, 4)
+    star = np.flatnonzero((base.triangles == v).any(axis=1))
+    out = []
+    for t in star[:3]:
+        a, b = [n for n in base.triangles[t] if n != v]
+        pa, pb = base.nodes[a], base.nodes[b]
+        normal = np.array([pb[1] - pa[1], pa[0] - pb[0]])
+        normal /= np.hypot(*normal)
+        for offset in (0.0, 1e-12 * base.params.eps,
+                       -1e-12 * base.params.eps):
+            nodes = base.nodes.copy()
+            nodes[v] = pa + 0.3 * (pb - pa) + offset * normal
+            out.append(Triangulation(nodes, base.triangles, base.domain,
+                                     base.params))
+    return out
+
+
+def test_check_admissible_matches_pair_loop(monkeypatch):
+    # the whole report, against the same check with its overlap test done
+    # one triangle pair at a time
+    details = set()
+    for mesh in _jittered_meshes() + _pulled_meshes():
+        got = check_admissible(mesh).violations
+        with monkeypatch.context() as patch:
+            patch.setattr(mesh_module, "_check_overlaps",
+                          overlaps_by_pair_loop)
+            want = check_admissible(mesh).violations
+        assert got == want
+        details |= {d for kind, _, d in want if kind == "overlap"}
+    assert details == {"positive intersection area", "partial edge contact"}
 
 
 def test_area_edge_inequality_on_background(mesh16):

@@ -99,32 +99,41 @@ def test_no_unique_without_inverse_or_counts():
         "\n".join(found)
 
 
-def test_one_band_factorization_call():
-    # every band, the intact reference's halves included, is factored by
-    # the one dpbtrf call in solver._factor
+def _defs_naming(target):
+    """The innermost def around each place the package names `target`,
+    as a one-item list, or [] at module level."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         defs = list(_defs(tree, path.stem))
         for line, name in _named(tree):
-            if name == "dpbtrf":
+            if name == target:
                 found.append([qual for qual, first, last in defs
                               if first <= line <= last][-1:])
+    return found
+
+
+def test_one_band_factorization_call():
+    # every band, the intact reference's halves included, is factored by
+    # the one dpbtrf call in solver._factor
+    found = _defs_naming("dpbtrf")
     assert found == [["solver._factor"]], found
 
 
 def test_element_blocks_computed_once_per_reference():
     # element blocks are computed once per mesh and elasticity, by the
     # intact reference, and every band and product is built from its copy
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        defs = list(_defs(tree, path.stem))
-        for line, name in _named(tree):
-            if name == "_element_blocks":
-                found.append([qual for qual, first, last in defs
-                              if first <= line <= last][-1:])
+    found = _defs_naming("_element_blocks")
     assert found == [["solver._intact_reference"]], found
+
+
+def test_one_polygon_clipper():
+    # every clipped area, of a triangle against a rectangle or against
+    # another triangle, comes out of the Sutherland-Hodgman emission in
+    # _kernels.clip_areas, which walks its padded polygons by `_successor`;
+    # no other def names it
+    found = _defs_naming("_successor")
+    assert found and all(f == ["_kernels.clip_areas"] for f in found), found
 
 
 def test_no_module_global_looks_traced():

@@ -358,6 +358,23 @@ def test_remove_pieces_matches_sequential_oracle(name, request):
     assert peeled >= 2
 
 
+def test_peel_round_lists_each_piece_once(mesh16):
+    # an isolated small piece off the rim is both an edge-component with
+    # no touch point and a whole small closure component; the round lists
+    # it once, and its removal counts one component
+    piece = block_ids(mesh16, 6, 7, 6, 7)
+    rest = block_ids(mesh16, 2, 12, 11, 13)
+    w = TriangleSet(mesh16, np.concatenate([piece, rest]))
+    assert [p.tolist() for p, _ in _maximal_small_pieces(w, VM)] \
+        == [sorted(piece.tolist())]
+    pieces = _peel_round(w, VM)
+    assert [p.tolist() for p, _ in pieces] == [sorted(piece.tolist())]
+    stats = {}
+    kept, _ = _remove_pieces(w, smooth_field(mesh16, seed=2), pieces, stats)
+    assert stats["sep_removed"] == 1
+    assert np.array_equal(kept.ids, np.sort(rest))
+
+
 def test_remove_pieces_batch_edge_cases(mesh16):
     u = smooth_field(mesh16, seed=9)
     # two blocks one cell apart: the triangles between them touch both,
