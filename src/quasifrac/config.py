@@ -142,8 +142,9 @@ class RunConfig:
                 "background mesh")
         if v["eta"] != "auto" and not (0.0 < v["eta"] <= 0.5):
             raise ValidationError("eta", "must be 'auto' or in (0, 0.5]")
-        if v["multi_starts"] < 1 or v["max_outer"] < 1:
-            raise ValidationError("multi_starts", "iteration counts must be >= 1")
+        for key in ("multi_starts", "max_outer"):
+            if v[key] < 1:
+                raise ValidationError(key, "must be >= 1")
         if v["seed"] < 0:
             raise ValidationError("seed", "must be >= 0")
         if v["precrack"] and len(v["precrack"]) != 5:

@@ -53,14 +53,14 @@ class BalanceReport:
         return "\n".join(lines) + "\n"
 
 
-def _step_power(rec, e_load) -> float:
-    """Integral of e(u_k) : e_load over the body minus step k's crack."""
+def _step_power(rec, c_load) -> float:
+    """Integral of e(u_k) : c_load over the body minus step k's crack."""
     mesh = rec.mesh
     strains = DisplacementField(mesh, rec.u_values).strains()
     mask = np.ones(mesh.n_triangles, dtype=bool)
     mask[rec.accum_ids] = False
     w = mesh.area_in_omega[mask]
-    return float((w * (strains[mask] @ e_load)).sum())
+    return float((w * (strains[mask] @ c_load)).sum())
 
 
 def check_energy_balance(trace: EvolutionTrace, load: LoadProgram,
@@ -68,7 +68,8 @@ def check_energy_balance(trace: EvolutionTrace, load: LoadProgram,
     """Compare energy increments with the boundary-load work along a trace.
 
     lhs_k is the energy at step k minus the initial energy; rhs_k the time
-    integral of twice the strain power, midpoint-sampled in the load factor
+    integral of twice the strain power e(u) : c_load, c_load = C de_load/dt
+    with C the trace's elasticity, midpoint-sampled in the load factor
     (exact for time-affine presets).  The piecewise-constant variant feeds
     the beta fit.  The load's strain rate is the same at every time
     (`LoadProgram.dt_matrix`), so each step's power is computed once and
@@ -81,8 +82,9 @@ def check_energy_balance(trace: EvolutionTrace, load: LoadProgram,
     rhs_pc = np.zeros(n)
     if n > 1:
         e0 = steps[0].energy.total
-        e_load = load.dt_strain_mandel(steps[0].t)
-        p = [_step_power(rec, e_load) for rec in steps]
+        c_load = np.asarray(trace.header["elasticity"]) @ \
+            load.dt_strain_mandel(steps[0].t)
+        p = [_step_power(rec, c_load) for rec in steps]
         for k in range(1, n):
             lhs[k] = steps[k].energy.total - e0
             dt = steps[k].t - steps[k - 1].t

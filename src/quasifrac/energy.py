@@ -2,21 +2,21 @@
 history-dependent energy of the incremental scheme.
 
 Per triangle the density is min(eps C e:e, kappa) / eps for a positive
-definite elasticity C; a triangle whose density is capped counts as
-cracked, whether or not it is a cell of the background grid.  The elastic
+definite elasticity C; in the static energy a triangle whose density is
+capped counts as cracked, on the background grid or off it.  The elastic
 integral runs over the body rectangle; cracked area is measured inside the
-enclosing rectangle.  In the history energy a triangle straddling the body
-boundary therefore costs more cracked than its capped density says; for a
-fixed field it joins the crack set only where
-kappa |T n omega'| <= eps |T n omega| |e|_C^2, the choice that minimizes
-that energy (choose_crack_set).
+enclosing rectangle, so in the history energy a triangle straddling the
+body boundary costs more cracked than its capped density says.  The one
+crack rule, classify_cracked, keeps the history cracked and cracks any
+other triangle where kappa |T n omega'| <= eps |T n omega| |e|_C^2, which
+minimizes the history energy of a fixed field; energy_given_crack_set is
+the energy of a given set.  Both take the density C e:e per triangle.
 
 Every function reads eps from the mesh's own parameters.  The history of
 a run is its accumulated set of cracked triangles, passed as an array of
 triangle ids on the run's one mesh.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,10 +30,6 @@ class EnergyError(Exception):
 
 
 class MeshFieldMismatch(EnergyError):
-    pass
-
-
-class DegenerateTriangle(EnergyError):
     pass
 
 
@@ -88,16 +84,6 @@ def _g17(x: float) -> str:
 # operations
 
 
-def triangle_strain(mesh: Triangulation, u: DisplacementField, t_id: int):
-    """Constant symmetrized gradient of u on one triangle, as a 2x2 matrix."""
-    _check_field(mesh, u)
-    if mesh.areas[t_id] < 1e-14 * mesh.params.eps ** 2:
-        raise DegenerateTriangle(f"triangle {t_id} has near-zero area")
-    row = u.strains()[t_id]
-    s2 = row[2] / math.sqrt(2.0)
-    return np.array([[row[0], s2], [s2, row[1]]])
-
-
 def _check_field(mesh, u):
     if u.mesh is not mesh:
         raise MeshFieldMismatch("field does not live on this mesh")
@@ -120,33 +106,6 @@ def static_energy(mesh: Triangulation, u: DisplacementField,
                         n_cracked=int(capped.sum()))
 
 
-def classify_cracked(mesh: Triangulation, u: DisplacementField,
-                     material: MaterialModel) -> TriangleSet:
-    """Triangles whose density is capped, eps |e|_C^2 >= kappa (ties
-    crack)."""
-    _check_field(mesh, u)
-    eps = mesh.params.eps
-    cracked = eps * _density(u.strains(), material) >= material.kappa
-    return TriangleSet(mesh, np.where(cracked)[0])
-
-
-def choose_crack_set(mesh: Triangulation, u: DisplacementField, hist_ids,
-                     material: MaterialModel) -> TriangleSet:
-    """Crack set minimizing the history energy of the fixed field u.
-
-    The accumulated ids `hist_ids` stay cracked.  Any other triangle joins
-    exactly when cracking it does not raise the energy,
-    kappa |T n omega'| <= eps |T n omega| |e|_C^2 (ties crack).  Where the
-    two areas agree this is classify_cracked's test eps |e|_C^2 >= kappa,
-    bit for bit; a triangle straddling the body boundary is charged its
-    larger area in the enclosing rectangle, so it needs a proportionally
-    larger strain.
-    """
-    _check_field(mesh, u)
-    return _crack_set_of_density(mesh, _density(u.strains(), material),
-                                 hist_ids, material)
-
-
 def _density(strains, material: MaterialModel) -> np.ndarray:
     """C e : e per triangle for Mandel strain rows `strains`: the terms
     (e_i C_ij) e_j summed in row-major order.
@@ -164,9 +123,19 @@ def _density(strains, material: MaterialModel) -> np.ndarray:
     return out
 
 
-def _crack_set_of_density(mesh: Triangulation, sq, hist_ids,
-                          material: MaterialModel) -> TriangleSet:
-    """choose_crack_set for the per-triangle density sq = C e : e."""
+def classify_cracked(mesh: Triangulation, sq, hist_ids,
+                     material: MaterialModel) -> TriangleSet:
+    """Crack set minimizing the history energy of a field whose density
+    per triangle is sq = C e : e.
+
+    The accumulated ids `hist_ids` stay cracked.  Any other triangle joins
+    exactly when cracking it does not raise the energy,
+    kappa |T n omega'| <= eps |T n omega| |e|_C^2 (ties crack).  Where the
+    two areas agree this is the static energy's cap test
+    eps |e|_C^2 >= kappa, bit for bit; a triangle straddling the body
+    boundary is charged its larger area in the enclosing rectangle, so it
+    needs a proportionally larger strain.
+    """
     w_omega = mesh.area_in_omega
     w_prime = mesh.area_in_omega_prime
     kappa, eps = material.kappa, mesh.params.eps
@@ -176,29 +145,11 @@ def _crack_set_of_density(mesh: Triangulation, sq, hist_ids,
     return TriangleSet(mesh, np.where(cracked)[0])
 
 
-def history_energy(mesh: Triangulation, u: DisplacementField, hist_ids,
-                   material: MaterialModel) -> EnergyReport:
-    """History-dependent energy: elastic integral off the crack set, plus
-    kappa/eps times the cracked area inside the enclosing rectangle.  The
-    crack set is the accumulated one (ids `hist_ids`) plus every other
-    triangle whose cracking does not raise this energy (choose_crack_set):
-    a saturated triangle straddling the body boundary stays elastic while
-    its elastic energy is below kappa/eps times its area in the enclosing
-    rectangle."""
-    s = choose_crack_set(mesh, u, hist_ids, material)
-    return energy_given_crack_set(mesh, u, s.ids, material)
-
-
-def energy_given_crack_set(mesh: Triangulation, u: DisplacementField, s_ids,
+def energy_given_crack_set(mesh: Triangulation, sq, s_ids,
                            material: MaterialModel) -> EnergyReport:
-    """Energy with an explicit crack set (no self-classification)."""
-    return _energy_of_density(mesh, _density(u.strains(), material), s_ids,
-                              material)
-
-
-def _energy_of_density(mesh: Triangulation, sq, s_ids,
-                       material: MaterialModel) -> EnergyReport:
-    """energy_given_crack_set for the per-triangle density sq = C e : e."""
+    """History energy with the explicit crack set `s_ids` (no
+    self-classification) of a field whose density per triangle is
+    sq = C e : e."""
     w_omega = mesh.area_in_omega
     w_prime = mesh.area_in_omega_prime
     s_mask = np.zeros(mesh.n_triangles, dtype=bool)
@@ -211,3 +162,17 @@ def _energy_of_density(mesh: Triangulation, sq, s_ids,
                         crack_part=crack, cracked_area=cracked_area,
                         n_cracked=int(len(s_ids)))
 
+
+def history_energy(mesh: Triangulation, u: DisplacementField, hist_ids,
+                   material: MaterialModel) -> EnergyReport:
+    """History-dependent energy: elastic integral off the crack set, plus
+    kappa/eps times the cracked area inside the enclosing rectangle.  The
+    crack set is the accumulated one (ids `hist_ids`) plus every other
+    triangle whose cracking does not raise this energy (classify_cracked):
+    a saturated triangle straddling the body boundary stays elastic while
+    its elastic energy is below kappa/eps times its area in the enclosing
+    rectangle."""
+    _check_field(mesh, u)
+    sq = _density(u.strains(), material)
+    s = classify_cracked(mesh, sq, hist_ids, material)
+    return energy_given_crack_set(mesh, sq, s.ids, material)

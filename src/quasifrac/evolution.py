@@ -176,9 +176,9 @@ def run_evolution(domain: Domain, params: MeshParams, material: MaterialModel,
     """Run the incremental scheme and extract the crack curve per step.
 
     Every step works on one mesh, the background mesh of `domain` and
-    `params`.  The step-0 state minimizes the plain truncated energy at
-    g(0); later steps minimize the history energy, whose accumulated
-    cracked triangles stay cracked.  After each step the accumulated set
+    `params`.  Every step minimizes the history energy at its load, whose
+    accumulated cracked triangles stay cracked; at step 0 the history is
+    the precrack (empty without one).  After each step the accumulated set
     is void-modified at the configured eta and the crack curve taken as
     the boundary of the modified set.  A solver failure aborts with the
     partial trace.  Either way the returned mesh keeps no factor.

@@ -387,17 +387,20 @@ class Triangulation:
     @staticmethod
     def from_dict(d) -> "Triangulation":
         """Mesh of a mesh-file dict (see `to_dict`); raises MeshError when
-        the file names no domain."""
+        the file names no domain or has an edge in more than two
+        triangles."""
         if "domain" not in d:
             raise MeshError("mesh file has no domain")
         p = d["params"]
         params = MeshParams(theta0=float(p["theta0"]), eps=float(p["eps"]),
                             omega_factor=float(p.get("omega_factor", 1e6)))
         grid_shape = tuple(d["grid_shape"]) if "grid_shape" in d else None
-        return Triangulation(np.asarray(d["nodes"], dtype=float),
+        mesh = Triangulation(np.asarray(d["nodes"], dtype=float),
                              np.asarray(d["triangles"]),
                              Domain.from_dict(d["domain"]), params,
                              grid_shape=grid_shape)
+        mesh.edge_table  # the edge table is where that fault is found
+        return mesh
 
     @staticmethod
     def load(path) -> "Triangulation":

@@ -59,9 +59,9 @@ from .energy import (
     MaterialModel,
     EnergyReport,
     _check_field,
-    _crack_set_of_density,
     _density,
-    _energy_of_density,
+    classify_cracked,
+    energy_given_crack_set,
 )
 from .mesh import DisplacementField, Triangulation
 from .trisets import (TriangleSet, _distinct, _edge_graph, _split_by_label,
@@ -572,8 +572,8 @@ def _evaluate(mesh, u, strains, hist_ids, material):
     its history energy under its optimal crack set."""
     _check_field(mesh, u)
     sq = _density(strains, material)
-    s = _crack_set_of_density(mesh, sq, hist_ids, material)
-    return u, _energy_of_density(mesh, sq, s.ids, material), s
+    s = classify_cracked(mesh, sq, hist_ids, material)
+    return u, energy_given_crack_set(mesh, sq, s.ids, material), s
 
 
 def _better(cand, other) -> bool:
@@ -649,7 +649,7 @@ def minimize_step(mesh: Triangulation, hist_ids, bc: DisplacementField,
     Each start freezes a cracked set, solves the elastic complement,
     reclassifies, and repeats until the set stabilizes or cycles.  The
     reclassification is the exact crack-set choice for the solved field
-    (energy.choose_crack_set): a triangle outside the history cracks only
+    (energy.classify_cracked): a triangle outside the history cracks only
     where kappa |T n omega'| <= eps |T n omega| |e|_C^2, so like the solve
     it never raises the energy, and a saturated triangle straddling the
     body boundary stays elastic while that is cheaper.  Starts cover the
@@ -690,9 +690,9 @@ def minimize_step(mesh: Triangulation, hist_ids, bc: DisplacementField,
 
     starts = [cand[2].ids]
     if shift_field is not None:
-        sc = _evaluate(mesh, shift_field, shift_field.strains(), hist_ids,
-                       material)
-        starts.append(sc[2].ids)
+        _check_field(mesh, shift_field)
+        sq = _density(shift_field.strains(), material)
+        starts.append(classify_cracked(mesh, sq, hist_ids, material).ids)
         # the previous state's crack set: its walk is the elastic
         # candidate's followed by start 0's, all memo hits, so it never
         # wins.  It stays because it fills the third multi_starts slot at

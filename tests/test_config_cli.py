@@ -40,6 +40,14 @@ def test_negative_eps_names_key():
     assert "eps" in str(err.value)
 
 
+@pytest.mark.parametrize("key", ["multi_starts", "max_outer"])
+def test_iteration_count_error_names_its_key(key):
+    with pytest.raises(ValidationError) as err:
+        parse_config(f"{key} = 0\n")
+    assert err.value.key == key
+    assert str(err.value) == f"{key}: must be >= 1"
+
+
 @pytest.mark.parametrize("keys, error", [
     (("f_profile", "c1", "c2", "notch", "cg_rel_tol", "max_cg",
       "bg_dist_factor"), ParseError),
@@ -236,6 +244,7 @@ def _unusable_mesh_file(tmp_path, kind):
 @pytest.mark.parametrize("command, kind, message", [
     ("check-mesh", "fan", "edge 0 shared by more than two triangles"),
     ("voidmod", "fan", "edge 0 shared by more than two triangles"),
+    ("energy", "fan", "edge 0 shared by more than two triangles"),
     ("check-mesh", "no-domain", "mesh file has no domain"),
     ("voidmod", "no-domain", "mesh file has no domain"),
     ("energy", "no-domain", "mesh file has no domain"),

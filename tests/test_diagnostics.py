@@ -39,6 +39,23 @@ def test_balance_subcritical_ramp_closed_form():
     assert bal.beta_fit == pytest.approx(expect_beta, rel=1e-6)
 
 
+@pytest.mark.parametrize("elasticity", [
+    "1 0 0 0 1 0 0 0 1",
+    "2 0 0 0 2 0 0 0 2",
+    "2 .5 0 .5 1 .3 0 .3 1.5",
+], ids=["identity", "2I", "coupled"])
+def test_balance_trapezoid_exact_for_any_elasticity(elasticity):
+    # the load's power is C e(u) : de_load/dt, so on a crack-free
+    # time-affine ramp the trapezoidal work integral is exact whatever C
+    cfg = parse_config("eps = 0.0625\nn_steps = 8\namplitude = 0.4\n"
+                       f"elasticity = {elasticity}\n")
+    trace = run_from_config(cfg)
+    assert all(len(rec.accum_ids) == 0 for rec in trace.steps)
+    bal = check_energy_balance(trace, cfg.load())
+    assert np.abs(bal.slack).max() <= 1e-12 * bal.max_energy
+    assert bal.sharp and bal.passed
+
+
 def test_balance_beta_halves_with_delta():
     betas = []
     for lvl in range(2):

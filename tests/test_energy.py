@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 
 from quasifrac.energy import (
-    DegenerateTriangle,
     EnergyError,
     MaterialModel,
     MeshFieldMismatch,
     _density,
-    choose_crack_set,
     classify_cracked,
     history_energy,
     static_energy,
-    triangle_strain,
 )
 from quasifrac.mesh import (
     DisplacementField,
@@ -43,10 +40,15 @@ def test_material_validation():
             MaterialModel(elasticity=bad)
 
 
+def _crack_set(mesh, u, hist_ids, mat):
+    return classify_cracked(mesh, _density(u.strains(), mat), hist_ids, mat)
+
+
 def test_triangle_strain_affine(mesh16):
+    # Mandel row [e11, e22, sqrt(2) e12] of the symmetrized gradient
     u = _uniform_field(mesh16, 0.2, 0.1, 0.3, -0.1)
-    e = triangle_strain(mesh16, u, 17)
-    expect = np.array([[0.2, 0.2], [0.2, -0.1]])
+    e = u.strains()[17]
+    expect = np.array([0.2, -0.1, math.sqrt(2.0) * 0.2])
     assert np.allclose(e, expect, atol=1e-14)
 
 
@@ -64,19 +66,10 @@ def test_triangle_strain_hand_solved():
     mesh = Triangulation([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)], dom, params)
     h = 0.37
     u = DisplacementField(mesh, [(0.0, 0.0), (h, 0.0), (0.0, 0.0)])
-    e = triangle_strain(mesh, u, 0)
-    assert e[0, 0] == pytest.approx(h, abs=1e-14)
-    assert e[1, 1] == pytest.approx(0.0, abs=1e-14)
-
-
-def test_triangle_strain_degenerate():
-    params = MeshParams(theta0=math.radians(20.0), eps=0.8)
-    dom = Domain((0.2, 0.2, 0.6, 0.6), (0.0, 0.0, 1.0, 1.0))
-    mesh = Triangulation([(0, 0), (1, 0), (2, 0), (0, 1)],
-                         [(0, 1, 2), (0, 2, 3)], dom, params)
-    u = DisplacementField(mesh, np.zeros((4, 2)))
-    with pytest.raises(DegenerateTriangle):
-        triangle_strain(mesh, u, 0)
+    e = u.strains()[0]
+    assert e[0] == pytest.approx(h, abs=1e-14)
+    assert e[1] == pytest.approx(0.0, abs=1e-14)
+    assert e[2] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_static_energy_zero(mesh16):
@@ -155,10 +148,12 @@ def test_classify_boundary_case():
     assert np.all(s[:, 0] == h)  # bitwise exact on the integer lattice
     kappa = params.eps * (h * h)  # same product the classifier forms
     mat = MaterialModel(kappa=kappa)
-    cracked = classify_cracked(mesh, u, mat)
-    assert len(cracked) == mesh.n_triangles  # ties classify cracked
+    # ties are capped; test_history_energy_fringe_crack_choice covers the
+    # ties of the crack rule
+    assert static_energy(mesh, u, mat).n_cracked == mesh.n_triangles
     mat_above = MaterialModel(kappa=np.nextafter(kappa, np.inf))
-    assert len(classify_cracked(mesh, u, mat_above)) == 0
+    assert static_energy(mesh, u, mat_above).n_cracked == 0
+    assert len(_crack_set(mesh, u, [], mat_above)) == 0
 
 
 def test_classify_off_grid_mesh_by_density_alone():
@@ -171,12 +166,17 @@ def test_classify_off_grid_mesh_by_density_alone():
     assert not mesh.is_background.any()
     u = DisplacementField(mesh, np.zeros((3, 2)))
     mat = MaterialModel()
-    assert len(classify_cracked(mesh, u, mat)) == 0
-    assert len(choose_crack_set(mesh, u, [], mat)) == 0
+    assert static_energy(mesh, u, mat).n_cracked == 0
+    assert len(_crack_set(mesh, u, [], mat)) == 0
     # a field whose capped density saturates cracks it
     u = DisplacementField(mesh, np.array([[0.0, 0.0], [3.0, 0.0],
                                           [1.5, 0.0]]))
-    assert classify_cracked(mesh, u, mat).ids.tolist() == [0]
+    assert static_energy(mesh, u, mat).n_cracked == 1
+    # the crack rule keeps it elastic, as kappa |T n omega'| = 0.70
+    # exceeds eps |T n omega| |e|^2 = 0.68; twice the field cracks it
+    assert len(_crack_set(mesh, u, [], mat)) == 0
+    u = DisplacementField(mesh, 2.0 * u.values)
+    assert _crack_set(mesh, u, [], mat).ids.tolist() == [0]
 
 
 def test_history_energy_empty_matches_static(mesh16):
@@ -236,7 +236,7 @@ def test_history_energy_fringe_crack_choice():
     u = _uniform_field(mesh, a11=h)
     sq = (u.strains() ** 2).sum(axis=1)
     mat = MaterialModel(kappa=params.eps * (h * h))
-    assert len(classify_cracked(mesh, u, mat)) == mesh.n_triangles
+    assert static_energy(mesh, u, mat).n_cracked == mesh.n_triangles
     w = mesh.area_in_omega
     w_prime = mesh.area_in_omega_prime
     fringe = np.where((w > 0.0) & (w < w_prime))[0]

@@ -92,7 +92,7 @@ def test_history_is_crack_set_of_its_field():
     # the accumulated set holds the step's crack set, so under its own
     # field the history cracks nothing more: the previous-state start of
     # the next step is the history itself
-    from quasifrac.energy import choose_crack_set
+    from quasifrac.energy import _density, classify_cracked
     from quasifrac.mesh import DisplacementField
     cfg = parse_config(
         "eps = 0.03125\nn_steps = 8\namplitude = 3.2\nload = opening\n"
@@ -103,7 +103,9 @@ def test_history_is_crack_set_of_its_field():
     for rec in trace.steps:
         mesh = rec.mesh
         u = DisplacementField(mesh, rec.u_values)
-        s = choose_crack_set(mesh, u, rec.accum_ids, cfg.material())
+        mat = cfg.material()
+        s = classify_cracked(mesh, _density(u.strains(), mat), rec.accum_ids,
+                             mat)
         assert np.array_equal(s.ids, rec.accum_ids)
         assert np.array_equal(rec.accum_ids, np.unique(rec.accum_ids))
         assert rec.accum_area_prime == pytest.approx(

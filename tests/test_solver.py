@@ -12,9 +12,10 @@ from quasifrac._kernels import cg_deflated
 from quasifrac.config import parse_config
 from quasifrac.energy import (
     MaterialModel,
-    choose_crack_set,
+    _density,
     classify_cracked,
     history_energy,
+    static_energy,
 )
 from quasifrac.mesh import (
     DisplacementField,
@@ -148,8 +149,9 @@ def test_minimize_step_subcritical_fixed_point(mesh16):
     assert res.converged
     assert len(res.cracked_now) == 0
     # fixed-point self-consistency
-    cls = classify_cracked(mesh16, res.u, mat)
-    assert set(cls.ids) <= set(res.cracked_now.ids)
+    assert static_energy(mesh16, res.u, mat).n_cracked == 0
+    cls = classify_cracked(mesh16, _density(res.u.strains(), mat), [], mat)
+    assert len(cls) == 0
 
 
 def test_minimize_step_full_history(mesh16):
@@ -173,9 +175,10 @@ def test_minimize_step_energy_history_monotone(mesh16):
     for a, b in zip(e, e[1:]):
         assert b <= a + 1e-12 * max(1.0, abs(a))
     # the solver's crack choice for the result adds nothing outside
-    # cracked_now (plain classification may also mark saturated fringe
+    # cracked_now (plain saturation may also mark saturated fringe
     # triangles whose cracking would raise the energy)
-    cls = choose_crack_set(mesh16, res.u, np.empty(0, dtype=np.int64), mat)
+    cls = classify_cracked(mesh16, _density(res.u.strains(), mat),
+                           np.empty(0, dtype=np.int64), mat)
     assert set(cls.ids) <= set(res.cracked_now.ids)
 
 

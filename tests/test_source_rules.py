@@ -3,7 +3,11 @@
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import re
+import subprocess
+import sys
 import types
 from functools import cached_property
 from pathlib import Path
@@ -165,6 +169,69 @@ def test_benchmark_wrap_targets_exist():
     assert not missing, f"benchmark wrap targets absent: {missing}"
 
 
+# benchmark wrap targets that a simulate run and a void modification do
+# not call, each with the reason
+UNTRACED = (
+    ("voidmod.build_boundary_graph", "called by the benchmark's output "
+     "checks only"),
+    ("trisets.closure_components_minus_vertex", "no program caller; its "
+     "deletion needs a benchmark change"),
+    ("solver.cg", "`cg_deflated` has no program caller; its deletion needs "
+     "a benchmark change"),
+)
+
+# a traced crack run at eps 1/16 with its outputs and balance check, then
+# one void modification of a ring around a hole; prints the calls per
+# wrap target and the targets the tracer could not find
+TRACED_RUN = """
+import importlib.util, json, sys
+import numpy as np
+spec = importlib.util.spec_from_file_location("qfbench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+active = tracer.install()
+from quasifrac import config, diagnostics, mesh, runner, trisets, voidmod
+cfg = config.parse_config(
+    "eps = 0.0625\\nn_steps = 4\\namplitude = 3.2\\nload = opening\\n"
+    "precrack = 0.0 0.5 0.45 0.5 0.06\\nseed = 1\\nmulti_starts = 3\\n"
+    f"output_dir = {sys.argv[2]}\\n")
+trace = runner.run_from_config(cfg)
+assert not trace.aborted
+runner.write_outputs(trace, cfg)
+diagnostics.check_energy_balance(trace, cfg.load())
+m = mesh.build_background_mesh(cfg.domain(), cfg.mesh_params())
+c = m.nodes[m.triangles].mean(axis=1)
+r = np.abs(c - 0.5).max(axis=1)
+ring = trisets.TriangleSet(m, np.flatnonzero((r > 0.15) & (r < 0.3)))
+voidmod.modify_voids(ring, mesh.DisplacementField(m, np.zeros((m.n_nodes, 2))),
+                     cfg.voidmod_params())
+metrics = active.metrics()
+names = [name for name, _, _ in tracer.FUNCTIONS + (tracer.CG,)]
+print(json.dumps({"calls": {n: metrics[n + ".calls"] for n in names},
+                  "missing": active.missing}))
+"""
+
+
+def test_every_traced_layer_runs(tmp_path):
+    # a subprocess, so that this process stays untraced
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    res = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN,
+         str(REPO / "qfbench" / "tracer.py"), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    got = json.loads(res.stdout)
+    assert got["missing"] == []
+    listed = {name for name, _ in UNTRACED}
+    assert set(got["calls"]) >= listed, "UNTRACED names no wrap target"
+    idle = {n for n, calls in got["calls"].items() if calls == 0}
+    assert sorted(idle - listed) == [], "wrap targets nothing calls"
+    assert sorted(listed - idle) == [], \
+        "UNTRACED entries that now have a call"
+
+
 def test_no_function_takes_mesh_and_params():
     # a mesh holds its own params; a second copy could only disagree
     found = []
@@ -207,7 +274,6 @@ TEST_ONLY = (
     ("diagnostics.BalanceReport.sharp", "zero-constant balance verdict"),
     ("diagnostics.stability_spot_check",
      "minimality probe of a step; `study` does not report it yet"),
-    ("energy.triangle_strain", "one triangle's strain tensor, for tests"),
     ("mesh.ValidationReport.kinds", "violation kinds tests compare"),
     ("mesh.Triangulation.save", "writes mesh files the CLI tests load"),
     ("voidmod.BoundaryGraph.edge_count_identity",
