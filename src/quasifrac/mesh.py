@@ -533,6 +533,10 @@ def check_admissible(mesh: Triangulation) -> ValidationReport:
     return rep.finalize()
 
 
+# triangle pairs that _check_overlaps tests at once
+_OVERLAP_CHUNK = 1 << 14
+
+
 def _check_overlaps(mesh: Triangulation, rep: ValidationReport):
     """Report the triangle pairs whose intersection has an area above
     point_tol * eps, and the rest where a vertex of one lies strictly
@@ -559,12 +563,18 @@ def _check_overlaps(mesh: Triangulation, rep: ValidationReport):
     second = first + 1 + np.arange(len(first)) - np.searchsorted(first, first)
     a, b = np.divmod(_distinct(tri[first] * m + tri[second]), m)
 
-    pa, pb = pts[a], pts[b]
-    area = clip_areas(pa[..., 0], pa[..., 1],
-                      triangle_sides(pb[..., 0], pb[..., 1]))
-    positive = area > tol * mesh.params.eps
-    contact = ~positive & (_edge_contact(pa, pb, tol)
-                           | _edge_contact(pb, pa, tol))
+    # the pairs are tested a chunk at a time, so the clipping's work
+    # arrays stay small
+    positive = np.zeros(len(a), dtype=bool)
+    contact = np.zeros(len(a), dtype=bool)
+    for lo in range(0, len(a), _OVERLAP_CHUNK):
+        chunk = slice(lo, lo + _OVERLAP_CHUNK)
+        pa, pb = pts[a[chunk]], pts[b[chunk]]
+        area = clip_areas(pa[..., 0], pa[..., 1],
+                          triangle_sides(pb[..., 0], pb[..., 1]))
+        positive[chunk] = area > tol * mesh.params.eps
+        contact[chunk] = ~positive[chunk] & (_edge_contact(pa, pb, tol)
+                                             | _edge_contact(pb, pa, tol))
     for i in np.flatnonzero(positive).tolist():
         rep.add("overlap", (a[i], b[i]), "positive intersection area")
     for i in np.flatnonzero(contact).tolist():

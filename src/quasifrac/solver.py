@@ -30,6 +30,17 @@ its latest system (`Triangulation.factor_slot`) and reuses the factor
 while the system repeats; any other system drops it first, so at most one
 system factor is kept.
 
+A system is set up from its frozen set I (the weighted triangles it does
+not count) and its window, not from the whole mesh.  The reference keeps
+a table of the weighted triangles at each node, and with it a band, the
+positive-diagonal test at the dofs of I, and the right-hand side visit
+only the triangles they need: those that touch the window's dofs, the
+dofs of I, or a nonzero held value.  The reference also checks once that
+every node a weighted triangle shares with an unweighted triangle or the
+mesh rim is pinned.  Then an active piece outside the holes of I reaches
+the rim and is held, so only the active triangles in those holes are
+gauged (`_gauge`), and a set without holes costs its Euler count.
+
 The outer loop alternates solve / reclassify until the cracked set
 stabilizes; multi-starts guard against the nonconvexity of the truncated
 density.  Within one step the later starts often replay an earlier
@@ -110,30 +121,55 @@ def _element_blocks(mesh: Triangulation, ids, material: MaterialModel):
 
 class _Elements(NamedTuple):
     """Element blocks B^T C B |T n omega| of a mesh's weighted triangles
-    under one elasticity, in id order, and the dofs of each triangle
-    (u0x, u0y, u1x, ..., u2y) among the mesh's `n_dofs`.  A mask `active`
-    over the weighted triangles picks the ones a system counts."""
+    (sorted ids `ids`) under one elasticity, in id order, and the dofs of
+    each triangle (u0x, u0y, u1x, ..., u2y) among the mesh's `n_dofs`.
+
+    `index` holds the weighted triangles at each node (see _node_table),
+    so a system reaches the triangles near the dofs it changes without a
+    pass over the triangles' dofs.  `live` marks the dofs whose
+    summed block diagonal is positive with every weighted triangle active.
+    `rim_held` tells whether every node that a weighted triangle shares
+    with an unweighted triangle or with the mesh rim is pinned by the
+    collar.  A mask `active` over the weighted triangles picks the ones a
+    system counts, and a sorted array `rows` of weighted triangles (all of
+    them by default) the ones a sum visits."""
 
     blocks: np.ndarray   # (w, 6, 6)
     dofs: np.ndarray     # (w, 6)
     n_dofs: int
+    ids: np.ndarray      # (w,)
+    index: np.ndarray    # (n_nodes, d)
+    live: Optional[np.ndarray]
+    rim_held: bool
 
-    def sum_onto_dofs(self, active, values):
-        """Per-dof sums of the (w, 6) `values` of the active triangles,
-        each dof's summed in triangle-id order (`values` is overwritten)."""
-        values[~active] = 0.0
-        return np.bincount(self.dofs.ravel(), values.ravel(),
-                           minlength=self.n_dofs)
+    def touching(self, dofs):
+        """Sorted weighted triangles with a dof among `dofs`."""
+        hit = np.zeros(len(self.dofs) + 1, dtype=bool)
+        hit[self.index[np.asarray(dofs, dtype=np.intp) // 2]] = True
+        return np.flatnonzero(hit[:-1])
 
-    def product(self, active, x):
-        """Product of the active triangles' stiffness matrix with x."""
-        y = self.blocks @ np.take(x, self.dofs)[:, :, None]
-        return self.sum_onto_dofs(active, y[:, :, 0])
+    def sum_onto_dofs(self, active, values, rows=slice(None)):
+        """Per-dof sums of the (k, 6) `values` of the active triangles
+        among `rows`, each dof's summed in triangle-id order (`values` is
+        overwritten).  A dof gets the bits a sum over every weighted
+        triangle gives it when `rows` holds every active triangle at it."""
+        values[~active[rows]] = 0.0
+        # (bincount returns ints when it has nothing to count)
+        return np.bincount(self.dofs[rows].ravel(), values.ravel(),
+                           minlength=self.n_dofs).astype(float, copy=False)
 
-    def diagonal(self, active):
-        """Diagonal of the active triangles' stiffness matrix."""
+    def product(self, active, x, rows=slice(None)):
+        """Product of the active triangles' stiffness matrix with x,
+        summed over the triangles `rows`."""
+        y = self.blocks[rows] @ np.take(x, self.dofs[rows])[:, :, None]
+        return self.sum_onto_dofs(active, y[:, :, 0], rows)
+
+    def diagonal(self, active, rows=slice(None)):
+        """Diagonal of the active triangles' stiffness matrix, summed over
+        the triangles `rows`."""
         return self.sum_onto_dofs(
-            active, np.diagonal(self.blocks, axis1=1, axis2=2).copy())
+            active, np.diagonal(self.blocks[rows], axis1=1, axis2=2).copy(),
+            rows)
 
 
 def assemble_stiffness(elements: _Elements, active, order, kd):
@@ -144,15 +180,16 @@ def assemble_stiffness(elements: _Elements, active, order, kd):
     matrix's half-bandwidth and `kd`.
 
     Entry (i, j) sums, in triangle-id order, the block entries (a, b) with
-    a = order[i] and b = order[j], only from the triangles that touch the
-    dofs `order`.  It takes the row dof's side of each block, whose
-    transpose agrees only to roundoff.
+    a = order[i] and b = order[j], only from the active triangles that
+    touch the dofs `order`, which the elements' node index finds.  It
+    takes the row dof's side of each block, whose transpose agrees only to
+    roundoff.
     """
     pos = np.full(elements.n_dofs, -1, dtype=np.intp)
     pos[order] = np.arange(len(order))
-    p = np.take(pos, elements.dofs)
-    touched = np.flatnonzero(active & (p >= 0).any(axis=1))
-    p = p[touched]
+    touched = elements.touching(order)
+    touched = touched[active[touched]]
+    p = np.take(pos, elements.dofs[touched])
     i = np.broadcast_to(p[:, :, None], (len(p), 6, 6))
     j = np.broadcast_to(p[:, None, :], (len(p), 6, 6))
     upper = (i >= 0) & (i <= j)
@@ -180,6 +217,8 @@ def _gauge_pins(mesh: Triangulation, asm_ids, pinned_node_mask):
     _group_gauge).
     """
     ids = np.asarray(asm_ids, dtype=np.int64)
+    if not len(ids):
+        return np.empty(0, dtype=np.int64)
     nn = mesh.n_nodes
     _, pairs = _edge_graph(mesh, ids)
     piece = component_labels(len(ids), pairs)
@@ -194,9 +233,11 @@ def _gauge_pins(mesh: Triangulation, asm_ids, pinned_node_mask):
         fixed[v[grow]] = True
     p, v = p[~held[p]], v[~held[p]]
     pieces, q = np.unique(p, return_inverse=True)
+    # the groups, over the pieces and after them their shared unfixed nodes
     link = ~fixed[v]
-    group = component_labels(len(pieces) + nn, np.column_stack(
-        [q[link], len(pieces) + v[link]]))[q]
+    nodes, at = np.unique(v[link], return_inverse=True)
+    group = component_labels(len(pieces) + len(nodes), np.column_stack(
+        [q[link], len(pieces) + at]))[q]
     chosen = [_group_gauge(mesh, q[inc], v[inc], fixed)
               for inc in _split_by_label(np.arange(len(q)), group)]
     return np.sort(np.concatenate(chosen)) if chosen else \
@@ -309,13 +350,55 @@ def _factor(band):
     return _BandFactor(u)
 
 
-def _free_dofs(mesh, elements, active, asm_ids, pinned_nodes):
+def _free_dofs(mesh, elements, active, pinned_nodes):
     """Mask of the dofs a system with active weighted triangles `active`
-    (the sorted ids `asm_ids`) solves for: those of unpinned nodes in some
-    active triangle, less the gauge dofs."""
-    free = np.repeat(~pinned_nodes, 2) & (elements.diagonal(active) > 0.0)
-    free[_gauge_pins(mesh, asm_ids, pinned_nodes)] = False
+    solves for: those of unpinned nodes whose summed block diagonal is
+    positive, less the gauge dofs (_gauge).
+
+    The diagonal differs from the intact system's (`elements.live`) only
+    at the dofs of inactive triangles.  There it sums the active triangles
+    that touch those dofs, each dof's in triangle-id order, which gives
+    the bits of a sum over every triangle."""
+    free = elements.live.copy()
+    frozen = np.flatnonzero(~active)
+    if len(frozen):
+        dofs = elements.dofs[frozen]
+        free[dofs] = elements.diagonal(
+            active, elements.touching(dofs))[dofs] > 0.0
+    free &= np.repeat(~pinned_nodes, 2)
+    free[_gauge(mesh, elements, active, frozen, pinned_nodes)] = False
     return free
+
+
+def _gauge(mesh, elements, active, frozen, pinned_nodes):
+    """The gauge dofs (_gauge_pins) of the system with active weighted
+    triangles `active`, inactive ones `frozen`.
+
+    When `elements.rim_held`, only the active triangles in the holes
+    (bounded complement components) of the inactive set can move.  An
+    active piece outside them reaches the rim through triangles outside
+    the set, so it shares an edge with an unweighted triangle or with the
+    rim, and the two nodes of that edge are pinned.  Every such piece is
+    held and fixes the nodes it touches, so _gauge_pins on the active
+    triangles in the holes, with those nodes fixed, gives the dofs it
+    gives on every active triangle: the moving pieces keep their order
+    and their (piece, node) incidences.  A set without holes costs its
+    Euler count.  Otherwise _gauge_pins takes every active triangle."""
+    if not elements.rim_held:
+        return _gauge_pins(mesh, elements.ids[active], pinned_nodes)
+    in_hole = np.zeros(mesh.n_triangles, dtype=bool)
+    for hole in TriangleSet(mesh, elements.ids[frozen]).holes:
+        in_hole[hole] = True
+    # weighted triangles in a hole are all active
+    inside = in_hole[elements.ids]
+    ids = elements.ids[inside]
+    fixed = pinned_nodes.copy()
+    if len(ids):
+        nodes = _distinct(mesh.triangles[ids])
+        outside = np.zeros(len(active) + 1, dtype=bool)
+        outside[:-1] = active & ~inside
+        fixed[nodes[outside[elements.index[nodes]].any(axis=1)]] = True
+    return _gauge_pins(mesh, ids, fixed)
 
 
 class _IntactReference(NamedTuple):
@@ -341,15 +424,40 @@ class _IntactReference(NamedTuple):
         return self.top.shape[1] + self.bottom.shape[1]
 
 
+def _node_table(tris, n_nodes):
+    """(n_nodes, d) table of the rows of the (w, 3) vertex array `tris`
+    at each node, ascending, d the most rows at one node; the rest of a
+    node's entries are w."""
+    flat = tris.ravel()
+    order = np.argsort(flat, kind="stable")
+    count = np.bincount(flat, minlength=n_nodes)
+    table = np.full((n_nodes, count.max(initial=0)), len(tris))
+    node = flat[order]
+    table[node, np.arange(len(flat)) - (np.cumsum(count) - count)[node]] = \
+        order // 3
+    return table
+
+
 def _intact_reference(mesh, material):
     """The mesh's _IntactReference under the elasticity of `material`."""
-    weighted = np.flatnonzero(mesh.area_in_omega > 0.0)
-    dofs = 2 * mesh.triangles[weighted][:, :, None] + np.arange(2)
-    elements = _Elements(_element_blocks(mesh, weighted, material),
-                         dofs.reshape(-1, 6), 2 * mesh.n_nodes)
-    everything = np.ones(len(weighted), dtype=bool)
+    weighted = mesh.area_in_omega > 0.0
+    ids = np.flatnonzero(weighted)
+    tris = mesh.triangles[ids]
+    dofs = (2 * tris[:, :, None] + np.arange(2)).reshape(-1, 6)
+    # the nodes a weighted triangle shares with an unweighted one or the rim
+    outer = np.zeros(mesh.n_nodes, dtype=bool)
+    outer[mesh.triangles[~weighted]] = True
+    outer[mesh.edges[mesh.edge_tris[:, 1] < 0]] = True
+    inner = np.zeros(mesh.n_nodes, dtype=bool)
+    inner[tris] = True
+    rim_held = not (outer & inner & ~mesh.collar_node_mask).any()
+    everything = np.ones(len(ids), dtype=bool)
+    elements = _Elements(_element_blocks(mesh, ids, material), dofs,
+                         2 * mesh.n_nodes, ids,
+                         _node_table(tris, mesh.n_nodes), None, rim_held)
+    elements = elements._replace(live=elements.diagonal(everything) > 0.0)
     order = mesh.band_order
-    free_idx = order[_free_dofs(mesh, elements, everything, weighted,
+    free_idx = order[_free_dofs(mesh, elements, everything,
                                 mesh.collar_node_mask)[order]]
     n = len(free_idx)
     m = n // 2
@@ -508,12 +616,14 @@ def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
     intact system keeps, and factored against the intact system's factor,
     which the mesh keeps per elasticity (see _twisted_factor).  So a factor
     is a function of its system alone, whatever was solved before.  The
-    right-hand side and the residual are products with the active element
-    blocks, summed per triangle.  The mesh also keeps the factor of its
-    latest system, and a solve that repeats that system only builds the
-    right-hand side and back-substitutes.  Any other system drops the kept
-    factor before its window is built, so at most one system factor exists
-    at a time.
+    free dofs and gauge dofs are found near the inactive triangles
+    (_free_dofs).  The right-hand side is the product of the active
+    element blocks that touch a nonzero held value, the residual that of
+    every active block, each summed per triangle.  The mesh also keeps the
+    factor of its latest system, and a solve that repeats that system only
+    builds the right-hand side and back-substitutes.  Any other system
+    drops the kept factor before its window is built, so at most one
+    system factor exists at a time.
     """
     mask = np.zeros(mesh.n_triangles, dtype=bool)
     mask[np.asarray(active, dtype=np.int64)] = True
@@ -540,7 +650,7 @@ def solve_elastic(mesh: Triangulation, active, bc: DisplacementField,
 
     active = mask[weighted]
     # nodes outside every weighted triangle stay put
-    free = _free_dofs(mesh, ref.elements, active, active_ids, pinned_nodes)
+    free = _free_dofs(mesh, ref.elements, active, pinned_nodes)
     free_idx, factor = _twisted_factor(mesh, ref, active, free)
     mesh.factor_slot = _FactorSlot(ref, key, active, free_idx, factor)
     return _direct_solve(mesh, mesh.factor_slot, bc)
@@ -552,7 +662,10 @@ def _direct_solve(mesh, slot: _FactorSlot, bc) -> DisplacementField:
     elements, free_idx = slot.reference.elements, slot.free_idx
     x = bc.values.ravel().copy()
     x[free_idx] = 0.0
-    rhs = -elements.product(slot.active, x)[free_idx]
+    # a triangle with no nonzero held value adds an exact zero, which
+    # leaves every sum's bits as they are
+    rhs = -elements.product(slot.active, x,
+                            elements.touching(np.flatnonzero(x)))[free_idx]
     x[free_idx] = slot.factor.solve(rhs)
     # the reduced residual kff y - rhs, read off the full product
     res = float(np.linalg.norm(elements.product(slot.active, x)[free_idx]))
@@ -702,7 +815,8 @@ def minimize_step(mesh: Triangulation, hist_ids, bc: DisplacementField,
         # 1.3064)
         starts.append(hist_ids)
     if len(fresh):
-        sq = (strains[fresh] ** 2).sum(axis=1)
+        # ranked by the density the crack rule reads
+        sq = _density(strains[fresh], material)
         order = fresh[np.argsort(-sq, kind="stable")]
         j = 1
         while j < len(order) and len(starts) < opts.multi_starts:

@@ -103,7 +103,11 @@ class TriangleSet:
     @cached_property
     def closure_components(self):
         """Vertex-connected components of the closure."""
-        return _closure_components(self.mesh, self.mask)
+        return _split_by_label(self.ids, self._closure_labels)
+
+    @cached_property
+    def _closure_labels(self):
+        return _closure_labels(self.mesh, self.ids)
 
     @cached_property
     def complement_components(self):
@@ -130,13 +134,14 @@ class TriangleSet:
         their own holes, 1 - (V_c - E_c + F_c) (`hole_counts`).  When the
         triangulated region is a closed disk, as the background grid's
         rectangle is, these are exactly the bounded entries of
-        `complement_components`.
+        `complement_components`.  The count reads b0 off the closure's
+        labels, without splitting the set into its components.
         """
-        return int(self._hole_counts.sum())
-
-    @cached_property
-    def _hole_counts(self):
-        return hole_counts(self.mesh, self.closure_components)
+        ids = self.ids
+        b0 = np.count_nonzero(self._closure_labels == np.arange(len(ids)))
+        v = len(_distinct(self.mesh.triangles[ids]))
+        e = len(_distinct(self.mesh.tri_edges[ids]))
+        return int(b0 - (v - e + len(ids)))
 
     @cached_property
     def holes(self):
@@ -145,8 +150,8 @@ class TriangleSet:
         hole (see `bounded_components`)."""
         if not self.n_holes:
             return []
-        holed = [c for c, k in zip(self.closure_components,
-                                   self._hole_counts) if k]
+        comps = self.closure_components
+        holed = [c for c, k in zip(comps, hole_counts(self.mesh, comps)) if k]
         return bounded_components(self.mesh, self.mask, holed)
 
 
@@ -211,23 +216,29 @@ def edge_components(mesh: Triangulation, ids):
     return _split_by_label(ids, component_labels(len(ids), pairs))
 
 
-def _closure_components(mesh: Triangulation, mask, skip=-1):
-    """Vertex-connected components of the member closure, without vertex
-    `skip`: a graph of the member triangles (numbered first, so each label
-    is a triangle) and their vertices.  Edge adjacency needs no extra
-    edges: two triangles sharing an edge also share a vertex other than
-    `skip`."""
-    ids = np.where(mask)[0]
-    if not len(ids):
-        return []
+def _closure_labels(mesh: Triangulation, ids, skip=-1):
+    """Label of each triangle of the sorted ids `ids` in the member
+    closure without vertex `skip`: the smallest index into `ids` of its
+    vertex-connected component.  The graph holds the member triangles
+    (numbered first, so each label is a triangle) and their vertices.
+    Edge adjacency needs no extra edges: two triangles sharing an edge
+    also share a vertex other than `skip`."""
     tris = mesh.triangles[ids]
     verts = _distinct(tris)
     inv = np.searchsorted(verts, tris)
     tri_of = np.repeat(np.arange(len(ids)), 3).reshape(tris.shape)
     keep = tris != skip
     pairs = np.column_stack([tri_of[keep], len(ids) + inv[keep]])
-    lab = component_labels(len(ids) + len(verts), pairs)
-    return _split_by_label(ids, lab[:len(ids)])
+    return component_labels(len(ids) + len(verts), pairs)[:len(ids)]
+
+
+def _closure_components(mesh: Triangulation, mask, skip=-1):
+    """Vertex-connected components of the member closure, without vertex
+    `skip` (see _closure_labels)."""
+    ids = np.where(mask)[0]
+    if not len(ids):
+        return []
+    return _split_by_label(ids, _closure_labels(mesh, ids, skip))
 
 
 def closure_components_minus_vertex(mesh: Triangulation, mask, v: int):

@@ -17,6 +17,9 @@ from its vertex triples, the edge-table and coordinate-key oracles fill one
 triangle at a time and a second edge-table oracle runs a row-wise
 np.unique of vertex pairs, point location scans every triangle, the
 stiffness oracle converts the element blocks from COO to CSR with SciPy,
+the whole-set oracles set a system up from every weighted triangle at
+once (the gauge of every active triangle, the diagonal and right-hand
+side summed over every block, bands from a scan of every triangle's dofs),
 the separating-piece oracle splits the home closure component at every
 vertex of boundary degree four or more, the triangle-healing oracle
 tests one member triangle at a time against the whole-mesh strains, the
@@ -33,7 +36,7 @@ import scipy.sparse as sp
 
 from quasifrac._kernels import strain_blocks, strains_from_values
 from quasifrac.mesh import MeshError
-from quasifrac.solver import solve_elastic
+from quasifrac.solver import _gauge_pins, solve_elastic
 from quasifrac.trisets import closure_components_minus_vertex
 
 
@@ -680,6 +683,43 @@ def coo_stiffness(mesh, active_ids, material):
     cols = np.tile(dof, (1, 6)).ravel()
     k = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     return k, ids
+
+
+def whole_set_setup(mesh, elements, active, pinned, bc_values):
+    """(gauge dofs, free-dof mask, right-hand side on the free dofs) of the
+    system with active weighted triangles `active` (a mask over the
+    elements' weighted triangles) and pinned nodes `pinned`, each from
+    every weighted triangle: _gauge_pins on every active triangle, the
+    block diagonal summed over every triangle, and the product of every
+    block with the held values of `bc_values`."""
+    gauge = _gauge_pins(mesh, elements.ids[active], pinned)
+    free = np.repeat(~pinned, 2) & (elements.diagonal(active) > 0.0)
+    free[gauge] = False
+    order = mesh.band_order
+    free_idx = order[free[order]]
+    x = bc_values.ravel().copy()
+    x[free_idx] = 0.0
+    return gauge, free, -elements.product(active, x)[free_idx]
+
+
+def band_by_scan(elements, active, order, kd):
+    """solver.assemble_stiffness's band with the triangles that touch the
+    dofs `order` found by testing the six dofs of every weighted
+    triangle."""
+    pos = np.full(elements.n_dofs, -1, dtype=np.intp)
+    pos[order] = np.arange(len(order))
+    p = np.take(pos, elements.dofs)
+    touched = np.flatnonzero(active & (p >= 0).any(axis=1))
+    p = p[touched]
+    i = np.broadcast_to(p[:, :, None], (len(p), 6, 6))
+    j = np.broadcast_to(p[:, None, :], (len(p), 6, 6))
+    upper = (i >= 0) & (i <= j)
+    i, j = i[upper], j[upper]
+    kd = max(int((j - i).max(initial=0)), kd)
+    band = np.bincount((j + 1) * kd + i,
+                       np.take(elements.blocks, touched, axis=0)[upper],
+                       minlength=len(order) * (kd + 1))
+    return band.astype(float, copy=False).reshape(len(order), kd + 1).T
 
 
 def band_by_loop(elements, active, order, kd=0):

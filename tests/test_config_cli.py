@@ -202,6 +202,29 @@ def test_cli_study_determinism_across_threads(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_cli_crack_study_determinism_across_threads(tmp_path):
+    # the crack config with four steps, refined once on one and on two
+    # threads: a crack curve forms at both levels, and its convergence
+    # table is the same byte for byte (at eps 1/16 no curve forms, so the
+    # config's own eps 1/32 is the coarse level)
+    text = (REPO / "configs" / "crack.cfg").read_text()
+    assert "n_steps = 8" in text
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        cfg = tmp_path / f"crack_{threads}.cfg"
+        cfg.write_text(text.replace("out/crack", str(out))
+                       .replace("n_steps = 8", "n_steps = 4"))
+        _run_cli(["study", "--config", str(cfg), "--refine", "1"],
+                 env={"FRACTURE_THREADS": threads})
+        table = (out / "convergence.csv").read_text().splitlines()
+        column = table[0].split(",").index("kappa_sin_half_k")
+        assert len(table) == 3
+        assert all(float(row.split(",")[column]) > 0.0 for row in table[1:])
+        outs.append((out / "convergence.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_cli_crack_run_independent_of_blas_threads(tmp_path):
     # the band factorization holds SciPy's OpenBLAS to one thread, so the
     # thread count a caller sets for it changes no output byte

@@ -212,6 +212,32 @@ def test_check_admissible_matches_pair_loop(monkeypatch):
     assert details == {"positive intersection area", "partial edge contact"}
 
 
+def test_check_admissible_chunks_match_pair_loop(monkeypatch):
+    # with the overlap test cut into many small chunks of pairs, the report
+    # is the pair loop's, in the same order
+    chunks = []
+
+    def counting(*args):
+        chunks.append(1)
+        return clip_areas(*args)
+
+    details = set()
+    for mesh in _jittered_meshes()[:5] + _pulled_meshes()[:3]:
+        with monkeypatch.context() as patch:
+            patch.setattr(mesh_module, "_OVERLAP_CHUNK", 97)
+            patch.setattr(mesh_module, "clip_areas", counting)
+            del chunks[:]
+            got = check_admissible(mesh).violations
+            assert len(chunks) > 3
+        with monkeypatch.context() as patch:
+            patch.setattr(mesh_module, "_check_overlaps",
+                          overlaps_by_pair_loop)
+            want = check_admissible(mesh).violations
+        assert got == want
+        details |= {d for kind, _, d in want if kind == "overlap"}
+    assert details == {"positive intersection area", "partial edge contact"}
+
+
 def test_area_edge_inequality_on_background(mesh16):
     params = mesh16.params
     max_edge = mesh16.edge_lengths[mesh16.tri_edges].max(axis=1)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from quasifrac import solver
+from quasifrac import solver, trisets, voidmod
 from quasifrac._kernels import cg_deflated
 from quasifrac.config import parse_config
 from quasifrac.energy import (
@@ -29,10 +29,12 @@ from quasifrac.solver import (
     minimize_step,
     solve_elastic,
 )
+from quasifrac.runner import run_from_config
 from quasifrac.trisets import TriangleSet
 from conftest import AffineLoad, block_ids, make_mesh
-from _oracles import (band_by_loop, band_of_dense, coo_stiffness,
-                      dense_of_band, kkt_residual)
+from _oracles import (band_by_loop, band_by_scan, band_of_dense,
+                      coo_stiffness, dense_of_band, density_by_loop,
+                      kkt_residual, whole_set_setup)
 
 
 def _fringe_nodes(mesh):
@@ -444,6 +446,216 @@ def test_gauge_count_is_null_space_dimension(mesh16):
         assert len(solver._gauge_pins(mesh, ids, pinned)) == dims[-1]
     # the cases cover no motion, hinges, floating pieces and many pieces
     assert 0 in dims and 1 in dims and 3 in dims and max(dims) > 6
+
+
+# the set-up of a system from its window
+
+CRACK = ("eps = {eps}\nn_steps = {n_steps}\namplitude = 3.2\nload = opening\n"
+         "precrack = 0.0 0.5 0.45 0.5 0.06\nseed = 1\nmulti_starts = 3\n")
+
+
+class _Recording:
+    """A factor that keeps the right-hand side it is asked to solve."""
+
+    def __init__(self, factor):
+        self.factor, self.rhs = factor, None
+
+    def solve(self, b):
+        self.rhs = b.copy()
+        return self.factor.solve(b)
+
+
+def _check_setup(mesh, active_ids, bc, mat, pins=None):
+    """Solve the system, then check its gauge dofs, free dofs, right-hand
+    side and bands bitwise against the whole-set oracles.  Returns the
+    number of gauge dofs and whether the inactive set has a hole."""
+    u = solve_elastic(mesh, active_ids, bc, mat, extra_pinned_nodes=pins)
+    slot = mesh.factor_slot
+    ref, active = slot.reference, slot.active
+    elements = ref.elements
+    pinned = mesh.collar_node_mask.copy()
+    if pins is not None:
+        pinned[pins] = True
+    gauge, free, rhs = whole_set_setup(mesh, elements, active, pinned,
+                                       bc.values)
+    got = solver._gauge(mesh, elements, active, np.flatnonzero(~active),
+                        pinned)
+    assert got.dtype == gauge.dtype and np.array_equal(got, gauge)
+    assert np.array_equal(solver._free_dofs(mesh, elements, active, pinned),
+                          free)
+    order = mesh.band_order
+    assert np.array_equal(slot.free_idx, order[free[order]])
+    recording = _Recording(slot.factor)
+    again = solver._direct_solve(mesh, slot._replace(factor=recording), bc)
+    assert recording.rhs.tobytes() == rhs.tobytes()
+    assert again.values.tobytes() == u.values.tobytes()
+    factor = slot.factor
+    for dofs in (slot.free_idx[factor.s:factor.s + factor.rows],
+                 ref.free_idx[:ref.m + ref.kd]):
+        band = solver.assemble_stiffness(elements, active, dofs, ref.kd)
+        want = band_by_scan(elements, active, dofs, ref.kd)
+        assert band.shape == want.shape
+        assert band.tobytes() == want.tobytes()
+    holes = TriangleSet(mesh, elements.ids[~active]).n_holes
+    return len(gauge), holes > 0
+
+
+@pytest.mark.parametrize("eps,n_steps", [(1 / 32, 8), (1 / 64, 16)])
+def test_crack_ladder_systems_set_up_as_whole_set(monkeypatch, eps,
+                                                  n_steps):
+    # every system of a crack ladder level: its pins, free dofs,
+    # right-hand side and bands are bitwise those built from every
+    # weighted triangle
+    cfg = parse_config(CRACK.format(eps=eps, n_steps=n_steps))
+    calls = []
+    real = solver.solve_elastic
+
+    def recording(mesh, active, bc, material, extra_pinned_nodes=None):
+        calls.append((mesh, np.array(active), bc, material))
+        return real(mesh, active, bc, material, extra_pinned_nodes)
+
+    monkeypatch.setattr(solver, "solve_elastic", recording)
+    assert not run_from_config(cfg).aborted
+    monkeypatch.setattr(solver, "solve_elastic", real)
+    mesh = calls[0][0]
+    seen, holed = set(), 0
+    for call_mesh, active, bc, mat in calls:
+        assert call_mesh is mesh
+        key = active.tobytes()
+        if key not in seen:
+            seen.add(key)
+            holed += _check_setup(mesh, active, bc, mat)[1]
+    # the rim condition holds, so only the holes' triangles were gauged
+    assert mesh.factor_slot.reference.elements.rim_held
+    assert len(seen) > 10 and holed
+
+
+def _ring_ids(mesh, r0, width):
+    c = mesh.nodes[mesh.triangles].mean(axis=1)
+    r = np.hypot(c[:, 0] - 0.5, c[:, 1] - 0.5)
+    return np.flatnonzero(np.abs(r - r0) < width)
+
+
+def _setup_cases(mesh16, mesh32):
+    """(name, mesh, active ids, extra pins) of systems with hinges,
+    floating pieces, islands and random frozen sets."""
+    allt32 = np.arange(mesh32.n_triangles)
+    c = mesh32.nodes[mesh32.triangles].mean(axis=1)
+    cases = [("hinged", strip_mesh(4), np.array([5]), None),
+             ("hinged-pair", strip_mesh(4), np.array([2, 5]), None),
+             ("floating", mesh32,
+              np.setdiff1d(allt32, _ring_ids(mesh32, 0.2, 0.05)), None),
+             ("ring-pinned", mesh32,
+              np.setdiff1d(allt32, _ring_ids(mesh32, 0.2, 0.05)),
+              np.unique(mesh32.triangles[_ring_ids(mesh32, 0.35, 0.02)])),
+             ("band", mesh32,
+              np.flatnonzero(np.abs(c[:, 1] - 0.5) >= 0.04), None)]
+    for mesh in (mesh16, mesh32):
+        cases.append(("island", mesh, _island_active(mesh), None))
+        for width in (0.05, 0.08):  # an island hinged on the ring, a free one
+            cases.append(("ring", mesh, np.setdiff1d(
+                np.arange(mesh.n_triangles), _ring_ids(mesh, 0.2, width)),
+                None))
+        rng = np.random.default_rng(7)
+        for frac in (0.1, 0.2, 0.3):
+            keep = rng.random(mesh.n_triangles) >= frac
+            cases.append(("random", mesh, np.flatnonzero(keep), None))
+    return cases
+
+
+def test_hand_built_systems_set_up_as_whole_set(mesh16, mesh32):
+    # hinged triangles on a strip (whose plate touches the rim, so every
+    # active triangle is gauged), floating and hinged islands in frozen
+    # rings, a vertex-attached island, a band that cuts the plate in two,
+    # and random frozen sets, under two elasticities
+    gauged, holed = set(), set()
+    for mat in (MaterialModel(), MaterialModel(elasticity=SPD_ELASTICITY)):
+        for name, mesh, active, pins in _setup_cases(mesh16, mesh32):
+            mesh.factor_slot = None
+            bc = interpolate(mesh, AffineLoad(0.3, -0.1, 0.2, 0.4), 1.0)
+            pins_held, hole = _check_setup(mesh, active, bc, mat, pins)
+            assert mesh.factor_slot.reference.elements.rim_held is \
+                (not name.startswith("hinged"))
+            if pins_held:
+                gauged.add(name)
+            if hole:
+                holed.add(name)
+            mesh.factor_slot = None
+    assert {"hinged", "floating", "ring"} <= gauged
+    assert "band" not in holed and "island" in holed
+    assert {"floating", "ring", "random"} <= holed
+
+
+def test_system_labels_in_proportion_to_its_frozen_set(monkeypatch):
+    # after the intact reference, no system labels more graph nodes than
+    # four times its frozen weighted triangles plus their vertices
+    cfg = parse_config(CRACK.format(eps=1 / 64, n_steps=6))
+    labelled = []
+    real_labels = trisets.component_labels
+
+    def counting(n, edges):
+        labelled.append(n)
+        return real_labels(n, edges)
+
+    for module in (trisets, solver, voidmod):
+        monkeypatch.setattr(module, "component_labels", counting)
+    real = solver.solve_elastic
+    sizes = []
+
+    def solve(mesh, active, bc, material, extra_pinned_nodes=None):
+        before = mesh.factor_slot
+        del labelled[:]
+        u = real(mesh, active, bc, material, extra_pinned_nodes)
+        if before is not None and \
+                before.reference is mesh.factor_slot.reference:
+            mask = np.zeros(mesh.n_triangles, dtype=bool)
+            mask[active] = True
+            frozen = np.flatnonzero((mesh.area_in_omega > 0.0) & ~mask)
+            bound = 4 * (len(frozen)
+                         + len(np.unique(mesh.triangles[frozen])))
+            sizes.append((sum(labelled), bound,
+                          TriangleSet(mesh, frozen).n_holes))
+        return u
+
+    monkeypatch.setattr(solver, "solve_elastic", solve)
+    assert not run_from_config(cfg).aborted
+    assert len(sizes) > 20 and any(holes for _, _, holes in sizes)
+    assert all(n <= bound for n, bound, _ in sizes), sizes
+
+
+def test_greedy_ladder_ranks_by_density(monkeypatch):
+    # with a coupled elasticity the ladder's first starts crack the fresh
+    # triangles of the elastic solve in the order of C e:e, as the crack
+    # rule ranks them, not of |e|^2
+    cfg = parse_config(CRACK.format(eps=1 / 32, n_steps=8)
+                       + "elasticity = 2 0.5 0 0.5 1 0.3 0 0.3 1.5\n")
+    mesh = make_mesh(1 / 32)
+    mat = cfg.material()
+    hist = np.sort(cfg.precrack_ids(mesh))
+    bc = interpolate(mesh, cfg.load(), 1.0)
+    u = solve_elastic(mesh, np.setdiff1d(np.arange(mesh.n_triangles), hist),
+                      bc, mat)
+    s = classify_cracked(mesh, _density(u.strains(), mat), hist, mat)
+    fresh = np.setdiff1d(s.ids, hist)
+    density = density_by_loop(u.strains()[fresh], mat.elasticity)
+    order = fresh[np.argsort(-density, kind="stable")]
+    assert order[:4].tolist() == [1234, 1120, 1123, 1188]
+    plain = (u.strains()[fresh] ** 2).sum(axis=1)
+    assert fresh[np.argmax(plain)] != order[0]
+    tried = []
+    real = solver._FrozenSolves.candidate
+
+    def candidate(self, s_ids):
+        tried.append(np.setdiff1d(s_ids, hist).tolist())
+        return real(self, s_ids)
+
+    opts = cfg.solve_options()
+    assert opts.multi_starts == 3
+    monkeypatch.setattr(solver._FrozenSolves, "candidate", candidate)
+    minimize_step(mesh, hist, bc, mat, opts)
+    # the two ladder starts are the only sets with one or two fresh ids
+    assert [t for t in tried if len(t) in (1, 2)] == \
+        [[int(order[0])], sorted(order[:2].tolist())]
 
 
 # the assembly
