@@ -354,14 +354,20 @@ class Triangulation:
     def tri_keys(self):
         """Coordinate keys of the triangles, for checks that compare sets
         across meshes by position; the program itself identifies triangles
-        by id."""
-        # node coordinates in units of point_tol, rounded half to even and
-        # kept as floats, which hold any such integer exactly
-        q = np.round(self.nodes / self.params.point_tol)[self.triangles]
+        by id.
+
+        One (m,) array of 48-byte strings: the bytes of each triangle's
+        three vertices sorted by (x, y), every coordinate rounded half to
+        even in units of point_tol and held as int64, which has no signed
+        zero.  An entry is a hashable `np.bytes_`, and two triangles have
+        equal keys exactly when their rounded vertices are equal; the
+        fixed width keeps numpy's stripping of trailing NUL bytes from
+        merging two keys."""
+        q = np.round(self.nodes / self.params.point_tol).astype(np.int64)
+        q = q[self.triangles]
         order = np.lexsort((q[:, :, 1], q[:, :, 0]))
         pts = np.take_along_axis(q, order[:, :, None], axis=1)
-        x0, y0, x1, y1, x2, y2 = pts.reshape(-1, 6).T.tolist()
-        return list(zip(zip(x0, y0), zip(x1, y1), zip(x2, y2)))
+        return pts.reshape(-1, 6).view("S48").ravel()
 
     # -- serialization -----------------------------------------------------
 

@@ -6,11 +6,12 @@ edge-connectivity (components of the open set, `components`) and
 vertex-connectivity (components of the closure, `closure_components`).
 Complement components are computed in the whole plane: everything beyond
 the triangulated region counts as one unbounded component.  The bounded
-ones, holes, are counted by Euler's formula and labelled only inside the
-node bounding boxes of the closure components that have one.  Every
-connectivity query, here and in the solver's gauging and the boundary
-graph, goes through one numpy labelling function, `component_labels`,
-which names each component by its smallest node index.  Only the search
+ones, holes, are counted by Euler's formula per closure component and
+labelled only inside the boxes of the strips of non-members along the
+holed components (see `bounded_components`).  Every connectivity query,
+here and in the solver's gauging and the boundary graph, goes through
+one numpy labelling function, `component_labels`, which names each
+component by its smallest node index.  Only the search
 for cut vertices in void modification walks its small graph depth-first.
 Every dedupe of ids in the package goes through one function, `_distinct`;
 `np.unique` is called only for an inverse or counts, and a difference or
@@ -131,27 +132,33 @@ class TriangleSet:
         E edges, F triangles and b0 components (`closure_components`).
         By Alexander duality the plane minus K has b0 - (V - E + F)
         bounded components: the sum over the closure components K_c of
-        their own holes, 1 - (V_c - E_c + F_c) (`hole_counts`).  When the
-        triangulated region is a closed disk, as the background grid's
-        rectangle is, these are exactly the bounded entries of
-        `complement_components`.  The count reads b0 off the closure's
-        labels, without splitting the set into its components.
+        their own holes, 1 - (V_c - E_c + F_c) (`_hole_counts`).  When
+        the triangulated region is a closed disk, as the background
+        grid's rectangle is, these are exactly the bounded entries of
+        `complement_components`.
         """
-        ids = self.ids
-        b0 = np.count_nonzero(self._closure_labels == np.arange(len(ids)))
-        v = len(_distinct(self.mesh.triangles[ids]))
-        e = len(_distinct(self.mesh.tri_edges[ids]))
-        return int(b0 - (v - e + len(ids)))
+        return int(self._hole_counts.sum())
+
+    @cached_property
+    def _hole_counts(self):
+        """Holes of each closure component, in the order of
+        `closure_components`, counted off the closure's labels without
+        splitting the set into its components."""
+        lab = self._closure_labels
+        root = lab == np.arange(len(lab))
+        which = (np.cumsum(root) - 1)[lab]
+        return _euler_holes(self.mesh, self.ids, which,
+                            int(np.count_nonzero(root)))
 
     @cached_property
     def holes(self):
         """Bounded complement components as id arrays sorted by min id,
-        labelled only inside the boxes of the closure components with a
-        hole (see `bounded_components`)."""
+        labelled only near the holes of the closure components that have
+        one (see `bounded_components`)."""
         if not self.n_holes:
             return []
-        comps = self.closure_components
-        holed = [c for c, k in zip(comps, hole_counts(self.mesh, comps)) if k]
+        holed = [c for c, k in zip(self.closure_components, self._hole_counts)
+                 if k]
         return bounded_components(self.mesh, self.mask, holed)
 
 
@@ -264,20 +271,34 @@ def _distinct(a) -> np.ndarray:
 
 def hole_counts(mesh: Triangulation, comps) -> np.ndarray:
     """1 - (V - E + F), the holes, of each closure-connected piece in
-    `comps`, all in one pass: each vertex and edge is coded with its
-    piece's index, so pieces may overlap (as the candidates of void
-    modification do) and each counts its own."""
+    `comps`, all in one pass; pieces may overlap (as the candidates of
+    void modification do) and each counts its own."""
     if not comps:
         return np.zeros(0, dtype=np.int64)
     sizes = np.array([len(c) for c in comps])
-    ids = np.concatenate(comps)
-    which = np.repeat(np.arange(len(comps)), sizes)[:, None]
+    return _euler_holes(mesh, np.concatenate(comps),
+                        np.repeat(np.arange(len(comps)), sizes), len(comps))
+
+
+def _euler_holes(mesh: Triangulation, ids, which, k) -> np.ndarray:
+    """1 - (V - E + F) of each of k pieces, where triangle ids[i] lies in
+    piece which[i]: each vertex and edge is coded with its piece's index,
+    so one `_distinct` of each counts them per piece."""
     n_v, n_e = mesh.n_nodes, len(mesh.edges)
-    v = _distinct(which * n_v + mesh.triangles[ids]) // n_v
-    e = _distinct(which * n_e + mesh.tri_edges[ids]) // n_e
-    k = len(comps)
+    v = _distinct(which[:, None] * n_v + mesh.triangles[ids]) // n_v
+    e = _distinct(which[:, None] * n_e + mesh.tri_edges[ids]) // n_e
     return (1 - np.bincount(v, minlength=k) + np.bincount(e, minlength=k)
-            - sizes)
+            - np.bincount(which, minlength=k))
+
+
+def _node_fans(mesh: Triangulation, nodes):
+    """(k, t): every triangle t at each of the nodes, with k the node's
+    index in `nodes`."""
+    indptr, tri_ids = mesh.node_tris
+    start = indptr[nodes]
+    count = indptr[nodes + 1] - start
+    k = np.repeat(np.arange(len(nodes)), count)
+    return k, tri_ids[np.arange(len(k)) + (start - np.cumsum(count) + count)[k]]
 
 
 def bounded_components(mesh: Triangulation, mask, holed):
@@ -285,17 +306,38 @@ def bounded_components(mesh: Triangulation, mask, holed):
     arrays sorted by min id, given a list `holed` of closure components
     that holds every one with a hole.
 
-    The outer boundary of a bounded component lies in one closure
-    component, which then has a hole, so the component lies inside that
-    closure component's node bounding box.  The complement is labelled
-    only over the triangles inside these boxes: a region component that
-    reaches a non-member outside them is not bounded, and every bounded
-    component is a whole region component.
+    The outer boundary of a bounded component H lies in one closure
+    component c, which then has a hole.  A strip of c is a maximal
+    edge-connected set of non-members that share a vertex with c.  The
+    non-members of H along that boundary lie in one strip: at each
+    boundary vertex they fill the fan between the two boundary edges,
+    and the triangle on a boundary edge is in the fans of both its ends.
+    That strip lies in H, so it has no rim edge and no vertex outside
+    c's node bounding box, and its own box holds the boundary's vertices
+    and with them all of H.  The complement is labelled only over the
+    triangles inside the boxes of the strips that pass both tests: a
+    region component that reaches a non-member outside them is not
+    bounded, and every bounded component is a whole region component.
+    A strip of the unbounded face reaches the rim or passes c's extreme
+    vertex, so it adds no box.
     """
     boxes = []
     for c in holed:
-        pts = mesh.nodes[mesh.triangles[c]]
-        boxes.append((*pts.min(axis=(0, 1)), *pts.max(axis=(0, 1))))
+        verts = _distinct(mesh.triangles[c])
+        lo, hi = mesh.nodes[verts].min(axis=0), mesh.nodes[verts].max(axis=0)
+        ring = _distinct(_node_fans(mesh, verts)[1])
+        ring = ring[~mask[ring]]
+        lab = component_labels(len(ring), _edge_graph(mesh, ring)[1])
+        order = np.argsort(lab, kind="stable")
+        strips = ring[order]
+        starts = np.flatnonzero(np.diff(lab[order], prepend=-1))
+        pts = mesh.nodes[mesh.triangles[strips]]
+        s_lo = np.minimum.reduceat(pts.min(axis=1), starts)
+        s_hi = np.maximum.reduceat(pts.max(axis=1), starts)
+        rim = np.logical_or.reduceat(
+            (mesh.tri_neighbors[strips] < 0).any(axis=1), starts)
+        keep = ~rim & (s_lo >= lo).all(axis=1) & (s_hi <= hi).all(axis=1)
+        boxes += [(*a, *b) for a, b in zip(s_lo[keep], s_hi[keep])]
     comps, bounded = complement_components(mesh, mask,
                                            _tris_in_boxes(mesh, boxes))
     return [c for c, b in zip(comps, bounded) if b]

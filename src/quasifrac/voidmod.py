@@ -15,8 +15,8 @@ makes the construction monotone under set inclusion.
 The passes cost in proportion to the set, not the mesh: edge-connectivity
 reads the members' rows of the neighbor table, holes are counted by
 Euler's formula on the closure (`TriangleSet.n_holes`; a connected piece
-needs no closure labelling) and labelled only inside the node bounding
-boxes of the closure components that hold one
+needs no closure labelling) and labelled only inside the boxes of the
+strips of non-members along the closure components that hold one
 (`trisets.bounded_components`), the pieces split at one vertex come from
 one depth-first search per set, a piece is healable when it owns no rim
 triangle (no -1 in its rows of the neighbor table), and triangle healing
@@ -36,7 +36,7 @@ import numpy as np
 
 from ._kernels import clip_areas_rect, strain_blocks, strains_from_values
 from .mesh import DisplacementField, Triangulation
-from .trisets import (TriangleSet, _distinct, bounded_components,
+from .trisets import (TriangleSet, _distinct, _node_fans, bounded_components,
                       component_labels, hole_counts)
 
 
@@ -217,8 +217,8 @@ def _boundary_cycles(H: TriangleSet, comp_of, n_comps, degree):
 
 def fill_holes(A: TriangleSet, vm: VoidModParams) -> TriangleSet:
     """Absorb bounded complement components of area <= eps^2/eta^2; they
-    are labelled only inside the boxes of the closure components that
-    the Euler count finds a hole in (`TriangleSet.holes`)."""
+    are labelled only near the closure components that the Euler count
+    finds a hole in (`TriangleSet.holes`)."""
     mesh = A.mesh
     budget = vm.hole_threshold(mesh.params.eps)
     fill = [c for c in A.holes if float(mesh.areas[c].sum()) <= budget]
@@ -229,16 +229,6 @@ def fill_holes(A: TriangleSet, vm: VoidModParams) -> TriangleSet:
 
 # ---------------------------------------------------------------------------
 # healing primitives
-
-
-def _node_fans(mesh: Triangulation, nodes):
-    """(k, t): every triangle t at each of the nodes, with k the node's
-    index in `nodes`."""
-    indptr, tri_ids = mesh.node_tris
-    start = indptr[nodes]
-    count = indptr[nodes + 1] - start
-    k = np.repeat(np.arange(len(nodes)), count)
-    return k, tri_ids[np.arange(len(k)) + (start - np.cumsum(count) + count)[k]]
 
 
 def _piece_healable(mesh: Triangulation, z_ids) -> bool:

@@ -440,7 +440,10 @@ def test_mesh_tables_match_loops(mesh16, mesh32):
         edges, edge_tris = edge_tables_by_loop(mesh)
         assert np.array_equal(mesh.edges, edges)
         assert mesh.edge_tris.tobytes() == edge_tris.tobytes()
-        assert mesh.tri_keys == tri_keys_by_loop(mesh)
+        # the oracle's tuples, encoded as the keys are: int64 vertex rows
+        want = np.array(tri_keys_by_loop(mesh), dtype=np.int64)
+        assert mesh.tri_keys.dtype == np.dtype("S48")
+        assert mesh.tri_keys.tobytes() == want.tobytes()
     # a fan of three triangles on the edge (0, 1)
     fan = Triangulation([(0, 0), (1, 0), (0.5, 1), (0.5, -1), (0.5, 2)],
                         [(0, 1, 2), (0, 1, 3), (0, 1, 4)], STD_DOMAIN,
@@ -449,6 +452,39 @@ def test_mesh_tables_match_loops(mesh16, mesh32):
         fan.edge_table
     with pytest.raises(MeshError, match="edge 0 shared"):
         edge_tables_by_loop(fan)
+
+
+def test_tri_keys_compare_by_position(mesh16, mesh32):
+    for mesh in _oracle_meshes(mesh16, mesh32):
+        keys = mesh.tri_keys
+        assert keys.shape == (mesh.n_triangles,)
+        assert keys.nbytes == 48 * mesh.n_triangles
+        assert len(set(keys.tolist())) == mesh.n_triangles
+    # a mesh built again, with each triangle's vertices listed from
+    # another corner, keys every triangle as before
+    again = make_mesh(1 / 32)
+    rolled = Triangulation(again.nodes, again.triangles[:, [1, 2, 0]],
+                           again.domain, again.params)
+    for other in (again, rolled):
+        assert other.tri_keys.tobytes() == mesh32.tri_keys.tobytes()
+        assert ({other.tri_keys[int(i)] for i in range(0, 900, 7)}
+                == {mesh32.tri_keys[int(i)] for i in range(0, 900, 7)})
+
+
+def test_tri_keys_have_no_signed_zero():
+    # a fan around the origin, with the nodes on the axes nudged to
+    # -0.4 and +0.4 point_tol across zero: every coordinate rounds to
+    # 0 (to -0.0 in floats) and every key stays the same
+    params = MeshParams(theta0=math.pi / 4, eps=0.5)
+    nodes = np.array([(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)], dtype=float)
+    fan = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1)]
+    zero = nodes == 0.0
+    keys = []
+    for nudge in (0.0, -0.4, 0.4):
+        nudged = np.where(zero, nudge * params.point_tol, nodes)
+        keys.append(Triangulation(nudged, fan, STD_DOMAIN, params).tri_keys)
+    assert keys[0].tobytes() == keys[1].tobytes() == keys[2].tobytes()
+    assert [k.tolist() for k in keys[1:]] == [keys[0].tolist()] * 2
 
 
 def test_is_background_matches_set_loop(mesh16, mesh32):

@@ -1,23 +1,32 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from quasifrac import trisets
 from quasifrac._kernels import clip_lengths_rect
+from quasifrac.config import parse_config
 from quasifrac.mesh import Domain, MeshParams, build_background_mesh
+from quasifrac.runner import run_from_config
 from quasifrac.trisets import (
     TriangleSet,
+    bounded_components,
     closure_components_minus_vertex,
     component_labels,
 )
 
 from _oracles import (
+    ComplementFlood,
     bfs_complement,
     bfs_components,
     boundary_length_in_rect_by_loop,
     segment_clip_rect_length,
 )
 from conftest import block_ids, cell_tris
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_component_labels_smallest_index():
@@ -184,3 +193,151 @@ def test_clip_lengths_match_scalar_clip(request, name):
     assert min(cut, held, missed, on_side) > 0, (cut, held, missed, on_side)
     assert TriangleSet(mesh, []).boundary_length_in_rect(
         mesh.domain.omega) == 0.0
+
+
+# -- holes labelled inside the boxes of their strips ---------------------
+
+
+def _voidmod_generator():
+    """The benchmark's voidmod input generator, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "qfbench_gen_voidmod", REPO / "qfbench" / "gen_voidmod.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def _generated_sets(inv_eps, seed, count):
+    """(mesh, sets): the first `count` sets of one seed of the generator,
+    on the background mesh of a config with eps = 1/inv_eps."""
+    gen = _voidmod_generator()
+    cfg = parse_config(f"eps = {1 / inv_eps}\n")
+    mesh = build_background_mesh(cfg.domain(), cfg.mesh_params())
+    rng = np.random.default_rng(seed)
+    sets = []
+    for _ in range(count):
+        sets.append(gen.crack_like_set(mesh, rng))
+        gen.smooth_field(mesh, rng)  # the generator draws a field per set
+    return mesh, sets
+
+
+def _check_holes_against_flood(flood, ids):
+    """The set's holes, and `bounded_components` given every closure
+    component, equal the bounded components of a whole-mesh flood;
+    returns the number of holes."""
+    tset = TriangleSet(flood.mesh, ids)
+    comps, bounded = flood.components(tset.mask)
+    want = [c for c, b in zip(comps, bounded) if b]
+    assert tset.n_holes == len(want)
+    _assert_same(tset.holes, want)
+    _assert_same(bounded_components(flood.mesh, tset.mask,
+                                    tset.closure_components), want)
+    return len(want)
+
+
+@pytest.mark.parametrize("inv_eps", [32, 64])
+def test_holes_match_flood_on_generated_sets(inv_eps):
+    n_holes = 0
+    for seed in (1, 2, 3, 4):
+        mesh, sets = _generated_sets(inv_eps, seed, 4)
+        flood = ComplementFlood(mesh)
+        for ids in sets:
+            n_holes += _check_holes_against_flood(flood, ids)
+    assert n_holes >= 16
+
+
+def test_holes_match_flood_hand_cases(mesh32, monkeypatch):
+    nx, ny = mesh32.grid_shape[:2]
+
+    def ring(i0, i1, j0, j1, w=1):
+        return np.setdiff1d(block_ids(mesh32, i0, i1, j0, j1),
+                            block_ids(mesh32, i0 + w, i1 - w, j0 + w, j1 - w))
+
+    def minus(a, *b):
+        return np.setdiff1d(a, np.concatenate(b))
+
+    band = minus(block_ids(mesh32, 0, nx, 12, 18),
+                 block_ids(mesh32, 20, 23, 14, 16))
+    cases = {
+        # the hole meets the outer face at the ring's corner vertex only
+        "pinched": (minus(ring(4, 10, 4, 10), block_ids(mesh32, 4, 5, 4, 5)),
+                    1),
+        # a band across the plate touches the rim on its two ends; the
+        # faces above and below it are not holes
+        "band": (band, 1),
+        # a ring in the hole of a ring, with a hole of its own, and a
+        # blob in that hole
+        "nested": (np.concatenate([ring(2, 20, 2, 20), ring(6, 16, 6, 16),
+                                   block_ids(mesh32, 10, 12, 10, 12)]), 2),
+        # a ring pair below the band
+        "band+nested": (np.concatenate([band, ring(3, 12, 1, 11),
+                                        ring(5, 10, 3, 9)]), 3),
+        # a U standing on the rim with a hole in its base: the U's mouth
+        # lies in the U's box but reaches the rim
+        "U": (minus(block_ids(mesh32, 10, 20, 0, 10),
+                    block_ids(mesh32, 12, 18, 0, 6),
+                    block_ids(mesh32, 14, 16, 7, 9)), 1),
+    }
+    regions = []
+    real = trisets._tris_in_boxes
+
+    def recording(mesh, boxes):
+        regions.append(real(mesh, boxes))
+        return regions[-1]
+
+    monkeypatch.setattr(trisets, "_tris_in_boxes", recording)
+    flood = ComplementFlood(mesh32)
+    for name, (ids, holes) in cases.items():
+        tset = TriangleSet(mesh32, ids)
+        in_hole = tset.mask.copy()
+        for hole in tset.holes:
+            in_hole[hole] = True
+        del regions[:]
+        assert _check_holes_against_flood(flood, ids) == holes, name
+        # on these holes, unions of whole cells, every labelled
+        # non-member lies in a hole
+        assert len(regions) == 2
+        assert all(in_hole[r].all() for r in regions), name
+
+
+def test_holes_match_flood_on_solver_frozen_sets(monkeypatch):
+    # every set whose holes a crack run labels against a whole-mesh
+    # flood: at eps 1/32 these are the frozen sets of the two elastic
+    # systems whose frozen set has a hole
+    seen = []
+    real = trisets.bounded_components
+
+    def recording(mesh, mask, holed):
+        seen.append((mesh, mask.copy()))
+        return real(mesh, mask, holed)
+
+    monkeypatch.setattr(trisets, "bounded_components", recording)
+    cfg = parse_config(
+        "eps = 0.03125\nn_steps = 8\namplitude = 3.2\nload = opening\n"
+        "precrack = 0.0 0.5 0.45 0.5 0.06\nseed = 1\nmulti_starts = 3\n")
+    assert not run_from_config(cfg).aborted
+    assert len(seen) >= 2
+    monkeypatch.undo()
+    flood = ComplementFlood(seen[0][0])
+    for mesh, mask in seen:
+        assert _check_holes_against_flood(flood, np.flatnonzero(mask)) > 0
+
+
+def test_hole_labelling_stays_near_the_holes(monkeypatch):
+    # on the eps 1/128 benchmark inputs of seed 1 a holed component can
+    # span the plate, and its node box then holds over a third of the
+    # mesh; the boxes of the strips around its holes hold a few percent
+    shares = []
+    real = trisets._tris_in_boxes
+
+    def measuring(mesh, boxes):
+        region = real(mesh, boxes)
+        shares.append(len(region) / mesh.n_triangles)
+        return region
+
+    monkeypatch.setattr(trisets, "_tris_in_boxes", measuring)
+    mesh, sets = _generated_sets(128, 1, 24)
+    for ids in sets:
+        assert TriangleSet(mesh, ids).holes
+    assert len(shares) == 24
+    assert max(shares) < 0.1, max(shares)

@@ -725,8 +725,11 @@ def test_hole_counts_per_closure_component(mesh16):
     # each closure component's count, taken for all components at once, is
     # the number of bounded components of the plane minus it alone
     for ids in _saturation_cases(mesh16):
-        comps = TriangleSet(mesh16, ids).closure_components
+        tset = TriangleSet(mesh16, ids)
+        comps = tset.closure_components
         counts = trisets.hole_counts(mesh16, comps)
+        # the set's own count, off its closure labels, gives the same
+        assert tset._hole_counts.tolist() == counts.tolist()
         assert counts.tolist() == [
             1 - euler_characteristic(mesh16, c) for c in comps]
         for c, k in list(zip(comps, counts))[:12]:
